@@ -295,10 +295,6 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
     return cand, report
 
 
-def solve_even_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero"):
-    return solve_unitary(n, quotient, tiebreak=tiebreak, even=True)
-
-
 # -- torsor action ------------------------------------------------------------------------
 
 

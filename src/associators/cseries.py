@@ -72,9 +72,6 @@ class CSeries:
     def one_like(self):
         return CSeries.one(self.ring, self.truncation)
 
-    def zero_like(self):
-        return CSeries.zero(self.ring, self.truncation)
-
     # -- basics ----------------------------------------------------------------
 
     def coeff(self, mono):
@@ -364,13 +361,6 @@ class CSeries:
 
 def max_cseries_coeff(f: CSeries) -> float:
     return max((abs_value(c) for c in f.terms.values()), default=0.0)
-
-
-def cseries_distance(f: CSeries, g: CSeries) -> float:
-    """Largest coefficient of f - g, computed at the ring's working
-    precision (a bare subtraction would round to the ambient context)."""
-    with f.ring.context():
-        return max_cseries_coeff(f - g)
 
 
 # -- the built-in parameter substitutions ------------------------------------------

@@ -13,7 +13,9 @@ converge geometrically (the half-point convolution scheme).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 from mpmath import mp
@@ -42,58 +44,68 @@ def _to_mpc(x):
 # -- multiple polylogarithm coefficient engine ------------------------------------
 
 
+def series_terms(z, digits):
+    """Terms of the z-expansion that the solutions at z and at 1 - z need:
+    with r = max(z, 1 - z), r^(T+1) < 10^(-(digits + 12)).  One engine of
+    this size therefore serves both base points."""
+    r = float(max(z, 1 - z))
+    return int((digits + 12) * math.log(10) / -math.log(r)) + 20
+
+
 class MPLEngine:
     """Power-series coefficients (in z) of the analytic factor h of the
-    fundamental solution, per word, at a fixed working precision."""
+    fundamental solution, per word, as integers scaled by 2^prec.
+
+    Precision contract: for a word of length L, the exact coefficients obey
+    |c_n| <= 2^L, and each stored one is within 2^(L - prec) of its exact
+    value (each recursion step adds one floor division).  Horner adds one
+    floor per term, so h_coefficient(word, z) is within
+    2^L (2^-prec + z^(T+1)) / (1 - z) of h_word(z) before the final
+    rounding to digits + 10 digits, T = nterms.  With
+    nterms = series_terms(z, digits) the absolute error is below
+    2^(L+1) 10^(-(digits + 10)) / (1 - z)."""
+
+    GUARD_BITS = 32
 
     def __init__(self, digits=50, nterms=None):
         self.digits = digits
-        self.nterms = nterms if nterms is not None else int(3.33 * (digits + 12)) + 20
+        self.nterms = nterms if nterms is not None else series_terms(Fraction(1, 2), digits)
+        self.prec = math.ceil((digits + 10) * math.log2(10)) + self.GUARD_BITS
         self._memo = {}
 
     def coeff_series(self, word):
         """Coefficients c_0..c_T of the z-expansion of the h-coefficient of
-        the given word."""
+        the given word, each scaled by 2^prec and floored to an integer."""
         got = self._memo.get(word)
         if got is not None:
             return got
         T = self.nterms
-        with mp.workdps(self.digits + 10):
-            if word == ():
-                cs = [mp.mpf(1)] + [mp.mpf(0)] * T
-            elif word == (0,):
-                cs = [mp.mpf(0)] * (T + 1)
+        if word == ():
+            cs = [1 << self.prec] + [0] * T
+        elif word == (0,):
+            cs = [0] * (T + 1)
+        else:
+            # a holds the coefficients of z^0..z^(T-1) in the derivative h'
+            if word[0] == W.E0:
+                a = self.coeff_series(word[1:])[1:]
             else:
-                a = [mp.mpf(0)] * (T + 1)  # coefficients of the derivative
-                if word[0] == W.E0 and len(word) > 1:
-                    cu = self.coeff_series(word[1:])
-                    for m in range(T):
-                        a[m] += cu[m + 1]
-                if word[0] == W.E1:
-                    cu = self.coeff_series(word[1:])
-                    run = mp.mpf(0)
-                    for m in range(T + 1):
-                        run += cu[m]
-                        a[m] -= run
-                if word[-1] == W.E0 and len(word) > 1:
-                    cv = self.coeff_series(word[:-1])
-                    for m in range(T):
-                        a[m] -= cv[m + 1]
-                cs = [mp.mpf(0)] * (T + 1)
-                for n in range(1, T + 1):
-                    cs[n] = a[n - 1] / n
+                a = [-x for x in accumulate(self.coeff_series(word[1:])[:T])]
+            if word[-1] == W.E0:
+                a = [x - y for x, y in zip(a, self.coeff_series(word[:-1])[1:])]
+            cs = [0] + [x // n for n, x in enumerate(a, 1)]
         self._memo[word] = cs
         return cs
 
     def h_coefficient(self, word, z):
-        """Value of the h-coefficient of the word at a real z in (0, 1)."""
-        cs = self.coeff_series(word)
+        """Value of the h-coefficient of the word at a rational z in (0, 1),
+        by integer Horner evaluation."""
+        z = Fraction(z)
+        p, q = z.numerator, z.denominator
+        acc = 0
+        for c in reversed(self.coeff_series(word)):
+            acc = acc * p // q + c
         with mp.workdps(self.digits + 10):
-            zz = _to_mpf(z)
-            acc = mp.mpf(0)
-            for c in reversed(cs):
-                acc = acc * zz + c
-            return acc
+            return mp.mpf((acc, -self.prec))
 
 
 def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
@@ -102,15 +114,7 @@ def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
     if not (0 < z < 1):
         raise ValueError("z must lie in (0, 1)")
     ring = complex_field(digits)
-    if engine is not None:
-        eng = engine
-    else:
-        # geometric tail: enough terms for the worse of z and 1 - z
-        import math
-
-        r = float(max(z, Fraction(1, 2)))
-        nterms = int((digits + 12) * math.log(10) / -math.log(r)) + 20
-        eng = MPLEngine(digits, nterms)
+    eng = engine if engine is not None else MPLEngine(digits, series_terms(z, digits))
     terms = {}
     with mp.workdps(digits + 10):
         for n in range(weight + 1):
@@ -159,8 +163,17 @@ def kz_series(weight, digits=50, z=Fraction(1, 2)):
     got = _PHI_CACHE.get(key)
     if got is not None:
         return got
-    g01, ring = fundamental_solution(z, weight, digits)
-    g10 = fundamental_solution(1 - z, weight, digits)[0].swap_letters()
+    # coefficients of words of length <= weight do not depend on the
+    # truncation, so a series cached at a higher weight answers as well
+    higher = [w for (w, d, zz) in _PHI_CACHE if w > weight and (d, zz) == (digits, z)]
+    if higher:
+        big = _PHI_CACHE[(min(higher), digits, z)]
+        cand = AssociatorCandidate(mu=big.mu, phi=big.phi.truncate(weight), truncation=weight)
+        _PHI_CACHE[key] = cand
+        return cand
+    eng = MPLEngine(digits, series_terms(z, digits))
+    g01, ring = fundamental_solution(z, weight, digits, eng)
+    g10 = fundamental_solution(1 - z, weight, digits, eng)[0].swap_letters()
     with mp.workdps(digits + 10):
         phi = g10.inverse() * g01
         mu = mpmath.mpc(0, 2) * mp.pi
@@ -169,7 +182,7 @@ def kz_series(weight, digits=50, z=Fraction(1, 2)):
     return cand
 
 
-def mzv(index, digits=40, weight_cap=10):
+def mzv(index, digits=40, weight_cap=12):
     """Multiple zeta value for an admissible index (k_1, ..., k_m), the sum
     over 0 < n_1 < ... < n_m of prod n_i^(-k_i)."""
     index = tuple(int(k) for k in index)
@@ -406,20 +419,18 @@ def solution_matrix_at(a, b, c, z, weight, digits=50, star="01", engine=None):
 
 
 def hg11_defect(a, b, c, z, weight, digits=50):
-    """[G_01(X0, -Y0)(z)]_11 against the hypergeometric series."""
+    """[G_01(X0, -Y0)(z)]_11 against the hypergeometric series; the column
+    mix of solution_matrix_at leaves that entry unchanged."""
     with mp.workdps(digits + 10):
-        x0, y0 = numeric_xy(a, b, c)
-        one = Mat2.identity(mpmath.mpc(1), mpmath.mpc(0))
-        g, _ = fundamental_solution(z, weight, digits)
-        gm = g.substitute(x0, -y0, one=one)
-        return float(mpmath.fabs(gm[0, 0] - hyp2f1(a, b, c, z, digits)))
+        g11 = solution_matrix_at(a, b, c, z, weight, digits, "01")[0, 0]
+        return float(mpmath.fabs(g11 - hyp2f1(a, b, c, z, digits)))
 
 
 def kummer_row_defects(a, b, c, z, weight, digits=50):
     """First-row identities of the 01 and 10 solution matrices against
     hypergeometric values (four scalar checks)."""
     with mp.workdps(digits + 10):
-        eng = MPLEngine(digits)
+        eng = MPLEngine(digits, series_terms(z, digits))
         v01 = solution_matrix_at(a, b, c, z, weight, digits, "01", eng)
         v10 = solution_matrix_at(a, b, c, z, weight, digits, "10", eng)
         a_, b_, c_, z_ = _to_mpc(a), _to_mpc(b), _to_mpc(c), _to_mpc(z)

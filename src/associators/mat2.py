@@ -51,10 +51,6 @@ class Mat2:
         a = self.e
         return a[0] * a[3] - a[1] * a[2]
 
-    def transpose(self):
-        a = self.e
-        return Mat2(a[0], a[2], a[1], a[3])
-
     def one_like(self):
         a = self.e[0]
         if hasattr(a, "one_like"):
@@ -76,10 +72,6 @@ class Mat2:
 
     def scale_left(self, c):
         return Mat2(*(c * x for x in self.e))
-
-    def conjugate_by(self, g, entry_inv=None):
-        """g^(-1) * self * g."""
-        return g.inverse(entry_inv) * self * g
 
 
 def mat_exp_graded(m: Mat2, one, zero, max_power: int) -> Mat2:

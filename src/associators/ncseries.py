@@ -52,9 +52,6 @@ class NCSeries:
     def from_word_dict(cls, ring, truncation, dct):
         return cls(ring, truncation, dict(dct))
 
-    def copy_with(self, terms):
-        return NCSeries(self.ring, self.truncation, terms)
-
     # -- basics --------------------------------------------------------------
 
     def coeff(self, w):

@@ -7,9 +7,6 @@ are provided here:
 * ``QQ`` -- exact rationals, backed by ``fractions.Fraction``;
 * ``ComplexField(digits)`` -- arbitrary-precision complex numbers, backed
   by mpmath, with the working precision carried explicitly on the adapter.
-
-l-adic integers live in ``ladic.py``; they have their own precision
-semantics and never flow through these adapters.
 """
 
 from __future__ import annotations

@@ -20,7 +20,9 @@ from associators.hypcx import (
     mzv,
     mzv_direct,
     regularized_table,
+    series_terms,
     shuffle_words,
+    solution_matrix_at,
 )
 from associators.ncseries import series_distance
 
@@ -34,6 +36,22 @@ def test_mzv_pi_oracles():
 def test_mzv_euler_identity():
     with mp.workdps(50):
         assert abs(mzv((1, 2), 40) - mzv((3,), 40)) < 1e-38
+
+
+def test_mzv_weight_12():
+    # one weight-12 series answers every index below it through the cache
+    digits = 30
+    kz_series(12, digits)
+    with mp.workdps(digits + 10):
+        zeta12 = mzv((12,), digits)
+        assert abs(zeta12 - mpmath.zeta(12)) < 1e-28
+        # sum theorem: the admissible depth-3 values of weight 12 add up to zeta(12)
+        depth3 = [(i, j, 12 - i - j) for i in range(1, 11) for j in range(1, 11 - i)]
+        assert abs(sum(mzv(idx, digits) for idx in depth3) - zeta12) < 1e-26
+        # duality: the index of the reversed, letter-swapped word
+        dual = W.index_from_word(W.dual_word(W.word_from_index((3, 9))))
+        assert dual != (3, 9)
+        assert abs(mzv((3, 9), digits) - mzv(dual, digits)) < 1e-28
 
 
 def test_mzv_rejects_non_admissible():
@@ -107,7 +125,36 @@ def test_mpl_engine_log_series():
     cs = eng.coeff_series((1,))
     with mp.workdps(40):
         for n in (1, 2, 5):
-            assert abs(cs[n] + mp.mpf(1) / n) < 1e-35
+            assert abs(mp.ldexp(cs[n], -eng.prec) + mp.mpf(1) / n) < 1e-35
+
+
+@pytest.mark.parametrize("z", [F(3, 10), F(1, 2), F(7, 10)])
+def test_mpl_engine_polylog_and_log_power_oracles(z):
+    # h of e0^(k-1) e1 is -Li_k(z) and h of e1^k is log(1 - z)^k / k!; the
+    # bound is the precision contract of MPLEngine for a word of length k
+    digits = 40
+    eng = MPLEngine(digits, series_terms(z, digits))
+    with mp.workdps(digits + 20):
+        zz = mp.mpf(z.numerator) / z.denominator
+        for k in range(1, 6):
+            bound = 2 ** (k + 1) * mp.mpf(10) ** -(digits + 10) / (1 - zz)
+            polylog = eng.h_coefficient((0,) * (k - 1) + (1,), z)
+            assert abs(polylog + mpmath.polylog(k, zz)) < bound, k
+            log_power = eng.h_coefficient((1,) * k, z)
+            assert abs(log_power - mp.log(1 - zz) ** k / mp.factorial(k)) < bound, k
+
+
+def test_series_terms_serve_both_base_points():
+    # the 10 solution at z is evaluated at 1 - z: an engine sized by
+    # series_terms(z) must match a far longer one there
+    assert series_terms(F(3, 10), 40) == series_terms(F(7, 10), 40)
+    args = (F(1, 10), F(1, 5), F(23, 20), F(3, 10), 8, 40, "10")
+    sized = solution_matrix_at(*args, engine=MPLEngine(40, series_terms(F(3, 10), 40)))
+    long = solution_matrix_at(*args, engine=MPLEngine(40, 600))
+    with mp.workdps(50):
+        for i in range(2):
+            for j in range(2):
+                assert abs(sized[i, j] - long[i, j]) < 1e-38, (i, j)
 
 
 def test_kz_residual_decreases_quadratically():
