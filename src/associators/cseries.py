@@ -9,7 +9,10 @@ system where q replaces p as the third variable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
+from . import graded
 from .rings import abs_value
 
 VAR_NAMES = ("a", "b", "p")
@@ -179,53 +182,9 @@ class CSeries:
             out = out * self
         return out
 
-    def inverse(self):
-        ring = self.ring
-        c0 = self.constant_term()
-        if ring.is_zero(c0):
-            raise ZeroDivisionError("series has zero constant term")
-        c0inv = ring.inv(c0)
-        g = self.scale(c0inv) - CSeries.one(ring, self.truncation)
-        acc = CSeries.one(ring, self.truncation)
-        pw = CSeries.one(ring, self.truncation)
-        v = max(g.min_degree(), 1)
-        k = 1
-        while k * v <= self.truncation:
-            pw = pw * g
-            acc = acc + pw.scale(ring.from_fraction(Fraction((-1) ** k)))
-            k += 1
-        return acc.scale(c0inv)
-
-    def exp(self):
-        ring = self.ring
-        if not ring.is_zero(self.constant_term()):
-            raise ValueError("exp requires zero constant term")
-        acc = CSeries.one(ring, self.truncation)
-        pw = CSeries.one(ring, self.truncation)
-        v = max(self.min_degree(), 1)
-        fact = 1
-        k = 1
-        while k * v <= self.truncation:
-            pw = pw * self
-            fact *= k
-            acc = acc + pw.scale(ring.from_fraction(Fraction(1, fact)))
-            k += 1
-        return acc
-
-    def log(self):
-        ring = self.ring
-        if not ring.is_zero(self.constant_term() - ring.one):
-            raise ValueError("log requires constant term 1")
-        g = self - CSeries.one(ring, self.truncation)
-        acc = CSeries.zero(ring, self.truncation)
-        pw = CSeries.one(ring, self.truncation)
-        v = max(g.min_degree(), 1)
-        k = 1
-        while k * v <= self.truncation:
-            pw = pw * g
-            acc = acc + pw.scale(ring.from_fraction(Fraction((-1) ** (k + 1), k)))
-            k += 1
-        return acc
+    exp = graded.exp
+    log = graded.log
+    inverse = graded.inverse
 
     # -- variable substitution -----------------------------------------------------
 
@@ -241,7 +200,8 @@ class CSeries:
                 raise ValueError("image form has degree > 1")
         images = (image_a, image_b, image_p)
         n = self.truncation
-        pow_memo = [{0: CSeries.one(self.ring, n)} for _ in range(3)]
+        one = CSeries.one(self.ring, n)
+        pow_memo = [{0: one} for _ in range(3)]
 
         def power(i, e):
             got = pow_memo[i].get(e)
@@ -252,7 +212,8 @@ class CSeries:
 
         acc = CSeries.zero(self.ring, n)
         for m, c in self.terms.items():
-            t = power(0, m[0]) * power(1, m[1]) * power(2, m[2])
+            # only the variables that occur: no products by 1
+            t = reduce(mul, [power(i, e) for i, e in enumerate(m) if e] or [one])
             acc = acc + t.scale(c)
         return acc
 

@@ -10,55 +10,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cseries import CSeries
+from .cseries import CSeries, max_cseries_coeff
 from .rings import QQ, abs_value
 
-# -- one-variable series helpers (coefficient lists c[0..n]) -------------------
+# -- one-variable series: CSeries in the variable a -----------------------------
 
 
-def ov_mul(a, b, ring):
-    n = len(a) - 1
-    out = [ring.zero] * (n + 1)
-    for i, ca in enumerate(a):
-        if ring.is_zero(ca):
-            continue
-        for j in range(0, n + 1 - i):
-            out[i + j] = out[i + j] + ca * b[j]
-    return out
+def _series(ring, coeffs):
+    """sum c_k t^k, as a CSeries in a of truncation len(coeffs) - 1."""
+    return CSeries(ring, len(coeffs) - 1, {(k, 0, 0): c for k, c in enumerate(coeffs)})
 
 
-def ov_exp(a, ring):
-    if not ring.is_zero(a[0]):
-        raise ValueError("exp requires zero constant term")
-    n = len(a) - 1
-    out = [ring.zero] * (n + 1)
-    out[0] = ring.one
-    pw = list(out)
-    fact = 1
-    for k in range(1, n + 1):
-        pw = ov_mul(pw, a, ring)
-        fact *= k
-        inv = ring.from_fraction(Fraction(1, fact))
-        for i in range(n + 1):
-            out[i] = out[i] + pw[i] * inv
-    return out
-
-
-def ov_log(a, ring):
-    if not ring.is_zero(a[0] - ring.one):
-        raise ValueError("log requires constant term 1")
-    n = len(a) - 1
-    g = list(a)
-    g[0] = ring.zero
-    out = [ring.zero] * (n + 1)
-    pw = [ring.zero] * (n + 1)
-    pw[0] = ring.one
-    for k in range(1, n + 1):
-        pw = ov_mul(pw, g, ring)
-        coef = ring.from_fraction(Fraction((-1) ** (k + 1), k))
-        for i in range(n + 1):
-            out[i] = out[i] + pw[i] * coef
-    return out
+def _coeffs(s):
+    return [s.coeff((k, 0, 0)) for k in range(s.truncation + 1)]
 
 
 # -- Bernoulli numbers -----------------------------------------------------------
@@ -143,7 +107,7 @@ class GammaSeries:
     def series(self):
         """Coefficients of the gamma series itself."""
         with self.ring.context():
-            return ov_exp(self.log_coeffs, self.ring)
+            return _coeffs(_series(self.ring, self.log_coeffs).exp())
 
     def multiply(self, other):
         if other.order != self.order or other.ring is not self.ring:
@@ -166,14 +130,8 @@ class GammaSeries:
 
     def log_at_form(self, form: CSeries) -> CSeries:
         """log Gamma composed with a degree-1 form in (a, b, p)."""
-        if not self.ring.is_zero(form.constant_term()):
-            raise ValueError("gamma arguments must be forms without constant term")
-        acc = CSeries.zero(form.ring, form.truncation)
-        pw = CSeries.one(form.ring, form.truncation)
-        for n in range(1, min(self.order, form.truncation) + 1):
-            pw = pw * form
-            acc = acc + pw.scale(self.log_coeffs[n])
-        return acc
+        zero = CSeries.zero(form.ring, form.truncation)
+        return _series(self.ring, self.log_coeffs[: form.truncation + 1]).subst(form, zero, zero)
 
     def ratio(self, s: CSeries, t: CSeries, u: CSeries, v: CSeries) -> CSeries:
         """Gamma(s) Gamma(t) / (Gamma(u) Gamma(v)) as a CSeries."""
@@ -194,11 +152,8 @@ class GammaSeries:
         even_log = [ring.zero] * (n + 1)
         for k in range(2, n + 1, 2):
             even_log[k] = self.log_coeffs[k] + self.log_coeffs[k]
-        prod = ov_exp(even_log, ring)
-        sinh = _sinh_quotient(ring, n, mu)
-        both = ov_mul(prod, sinh, ring)
-        both[0] = both[0] - ring.one
-        return max((abs_value(c) for c in both), default=0.0)
+        both = _series(ring, even_log).exp() * _series(ring, _sinh_quotient(ring, n, mu))
+        return max_cseries_coeff(both - both.one_like())
 
 
 def _sinh_quotient(ring, order, mu):
@@ -219,7 +174,7 @@ def gamma_even(order, ring=QQ):
     """The even unitary gamma series: square root of t / (e^(t/2) - e^(-t/2)),
     computed in log space from that closed form."""
     den = _sinh_quotient(ring, order, ring.one)
-    log_den = ov_log(den, ring)
+    log_den = _coeffs(_series(ring, den).log())
     half = ring.from_fraction(Fraction(-1, 2))
     return GammaSeries(ring, order, [c * half for c in log_den], provenance="plus")
 
@@ -265,32 +220,26 @@ def _factorial(n):
     return out
 
 
-def gamma_of_associator(cand) -> GammaSeries:
-    """Gamma series of an associator: log coefficients
-    (-1)^(n+1)/n * (phi | e0^(n-1) e1)."""
-    phi = cand.phi
-    ring = phi.ring
-    n = phi.truncation
-    with ring.context():
-        coeffs = [ring.zero] * (n + 1)
-        for k in range(1, n + 1):
-            w = (0,) * (k - 1) + (1,)
-            coeffs[k] = phi.coeff(w) * ring.from_fraction(Fraction((-1) ** (k + 1), k))
-        return GammaSeries(ring, n, coeffs, provenance="from-associator")
-
-
-def gamma_of_gt(gt) -> GammaSeries:
-    """Gamma series of a GT element, read off its exponential-picture series
-    f(e^(e0), e^(e1))."""
-    s = gt.series
-    ring = s.ring
-    n = s.truncation
+def _gamma_of_series(s, provenance) -> GammaSeries:
+    """Log coefficients (-1)^(k+1)/k * (s | e0^(k-1) e1), k = 1..truncation."""
+    ring, n = s.ring, s.truncation
     with ring.context():
         coeffs = [ring.zero] * (n + 1)
         for k in range(1, n + 1):
             w = (0,) * (k - 1) + (1,)
             coeffs[k] = s.coeff(w) * ring.from_fraction(Fraction((-1) ** (k + 1), k))
-        return GammaSeries(ring, n, coeffs, provenance="from-GT")
+        return GammaSeries(ring, n, coeffs, provenance)
+
+
+def gamma_of_associator(cand) -> GammaSeries:
+    """Gamma series of an associator, read off its series phi."""
+    return _gamma_of_series(cand.phi, "from-associator")
+
+
+def gamma_of_gt(gt) -> GammaSeries:
+    """Gamma series of a GT element, read off its exponential-picture series
+    f(e^(e0), e^(e1))."""
+    return _gamma_of_series(gt.series, "from-GT")
 
 
 def gamma_from_kappa(ring, order, kappa) -> GammaSeries:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 import mpmath
@@ -104,7 +105,7 @@ class MPLEngine:
         acc = 0
         for c in reversed(self.coeff_series(word)):
             acc = acc * p // q + c
-        with mp.workdps(self.digits + 10):
+        with complex_field(self.digits).context():
             return mp.mpf((acc, -self.prec))
 
 
@@ -116,7 +117,7 @@ def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
     ring = complex_field(digits)
     eng = engine if engine is not None else MPLEngine(digits, series_terms(z, digits))
     terms = {}
-    with mp.workdps(digits + 10):
+    with ring.context():
         for n in range(weight + 1):
             for w in W.words_of_weight(n):
                 val = eng.h_coefficient(w, z)
@@ -135,7 +136,7 @@ def kz_residual_defect(z, weight, digits, step):
     gm, ring = fundamental_solution(z - step, weight, digits, eng)
     gp, _r = fundamental_solution(z + step, weight, digits, eng)
     g, _r = fundamental_solution(z, weight, digits, eng)
-    with mp.workdps(digits + 10):
+    with ring.context():
         inv2h = mpmath.mpc(1) / (2 * _to_mpf(step))
         deriv = (gp - gm).scale(inv2h)
         e0 = NCSeries.letter(ring, weight, 0)
@@ -174,7 +175,7 @@ def kz_series(weight, digits=50, z=Fraction(1, 2)):
     eng = MPLEngine(digits, series_terms(z, digits))
     g01, ring = fundamental_solution(z, weight, digits, eng)
     g10 = fundamental_solution(1 - z, weight, digits, eng)[0].swap_letters()
-    with mp.workdps(digits + 10):
+    with ring.context():
         phi = g10.inverse() * g01
         mu = mpmath.mpc(0, 2) * mp.pi
     cand = AssociatorCandidate(mu=mu, phi=phi, truncation=weight)
@@ -193,7 +194,7 @@ def mzv(index, digits=40, weight_cap=12):
         raise ValueError("weight %d beyond cap %d" % (wt, weight_cap))
     cand = kz_series(wt, digits)
     word = W.word_from_index(index)
-    with mp.workdps(digits + 10):
+    with complex_field(digits).context():
         c = cand.phi.coeff(word)
         return -c if len(index) % 2 else c
 
@@ -395,10 +396,12 @@ def numeric_xy(a, b, c):
     return x0, y0
 
 
+@lru_cache
 def solution_matrix_at(a, b, c, z, weight, digits=50, star="01", engine=None):
     """Numeric evaluation of the fundamental solution at (X0, -Y0), column
-    mixed; star selects the 01 or 10 solution."""
-    with mp.workdps(digits + 10):
+    mixed; star selects the 01 or 10 solution.  Cached: hg11_defect and
+    kummer_row_defects ask for the same 01 matrix."""
+    with complex_field(digits).context():
         x0, y0 = numeric_xy(a, b, c)
         one = Mat2.identity(mpmath.mpc(1), mpmath.mpc(0))
         if star == "01":
@@ -421,7 +424,7 @@ def solution_matrix_at(a, b, c, z, weight, digits=50, star="01", engine=None):
 def hg11_defect(a, b, c, z, weight, digits=50):
     """[G_01(X0, -Y0)(z)]_11 against the hypergeometric series; the column
     mix of solution_matrix_at leaves that entry unchanged."""
-    with mp.workdps(digits + 10):
+    with complex_field(digits).context():
         g11 = solution_matrix_at(a, b, c, z, weight, digits, "01")[0, 0]
         return float(mpmath.fabs(g11 - hyp2f1(a, b, c, z, digits)))
 
@@ -429,10 +432,9 @@ def hg11_defect(a, b, c, z, weight, digits=50):
 def kummer_row_defects(a, b, c, z, weight, digits=50):
     """First-row identities of the 01 and 10 solution matrices against
     hypergeometric values (four scalar checks)."""
-    with mp.workdps(digits + 10):
-        eng = MPLEngine(digits, series_terms(z, digits))
-        v01 = solution_matrix_at(a, b, c, z, weight, digits, "01", eng)
-        v10 = solution_matrix_at(a, b, c, z, weight, digits, "10", eng)
+    with complex_field(digits).context():
+        v01 = solution_matrix_at(a, b, c, z, weight, digits, "01")
+        v10 = solution_matrix_at(a, b, c, z, weight, digits, "10")
         a_, b_, c_, z_ = _to_mpc(a), _to_mpc(b), _to_mpc(c), _to_mpc(z)
         out = {}
         out["01_left"] = float(mpmath.fabs(v01[0, 0] - hyp2f1(a, b, c, z, digits)))
@@ -453,7 +455,7 @@ def gamma_log_defect(weight, digits=50):
 
     cand = kz_series(weight, digits)
     g = gamma_of_associator(cand)
-    with mp.workdps(digits + 10):
+    with complex_field(digits).context():
         worst = 0.0
         for n in range(2, weight + 1):
             expect = mpmath.zeta(n) * mpmath.mpc(-1) ** n / n

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from . import graded
+
 
 class Mat2:
     __slots__ = ("e",)
@@ -47,6 +49,14 @@ class Mat2:
             out.append(x.scale(c) if hasattr(x, "scale") else x * c)
         return Mat2(*out)
 
+    # the grading of the entries, which graded.exp and graded.log read
+    @property
+    def truncation(self):
+        return min(x.truncation for x in self.e)
+
+    def min_degree(self):
+        return min(x.min_degree() for x in self.e)
+
     def det(self):
         a = self.e
         return a[0] * a[3] - a[1] * a[2]
@@ -63,27 +73,14 @@ class Mat2:
         a = self.e
         return Mat2(a[3], -a[1], -a[2], a[0])
 
-    def inverse(self, entry_inv=None):
-        """Inverse via the adjugate; entry_inv inverts the determinant and
-        defaults to the entries' own .inverse()."""
-        d = self.det()
-        dinv = entry_inv(d) if entry_inv is not None else d.inverse()
-        return self.adjugate().scale_left(dinv)
+    def inverse(self):
+        """Inverse via the adjugate and the determinant's own .inverse()."""
+        return self.adjugate().scale_left(self.det().inverse())
 
     def scale_left(self, c):
         return Mat2(*(c * x for x in self.e))
 
 
-def mat_exp_graded(m: Mat2, one, zero, max_power: int) -> Mat2:
-    """exp of a matrix whose entries have positive grading (so the series
-    terminates at the truncation order); used over CSeries entries."""
-    from fractions import Fraction
-
-    acc = Mat2.identity(one, zero)
-    pw = Mat2.identity(one, zero)
-    fact = 1
-    for k in range(1, max_power + 1):
-        pw = pw * m
-        fact *= k
-        acc = acc + pw.scale(Fraction(1, fact))
-    return acc
+def mat_exp_graded(m: Mat2) -> Mat2:
+    """exp of a matrix whose entries (CSeries) have positive degree."""
+    return graded.exp(m)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import graded
 from . import words as W
 from .associator import AssociatorCandidate, GTElement
 from .cseries import CSeries, ExactDivisionError, max_cseries_coeff, subst_swap_ab, subst_reindex
@@ -324,9 +325,7 @@ class ThetaMap:
         acc = self.identity
         for gen, exp in word_pairs:
             base = self.log_image0 if gen == "x0" else self.log_image1
-            step = mat_exp_graded(base.scale(Fraction(int(exp))), self.identity.e[0],
-                                  self.identity.e[1], self.truncation)
-            acc = acc * step
+            acc = acc * mat_exp_graded(base.scale(Fraction(int(exp))))
         return acc
 
     def __call__(self, element) -> Mat2:
@@ -341,14 +340,8 @@ class ThetaMap:
 # -- matrix logarithm for the non-conjugation closed forms ---------------------------
 
 
-def mat_log_graded(m: Mat2, one, zero, max_power: int) -> Mat2:
-    e = m - Mat2.identity(one, zero)
-    acc = Mat2(zero, zero, zero, zero)
-    pw = Mat2.identity(one, zero)
-    for k in range(1, max_power + 1):
-        pw = pw * e
-        acc = acc + pw.scale(Fraction((-1) ** (k + 1), k))
-    return acc
+def mat_log_graded(m: Mat2) -> Mat2:
+    return graded.log(m)
 
 
 # -- the six solution matrices -----------------------------------------------------
@@ -376,35 +369,29 @@ def cocycle_image(g: NCSeries, star: str, truncation=None, theta: ThetaMap = Non
     m_plus = theta.m_plus
     m_inv = m_plus.inverse()
     x, y = theta.x, theta.y
-    one, zero = theta.identity.e[0], theta.identity.e[1]
     gs = g.truncate(n)
-
-    def gexp(mat):
-        return mat_exp_graded(mat, one, zero, n)
-
-    def glog(mat):
-        return mat_log_graded(mat, one, zero, n)
 
     if star == "01":
         return theta.image_of_series(gs)
     if star == "10":
         return gs.substitute(-y, (m_plus * x) * m_inv, one=theta.identity)
     if star == "1inf":
-        inner = gexp(y.scale(Fraction(1, 2))) * m_plus * gexp(-x) * m_inv * gexp(y.scale(Fraction(1, 2)))
-        return gs.substitute(-y, glog(inner), one=theta.identity)
+        half = mat_exp_graded(y.scale(Fraction(1, 2)))
+        inner = half * m_plus * mat_exp_graded(-x) * m_inv * half
+        return gs.substitute(-y, mat_log_graded(inner), one=theta.identity)
     if n_plus is None:
         raise ValueError("stars inf1, inf0 need the n_plus matrix")
     n_inv = n_plus.inverse()
     if star == "inf1":
         return gs.substitute(y - x, (n_inv * (-y)) * n_plus, one=theta.identity)
     if star == "inf0":
-        half = gexp((x - y).scale(Fraction(1, 2)))
-        inner = half * n_inv * gexp(y) * n_plus * half
-        return gs.substitute(y - x, glog(inner), one=theta.identity)
+        half = mat_exp_graded((x - y).scale(Fraction(1, 2)))
+        inner = half * n_inv * mat_exp_graded(y) * n_plus * half
+        return gs.substitute(y - x, mat_log_graded(inner), one=theta.identity)
     if star == "0inf":
-        half = gexp(-x.scale(Fraction(1, 2)))
-        inner = half * m_inv * gexp(y) * m_plus * half
-        return gs.substitute(x, glog(inner), one=theta.identity)
+        half = mat_exp_graded(-x.scale(Fraction(1, 2)))
+        inner = half * m_inv * mat_exp_graded(y) * m_plus * half
+        return gs.substitute(x, mat_log_graded(inner), one=theta.identity)
     raise ValueError("unknown star %r" % star)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import graded
 from . import words as W
 from .rings import abs_value
 
@@ -156,56 +157,9 @@ class NCSeries:
         out = {w: c for w, c in out.items() if not ring.is_zero(c)}
         return NCSeries(ring, n, out, _clean=True)
 
-    def inverse(self):
-        """Inverse of a series whose constant term is a unit."""
-        ring = self.ring
-        c0 = self.constant_term()
-        if ring.is_zero(c0):
-            raise ZeroDivisionError("series has zero constant term")
-        c0inv = ring.inv(c0)
-        g = (self.scale(c0inv) - NCSeries.one(ring, self.truncation))  # zero constant term
-        acc = NCSeries.one(ring, self.truncation)
-        pw = NCSeries.one(ring, self.truncation)
-        v = g.min_degree()
-        if v == 0:
-            raise AssertionError("nonzero constant term after normalisation")
-        k = 1
-        while k * v <= self.truncation:
-            pw = pw * g
-            acc = acc + pw.scale(ring.from_fraction(Fraction((-1) ** k)))
-            k += 1
-        return acc.scale(c0inv)
-
-    def exp(self):
-        ring = self.ring
-        if not ring.is_zero(self.constant_term()):
-            raise ValueError("exp requires zero constant term")
-        acc = NCSeries.one(ring, self.truncation)
-        pw = NCSeries.one(ring, self.truncation)
-        v = max(self.min_degree(), 1)
-        fact = 1
-        k = 1
-        while k * v <= self.truncation:
-            pw = pw * self
-            fact *= k
-            acc = acc + pw.scale(ring.from_fraction(Fraction(1, fact)))
-            k += 1
-        return acc
-
-    def log(self):
-        ring = self.ring
-        if not ring.is_zero(self.constant_term() - ring.one):
-            raise ValueError("log requires constant term 1")
-        g = self - NCSeries.one(ring, self.truncation)
-        acc = NCSeries.zero(ring, self.truncation)
-        pw = NCSeries.one(ring, self.truncation)
-        v = max(g.min_degree(), 1)
-        k = 1
-        while k * v <= self.truncation:
-            pw = pw * g
-            acc = acc + pw.scale(ring.from_fraction(Fraction((-1) ** (k + 1), k)))
-            k += 1
-        return acc
+    exp = graded.exp
+    log = graded.log
+    inverse = graded.inverse
 
     # -- letter-level maps -----------------------------------------------------
 

@@ -56,9 +56,8 @@ class RationalField:
 class ComplexField:
     """Adapter for mpmath complex coefficients at a fixed decimal precision.
 
-    The precision is a property of the adapter, not global state; callers
-    that need the full working precision should wrap computations in
-    ``with ring.workprec():``.
+    The precision is a property of the adapter, not global state: every
+    conversion and operation on its coefficients runs under ``context()``.
     """
 
     exact = False
@@ -70,9 +69,6 @@ class ComplexField:
             self.zero = mpmath.mpc(0)
             self.one = mpmath.mpc(1)
 
-    def workprec(self):
-        return mpmath.workdps(self.digits)
-
     def context(self):
         """Working-precision context for coefficient arithmetic; mpmath
         rounds every operation to the ambient precision, so all entry
@@ -80,12 +76,12 @@ class ComplexField:
         return mpmath.workdps(self.digits + 10)
 
     def from_int(self, n):
-        with self.workprec():
+        with self.context():
             return mpmath.mpc(n)
 
     def from_fraction(self, fr):
         fr = Fraction(fr)
-        with self.workprec():
+        with self.context():
             return mpmath.mpc(fr.numerator) / fr.denominator
 
     def is_zero(self, x):
@@ -94,14 +90,14 @@ class ComplexField:
         return x == 0
 
     def inv(self, x):
-        with self.workprec():
+        with self.context():
             return 1 / x
 
     def encode(self, x):
         return {"re": mpmath.nstr(x.real, self.digits), "im": mpmath.nstr(x.imag, self.digits)}
 
     def decode(self, obj):
-        with self.workprec():
+        with self.context():
             return mpmath.mpc(mpmath.mpf(obj["re"]), mpmath.mpf(obj["im"]))
 
 

@@ -1,0 +1,120 @@
+"""Property tests of the graded-series core (exp, log, inverse) on every
+algebra that uses it: NCSeries, CSeries and 2x2 matrices over CSeries, all
+over QQ, so every comparison is exact; and inverse over the complex ring."""
+
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from associators import words as W
+from associators.cseries import CSeries
+from associators.mat2 import Mat2, mat_exp_graded
+from associators.matspec import mat_log_graded
+from associators.ncseries import NCSeries, series_distance
+from associators.rings import QQ, complex_field
+
+SETTINGS = settings(max_examples=30, deadline=None)
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+UNITS = COEFFS.filter(lambda c: c != 0)
+TRUNCATIONS = st.integers(min_value=1, max_value=5)
+
+
+@st.composite
+def nc_series(draw):
+    """A sparse NCSeries without constant term."""
+    n = draw(TRUNCATIONS)
+    words = [w for d in range(1, n + 1) for w in W.words_of_weight(d)]
+    return NCSeries(QQ, n, draw(st.dictionaries(st.sampled_from(words), COEFFS, max_size=6)))
+
+
+@st.composite
+def c_series(draw, n=None):
+    """A sparse CSeries without constant term."""
+    n = draw(TRUNCATIONS) if n is None else n
+    monos = [(i, j, k) for i in range(n + 1) for j in range(n + 1 - i)
+             for k in range(n + 1 - i - j) if i + j + k > 0]
+    return CSeries(QQ, n, draw(st.dictionaries(st.sampled_from(monos), COEFFS, max_size=6)))
+
+
+@st.composite
+def matrices(draw):
+    """A Mat2 over CSeries whose entries have positive degree."""
+    n = draw(TRUNCATIONS)
+    return Mat2(*(draw(c_series(n)) for _ in range(4)))
+
+
+SERIES = st.one_of(nc_series(), c_series())
+ELEMENTS = st.one_of(nc_series(), c_series(), matrices())
+
+
+def exp(x):
+    return mat_exp_graded(x) if isinstance(x, Mat2) else x.exp()
+
+
+def log(x):
+    return mat_log_graded(x) if isinstance(x, Mat2) else x.log()
+
+
+def same(x, y):
+    if isinstance(x, Mat2):
+        return all(u == v for u, v in zip(x.e, y.e))
+    return x == y
+
+
+@SETTINGS
+@given(ELEMENTS)
+def test_log_inverts_exp(x):
+    assert same(log(exp(x)), x)
+
+
+@SETTINGS
+@given(ELEMENTS)
+def test_exp_inverts_log(x):
+    one_plus_x = x.one_like() + x
+    assert same(exp(log(one_plus_x)), one_plus_x)
+
+
+@SETTINGS
+@given(ELEMENTS)
+def test_exp_of_negative_is_inverse(x):
+    assert same(exp(x) * exp(-x), x.one_like())
+
+
+@SETTINGS
+@given(SERIES, UNITS)
+def test_inverse_of_unit_constant_term(x, c):
+    y = x.one_like().scale(c) + x
+    inv = y.inverse()
+    assert y * inv == y.one_like()
+    assert inv * y == y.one_like()
+
+
+@SETTINGS
+@given(SERIES, UNITS)
+def test_error_paths(x, c):
+    with pytest.raises(ValueError):
+        (x.one_like().scale(c) + x).exp()
+    if c != 1:
+        with pytest.raises(ValueError):
+            (x.one_like().scale(c) + x).log()
+    with pytest.raises(ZeroDivisionError):
+        x.inverse()
+
+
+def test_exp_of_a_degree_two_argument():
+    # the powers of a^2 vanish beyond a^4 at truncation 5
+    a = CSeries.variable(QQ, 5, "a")
+    expect = {(0, 0, 0): 1, (2, 0, 0): 1, (4, 0, 0): Fraction(1, 2)}
+    assert (a * a).exp() == CSeries(QQ, 5, expect)
+
+
+def test_inverse_leaves_no_rounding_residue():
+    # (3 + i) times its rounded inverse is not exactly 1 at this precision;
+    # that residue must not count as a degree-0 term of the Neumann series
+    ring = complex_field(20)
+    with ring.context():
+        y = NCSeries.one(ring, 4).scale(mpmath.mpc(3, 1)) + NCSeries.letter(ring, 4, 0)
+        assert series_distance(y * y.inverse(), y.one_like()) < 1e-25

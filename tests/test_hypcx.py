@@ -54,6 +54,16 @@ def test_mzv_weight_12():
         assert abs(mzv((3, 9), digits) - mzv(dual, digits)) < 1e-28
 
 
+def test_kz_series_keeps_its_digits():
+    # exp/log coefficients such as 1/k! must be rounded at the working
+    # precision, not at the nominal digits, or every word loses ~7 digits
+    lo, hi = kz_series(8, 40), kz_series(8, 70)
+    with mp.workdps(80):
+        for n in range(9):
+            for w in W.words_of_weight(n):
+                assert abs(lo.phi.coeff(w) - hi.phi.coeff(w)) < 1e-45, w
+
+
 def test_mzv_rejects_non_admissible():
     with pytest.raises(ValueError):
         mzv((2, 1), 30)
@@ -238,9 +248,12 @@ def test_hg11():
 
 
 def test_kummer_rows():
-    rows = kummer_row_defects(F(1, 10), F(1, 5), F(23, 20), F(3, 10), 8, 40)
+    args = (F(1, 10), F(1, 5), F(23, 20), F(3, 10), 8, 40)
+    rows = kummer_row_defects(*args)
     # weight-8 truncation limits these to the size of the weight-9 tail
     assert all(v < 1e-5 for v in rows.values()), rows
+    # both read entry (0,0) of the same 01 solution matrix
+    assert rows["01_left"] == hg11_defect(*args)
 
 
 def test_gamma_log_matches_zeta_backend():
