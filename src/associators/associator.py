@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import words as W
-from .ncseries import NCSeries, bracket, lie_element, max_coeff
-from .pentagon import P5Quotient, pentagon_residual, embed, PENTAGON_POSITIONS, P5Element
+from .ncseries import NCSeries, lie_element, max_coeff
+from .pentagon import P5Quotient, pentagon_residual, embed, PENTAGON_POSITIONS
 from .rings import QQ, abs_value
 
 
@@ -99,8 +99,7 @@ def two_cycle_defect(phi: NCSeries) -> float:
 def three_cycle_defect(phi: NCSeries, mu) -> float:
     """e^(mu e0/2) phi(einf, e0) e^(mu einf/2) phi(e1, einf) e^(mu e1/2)
     phi(e0, e1) - 1."""
-    ring, n = phi.ring, phi.truncation
-    with ring.context():
+    with phi.ring.context():
         return _three_cycle_defect(phi, mu)
 
 
@@ -126,8 +125,7 @@ def check_associator(cand: AssociatorCandidate, quotient: P5Quotient = None,
     """Per-axiom report.  The derived 2- and 3-cycle relations are verified,
     not assumed.  For inexact rings a tolerance applies; for QQ every check
     is exact."""
-    phi, mu, ring = cand.phi, cand.mu, cand.ring
-    with ring.context():
+    with cand.ring.context():
         return _check_associator(cand, quotient, tol, pentagon_degree)
 
 

@@ -27,7 +27,7 @@ from .associator import AssociatorCandidate, GTElement
 from .cseries import CSeries, ExactDivisionError, max_cseries_coeff, subst_swap_ab, subst_reindex
 from .gammafn import GammaSeries, gamma_even, gamma_of_associator, gamma_of_gt
 from .mat2 import Mat2, mat_exp_graded
-from .ncseries import NCSeries, max_coeff
+from .ncseries import NCSeries
 from .rings import QQ
 
 
@@ -580,7 +580,7 @@ def appendix_entry_relations(phi: NCSeries, truncation=None) -> dict:
     x, y = xy_matrices(ring, n)
     gmat = ev_at(gs, x, -y)       # P-side
     hmat = ev_at(gs, y - x, -y)   # Q-side
-    a, b, p, q = CSeries.gens(ring, n)
+    a, b, p, _ = CSeries.gens(ring, n)
 
     g12_over_b = gmat[0, 1].divide_exact("b")
     h12_over_b = hmat[0, 1].divide_exact("b")

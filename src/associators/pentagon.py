@@ -1,41 +1,55 @@
 """The truncated enveloping algebra hosting the pentagon equation.
 
 The Lie algebra is generated by symbols t_ij (unordered pairs of strands,
-i != j in Z/5) subject to t_ii = 0, t_ij = t_ji, the five sum relations
+i != j in 1..5) subject to t_ij = t_ji, the five sum relations
 sum_j t_ij = 0, and commutation of generators with disjoint index pairs.
 
-The five sum relations are eliminated up front: t15, t25, t35, t45, t34 are
-rewritten in terms of the five free generators (t12, t13, t14, t23, t24),
-which turns the quotient into a free algebra on 5 symbols modulo the
-two-sided ideal spanned by the 15 rewritten disjoint-pair commutators.
-Each graded piece is handled by sparse integer row echelon; normal forms of
-monomials are memoised as rational combinations of non-pivot monomials, so
-elements over any coefficient ring reuse the same tables.
+Forgetting the fifth point, M_{0,5} -> M_{0,4}, splits this Lie algebra as
+F_3 x| F_2 (Drinfeld 1990; Bar-Natan, "On associators and the
+Grothendieck-Teichmueller group I", Selecta Math. 1998): the fibre
+generators t15, t25, t35 span a free Lie ideal, and the base generators
+t12, t23 are free and act on it by derivations.  The sum relations express
+the other five symbols through these five (PAIR_EXPANSION).  The action is
+the table BRACKET of [g, f] for a base g and a fibre f.  Its zero entries
+are disjoint pairs; each other entry is an instance of
+[t_ij, t_ik + t_jk] = 0, which holds because the sum relation at k gives
+t_ik + t_jk = -(t_kl + t_km) and t_ij commutes with both; for example
+[t15, t12 + t25] = 0 gives [t12, t15] = [t15, t25].
+
+By Poincare-Birkhoff-Witt the enveloping algebra has the basis of words
+u v with u a word in the fibre letters and v a word in the base letters, so
+its degree-d piece has dimension 3^(d+1) - 2^(d+1).  A word is brought to
+this normal form by one memoised rule: swap its first base letter g
+standing before a fibre letter f, g f = f g + [g, f].  The bracket is a
+fibre commutator, so the rewriting ends, and normal forms have integer
+coefficients that serve elements over any coefficient ring.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from math import gcd
 
-NGENS = 5
-GEN_NAMES = ("t12", "t13", "t14", "t23", "t24")
+# generator indices: 0, 1, 2 = t15, t25, t35 (the fibre), 3, 4 = t12, t23
+NFIBRE = 3
 
-# expansion of every canonical pair {i<j} over the free generators
+# expansion of every canonical pair {i<j} over the generators
 PAIR_EXPANSION = {
-    (1, 2): {0: 1},
-    (1, 3): {1: 1},
-    (1, 4): {2: 1},
-    (2, 3): {3: 1},
-    (2, 4): {4: 1},
-    (3, 4): {0: -1, 1: -1, 2: -1, 3: -1, 4: -1},
-    (1, 5): {0: -1, 1: -1, 2: -1},
-    (2, 5): {0: -1, 3: -1, 4: -1},
-    (3, 5): {0: 1, 2: 1, 4: 1},
-    (4, 5): {0: 1, 1: 1, 3: 1},
+    (1, 2): {3: 1},
+    (1, 3): {0: -1, 1: -1, 2: -1, 3: -1, 4: -1},
+    (1, 4): {1: 1, 2: 1, 4: 1},
+    (1, 5): {0: 1},
+    (2, 3): {4: 1},
+    (2, 4): {1: -1, 3: -1, 4: -1},
+    (2, 5): {1: 1},
+    (3, 4): {0: 1, 1: 1, 3: 1},
+    (3, 5): {2: 1},
+    (4, 5): {0: -1, 1: -1, 2: -1},
 }
+
+# [g, f] = [x, y] as (g, f): (x, y); the pairs not listed commute:
+# [t12, t15] = [t15, t25], [t12, t25] = [t25, t15], [t12, t35] = 0,
+# [t23, t15] = 0, [t23, t25] = [t25, t35], [t23, t35] = [t35, t25]
+BRACKET = {(3, 0): (0, 1), (3, 1): (1, 0), (4, 1): (1, 2), (4, 2): (2, 1)}
 
 
 def pair(i, j):
@@ -45,204 +59,57 @@ def pair(i, j):
     return (i, j) if i < j else (j, i)
 
 
-def disjoint_pairs():
-    out = []
-    pairs = sorted(PAIR_EXPANSION)
-    for x in range(len(pairs)):
-        for y in range(x + 1, len(pairs)):
-            if not (set(pairs[x]) & set(pairs[y])):
-                out.append((pairs[x], pairs[y]))
-    return out
-
-
-def _commutator_row(pa, pb):
-    """[T_pa, T_pb] expanded over degree-2 monomials in the free generators."""
-    ea, eb = PAIR_EXPANSION[pa], PAIR_EXPANSION[pb]
-    row = {}
-    for g1, c1 in ea.items():
-        for g2, c2 in eb.items():
-            for mono, sgn in (((g1, g2), 1), ((g2, g1), -1)):
-                s = row.get(mono, 0) + sgn * c1 * c2
-                if s:
-                    row[mono] = s
-                else:
-                    row.pop(mono, None)
-    return row
-
-
-def _normalise(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-    lead = min(row)
-    if row[lead] < 0:
-        g = -g
-    return {k: v // g for k, v in row.items()}
-
-
 class P5Quotient:
-    """Echelonised relation ideal up to a truncation degree, with normal-form
-    reduction for vectors over any coefficient ring."""
+    """Memoised normal forms up to a truncation degree, for vectors over any
+    coefficient ring."""
+
+    # perfbench/layers.py counts these rows after __init__; there are none
+    echelon = {}
 
     def __init__(self, truncation):
         self.truncation = truncation
-        self.echelon = {d: {} for d in range(truncation + 1)}
         self._nf_memo = {}
-        self._build()
-
-    # -- construction --------------------------------------------------------
-
-    def _insert(self, d, row):
-        ech = self.echelon[d]
-        while row:
-            lead = min(row)
-            piv = ech.get(lead)
-            if piv is None:
-                ech[lead] = _normalise(row)
-                return True
-            a, b = piv[lead], row[lead]
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
-            new = {k: ma * v for k, v in row.items()}
-            for k, v in piv.items():
-                s = new.get(k, 0) - mb * v
-                if s:
-                    new[k] = s
-                else:
-                    new.pop(k, None)
-            row = new
-        return False
-
-    def _build(self):
-        if self.truncation < 2:
-            return
-        for pa, pb in disjoint_pairs():
-            self._insert(2, _commutator_row(pa, pb))
-        for d in range(3, self.truncation + 1):
-            prev = list(self.echelon[d - 1].values())
-            for row in prev:
-                for g in range(NGENS):
-                    self._insert(d, {(g,) + m: v for m, v in row.items()})
-            for row in prev:
-                for g in range(NGENS):
-                    self._insert(d, {m + (g,): v for m, v in row.items()})
-
-    # -- dimensions ------------------------------------------------------------
 
     def dimension(self, d):
         if d > self.truncation:
             raise ValueError("degree beyond truncation")
-        return NGENS ** d - len(self.echelon[d])
+        return 3 ** (d + 1) - 2 ** (d + 1)
 
     def dimensions(self):
         return [self.dimension(d) for d in range(self.truncation + 1)]
 
-    # -- normal form -------------------------------------------------------------
-
     def nf_monomial(self, mono):
-        """Normal form of a free monomial as a list of (monomial, Fraction)
-        pairs supported on non-pivot monomials."""
+        """Normal form of a word as a tuple of (word, int) pairs, each word
+        all fibre letters followed by all base letters."""
         got = self._nf_memo.get(mono)
         if got is None:
-            d = len(mono)
-            vec = self.reduce_vector(d, {mono: Fraction(1)}, _RATIONAL_OPS)
-            got = tuple(sorted(vec.items()))
+            got = ((mono, 1),)
+            for i in range(len(mono) - 1):
+                g, f = mono[i], mono[i + 1]
+                if g >= NFIBRE > f:
+                    head, tail = mono[:i], mono[i + 2:]
+                    vec = {head + (f, g) + tail: 1}
+                    xy = BRACKET.get((g, f))
+                    if xy is not None:
+                        vec[head + xy + tail] = 1
+                        vec[head + xy[::-1] + tail] = -1
+                    got = tuple(self.reduce_vector(vec).items())
+                    break
             self._nf_memo[mono] = got
         return got
 
-    def reduce_vector(self, d, vec, ops):
-        """Reduce a degree-d vector {monomial: coefficient} modulo the
-        relation ideal.  ops supplies (is_zero, zero) for the coefficients;
-        pivot rows are integer, so only coefficient / int is needed."""
-        ech = self.echelon[d]
-        if not ech:
-            return {k: v for k, v in vec.items() if not ops.is_zero(v)}
-        out = dict(vec)
-        heap = [m for m in out if m in ech]
-        heapify(heap)
-        while heap:
-            m = heappop(heap)
-            c = out.get(m)
-            if c is None or ops.is_zero(c):
-                out.pop(m, None)
-                continue
-            piv = ech[m]
-            f = c / piv[m]
-            for k, v in piv.items():
-                if k == m:
-                    continue
-                s = out.get(k)
-                s = -f * v if s is None else s - f * v
-                if ops.is_zero(s):
-                    out.pop(k, None)
+    def reduce_vector(self, vec):
+        """Normal form of a vector {word: coefficient}."""
+        out = {}
+        for mono, c in vec.items():
+            for m, k in self.nf_monomial(mono):
+                s = out.get(m)
+                s = c * k if s is None else s + c * k
+                if s == 0:
+                    out.pop(m, None)
                 else:
-                    if k not in out and k in ech:
-                        heappush(heap, k)
-                    out[k] = s
-            out.pop(m, None)
-        return {k: v for k, v in out.items() if not ops.is_zero(v)}
-
-    # -- cache ----------------------------------------------------------------------
-
-    def to_json(self):
-        return {
-            "truncation": self.truncation,
-            "echelon": {
-                str(d): [[list(map(list, row.keys())), list(row.values())] for row in ech.values()]
-                for d, ech in self.echelon.items()
-            },
-        }
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            obj = json.load(fh)
-        self = cls.__new__(cls)
-        self.truncation = int(obj["truncation"])
-        self.echelon = {d: {} for d in range(self.truncation + 1)}
-        self._nf_memo = {}
-        for d_str, rows in obj["echelon"].items():
-            d = int(d_str)
-            for monos, vals in rows:
-                row = {tuple(m): int(v) for m, v in zip(monos, vals)}
-                self.echelon[d][min(row)] = row
-        return self
-
-    @classmethod
-    def cached(cls, truncation, path=None):
-        """Build, or load from a cache file when it matches the truncation."""
-        if path is not None:
-            try:
-                self = cls.load(path)
-                if self.truncation >= truncation:
-                    return self
-            except (OSError, ValueError, KeyError):
-                pass
-        self = cls(truncation)
-        if path is not None:
-            self.save(path)
-        return self
-
-
-class _RationalOps:
-    zero = Fraction(0)
-
-    @staticmethod
-    def is_zero(x):
-        return x == 0
-
-
-_RATIONAL_OPS = _RationalOps()
-
-
-class _RingOps:
-    def __init__(self, ring):
-        self.zero = ring.zero
-        self.is_zero = ring.is_zero
+                    out[m] = s
+        return out
 
 
 class P5Element:
@@ -389,7 +256,3 @@ def pentagon_residual(f, quotient):
         raise ValueError("pentagon residual requires constant term 1")
     prod = pentagon_product(f, quotient)
     return prod - P5Element.one(quotient, f.ring, f.truncation)
-
-
-def ring_ops(ring):
-    return _RingOps(ring)

@@ -16,7 +16,9 @@ from associators.associator import (
     gt_from_pair,
     solve_unitary,
 )
+from associators.matspec import varphi_equals_gamma_matrix
 from associators.ncseries import NCSeries, bracket, lie_element, max_coeff
+from associators.pentagon import P5Quotient, pentagon_residual
 from associators.rings import QQ
 
 
@@ -57,6 +59,31 @@ def test_even_solver_output(q5, even_candidate):
     assert all(rep[k] for k in
                ("mu_invertible", "quadratic", "commutator_grouplike", "even",
                 "pentagon", "two_cycle", "three_cycle"))
+
+
+def test_perturbed_associator_fails_pentagon_at_its_degree(q5, even_candidate):
+    # the degree-4 system has no nullspace, so any change of a degree-4
+    # Lyndon coordinate must show in the residual, first at degree 4
+    n = even_candidate.truncation
+    kick = lie_element(QQ, n, {(0, 0, 0, 1): Fraction(1, 7)})
+    phi = (even_candidate.phi.log() + kick).exp()
+    bad = AssociatorCandidate(mu=Fraction(1), phi=phi, truncation=n)
+    assert not check_associator(bad, q5)["pentagon"]
+    assert min(pentagon_residual(phi, q5).comps) == 4
+
+
+def test_even_solver_degree_six():
+    q6 = P5Quotient(6)
+    cand, rep = solve_unitary(6, q6, tiebreak="zero", even=True)
+    assert rep.nullspace_dims == {4: 0, 6: 0}
+    assert all(len(w) not in (3, 5) for w in cand.phi.terms)
+    report = check_associator(cand, q6)
+    assert all(report[k] for k in
+               ("mu_invertible", "quadratic", "commutator_grouplike", "even",
+                "pentagon", "two_cycle", "three_cycle"))
+    assert report["pentagon_degree"] == 6
+    gamma, _, _ = varphi_equals_gamma_matrix(cand)
+    assert gamma["equal"] and gamma["det_is_one"]
 
 
 def test_solver_tiebreaks_and_nullspace_records(q5):

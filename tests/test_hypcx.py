@@ -114,6 +114,19 @@ def test_kz_series_pentagon_numeric():
     assert rep["pentagon"] and rep["quadratic"] and rep["two_cycle"] and rep["three_cycle"]
 
 
+def test_exact_solver_degree_four_matches_kz(even_candidate):
+    # phi(e0/mu, e1/mu) is a unitary associator.  At degree 4 the pentagon
+    # has no free parameter and its residual does not see the degree-3
+    # part, so the even solution shares the degree-4 logarithm with it.
+    kz = kz_series(4, 40)
+    exact = even_candidate.phi.log()
+    with kz.ring.context():
+        kz_log = kz.phi.log()
+        mu4 = kz.mu ** 4
+        for w in W.words_of_weight(4):
+            assert abs(exact.coeff(w) - kz_log.coeff(w) / mu4) < 1e-30, w
+
+
 def test_kz_series_independent_of_base_point():
     base = kz_series(4, 35)
     for z in (F(3, 10), F(3, 4)):

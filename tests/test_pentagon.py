@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from fractions import Fraction
@@ -10,7 +11,6 @@ from associators.pentagon import (
     P5Quotient,
     P5Element,
     PAIR_EXPANSION,
-    disjoint_pairs,
     embed,
     pentagon_residual,
     strand_generator,
@@ -72,42 +72,25 @@ def test_degree_one_dimension_from_relation_rank():
     assert 10 - rank == 5
 
 
-def test_dimensions_independent_of_row_order(q4):
-    # rebuild degree 2 and 3 with shuffled relation-row insertion
-    rng = random.Random(3)
-    for _ in range(3):
-        alt = P5Quotient.__new__(P5Quotient)
-        alt.truncation = 3
-        alt.echelon = {d: {} for d in range(4)}
-        alt._nf_memo = {}
-        from associators.pentagon import _commutator_row
-
-        rels = [_commutator_row(pa, pb) for pa, pb in disjoint_pairs()]
-        rng.shuffle(rels)
-        for r in rels:
-            alt._insert(2, dict(r))
-        rows = list(alt.echelon[2].values())
-        rng.shuffle(rows)
-        for row in rows:
-            for g in range(5):
-                alt._insert(3, {(g,) + m: v for m, v in row.items()})
-                alt._insert(3, {m + (g,): v for m, v in row.items()})
-        assert [alt.dimension(d) for d in range(4)] == [1, 5, 19, 65]
-
-
 def test_normal_form_idempotent(q4):
     rng = random.Random(5)
-    from associators.pentagon import ring_ops
-
-    ops = ring_ops(QQ)
     for d in (2, 3, 4):
         vec = {}
         for _ in range(30):
             mono = tuple(rng.randrange(5) for _ in range(d))
             vec[mono] = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
-        once = q4.reduce_vector(d, vec, ops)
-        twice = q4.reduce_vector(d, dict(once), ops)
+        once = q4.reduce_vector(vec)
+        twice = q4.reduce_vector(dict(once))
         assert once == twice
+
+
+def test_normal_form_words_are_fibre_then_base(q4):
+    # generators 0, 1, 2 are the fibre t15, t25, t35 and 3, 4 the base t12, t23
+    for d in range(5):
+        for mono in itertools.product(range(5), repeat=d):
+            for m, _ in q4.nf_monomial(mono):
+                assert len(m) == d
+                assert tuple(sorted(m, key=lambda g: g >= 3)) == m
 
 
 def test_commutation_relation_holds(q4):
@@ -119,6 +102,41 @@ def test_commutation_relation_holds(q4):
     # while t_12 and t_23 do not
     t23 = strand_generator(q4, QQ, 4, 2, 3)
     assert not (t12 * t23 - t23 * t12).is_zero()
+
+
+def disjoint_pairs():
+    pairs = sorted(PAIR_EXPANSION)
+    return [(a, b) for x, a in enumerate(pairs) for b in pairs[x + 1:]
+            if not set(a) & set(b)]
+
+
+def test_relations_pin_the_algebra(q4):
+    def t(pr):
+        return strand_generator(q4, QQ, 4, *pr)
+
+    def comm(x, y):
+        return x * y - y * x
+
+    # the defining relations: generators with disjoint index pairs commute
+    assert len(disjoint_pairs()) == 15
+    for pa, pb in disjoint_pairs():
+        assert comm(t(pa), t(pb)).is_zero()
+    # the action of the base t12, t23 on the fibre t15, t25, t35
+    brackets = [
+        ((1, 2), (1, 5), ((1, 5), (2, 5))),
+        ((1, 2), (2, 5), ((2, 5), (1, 5))),
+        ((1, 2), (3, 5), None),
+        ((2, 3), (1, 5), None),
+        ((2, 3), (2, 5), ((2, 5), (3, 5))),
+        ((2, 3), (3, 5), ((3, 5), (2, 5))),
+    ]
+    for g, f, rhs in brackets:
+        lhs = comm(t(g), t(f))
+        if rhs is None:
+            assert lhs.is_zero()
+        else:
+            assert not lhs.is_zero()
+            assert (lhs - comm(t(rhs[0]), t(rhs[1]))).is_zero()
 
 
 def test_multiplication_associative_random(q4):
@@ -195,19 +213,3 @@ def test_residual_graded_locality(q4):
     for d in (2, 3):
         assert r1.component(d) == r2.component(d)
 
-
-def test_cache_round_trip(tmp_path, q4):
-    path = tmp_path / "p5.json"
-    q4.save(path)
-    loaded = P5Quotient.load(path)
-    assert loaded.dimensions() == q4.dimensions()
-    # reduction tables agree on a random vector
-    rng = random.Random(2)
-    from associators.pentagon import ring_ops
-
-    ops = ring_ops(QQ)
-    vec = {tuple(rng.randrange(5) for _ in range(3)): Fraction(k + 1) for k in range(10)}
-    assert q4.reduce_vector(3, dict(vec), ops) == loaded.reduce_vector(3, dict(vec), ops)
-
-    cached = P5Quotient.cached(3, path)
-    assert cached.truncation >= 3
