@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import words as W
 from .ncseries import NCSeries, lie_element, max_coeff
-from .pentagon import P5Quotient, pentagon_residual, embed, PENTAGON_POSITIONS
+from .pentagon import P5Quotient, pentagon_residual, embed, base_image, PENTAGON_POSITIONS
 from .rings import QQ, abs_value
 
 
@@ -124,7 +124,9 @@ def check_associator(cand: AssociatorCandidate, quotient: P5Quotient = None,
                      tol: float = 0.0, pentagon_degree: int = None) -> dict:
     """Per-axiom report.  The derived 2- and 3-cycle relations are verified,
     not assumed.  For inexact rings a tolerance applies; for QQ every check
-    is exact."""
+    is exact.  The pentagon verdict reads the two faces of the pentagon
+    product (see pentagon.py), which decide it exactly when phi is
+    group-like; "commutator_grouplike" reports whether it is."""
     with cand.ring.context():
         return _check_associator(cand, quotient, tol, pentagon_degree)
 
@@ -142,7 +144,7 @@ def _check_associator(cand, quotient, tol, pentagon_degree):
         if pentagon_degree is not None:
             deg = min(deg, pentagon_degree)
         res = pentagon_residual(phi.truncate(deg), quotient)
-        report["pentagon"] = res.max_abs() <= tol
+        report["pentagon"] = max_coeff(res) <= tol
         report["pentagon_degree"] = deg
     report["two_cycle"] = two_cycle_defect(phi) <= tol
     report["three_cycle"] = three_cycle_defect(phi, mu) <= tol
@@ -223,19 +225,13 @@ class SolveReport:
 
 
 def _embedding_column(beta_coords, degree, quotient):
-    """Degree-d component of the sum over the five pentagon embeddings of a
-    Lie basis element; this is the column of the linearised system."""
+    """Degree-d part of both pentagon faces of a Lie basis element, summed
+    over the five positions; this is the column of the linearised system."""
     elt = lie_element(QQ, degree, beta_coords)
-    col = {}
+    col = NCSeries.zero(QQ, degree)
     for ijk in PENTAGON_POSITIONS:
-        img = embed(elt, quotient, *ijk)
-        for m, c in img.component(degree).items():
-            s = col.get(m, Fraction(0)) + c
-            if s:
-                col[m] = s
-            else:
-                col.pop(m, None)
-    return col
+        col = col + embed(elt, quotient, *ijk) + base_image(elt, *ijk)
+    return col.homogeneous_part(degree)
 
 
 def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
@@ -263,8 +259,7 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
 
     for d in range(2, n + 1):
         phi_d = lie_element(QQ, d, coords).exp()
-        res = pentagon_residual(phi_d, quotient)
-        b = res.component(d)
+        b = pentagon_residual(phi_d, quotient).homogeneous_part(d)
         if d == 2 or (even and d % 2 == 1):
             # no unknowns at this degree: the residual must vanish by itself
             if b:

@@ -4,6 +4,10 @@ A series is a sparse dict word -> coefficient together with a truncation
 degree N; arithmetic is exact modulo words of weight > N.  Coefficients
 live in any ring adapter from ``rings.py``.  Series are immutable by
 convention: no operation mutates its operands.
+
+The arithmetic does not depend on the alphabet: a word is any tuple of
+letters.  The pentagon (``pentagon.py``) uses series on the three fibre
+letters 0, 1, 2 of U(F_3) and on the two base letters 3, 4.
 """
 
 from __future__ import annotations
@@ -191,9 +195,9 @@ class NCSeries:
         """Ring-homomorphic image under e0 -> image0, e1 -> image1.
 
         The images may be any objects supporting +, * and .scale(coeff)
-        (NCSeries, 2x2 matrices over a series ring, pentagon-algebra
-        elements).  ``one`` is the unit of the target; it defaults to the
-        unit of the images' class when they provide ``one_like``.
+        (NCSeries, 2x2 matrices over a series ring).  ``one`` is the unit
+        of the target; it defaults to the unit of the images' class when
+        they provide ``one_like``.
 
         Truncated substitution is a ring homomorphism only when the letter
         images carry no degree-0 part; for series images this is enforced.

@@ -1,11 +1,11 @@
-"""The truncated enveloping algebra hosting the pentagon equation.
+"""The pentagon equation, read in the fibre module U(F_3).
 
-The Lie algebra is generated by symbols t_ij (unordered pairs of strands,
-i != j in 1..5) subject to t_ij = t_ji, the five sum relations
+The Lie algebra P_5 is generated by symbols t_ij (unordered pairs of
+strands, i != j in 1..5) subject to t_ij = t_ji, the five sum relations
 sum_j t_ij = 0, and commutation of generators with disjoint index pairs.
 
 Forgetting the fifth point, M_{0,5} -> M_{0,4}, splits this Lie algebra as
-F_3 x| F_2 (Drinfeld 1990; Bar-Natan, "On associators and the
+P_5 = F_3 x| F_2 (Drinfeld 1990; Bar-Natan, "On associators and the
 Grothendieck-Teichmueller group I", Selecta Math. 1998): the fibre
 generators t15, t25, t35 span a free Lie ideal, and the base generators
 t12, t23 are free and act on it by derivations.  The sum relations express
@@ -16,18 +16,26 @@ are disjoint pairs; each other entry is an instance of
 t_ik + t_jk = -(t_kl + t_km) and t_ij commutes with both; for example
 [t15, t12 + t25] = 0 gives [t12, t15] = [t15, t25].
 
-By Poincare-Birkhoff-Witt the enveloping algebra has the basis of words
-u v with u a word in the fibre letters and v a word in the base letters, so
-its degree-d piece has dimension 3^(d+1) - 2^(d+1).  A word is brought to
-this normal form by one memoised rule: swap its first base letter g
-standing before a fibre letter f, g f = f g + [g, f].  The bracket is a
-fibre commutator, so the rewriting ends, and normal forms have integer
-coefficients that serve elements over any coefficient ring.
+U(P_5) acts on U(F_3), the free algebra on the fibre letters 0, 1, 2, whose
+elements are NCSeries on those letters: a fibre letter acts by left
+multiplication, a base letter g by the derivation f -> [g, f] extended by
+the Leibniz rule, so that it sends 1 to 0 (GT acts on F_3 the same way,
+Ihara, ICM 1990).  This is U(P_5) modulo the left ideal of the base
+letters, and a word acts on 1 by peeling its rightmost base letter.
+
+The pentagon asks that g = phi_345 phi_512 phi_234 phi_451 phi_123 be 1.
+A group-like g factors as g = g_F g_B with g_F in exp(F_3) and g_B in
+exp(F_2).  Then g . 1 = g_F, and the image of g in U(F_2), where the fibre
+letters vanish, is g_B; so g = 1 exactly when both are 1.  These two faces
+are g - 1 read on the Poincare-Birkhoff-Witt words (fibre word, then base
+word) with an empty base part and with an empty fibre part.  The fibre face
+applies the five factors to 1 from the right; the base face is a product in
+the letters 3, 4.  Neither forms a product in U(P_5).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .ncseries import NCSeries
 
 # generator indices: 0, 1, 2 = t15, t25, t35 (the fibre), 3, 4 = t12, t23
 NFIBRE = 3
@@ -60,17 +68,17 @@ def pair(i, j):
 
 
 class P5Quotient:
-    """Memoised normal forms up to a truncation degree, for vectors over any
-    coefficient ring."""
+    """Words in the five generators acting on 1 in U(F_3), up to a
+    truncation degree, for vectors over any coefficient ring."""
 
     # perfbench/layers.py counts these rows after __init__; there are none
     echelon = {}
 
     def __init__(self, truncation):
         self.truncation = truncation
-        self._nf_memo = {}
 
     def dimension(self, d):
+        """Dimension of the degree-d piece of U(P_5)."""
         if d > self.truncation:
             raise ValueError("degree beyond truncation")
         return 3 ** (d + 1) - 2 ** (d + 1)
@@ -79,27 +87,26 @@ class P5Quotient:
         return [self.dimension(d) for d in range(self.truncation + 1)]
 
     def nf_monomial(self, mono):
-        """Normal form of a word as a tuple of (word, int) pairs, each word
-        all fibre letters followed by all base letters."""
-        got = self._nf_memo.get(mono)
-        if got is None:
-            got = ((mono, 1),)
-            for i in range(len(mono) - 1):
-                g, f = mono[i], mono[i + 1]
-                if g >= NFIBRE > f:
-                    head, tail = mono[:i], mono[i + 2:]
-                    vec = {head + (f, g) + tail: 1}
-                    xy = BRACKET.get((g, f))
-                    if xy is not None:
-                        vec[head + xy + tail] = 1
-                        vec[head + xy[::-1] + tail] = -1
-                    got = tuple(self.reduce_vector(vec).items())
-                    break
-            self._nf_memo[mono] = got
-        return got
+        """mono . 1 as a tuple of (fibre word, int) pairs: the rightmost base
+        letter g acts on the fibre word u after it by Leibniz, and the letters
+        before g act on the result."""
+        i = len(mono) - 1
+        while i >= 0 and mono[i] < NFIBRE:
+            i -= 1
+        if i < 0:
+            return ((mono, 1),)
+        g, head = mono[i], mono[:i]
+        vec = {}
+        for p in range(i + 1, len(mono)):
+            xy = BRACKET.get((g, mono[p]))
+            if xy is not None:
+                left, right = head + mono[i + 1:p], mono[p + 1:]
+                for w, s in ((left + xy + right, 1), (left + xy[::-1] + right, -1)):
+                    vec[w] = vec.get(w, 0) + s
+        return tuple(self.reduce_vector(vec).items())
 
     def reduce_vector(self, vec):
-        """Normal form of a vector {word: coefficient}."""
+        """The vector {word: coefficient} applied to 1."""
         out = {}
         for mono, c in vec.items():
             for m, k in self.nf_monomial(mono):
@@ -113,146 +120,77 @@ class P5Quotient:
 
 
 class P5Element:
-    """Element of the truncated quotient, stored in normal form per degree."""
+    """A combination sum c_g g of the five generators, acting on U(F_3)."""
 
-    __slots__ = ("quotient", "ring", "truncation", "comps")
+    __slots__ = ("quotient", "combo")
 
-    def __init__(self, quotient, ring, truncation, comps=None):
+    def __init__(self, quotient, combo):
         self.quotient = quotient
-        self.ring = ring
-        self.truncation = truncation
-        self.comps = comps if comps is not None else {}
+        self.combo = combo
 
-    @classmethod
-    def zero(cls, quotient, ring, truncation):
-        return cls(quotient, ring, truncation)
-
-    @classmethod
-    def one(cls, quotient, ring, truncation):
-        return cls(quotient, ring, truncation, {0: {(): ring.one}})
-
-    @classmethod
-    def generator_combination(cls, quotient, ring, truncation, combo):
-        """Degree-1 element from {gen_index: int} (already relation-free)."""
-        vec = {(g,): ring.from_int(c) for g, c in combo.items() if c}
-        return cls(quotient, ring, truncation, {1: vec} if vec else {})
-
-    def one_like(self):
-        return P5Element.one(self.quotient, self.ring, self.truncation)
-
-    def _clean(self):
-        self.comps = {
-            d: vec for d, vec in self.comps.items()
-            if vec and d <= self.truncation
-        }
-        return self
-
-    def __add__(self, other):
-        n = min(self.truncation, other.truncation)
-        ring = self.ring
-        comps = {d: dict(vec) for d, vec in self.comps.items() if d <= n}
-        for d, vec in other.comps.items():
-            if d > n:
-                continue
-            tgt = comps.setdefault(d, {})
-            for m, c in vec.items():
-                s = tgt.get(m)
-                s = c if s is None else s + c
-                if ring.is_zero(s):
-                    tgt.pop(m, None)
-                else:
-                    tgt[m] = s
-        return P5Element(self.quotient, ring, n, comps)._clean()
-
-    def __neg__(self):
-        return P5Element(
-            self.quotient, self.ring, self.truncation,
-            {d: {m: -c for m, c in vec.items()} for d, vec in self.comps.items()},
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, (int, Fraction)) and not isinstance(self.ring.one, Fraction):
-            c = self.ring.from_fraction(Fraction(c))
-        if self.ring.is_zero(c):
-            return P5Element.zero(self.quotient, self.ring, self.truncation)
-        return P5Element(
-            self.quotient, self.ring, self.truncation,
-            {d: {m: v * c for m, v in vec.items()} for d, vec in self.comps.items()},
-        )._clean()
-
-    def __mul__(self, other):
-        n = min(self.truncation, other.truncation)
-        ring = self.ring
-        q = self.quotient
-        comps = {}
-        for da, veca in self.comps.items():
-            for db, vecb in other.comps.items():
-                d = da + db
-                if d > n:
-                    continue
-                tgt = comps.setdefault(d, {})
-                for ma, ca in veca.items():
-                    for mb, cb in vecb.items():
-                        c = ca * cb
-                        for m, qcoef in q.nf_monomial(ma + mb):
-                            s = tgt.get(m)
-                            v = c * qcoef
-                            s = v if s is None else s + v
-                            if ring.is_zero(s):
-                                tgt.pop(m, None)
-                            else:
-                                tgt[m] = s
-        return P5Element(q, ring, n, comps)._clean()
-
-    def is_zero(self):
-        return not self.comps
-
-    def component(self, d):
-        return dict(self.comps.get(d, {}))
-
-    def max_abs(self):
-        from .rings import abs_value
-
-        return max(
-            (abs_value(c) for vec in self.comps.values() for c in vec.values()),
-            default=0.0,
-        )
+    def __mul__(self, y):
+        """The action on a series y on the fibre letters: the words (g,) + u
+        of y's words u applied to 1.  The degree goes up by one."""
+        vec = {(g,) + u: c * a for g, c in self.combo.items() for u, a in y.terms.items()}
+        return NCSeries(y.ring, y.truncation + 1, self.quotient.reduce_vector(vec), _clean=True)
 
 
-def strand_generator(quotient, ring, truncation, i, j):
-    """The class of t_ij as a degree-1 element."""
-    return P5Element.generator_combination(
-        quotient, ring, truncation, PAIR_EXPANSION[pair(i, j)]
-    )
+def strand_generator(quotient, i, j):
+    """The class of t_ij."""
+    return P5Element(quotient, PAIR_EXPANSION[pair(i, j)])
 
 
-def embed(f, quotient, i, j, k):
-    """Image of a two-letter series under e0 -> t_ij, e1 -> t_jk."""
+def embed(f, quotient, i, j, k, y=None):
+    """f(t_ij, t_jk) . y in U(F_3), y = 1 by default.
+
+    Walks the word trie of f from the left: a word of length s sees only
+    the part of y of degree <= n - s."""
     if f.truncation > quotient.truncation:
         raise ValueError("series truncation %d exceeds algebra truncation %d"
                          % (f.truncation, quotient.truncation))
-    im0 = strand_generator(quotient, f.ring, f.truncation, i, j)
-    im1 = strand_generator(quotient, f.ring, f.truncation, j, k)
-    return f.substitute(im0, im1, one=P5Element.one(quotient, f.ring, f.truncation))
+    if y is None:
+        y = NCSeries.one(f.ring, f.truncation)
+    n = min(f.truncation, y.truncation)
+    im = (strand_generator(quotient, i, j), strand_generator(quotient, j, k))
+
+    def act(terms, s):
+        # terms: the suffixes after one prefix of length s
+        c = terms.get(())
+        out = NCSeries.zero(f.ring, n - s) if c is None else y.truncate(n - s).scale(c)
+        if s < n:
+            for a in (0, 1):
+                sub = {w[1:]: v for w, v in terms.items() if w and w[0] == a}
+                if sub:
+                    out = out + im[a] * act(sub, s + 1)
+        return out
+
+    return act(f.terms, 0)
+
+
+def base_image(f, i, j, k):
+    """f(t_ij, t_jk) in U(F_2), with the fibre letters set to 0, as a
+    series on the base letters 3, 4."""
+    ring, n = f.ring, f.truncation
+    ims = [NCSeries(ring, n, {(g,): ring.from_int(c)
+                              for g, c in PAIR_EXPANSION[pair(a, b)].items() if g >= NFIBRE})
+           for a, b in ((i, j), (j, k))]
+    return f.substitute(*ims, one=NCSeries.one(ring, n))
 
 
 PENTAGON_POSITIONS = ((3, 4, 5), (5, 1, 2), (2, 3, 4), (4, 5, 1), (1, 2, 3))
 
 
-def pentagon_product(f, quotient):
-    acc = None
-    for ijk in PENTAGON_POSITIONS:
-        g = embed(f, quotient, *ijk)
-        acc = g if acc is None else acc * g
-    return acc
-
-
 def pentagon_residual(f, quotient):
-    """phi_345 phi_512 phi_234 phi_451 phi_123 - 1, in normal form."""
+    """g - 1 for g = phi_345 phi_512 phi_234 phi_451 phi_123 on its two
+    faces, as one series: g . 1 - 1 on the fibre letters 0, 1, 2 plus the
+    image of g in U(F_2), minus 1, on the base letters 3, 4.  For group-like
+    f it is 0 exactly when g = 1."""
     if not f.ring.is_zero(f.constant_term() - f.ring.one):
         raise ValueError("pentagon residual requires constant term 1")
-    prod = pentagon_product(f, quotient)
-    return prod - P5Element.one(quotient, f.ring, f.truncation)
+    one = NCSeries.one(f.ring, f.truncation)
+    fibre = base = one
+    for ijk in reversed(PENTAGON_POSITIONS):
+        fibre = embed(f, quotient, *ijk, y=fibre)
+    for ijk in PENTAGON_POSITIONS:
+        base = base * base_image(f, *ijk)
+    return fibre - one + base - one

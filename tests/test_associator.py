@@ -69,19 +69,20 @@ def test_perturbed_associator_fails_pentagon_at_its_degree(q5, even_candidate):
     phi = (even_candidate.phi.log() + kick).exp()
     bad = AssociatorCandidate(mu=Fraction(1), phi=phi, truncation=n)
     assert not check_associator(bad, q5)["pentagon"]
-    assert min(pentagon_residual(phi, q5).comps) == 4
+    assert pentagon_residual(phi, q5).min_degree() == 4
 
 
-def test_even_solver_degree_six():
-    q6 = P5Quotient(6)
-    cand, rep = solve_unitary(6, q6, tiebreak="zero", even=True)
+@pytest.mark.parametrize("n", [6, 7])
+def test_even_solver_at_degree(n):
+    q = P5Quotient(n)
+    cand, rep = solve_unitary(n, q, tiebreak="zero", even=True)
     assert rep.nullspace_dims == {4: 0, 6: 0}
-    assert all(len(w) not in (3, 5) for w in cand.phi.terms)
-    report = check_associator(cand, q6)
+    assert all(len(w) % 2 == 0 for w in cand.phi.terms)
+    report = check_associator(cand, q)
     assert all(report[k] for k in
                ("mu_invertible", "quadratic", "commutator_grouplike", "even",
                 "pentagon", "two_cycle", "three_cycle"))
-    assert report["pentagon_degree"] == 6
+    assert report["pentagon_degree"] == n
     gamma, _, _ = varphi_equals_gamma_matrix(cand)
     assert gamma["equal"] and gamma["det_is_one"]
 

@@ -1,21 +1,118 @@
+import functools
 import itertools
 import random
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from associators import words as W
 from associators.ncseries import NCSeries, bracket, lie_element
 from associators.pentagon import (
+    BRACKET,
+    NFIBRE,
     P5Quotient,
-    P5Element,
     PAIR_EXPANSION,
+    PENTAGON_POSITIONS,
     embed,
+    pair,
     pentagon_residual,
-    strand_generator,
 )
 from associators.rings import QQ
+from test_associator import random_grouplike
+
+
+# -- reference: U(P5) in Poincare-Birkhoff-Witt normal form ---------------------
+#
+# A normal-form word is a fibre word (letters 0, 1, 2) followed by a base
+# word (letters 3, 4).  A word is rewritten by swapping its first base letter
+# g standing before a fibre letter f, g f = f g + [g, f].  This multiplies
+# whole elements of U(P5), which the package never does; it is slow but
+# independent of the module action, so it serves as the oracle up to degree 5.
+
+
+@functools.lru_cache(maxsize=None)
+def ref_nf(mono):
+    for i in range(len(mono) - 1):
+        g, f = mono[i], mono[i + 1]
+        if g >= NFIBRE > f:
+            head, tail = mono[:i], mono[i + 2:]
+            vec = {head + (f, g) + tail: 1}
+            xy = BRACKET.get((g, f))
+            if xy is not None:
+                vec[head + xy + tail] = 1
+                vec[head + xy[::-1] + tail] = -1
+            return tuple(ref_reduce(vec).items())
+    return ((mono, 1),)
+
+
+def ref_reduce(vec):
+    out = {}
+    for mono, c in vec.items():
+        for m, k in ref_nf(mono):
+            out[m] = out.get(m, 0) + c * k
+    return {m: c for m, c in out.items() if c != 0}
+
+
+class RefP5:
+    """An element of U(P5) truncated at degree n, as {normal-form word: c}."""
+
+    def __init__(self, n, terms):
+        self.n = n
+        self.terms = {w: c for w, c in terms.items() if c != 0 and len(w) <= n}
+
+    @classmethod
+    def t(cls, n, i, j):
+        return cls(n, {(g,): Fraction(c) for g, c in PAIR_EXPANSION[pair(i, j)].items()})
+
+    def one_like(self):
+        return RefP5(self.n, {(): Fraction(1)})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for w, c in other.terms.items():
+            terms[w] = terms.get(w, 0) + c
+        return RefP5(min(self.n, other.n), terms)
+
+    def scale(self, c):
+        return RefP5(self.n, {w: v * c for w, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, other):
+        n = min(self.n, other.n)
+        vec = {}
+        for wa, ca in self.terms.items():
+            for wb, cb in other.terms.items():
+                if len(wa) + len(wb) <= n:
+                    vec[wa + wb] = vec.get(wa + wb, 0) + ca * cb
+        return RefP5(n, ref_reduce(vec))
+
+    def is_zero(self):
+        return not self.terms
+
+
+def ref_embed(f, i, j, k):
+    n = f.truncation
+    return f.substitute(RefP5.t(n, i, j), RefP5.t(n, j, k))
+
+
+def ref_pentagon_minus_one(f):
+    prod = None
+    for ijk in PENTAGON_POSITIONS:
+        g = ref_embed(f, *ijk)
+        prod = g if prod is None else prod * g
+    return prod - prod.one_like()
+
+
+def faces(x):
+    """Coordinates of a reference element on the words with an empty base
+    part or an empty fibre part."""
+    return {w: c for w, c in x.terms.items()
+            if all(g < NFIBRE for g in w) or all(g >= NFIBRE for g in w)}
 
 
 @pytest.fixture(scope="module")
@@ -85,22 +182,23 @@ def test_normal_form_idempotent(q4):
 
 
 def test_normal_form_words_are_fibre_then_base(q4):
-    # generators 0, 1, 2 are the fibre t15, t25, t35 and 3, 4 the base t12, t23
+    # reference words are a fibre word then a base word; a word applied to 1
+    # is its reference normal form read on the words with no base letter
     for d in range(5):
         for mono in itertools.product(range(5), repeat=d):
-            for m, _ in q4.nf_monomial(mono):
+            ref = dict(ref_nf(mono))
+            for m in ref:
                 assert len(m) == d
-                assert tuple(sorted(m, key=lambda g: g >= 3)) == m
+                assert tuple(sorted(m, key=lambda g: g >= NFIBRE)) == m
+            fibre = {m: c for m, c in ref.items() if all(g < NFIBRE for g in m)}
+            assert dict(q4.nf_monomial(mono)) == fibre
 
 
-def test_commutation_relation_holds(q4):
-    # t_12 and t_34 commute in the quotient
-    t12 = strand_generator(q4, QQ, 4, 1, 2)
-    t34 = strand_generator(q4, QQ, 4, 3, 4)
-    comm = t12 * t34 - t34 * t12
-    assert comm.is_zero()
+def test_commutation_relation_holds():
+    # t_12 and t_34 commute in U(P5)
+    t12, t34, t23 = RefP5.t(4, 1, 2), RefP5.t(4, 3, 4), RefP5.t(4, 2, 3)
+    assert (t12 * t34 - t34 * t12).is_zero()
     # while t_12 and t_23 do not
-    t23 = strand_generator(q4, QQ, 4, 2, 3)
     assert not (t12 * t23 - t23 * t12).is_zero()
 
 
@@ -110,9 +208,9 @@ def disjoint_pairs():
             if not set(a) & set(b)]
 
 
-def test_relations_pin_the_algebra(q4):
+def test_relations_pin_the_algebra():
     def t(pr):
-        return strand_generator(q4, QQ, 4, *pr)
+        return RefP5.t(4, *pr)
 
     def comm(x, y):
         return x * y - y * x
@@ -139,36 +237,31 @@ def test_relations_pin_the_algebra(q4):
             assert (lhs - comm(t(rhs[0]), t(rhs[1]))).is_zero()
 
 
-def test_multiplication_associative_random(q4):
+def test_multiplication_associative_random():
     rng = random.Random(9)
 
     def rand_elt():
-        comps = {}
+        terms = {}
         for d in (0, 1, 2):
-            vec = {}
             for _ in range(4):
                 mono = tuple(rng.randrange(5) for _ in range(d))
-                vec[mono] = Fraction(rng.randint(-3, 3))
-            comps[d] = vec
-        e = P5Element(q4, QQ, 4, comps)
-        return e + P5Element.zero(q4, QQ, 4)  # normalises empties
+                terms[mono] = Fraction(rng.randint(-3, 3))
+        return RefP5(4, ref_reduce(terms))
 
     for _ in range(5):
         x, y, z = rand_elt(), rand_elt(), rand_elt()
-        lhs = (x * y) * z
-        rhs = x * (y * z)
-        assert (lhs - rhs).is_zero()
+        assert ((x * y) * z - x * (y * z)).is_zero()
 
 
 def test_embedding_unit_and_single_generator(q4):
     one = NCSeries.one(QQ, 3)
-    img = embed(one, q4, 1, 2, 3)
-    assert (img - P5Element.one(q4, QQ, 3)).is_zero()
+    assert embed(one, q4, 1, 2, 3) == one
 
     e0 = NCSeries.letter(QQ, 3, 0)
-    img0 = embed(e0, q4, 1, 2, 3)
-    t12 = strand_generator(q4, QQ, 3, 1, 2)
-    assert (img0 - t12).is_zero()
+    # t12 is a base letter: it sends 1 to 0
+    assert not embed(e0, q4, 1, 2, 3).terms
+    # t34 = t15 + t25 + t12 sends 1 to t15 + t25
+    assert embed(e0, q4, 3, 4, 5) == NCSeries(QQ, 3, {(0,): Fraction(1), (1,): Fraction(1)})
 
 
 def test_embedding_respects_products(q4):
@@ -184,18 +277,18 @@ def test_embedding_respects_products(q4):
     for _ in range(5):
         f, g = rand_series(), rand_series()
         lhs = embed(f * g, q4, 2, 3, 4)
-        rhs = embed(f, q4, 2, 3, 4) * embed(g, q4, 2, 3, 4)
-        assert (lhs - rhs).is_zero()
+        rhs = embed(f, q4, 2, 3, 4, y=embed(g, q4, 2, 3, 4))
+        assert lhs == rhs
 
 
 def test_pentagon_residual_unit_and_quadratic(q4):
     one = NCSeries.one(QQ, 2)
-    assert pentagon_residual(one, q4).is_zero()
+    assert not pentagon_residual(one, q4).terms
 
     e0 = NCSeries.letter(QQ, 2, 0)
     e1 = NCSeries.letter(QQ, 2, 1)
     f = bracket(e0, e1).scale(Fraction(1, 24)).exp()
-    assert pentagon_residual(f, q4).is_zero()
+    assert not pentagon_residual(f, q4).terms
 
 
 def test_residual_graded_locality(q4):
@@ -211,5 +304,78 @@ def test_residual_graded_locality(q4):
     r1 = pentagon_residual(base, q4)
     r2 = pentagon_residual(pert, q4)
     for d in (2, 3):
-        assert r1.component(d) == r2.component(d)
+        assert r1.homogeneous_part(d) == r2.homogeneous_part(d)
+    assert r1.homogeneous_part(4) != r2.homogeneous_part(4)
 
+
+def test_residual_is_the_reference_on_both_faces(q5, even_candidate, skew_candidate):
+    # the residual is the reference's (product - 1) on the words with an
+    # empty base or fibre part, and it vanishes exactly when the product is 1
+    rng = random.Random(31)
+    phis = [random_grouplike(rng, n) for n in (3, 4, 5)]
+    phis += [even_candidate.phi, skew_candidate.phi]
+    verdicts = []
+    for phi in phis:
+        ref = ref_pentagon_minus_one(phi)
+        res = pentagon_residual(phi, q5)
+        assert res.terms == faces(ref)
+        assert ref.is_zero() == (not res.terms)
+        verdicts.append(ref.is_zero())
+    assert verdicts == [False, False, False, True, True]
+
+
+def test_base_face_is_the_two_cycle(q5):
+    # the pentagon contains the 2-cycle: its base face is
+    # phi(e1, e0) phi(e0, e1) - 1 with e0 -> t12 = 3 and e1 -> t23 = 4
+    rng = random.Random(37)
+    for n in (3, 4, 5):
+        phi = random_grouplike(rng, n, start=2)
+        cycle = phi.swap_letters() * phi - NCSeries.one(QQ, n)
+        expect = cycle.apply_word_map(lambda w: tuple(3 + g for g in w))
+        res = pentagon_residual(phi, q5)
+        base = {w: c for w, c in res.terms.items() if w[0] >= NFIBRE}
+        assert base == expect.terms
+        assert base
+
+
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def sparse_series(draw, n, letters):
+    words = [w for d in range(n + 1) for w in itertools.product(range(letters), repeat=d)]
+    return NCSeries(QQ, n, draw(st.dictionaries(st.sampled_from(words), COEFFS, max_size=8)))
+
+
+@st.composite
+def action_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    ijk = draw(st.sampled_from(PENTAGON_POSITIONS))
+    return (n, ijk, draw(sparse_series(n, 2)), draw(sparse_series(n, 2)),
+            draw(sparse_series(n, NFIBRE)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(action_inputs())
+def test_embed_is_an_action(q4, inputs):
+    # f(t_ij, t_jk) g(t_ij, t_jk) . y = f(t_ij, t_jk) . (g(t_ij, t_jk) . y)
+    n, ijk, f, g, y = inputs
+    assert embed(f * g, q4, *ijk, y=y) == embed(f, q4, *ijk, y=embed(g, q4, *ijk, y=y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reduce_vector_is_linear(q4, data):
+    words = [w for d in range(5) for w in itertools.product(range(5), repeat=d)]
+    vectors = st.dictionaries(st.sampled_from(words), COEFFS, max_size=8)
+    u, v = data.draw(vectors), data.draw(vectors)
+    a, b = data.draw(COEFFS), data.draw(COEFFS)
+    combined = {}
+    for vec, c in ((u, a), (v, b)):
+        for w, x in vec.items():
+            combined[w] = combined.get(w, 0) + c * x
+    expect = {}
+    for vec, c in ((q4.reduce_vector(u), a), (q4.reduce_vector(v), b)):
+        for w, x in vec.items():
+            expect[w] = expect.get(w, 0) + c * x
+    assert q4.reduce_vector(combined) == {w: x for w, x in expect.items() if x != 0}
