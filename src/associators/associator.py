@@ -63,10 +63,6 @@ class GTElement:
         target = (self.lam * self.lam - ring.one) * ring.from_fraction(Fraction(1, 24))
         return self.series.coeff((0, 1)) - target
 
-    def evaluate(self, log_image0, log_image1):
-        """f(alpha, beta) where log_image0 = log alpha, log_image1 = log beta."""
-        return self.series.substitute(log_image0, log_image1)
-
     def to_json(self):
         return {
             "lambda": self.ring.encode(self.lam),
@@ -111,9 +107,9 @@ def _three_cycle_defect(phi, mu):
     einf = -(e0 + e1)
     prod = (
         e0.scale(half).exp()
-        * phi.substitute_einf_pair(("einf", "e0"))
+        * phi.substitute(einf, e0)
         * einf.scale(half).exp()
-        * phi.substitute_einf_pair(("e1", "einf"))
+        * phi.substitute(e1, einf)
         * e1.scale(half).exp()
         * phi
     )
@@ -289,6 +285,9 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
 
 
 # -- torsor action ------------------------------------------------------------------------
+#
+# These maps run at the ring's working precision; their self-checks allow
+# the ring's noise floor (0 over QQ), since roundoff defeats exact equality.
 
 
 def gt_act(gt: GTElement, cand: AssociatorCandidate, self_check: bool = True):
@@ -301,17 +300,18 @@ def gt_act(gt: GTElement, cand: AssociatorCandidate, self_check: bool = True):
     """
     phi, mu, ring = cand.phi, cand.mu, cand.ring
     n = min(cand.truncation, gt.truncation)
-    phi = phi.truncate(n)
-    s = gt.series.truncate(n)
-    e0 = NCSeries.letter(ring, n, 0)
-    e1 = NCSeries.letter(ring, n, 1)
-    phi_inv = phi.inverse()
-    right = phi * s.substitute(e0.scale(mu), (phi_inv * e1 * phi).scale(mu))
-    if self_check:
-        left = s.substitute((phi * e0 * phi_inv).scale(mu), e1.scale(mu)) * phi
-        if max_coeff(left - right) > 0 and left != right:
-            raise AssertionError("the two torsor-action forms disagree")
-    return AssociatorCandidate(mu=gt.lam * mu, phi=right, truncation=n)
+    with ring.context():
+        phi = phi.truncate(n)
+        s = gt.series.truncate(n)
+        e0 = NCSeries.letter(ring, n, 0)
+        e1 = NCSeries.letter(ring, n, 1)
+        phi_inv = phi.inverse()
+        right = phi * s.substitute(e0.scale(mu), (phi_inv * e1 * phi).scale(mu))
+        if self_check:
+            left = s.substitute((phi * e0 * phi_inv).scale(mu), e1.scale(mu)) * phi
+            if max_coeff(left - right) > ring.noise_floor:
+                raise AssertionError("the two torsor-action forms disagree")
+        return AssociatorCandidate(mu=gt.lam * mu, phi=right, truncation=n)
 
 
 def gt_compose(g1: GTElement, g2: GTElement) -> GTElement:
@@ -319,14 +319,15 @@ def gt_compose(g1: GTElement, g2: GTElement) -> GTElement:
     (lambda2 lambda1, f1(f2 x^(lambda2) f2^-1, y^(lambda2)) f2)."""
     ring = g1.ring
     n = min(g1.truncation, g2.truncation)
-    s1 = g1.series.truncate(n)
-    s2 = g2.series.truncate(n)
-    e0 = NCSeries.letter(ring, n, 0)
-    e1 = NCSeries.letter(ring, n, 1)
-    arg0 = (s2 * e0 * s2.inverse()).scale(g2.lam)
-    arg1 = e1.scale(g2.lam)
-    series = s1.substitute(arg0, arg1) * s2
-    return GTElement(lam=g1.lam * g2.lam, series=series, truncation=n)
+    with ring.context():
+        s1 = g1.series.truncate(n)
+        s2 = g2.series.truncate(n)
+        e0 = NCSeries.letter(ring, n, 0)
+        e1 = NCSeries.letter(ring, n, 1)
+        arg0 = (s2 * e0 * s2.inverse()).scale(g2.lam)
+        arg1 = e1.scale(g2.lam)
+        series = s1.substitute(arg0, arg1) * s2
+        return GTElement(lam=g1.lam * g2.lam, series=series, truncation=n)
 
 
 def gt_from_pair(c1: AssociatorCandidate, c2: AssociatorCandidate) -> GTElement:
@@ -335,36 +336,35 @@ def gt_from_pair(c1: AssociatorCandidate, c2: AssociatorCandidate) -> GTElement:
     substitution x0 -> e^(mu e0), x1 -> phi^-1 e^(mu e1) phi is triangular
     in the degree)."""
     ring = c1.ring
-    if abs_value(c1.mu - c2.mu) != 0.0:
-        raise ValueError("gt_from_pair needs equal mu")
-    n = min(c1.truncation, c2.truncation)
-    mu = c1.mu
-    mu_inv = ring.inv(mu)
-    phi1 = c1.phi.truncate(n)
-    target = phi1.inverse() * c2.phi.truncate(n)
-    e0 = NCSeries.letter(ring, n, 0)
-    e1 = NCSeries.letter(ring, n, 1)
-    arg0 = e0.scale(mu)
-    arg1 = (phi1.inverse() * e1 * phi1).scale(mu)
+    with ring.context():
+        if abs_value(c1.mu - c2.mu) > ring.noise_floor:
+            raise ValueError("gt_from_pair needs equal mu")
+        n = min(c1.truncation, c2.truncation)
+        mu = c1.mu
+        mu_inv = ring.inv(mu)
+        phi1 = c1.phi.truncate(n)
+        target = phi1.inverse() * c2.phi.truncate(n)
+        e0 = NCSeries.letter(ring, n, 0)
+        e1 = NCSeries.letter(ring, n, 1)
+        arg0 = e0.scale(mu)
+        arg1 = (phi1.inverse() * e1 * phi1).scale(mu)
 
-    terms = {(): ring.one}
-    for d in range(1, n + 1):
-        current = NCSeries(ring, n, dict(terms))
-        image = current.substitute(arg0, arg1)
-        diff = target - image
-        scale = mu_inv
-        for _ in range(d - 1):
-            scale = scale * mu_inv
-        for w in W.words_of_weight(d):
-            c = diff.coeff(w)
-            if not ring.is_zero(c):
-                terms[w] = c * scale
-    series = NCSeries(ring, n, terms)
-    if max_coeff(series.substitute(arg0, arg1) - target) != 0.0 and \
-            series.substitute(arg0, arg1) != target:
-        raise InconsistentSystem("substitution inversion failed; inputs are not "
-                                 "a torsor pair at this truncation")
-    return GTElement(lam=ring.one, series=series, truncation=n)
+        terms = {(): ring.one}
+        for d in range(1, n + 1):
+            current = NCSeries(ring, n, dict(terms))
+            diff = target - current.substitute(arg0, arg1)
+            scale = mu_inv
+            for _ in range(d - 1):
+                scale = scale * mu_inv
+            for w in W.words_of_weight(d):
+                c = diff.coeff(w)
+                if not ring.is_zero(c):
+                    terms[w] = c * scale
+        series = NCSeries(ring, n, terms)
+        if max_coeff(series.substitute(arg0, arg1) - target) > ring.noise_floor:
+            raise InconsistentSystem("substitution inversion failed; inputs are not "
+                                     "a torsor pair at this truncation")
+        return GTElement(lam=ring.one, series=series, truncation=n)
 
 
 # -- fake comparison map -------------------------------------------------------------------
@@ -380,17 +380,18 @@ def comp_fake(cand: AssociatorCandidate, element):
     """
     phi, mu, ring = cand.phi, cand.mu, cand.ring
     n = cand.truncation
-    e0 = NCSeries.letter(ring, n, 0)
-    e1 = NCSeries.letter(ring, n, 1)
-    log0 = e0.scale(mu)
-    log1 = (phi.inverse() * e1 * phi).scale(mu)
-    if isinstance(element, NCSeries):
-        return element.substitute(log0, log1)
-    acc = NCSeries.one(ring, n)
-    for gen, exp in element:
-        base = log0 if gen == "x0" else log1
-        acc = acc * base.scale(ring.from_int(int(exp))).exp()
-    return acc
+    with ring.context():
+        e0 = NCSeries.letter(ring, n, 0)
+        e1 = NCSeries.letter(ring, n, 1)
+        log0 = e0.scale(mu)
+        log1 = (phi.inverse() * e1 * phi).scale(mu)
+        if isinstance(element, NCSeries):
+            return element.substitute(log0, log1)
+        acc = NCSeries.one(ring, n)
+        for gen, exp in element:
+            base = log0 if gen == "x0" else log1
+            acc = acc * base.scale(ring.from_int(int(exp))).exp()
+        return acc
 
 
 def comp_fake_xinf_defect(cand: AssociatorCandidate) -> float:
@@ -398,10 +399,11 @@ def comp_fake_xinf_defect(cand: AssociatorCandidate) -> float:
     mu = 1: Ad(phi(e0, einf) e^(-e0/2))^-1 (e^(einf)) against the direct
     image of x1^-1 x0^-1."""
     ring, n = cand.ring, cand.truncation
-    direct = comp_fake(cand, [("x1", -1), ("x0", -1)])
-    e0 = NCSeries.letter(ring, n, 0)
-    e1 = NCSeries.letter(ring, n, 1)
-    einf = -(e0 + e1)
-    u = cand.phi.substitute_einf_pair(("e0", "einf")) * e0.scale(Fraction(-1, 2)).exp()
-    closed = u.inverse() * einf.exp() * u
-    return max_coeff(direct - closed)
+    with ring.context():
+        direct = comp_fake(cand, [("x1", -1), ("x0", -1)])
+        e0 = NCSeries.letter(ring, n, 0)
+        e1 = NCSeries.letter(ring, n, 1)
+        einf = -(e0 + e1)
+        u = cand.phi.substitute(e0, einf) * e0.scale(Fraction(-1, 2)).exp()
+        closed = u.inverse() * einf.exp() * u
+        return max_coeff(direct - closed)

@@ -85,7 +85,7 @@ class CSeries:
 
     def truncate(self, n):
         if n >= self.truncation:
-            return CSeries(self.ring, n, dict(self.terms), _clean=True)
+            return CSeries(self.ring, n, self.terms, _clean=True)
         return CSeries(self.ring, n, {m: c for m, c in self.terms.items() if sum(m) <= n}, _clean=True)
 
     def min_degree(self):
@@ -219,14 +219,6 @@ class CSeries:
 
     # -- exact division ---------------------------------------------------------------
 
-    def _default_division_noise(self):
-        # inexact rings accumulate roundoff in coefficients that are exactly
-        # zero in the identity being exercised; anything this small is noise,
-        # anything bigger is a genuine divisibility failure
-        if getattr(self.ring, "exact", True):
-            return 0.0
-        return 10.0 ** (-(2 * self.ring.digits) // 3)
-
     def _divide_var(self, i, form_name, noise):
         out = {}
         for m, c in self.terms.items():
@@ -260,9 +252,10 @@ class CSeries:
         truncation drops by the degree of the form.
 
         Over an inexact ring, offending monomials below the roundoff noise
-        floor are dropped instead of raising; noise overrides the floor."""
+        floor (the ring's noise_floor) are dropped instead of raising; noise
+        overrides the floor."""
         if noise is None:
-            noise = self._default_division_noise()
+            noise = self.ring.noise_floor
         if len(form) > 1:
             out = self
             for ch in form:

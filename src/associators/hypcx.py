@@ -396,11 +396,19 @@ def numeric_xy(a, b, c):
     return x0, y0
 
 
+@lru_cache(maxsize=1)
+def _shared_engine(digits, nterms):
+    """The most recent engine of this size; the only one kept alive."""
+    return MPLEngine(digits, nterms)
+
+
 @lru_cache
 def solution_matrix_at(a, b, c, z, weight, digits=50, star="01", engine=None):
     """Numeric evaluation of the fundamental solution at (X0, -Y0), column
     mixed; star selects the 01 or 10 solution.  Cached: hg11_defect and
-    kummer_row_defects ask for the same 01 matrix."""
+    kummer_row_defects ask for the same 01 matrix.  Without an engine, the
+    01 and the 10 solution at z share one (series_terms)."""
+    engine = engine if engine is not None else _shared_engine(digits, series_terms(z, digits))
     with complex_field(digits).context():
         x0, y0 = numeric_xy(a, b, c)
         one = Mat2.identity(mpmath.mpc(1), mpmath.mpc(0))

@@ -49,7 +49,10 @@ class Mat2:
             out.append(x.scale(c) if hasattr(x, "scale") else x * c)
         return Mat2(*out)
 
-    # the grading of the entries, which graded.exp and graded.log read
+    def truncate(self, n):
+        return Mat2(*(x.truncate(n) if hasattr(x, "truncate") else x for x in self.e))
+
+    # the grading of the entries, which graded and NCSeries.substitute read
     @property
     def truncation(self):
         return min(x.truncation for x in self.e)

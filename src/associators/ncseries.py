@@ -69,7 +69,7 @@ class NCSeries:
 
     def truncate(self, n):
         if n >= self.truncation:
-            return NCSeries(self.ring, n, dict(self.terms), _clean=True)
+            return NCSeries(self.ring, n, self.terms, _clean=True)
         return NCSeries(self.ring, n, {w: c for w, c in self.terms.items() if len(w) <= n}, _clean=True)
 
     def homogeneous_part(self, d):
@@ -192,58 +192,43 @@ class NCSeries:
     # -- substitution -----------------------------------------------------------
 
     def substitute(self, image0, image1, one=None):
-        """Ring-homomorphic image under e0 -> image0, e1 -> image1.
+        """f(image0, image1) . one, for images with +, * and .scale(coeff):
+        series, 2x2 matrices over series or numbers, strand generators.
+        ``one`` is the vector the images act on from the left, by default
+        image0.one_like().
 
-        The images may be any objects supporting +, * and .scale(coeff)
-        (NCSeries, 2x2 matrices over a series ring).  ``one`` is the unit
-        of the target; it defaults to the unit of the images' class when
-        they provide ``one_like``.
-
-        Truncated substitution is a ring homomorphism only when the letter
-        images carry no degree-0 part; for series images this is enforced.
+        A left Horner walk of the word trie to degree n, the smaller of this
+        truncation and that of ``one``: the node of a prefix of length s and
+        coefficient c returns c one + image0 child_0 + image1 child_1 to
+        degree n - s, each child lifted from degree n - s - 1.  The lift needs
+        images without a degree-0 part, so a graded image (one with a
+        truncation) with a constant term is rejected; ungraded ones, such as
+        numeric matrices, are taken as they are.
         """
-        for im in (image0, image1):
-            if isinstance(im, NCSeries) and not im.ring.is_zero(im.constant_term()):
+        images = (image0, image1)
+        for im in images:
+            if hasattr(im, "truncation") and im.min_degree() < 1:
                 raise ValueError("letter image has a nonzero constant term; "
                                  "substitute logarithms of group elements instead")
         if one is None:
             one = image0.one_like()
-        memo = {W.EMPTY_WORD: one}
-        images = (image0, image1)
+        n = min(self.truncation, getattr(one, "truncation", self.truncation))
+        ones = [one.truncate(n - s) for s in range(n + 1)]
 
-        def img(w):
-            got = memo.get(w)
-            if got is not None:
-                return got
-            val = img(w[:-1]) * images[w[-1]]
-            memo[w] = val
-            return val
+        def walk(terms, s):
+            # terms: the suffixes after one prefix of length s
+            out = ones[s].scale(terms.get(W.EMPTY_WORD, self.ring.zero))
+            if s < n:
+                children = ({}, {})
+                for w, c in terms.items():
+                    if w:
+                        children[w[0]][w[1:]] = c
+                for im, child in zip(images, children):
+                    if child:
+                        out = out + im * walk(child, s + 1).truncate(n - s)
+            return out
 
-        acc = None
-        for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            t = img(w).scale(c)
-            acc = t if acc is None else acc + t
-        if acc is None:
-            return one.scale(self.ring.zero)
-        return acc
-
-    def substitute_einf_pair(self, which):
-        """Common letter substitutions involving e_inf = -e0 - e1, returning
-        an NCSeries over the same ring.
-
-        which is a pair of symbols from {'e0','e1','einf','-e0','-e1'} naming
-        the images of (e0, e1).
-        """
-        ring, n = self.ring, self.truncation
-        base = {
-            "e0": NCSeries.letter(ring, n, 0),
-            "e1": NCSeries.letter(ring, n, 1),
-        }
-        base["einf"] = -(base["e0"] + base["e1"])
-        base["-e0"] = -base["e0"]
-        base["-e1"] = -base["e1"]
-        a, b = which
-        return self.substitute(base[a], base[b], one=NCSeries.one(ring, n))
+        return walk(self.terms, 0)
 
     def one_like(self):
         return NCSeries.one(self.ring, self.truncation)

@@ -29,8 +29,10 @@ exp(F_2).  Then g . 1 = g_F, and the image of g in U(F_2), where the fibre
 letters vanish, is g_B; so g = 1 exactly when both are 1.  These two faces
 are g - 1 read on the Poincare-Birkhoff-Witt words (fibre word, then base
 word) with an empty base part and with an empty fibre part.  The fibre face
-applies the five factors to 1 from the right; the base face is a product in
-the letters 3, 4.  Neither forms a product in U(P_5).
+applies the five factors to 1 from the right, each one f(t_ij, t_jk) . y
+being NCSeries.substitute at the two strand generators acting on y; the
+base face is a product in the letters 3, 4.  Neither forms a product in
+U(P_5).
 """
 
 from __future__ import annotations
@@ -141,30 +143,14 @@ def strand_generator(quotient, i, j):
 
 
 def embed(f, quotient, i, j, k, y=None):
-    """f(t_ij, t_jk) . y in U(F_3), y = 1 by default.
-
-    Walks the word trie of f from the left: a word of length s sees only
-    the part of y of degree <= n - s."""
+    """f(t_ij, t_jk) . y in U(F_3), y = 1 by default; a word of f of length
+    s sees only the part of y of degree <= n - s (NCSeries.substitute)."""
     if f.truncation > quotient.truncation:
         raise ValueError("series truncation %d exceeds algebra truncation %d"
                          % (f.truncation, quotient.truncation))
     if y is None:
         y = NCSeries.one(f.ring, f.truncation)
-    n = min(f.truncation, y.truncation)
-    im = (strand_generator(quotient, i, j), strand_generator(quotient, j, k))
-
-    def act(terms, s):
-        # terms: the suffixes after one prefix of length s
-        c = terms.get(())
-        out = NCSeries.zero(f.ring, n - s) if c is None else y.truncate(n - s).scale(c)
-        if s < n:
-            for a in (0, 1):
-                sub = {w[1:]: v for w, v in terms.items() if w and w[0] == a}
-                if sub:
-                    out = out + im[a] * act(sub, s + 1)
-        return out
-
-    return act(f.terms, 0)
+    return f.substitute(strand_generator(quotient, i, j), strand_generator(quotient, j, k), one=y)
 
 
 def base_image(f, i, j, k):

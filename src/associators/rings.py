@@ -23,6 +23,7 @@ class RationalField:
 
     name = "QQ"
     exact = True
+    noise_floor = 0.0  # no roundoff: every comparison is exact
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -65,6 +66,8 @@ class ComplexField:
     def __init__(self, digits=50):
         self.digits = digits
         self.name = "CC%d" % digits
+        # roundoff in a value that is exactly zero stays below this floor
+        self.noise_floor = 10.0 ** (-(2 * digits) // 3)
         with mpmath.workdps(digits):
             self.zero = mpmath.mpc(0)
             self.one = mpmath.mpc(1)

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from associators.pentagon import P5Quotient
 from associators.associator import solve_unitary
+
+# every run draws the same examples; each test keeps its own max_examples
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

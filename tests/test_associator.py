@@ -16,8 +16,9 @@ from associators.associator import (
     gt_from_pair,
     solve_unitary,
 )
+from associators.hypcx import kz_series
 from associators.matspec import varphi_equals_gamma_matrix
-from associators.ncseries import NCSeries, bracket, lie_element, max_coeff
+from associators.ncseries import NCSeries, bracket, lie_element, max_coeff, series_distance
 from associators.pentagon import P5Quotient, pentagon_residual
 from associators.rings import QQ
 
@@ -176,3 +177,21 @@ def test_grouplike_preserved_by_torsor(q5, even_candidate, skew_candidate):
     assert f.series.is_grouplike()
     out = gt_act(f, even_candidate)
     assert out.phi.is_commutator_grouplike()
+
+
+def test_torsor_maps_over_the_complex_ring():
+    # at 40 digits the maps run at working precision and their self-checks
+    # accept roundoff below the ring's noise floor, not above it
+    cand = kz_series(5, 40)
+    ring, n = cand.ring, cand.truncation
+    one = NCSeries.one(ring, n)
+    assert series_distance(gt_act(GTElement.identity(ring, n), cand).phi, cand.phi) < 1e-30
+    assert series_distance(comp_fake(cand, [("x1", 1), ("x1", -1)]), one) < 1e-30
+    assert series_distance(gt_from_pair(cand, cand).series, one) < 1e-30
+    g = random_grouplike(random.Random(41), n, start=2)
+    with ring.context():
+        g = NCSeries(ring, n, {w: ring.from_fraction(c) for w, c in g.terms.items()})
+    other = gt_act(GTElement(ring.one, g, n), cand)
+    f = gt_from_pair(cand, other)
+    assert series_distance(f.series, g) < 1e-30
+    assert series_distance(gt_act(f, cand).phi, other.phi) < 1e-30

@@ -16,7 +16,6 @@ from associators.matspec import mat_log_graded
 from associators.ncseries import NCSeries, series_distance
 from associators.rings import QQ, complex_field
 
-SETTINGS = settings(max_examples=30, deadline=None)
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 UNITS = COEFFS.filter(lambda c: c != 0)
 TRUNCATIONS = st.integers(min_value=1, max_value=5)
@@ -64,26 +63,26 @@ def same(x, y):
     return x == y
 
 
-@SETTINGS
+@settings(max_examples=30)
 @given(ELEMENTS)
 def test_log_inverts_exp(x):
     assert same(log(exp(x)), x)
 
 
-@SETTINGS
+@settings(max_examples=30)
 @given(ELEMENTS)
 def test_exp_inverts_log(x):
     one_plus_x = x.one_like() + x
     assert same(exp(log(one_plus_x)), one_plus_x)
 
 
-@SETTINGS
+@settings(max_examples=30)
 @given(ELEMENTS)
 def test_exp_of_negative_is_inverse(x):
     assert same(exp(x) * exp(-x), x.one_like())
 
 
-@SETTINGS
+@settings(max_examples=30)
 @given(SERIES, UNITS)
 def test_inverse_of_unit_constant_term(x, c):
     y = x.one_like().scale(c) + x
@@ -92,7 +91,7 @@ def test_inverse_of_unit_constant_term(x, c):
     assert inv * y == y.one_like()
 
 
-@SETTINGS
+@settings(max_examples=30)
 @given(SERIES, UNITS)
 def test_error_paths(x, c):
     with pytest.raises(ValueError):

@@ -162,7 +162,6 @@ def test_letter_maps():
     e0 = NCSeries.letter(QQ, 5, 0)
     e1 = NCSeries.letter(QQ, 5, 1)
     assert f.swap_letters() == f.substitute(e1, e0)
-    assert f.substitute_einf_pair(("e1", "e0")) == f.swap_letters()
 
 
 def test_json_round_trip():
