@@ -9,7 +9,7 @@ beta amounts to substituting log(alpha), log(beta) into s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import words as W
@@ -23,28 +23,10 @@ class AssociatorCandidate:
     mu: object
     phi: NCSeries
     truncation: int
-    validity: dict = field(default_factory=dict)
 
     @property
     def ring(self):
         return self.phi.ring
-
-    def to_json(self):
-        return {
-            "mu": self.ring.encode(self.mu),
-            "truncation": self.truncation,
-            "series": self.phi.to_json(),
-            "validity": dict(self.validity),
-        }
-
-    @classmethod
-    def from_json(cls, ring, obj):
-        return cls(
-            mu=ring.decode(obj["mu"]),
-            phi=NCSeries.from_json(ring, obj["series"]),
-            truncation=int(obj["truncation"]),
-            validity=dict(obj.get("validity", {})),
-        )
 
 
 @dataclass
@@ -62,21 +44,6 @@ class GTElement:
         ring = self.ring
         target = (self.lam * self.lam - ring.one) * ring.from_fraction(Fraction(1, 24))
         return self.series.coeff((0, 1)) - target
-
-    def to_json(self):
-        return {
-            "lambda": self.ring.encode(self.lam),
-            "truncation": self.truncation,
-            "series": self.series.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, ring, obj):
-        return cls(
-            lam=ring.decode(obj["lambda"]),
-            series=NCSeries.from_json(ring, obj["series"]),
-            truncation=int(obj["truncation"]),
-        )
 
     @classmethod
     def identity(cls, ring, truncation):
@@ -144,7 +111,6 @@ def _check_associator(cand, quotient, tol, pentagon_degree):
         report["pentagon_degree"] = deg
     report["two_cycle"] = two_cycle_defect(phi) <= tol
     report["three_cycle"] = three_cycle_defect(phi, mu) <= tol
-    cand.validity = report
     return report
 
 

@@ -1,5 +1,10 @@
 """Truncated commutative power series in the three variables (a, b, p).
 
+A series is a graded.Series keyed by exponent triples of degree their sum;
+``graded.py`` owns the storage rules, the linear structure and
+exp/log/inverse.  This module adds the product, the constants and
+variables, the substitution of the variables and exact division.
+
 The third variable is p; the combination q = a + b + p is derived and is
 never stored.  Boundary conversions from a (a, b, c) parametrisation use
 p = 1 - c.  Exact division by q is performed in a temporary coordinate
@@ -8,7 +13,6 @@ system where q replaces p as the third variable.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from operator import mul
 
@@ -29,34 +33,15 @@ class ExactDivisionError(ArithmeticError):
                          % (form, monomial[0], monomial[1], form if form == "q" else "p", monomial[2]))
 
 
-class CSeries:
-    __slots__ = ("ring", "truncation", "terms")
+class CSeries(graded.Series):
+    __slots__ = ()
 
-    def __init__(self, ring, truncation, terms=None, _clean=False):
-        self.ring = ring
-        self.truncation = truncation
-        if terms is None:
-            terms = {}
-        if not _clean:
-            terms = {
-                m: c for m, c in terms.items()
-                if sum(m) <= truncation and not ring.is_zero(c)
-            }
-        self.terms = terms
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring, truncation):
-        return cls(ring, truncation, {}, _clean=True)
-
-    @classmethod
-    def one(cls, ring, truncation):
-        return cls(ring, truncation, {(0, 0, 0): ring.one}, _clean=True)
+    UNIT = (0, 0, 0)
+    degree = staticmethod(sum)
 
     @classmethod
     def constant(cls, ring, truncation, c):
-        return cls(ring, truncation, {(0, 0, 0): c})
+        return cls(ring, truncation, {cls.UNIT: c})
 
     @classmethod
     def variable(cls, ring, truncation, name):
@@ -71,91 +56,6 @@ class CSeries:
         b = cls.variable(ring, truncation, "b")
         p = cls.variable(ring, truncation, "p")
         return a, b, p, a + b + p
-
-    def one_like(self):
-        return CSeries.one(self.ring, self.truncation)
-
-    # -- basics ----------------------------------------------------------------
-
-    def coeff(self, mono):
-        return self.terms.get(tuple(mono), self.ring.zero)
-
-    def constant_term(self):
-        return self.terms.get((0, 0, 0), self.ring.zero)
-
-    def truncate(self, n):
-        if n >= self.truncation:
-            return CSeries(self.ring, n, self.terms, _clean=True)
-        return CSeries(self.ring, n, {m: c for m, c in self.terms.items() if sum(m) <= n}, _clean=True)
-
-    def min_degree(self):
-        if not self.terms:
-            return self.truncation + 1
-        return min(sum(m) for m in self.terms)
-
-    def _common(self, other):
-        if not isinstance(other, CSeries):
-            raise TypeError("expected CSeries, got %r" % type(other))
-        if other.ring is not self.ring:
-            raise TypeError("coefficient rings differ")
-        return min(self.truncation, other.truncation)
-
-    def __eq__(self, other):
-        if not isinstance(other, CSeries):
-            return NotImplemented
-        n = self._common(other)
-        for m in set(self.terms) | set(other.terms):
-            if sum(m) > n:
-                continue
-            if not self.ring.is_zero(self.terms.get(m, self.ring.zero) - other.terms.get(m, self.ring.zero)):
-                return False
-        return True
-
-    def __hash__(self):  # pragma: no cover
-        return id(self)
-
-    def __repr__(self):
-        def mono_str(m):
-            parts = []
-            for name, e in zip(VAR_NAMES, m):
-                if e == 1:
-                    parts.append(name)
-                elif e > 1:
-                    parts.append("%s^%d" % (name, e))
-            return "*".join(parts) or "1"
-        items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))[:8]
-        body = " + ".join("(%s)*%s" % (c, mono_str(m)) for m, c in items)
-        more = "" if len(self.terms) <= 8 else " + ... (%d terms)" % len(self.terms)
-        return "CSeries[N=%d](%s%s)" % (self.truncation, body or "0", more)
-
-    # -- arithmetic --------------------------------------------------------------
-
-    def __add__(self, other):
-        n = self._common(other)
-        out = {m: c for m, c in self.terms.items() if sum(m) <= n}
-        for m, c in other.terms.items():
-            if sum(m) > n:
-                continue
-            s = out.get(m)
-            s = c if s is None else s + c
-            if self.ring.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return CSeries(self.ring, n, out, _clean=True)
-
-    def __neg__(self):
-        return CSeries(self.ring, self.truncation, {m: -c for m, c in self.terms.items()}, _clean=True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, (int, Fraction)) and not isinstance(self.ring.one, Fraction):
-            c = self.ring.from_fraction(Fraction(c))
-        if self.ring.is_zero(c):
-            return CSeries.zero(self.ring, self.truncation)
-        return CSeries(self.ring, self.truncation, {m: v * c for m, v in self.terms.items()}, _clean=True)
 
     def __mul__(self, other):
         n = self._common(other)
@@ -269,52 +169,9 @@ class CSeries:
             return g._from_q_coords()
         raise ValueError("unknown form %r" % form)
 
-    # -- evaluation ---------------------------------------------------------------------
 
-    def evaluate(self, va, vb, vp, one):
-        """Evaluate at a point; the values may live in any commutative ring
-        with +, * and a unit (e.g. l-adic integers, mpmath numbers).
-        Coefficients are applied through value * coeff, so the value type
-        must accept the coefficient type on the right."""
-        acc = None
-        pow_memo = [{0: one} for _ in range(3)]
-        vals = (va, vb, vp)
-
-        def power(i, e):
-            got = pow_memo[i].get(e)
-            if got is None:
-                got = power(i, e - 1) * vals[i]
-                pow_memo[i][e] = got
-            return got
-
-        for m, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-            t = power(0, m[0]) * power(1, m[1]) * power(2, m[2])
-            t = t * c
-            acc = t if acc is None else acc + t
-        if acc is None:
-            return one * self.ring.zero
-        return acc
-
-    # -- serialization --------------------------------------------------------------------
-
-    def to_json(self):
-        items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        return {
-            "vars": list(VAR_NAMES),
-            "truncation": self.truncation,
-            "terms": [{"mono": list(m), "coeff": self.ring.encode(c)} for m, c in items],
-        }
-
-    @classmethod
-    def from_json(cls, ring, obj):
-        if list(obj.get("vars", VAR_NAMES)) != list(VAR_NAMES):
-            raise ValueError("unsupported variable set %r" % obj.get("vars"))
-        terms = {tuple(t["mono"]): ring.decode(t["coeff"]) for t in obj["terms"]}
-        return cls(ring, int(obj["truncation"]), terms)
-
-
-def max_cseries_coeff(f: CSeries) -> float:
-    return max((abs_value(c) for c in f.terms.values()), default=0.0)
+# perfbench/workloads.py imports the function under this name
+max_cseries_coeff = graded.max_coeff
 
 
 # -- the built-in parameter substitutions ------------------------------------------

@@ -9,8 +9,10 @@ unavoidable cancellations exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from .cseries import CSeries, max_cseries_coeff
+from .cseries import CSeries
+from .graded import max_coeff
 from .rings import QQ, abs_value
 
 # -- one-variable series: CSeries in the variable a -----------------------------
@@ -78,14 +80,11 @@ def _bernoulli_list(m):
 
 
 class GammaSeries:
-    """Gamma-type series with constant term 1, held as log coefficients.
+    """Gamma-type series with constant term 1, held as log coefficients."""
 
-    provenance is one of "from-associator", "from-GT", "plus", "supplied".
-    """
+    __slots__ = ("ring", "order", "log_coeffs")
 
-    __slots__ = ("ring", "order", "log_coeffs", "provenance")
-
-    def __init__(self, ring, order, log_coeffs, provenance="supplied"):
+    def __init__(self, ring, order, log_coeffs):
         if len(log_coeffs) != order + 1:
             raise ValueError("log coefficient list must have length order+1")
         if not ring.is_zero(log_coeffs[0]):
@@ -93,16 +92,10 @@ class GammaSeries:
         self.ring = ring
         self.order = order
         self.log_coeffs = list(log_coeffs)
-        self.provenance = provenance
 
     @classmethod
-    def one(cls, ring, order, provenance="supplied"):
-        return cls(ring, order, [ring.zero] * (order + 1), provenance)
-
-    def truncate(self, order):
-        if order >= self.order:
-            raise ValueError("cannot extend a gamma series")
-        return GammaSeries(self.ring, order, self.log_coeffs[: order + 1], self.provenance)
+    def one(cls, ring, order):
+        return cls(ring, order, [ring.zero] * (order + 1))
 
     def series(self):
         """Coefficients of the gamma series itself."""
@@ -115,7 +108,6 @@ class GammaSeries:
         return GammaSeries(
             self.ring, self.order,
             [x + y for x, y in zip(self.log_coeffs, other.log_coeffs)],
-            provenance="supplied",
         )
 
     def scale_argument(self, mu):
@@ -126,7 +118,7 @@ class GammaSeries:
         for n in range(1, self.order + 1):
             pw = pw * mu
             out[n] = self.log_coeffs[n] * pw
-        return GammaSeries(ring, self.order, out, self.provenance)
+        return GammaSeries(ring, self.order, out)
 
     def log_at_form(self, form: CSeries) -> CSeries:
         """log Gamma composed with a degree-1 form in (a, b, p)."""
@@ -153,7 +145,7 @@ class GammaSeries:
         for k in range(2, n + 1, 2):
             even_log[k] = self.log_coeffs[k] + self.log_coeffs[k]
         both = _series(ring, even_log).exp() * _series(ring, _sinh_quotient(ring, n, mu))
-        return max_cseries_coeff(both - both.one_like())
+        return max_coeff(both - both.one_like())
 
 
 def _sinh_quotient(ring, order, mu):
@@ -176,7 +168,7 @@ def gamma_even(order, ring=QQ):
     den = _sinh_quotient(ring, order, ring.one)
     log_den = _coeffs(_series(ring, den).log())
     half = ring.from_fraction(Fraction(-1, 2))
-    return GammaSeries(ring, order, [c * half for c in log_den], provenance="plus")
+    return GammaSeries(ring, order, [c * half for c in log_den])
 
 
 def gamma_even_bernoulli_report(order, ring=QQ):
@@ -195,7 +187,7 @@ def gamma_even_bernoulli_report(order, ring=QQ):
     def build(with_2n_factor):
         coeffs = [ring.zero] * (order + 1)
         for n in range(1, order // 2 + 1):
-            den = 2 * _factorial(2 * n)
+            den = 2 * factorial(2 * n)
             if with_2n_factor:
                 den *= 2 * n
             coeffs[2 * n] = ring.from_fraction(-table[2 * n] / den)
@@ -213,14 +205,7 @@ def gamma_even_bernoulli_report(order, ring=QQ):
     }
 
 
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def _gamma_of_series(s, provenance) -> GammaSeries:
+def _gamma_of_series(s) -> GammaSeries:
     """Log coefficients (-1)^(k+1)/k * (s | e0^(k-1) e1), k = 1..truncation."""
     ring, n = s.ring, s.truncation
     with ring.context():
@@ -228,18 +213,18 @@ def _gamma_of_series(s, provenance) -> GammaSeries:
         for k in range(1, n + 1):
             w = (0,) * (k - 1) + (1,)
             coeffs[k] = s.coeff(w) * ring.from_fraction(Fraction((-1) ** (k + 1), k))
-        return GammaSeries(ring, n, coeffs, provenance)
+        return GammaSeries(ring, n, coeffs)
 
 
 def gamma_of_associator(cand) -> GammaSeries:
     """Gamma series of an associator, read off its series phi."""
-    return _gamma_of_series(cand.phi, "from-associator")
+    return _gamma_of_series(cand.phi)
 
 
 def gamma_of_gt(gt) -> GammaSeries:
     """Gamma series of a GT element, read off its exponential-picture series
     f(e^(e0), e^(e1))."""
-    return _gamma_of_series(gt.series, "from-GT")
+    return _gamma_of_series(gt.series)
 
 
 def gamma_from_kappa(ring, order, kappa) -> GammaSeries:
@@ -250,21 +235,5 @@ def gamma_from_kappa(ring, order, kappa) -> GammaSeries:
         m = int(m)
         if m < 2 or m > order:
             continue
-        coeffs[m] = val * ring.from_fraction(Fraction(1, _factorial(m)))
-    return GammaSeries(ring, order, coeffs, provenance="supplied")
-
-
-def gamma_to_json(g: GammaSeries):
-    return {
-        "order": g.order,
-        "provenance": g.provenance,
-        "log_coeffs": [g.ring.encode(c) for c in g.log_coeffs],
-    }
-
-
-def gamma_from_json(ring, obj) -> GammaSeries:
-    return GammaSeries(
-        ring, int(obj["order"]),
-        [ring.decode(c) for c in obj["log_coeffs"]],
-        obj.get("provenance", "supplied"),
-    )
+        coeffs[m] = val * ring.from_fraction(Fraction(1, factorial(m)))
+    return GammaSeries(ring, order, coeffs)

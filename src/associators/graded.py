@@ -1,17 +1,160 @@
-"""Truncated exp, log and inverse, written once for every graded algebra of
-the package.
+"""The graded-series core of the package: the storage rules of a truncated
+sparse series, and truncated exp, log and inverse for every graded algebra.
 
-An element x only needs +, -, *, scale(Fraction), one_like(), min_degree()
-and a .truncation (inverse also needs constant_term() and .ring).  Products
-beyond the truncation vanish, so a power series in x of positive minimal
-degree v stops after truncation // v terms.  NCSeries and CSeries bind these
-functions as their methods; 2x2 matrices over CSeries use exp and log.
+A Series is a sparse dict key -> coefficient together with a truncation
+degree N; arithmetic is exact modulo keys of degree > N, no stored
+coefficient is zero and no stored key lies above N.  Coefficients live in
+any ring adapter from ``rings.py``.  Series are immutable by convention: no
+operation mutates its operands.  A subclass names the key of 1 (UNIT) and
+the degree of a key, and supplies the product: NCSeries (words, degree
+len) and CSeries (exponent triples, degree sum).
+
+exp, log and inverse only need +, -, *, scale(Fraction), one_like(),
+min_degree() and a .truncation (inverse also needs constant_term() and
+.ring).  Products beyond the truncation vanish, so a power series in x of
+positive minimal degree v stops after truncation // v terms.  NCSeries and
+CSeries bind these functions as their methods; 2x2 matrices over CSeries
+use exp and log.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+
+from .rings import abs_value
+
+
+class RingMismatch(TypeError):
+    pass
+
+
+class Series:
+    """Storage and linear structure of a truncated sparse series; a subclass
+    sets UNIT and degree and defines __mul__."""
+
+    __slots__ = ("ring", "truncation", "terms")
+
+    UNIT = None          # the key of 1
+    degree = None        # key -> degree, a staticmethod
+
+    def __init__(self, ring, truncation, terms=None, _clean=False):
+        self.ring = ring
+        self.truncation = truncation
+        if terms is None:
+            terms = {}
+        if not _clean:
+            deg = self.degree
+            terms = {k: c for k, c in terms.items()
+                     if deg(k) <= truncation and not ring.is_zero(c)}
+        self.terms = terms
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, ring, truncation):
+        return cls(ring, truncation, {}, _clean=True)
+
+    @classmethod
+    def one(cls, ring, truncation):
+        return cls(ring, truncation, {cls.UNIT: ring.one}, _clean=True)
+
+    def one_like(self):
+        return self.one(self.ring, self.truncation)
+
+    # -- basics --------------------------------------------------------------
+
+    def coeff(self, key):
+        key = tuple(key)
+        if self.degree(key) > self.truncation:
+            raise ValueError("key %r of degree %d beyond truncation %d"
+                             % (key, self.degree(key), self.truncation))
+        return self.terms.get(key, self.ring.zero)
+
+    def constant_term(self):
+        return self.terms.get(self.UNIT, self.ring.zero)
+
+    def truncate(self, n):
+        if n >= self.truncation:
+            return type(self)(self.ring, n, self.terms, _clean=True)
+        deg = self.degree
+        return type(self)(self.ring, n, {k: c for k, c in self.terms.items() if deg(k) <= n},
+                          _clean=True)
+
+    def homogeneous_part(self, d):
+        deg = self.degree
+        return {k: c for k, c in self.terms.items() if deg(k) == d}
+
+    def min_degree(self):
+        if not self.terms:
+            return self.truncation + 1
+        return min(map(self.degree, self.terms))
+
+    def _common(self, other):
+        if type(other) is not type(self):
+            raise RingMismatch("expected %s, got %r" % (type(self).__name__, type(other)))
+        if other.ring is not self.ring:
+            raise RingMismatch("coefficient rings differ: %s vs %s" % (self.ring.name, other.ring.name))
+        return min(self.truncation, other.truncation)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        n = self._common(other)
+        deg, zero = self.degree, self.ring.zero
+        for k in set(self.terms) | set(other.terms):
+            if deg(k) > n:
+                continue
+            if not self.ring.is_zero(self.terms.get(k, zero) - other.terms.get(k, zero)):
+                return False
+        return True
+
+    def __hash__(self):  # pragma: no cover - identity hashing is enough here
+        return id(self)
+
+    def __repr__(self):
+        items = sorted(self.terms.items(), key=lambda kv: (self.degree(kv[0]), kv[0]))[:8]
+        body = " + ".join("(%s)*%s" % (c, k) for k, c in items)
+        more = "" if len(self.terms) <= 8 else " + ... (%d terms)" % len(self.terms)
+        return "%s[N=%d](%s%s)" % (type(self).__name__, self.truncation, body or "0", more)
+
+    # -- linear structure ----------------------------------------------------
+
+    def __add__(self, other):
+        n = self._common(other)
+        deg = self.degree
+        out = {k: c for k, c in self.terms.items() if deg(k) <= n}
+        for k, c in other.terms.items():
+            if deg(k) > n:
+                continue
+            s = out.get(k)
+            s = c if s is None else s + c
+            if self.ring.is_zero(s):
+                out.pop(k, None)
+            else:
+                out[k] = s
+        return type(self)(self.ring, n, out, _clean=True)
+
+    def __neg__(self):
+        return type(self)(self.ring, self.truncation, {k: -c for k, c in self.terms.items()},
+                          _clean=True)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """Multiply by a scalar from the coefficient ring (or a Fraction)."""
+        if isinstance(c, (int, Fraction)) and not isinstance(self.ring.one, Fraction):
+            c = self.ring.from_fraction(Fraction(c))
+        if self.ring.is_zero(c):
+            return self.zero(self.ring, self.truncation)
+        return type(self)(self.ring, self.truncation, {k: v * c for k, v in self.terms.items()},
+                          _clean=True)
+
+
+def max_coeff(f: Series) -> float:
+    """Largest coefficient magnitude; the workhorse of tolerance checks."""
+    return max((abs_value(c) for c in f.terms.values()), default=0.0)
 
 
 def power_sum(x, coeff):

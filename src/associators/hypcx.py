@@ -111,16 +111,23 @@ class MPLEngine:
 
 def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
     """G_01 at a real point z in (0, 1), as a group-like series over the
-    complex coefficient ring, together with the ring."""
+    complex coefficient ring, together with the ring.  A given engine must
+    have at least the digits asked for and series_terms(z, digits) terms,
+    which its precision contract at z needs."""
     if not (0 < z < 1):
         raise ValueError("z must lie in (0, 1)")
     ring = complex_field(digits)
-    eng = engine if engine is not None else MPLEngine(digits, series_terms(z, digits))
+    nterms = series_terms(z, digits)
+    if engine is None:
+        engine = MPLEngine(digits, nterms)
+    elif engine.nterms < nterms or engine.digits < digits:
+        raise ValueError("MPL engine has %d terms at %d digits; z = %s at %d digits needs %d"
+                         % (engine.nterms, engine.digits, z, digits, nterms))
     terms = {}
     with ring.context():
         for n in range(weight + 1):
             for w in W.words_of_weight(n):
-                val = eng.h_coefficient(w, z)
+                val = engine.h_coefficient(w, z)
                 if val != 0:
                     terms[w] = mpmath.mpc(val)
         h = NCSeries(ring, weight, terms)
@@ -132,7 +139,8 @@ def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
 def kz_residual_defect(z, weight, digits, step):
     """Finite-difference defect of the differential equation at a point; the
     defect decreases quadratically in the step until precision is hit."""
-    eng = MPLEngine(digits)
+    # series_terms grows with max(z, 1 - z), so the end points bound it
+    eng = MPLEngine(digits, max(series_terms(z - step, digits), series_terms(z + step, digits)))
     gm, ring = fundamental_solution(z - step, weight, digits, eng)
     gp, _r = fundamental_solution(z + step, weight, digits, eng)
     g, _r = fundamental_solution(z, weight, digits, eng)

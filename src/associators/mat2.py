@@ -1,4 +1,4 @@
-"""2x2 matrices over an arbitrary entry ring (series, complex, l-adic)."""
+"""2x2 matrices over an arbitrary entry ring (series or complex numbers)."""
 
 from __future__ import annotations
 

@@ -24,8 +24,9 @@ from fractions import Fraction
 from . import graded
 from . import words as W
 from .associator import AssociatorCandidate, GTElement
-from .cseries import CSeries, ExactDivisionError, max_cseries_coeff, subst_swap_ab, subst_reindex
+from .cseries import CSeries, ExactDivisionError, subst_swap_ab, subst_reindex
 from .gammafn import GammaSeries, gamma_even, gamma_of_associator, gamma_of_gt
+from .graded import max_coeff
 from .mat2 import Mat2, mat_exp_graded
 from .ncseries import NCSeries
 from .rings import QQ
@@ -118,14 +119,11 @@ class GammaMatrix:
     the (a, b, p) series ring, plus the cleared row-2 data of the inner
     ratio matrix c (whose second row has denominator pq)."""
 
-    def __init__(self, m: Mat2, c_row1, c_row2_cleared, det_is_one: bool, source: GammaSeries):
+    def __init__(self, m: Mat2, c_row2_cleared, det_defect: float):
         self.m = m
-        self.c_row1 = c_row1
         self.c_row2_cleared = c_row2_cleared  # (pq*c21, pq*c22)
-        self.c_row2_clearing = "pq"
-        self.det_is_one = det_is_one
-        self.det_defect = 0.0
-        self.source = source
+        self.det_defect = det_defect
+        self.det_is_one = det_defect == 0.0
 
 
 def gamma_ratio_matrix(gamma: GammaSeries, truncation: int) -> GammaMatrix:
@@ -161,8 +159,7 @@ def _gamma_ratio_matrix(gamma, truncation):
     m22 = (CSeries.one(ring, truncation) + m12 * m21) * m11.inverse()
     m = Mat2(m11, m12, m21, m22)
 
-    det_defect = max_cseries_coeff(m.det() - CSeries.one(ring, truncation))
-    det_is_one = det_defect == 0.0
+    det_defect = max_coeff(m.det() - CSeries.one(ring, truncation))
 
     if getattr(ring, "exact", False) and gamma.order >= truncation + 2:
         n2 = truncation + 2
@@ -175,11 +172,8 @@ def _gamma_ratio_matrix(gamma, truncation):
         if not (alt22 == m22.truncate(alt22.truncation)):
             raise AssertionError("the two (2,2) entry routes disagree")
 
-    c_row1 = (r_main, r_top)
     c_row2_cleared = ((a * b) * r_low, (a * b + p * q) * r_diag)
-    gm = GammaMatrix(m, c_row1, c_row2_cleared, det_is_one, gamma)
-    gm.det_defect = det_defect
-    return gm
+    return GammaMatrix(m, c_row2_cleared, det_defect)
 
 
 def gamma_matrix_plus(truncation: int, ring=QQ) -> GammaMatrix:
@@ -206,7 +200,7 @@ def varphi_equals_gamma_matrix(cand: AssociatorCandidate, truncation=None, tol=0
     lhs = ev_xy(cand.phi, n)
     gm = gamma_ratio_matrix(gamma_of_associator(cand), n)
     with cand.ring.context():
-        diff_max = max(max_cseries_coeff(lhs[i, j] - gm.m[i, j])
+        diff_max = max(max_coeff(lhs[i, j] - gm.m[i, j])
                        for i in range(2) for j in range(2))
     report = {
         "equal": diff_max <= tol,
@@ -460,7 +454,7 @@ def transformation_identities(g: NCSeries, truncation=None) -> dict:
     b_form = CSeries.variable(ring, n, "b")
     lhs = b_form * h[0, 0] - CSeries.variable(ring, n, "a") * h[0, 1]
     rhs = b_form * (_exp_linear(ring, n, "a", c0) * subst_reindex(gmat[0, 0]))
-    out["inf1"] = max_cseries_coeff(lhs - rhs)
+    out["inf1"] = max_coeff(lhs - rhs)
 
     # identity "1inf": q-cleared, same prefactor, reindexed on the cleared combo
     a_form = CSeries.variable(ring, n, "a")
@@ -468,14 +462,14 @@ def transformation_identities(g: NCSeries, truncation=None) -> dict:
     lhs2 = q_form * h[0, 0] - a_form * h[0, 1]
     inner = q_form * gmat[0, 0] - a_form * gmat[0, 1]
     rhs2 = _exp_linear(ring, n, "a", c0) * subst_reindex(inner)
-    out["1inf"] = max_cseries_coeff(lhs2 - rhs2)
+    out["1inf"] = max_coeff(lhs2 - rhs2)
 
     # identity "inf0": g at (Y-X, X) against g at (X, Y-X), prefactor e^((c0-c1) a)
     h3 = ev_at(gs, y - x, x)
     g3 = ev_at(gs, x, y - x)
     lhs3 = b_form * h3[0, 0] - a_form * h3[0, 1]
     rhs3 = b_form * (_exp_linear(ring, n, "a", c0 - c1) * subst_reindex(g3[0, 0]))
-    out["inf0"] = max_cseries_coeff(lhs3 - rhs3)
+    out["inf0"] = max_coeff(lhs3 - rhs3)
 
     return out
 
@@ -497,7 +491,7 @@ def swap_invariance_defect(g: NCSeries, truncation=None, theta: ThetaMap = None)
     w = v[0, 0]
     a = CSeries.variable(ring, n, "a")
     b = CSeries.variable(ring, n, "b")
-    return max_cseries_coeff(a * w - b * subst_swap_ab(w))
+    return max_coeff(a * w - b * subst_swap_ab(w))
 
 
 def _subst_euler(f: CSeries) -> CSeries:
@@ -530,7 +524,7 @@ def formal_euler_identity(f: NCSeries, truncation=None, theta: ThetaMap = None) 
     p = CSeries.variable(ring, n, "p")
     lhs = (a + p) * w
     rhs = p.scale(rho).exp() * b * _subst_euler(w)
-    return max_cseries_coeff(lhs - rhs)
+    return max_coeff(lhs - rhs)
 
 
 def weighted_sum_identities(g: NCSeries, truncation=None) -> dict:
@@ -548,7 +542,7 @@ def weighted_sum_identities(g: NCSeries, truncation=None) -> dict:
     gmat = ev_at(gs, x, -y)
     out = {}
 
-    out["entry11_vs_stats"] = max_cseries_coeff(gmat[0, 0] - entry11_via_stats(gs, n))
+    out["entry11_vs_stats"] = max_coeff(gmat[0, 0] - entry11_via_stats(gs, n))
 
     a, b, p, q = CSeries.gens(ring, n)
     abq = a * b + p * q
@@ -562,7 +556,7 @@ def weighted_sum_identities(g: NCSeries, truncation=None) -> dict:
         term = abq * (-p).pow(k - nn - s) * q.pow(nn - s) * (a * b).pow(s - 1)
         acc = acc + term.scale(c * ring.from_fraction(sign))
     rhs = _exp_linear(ring, n, "p", gs.coeff((0,))) * acc
-    out["row_reflection"] = max_cseries_coeff(lhs.truncate(n - 1) - rhs.truncate(n - 1))
+    out["row_reflection"] = max_coeff(lhs.truncate(n - 1) - rhs.truncate(n - 1))
     return out
 
 
@@ -594,11 +588,11 @@ def appendix_entry_relations(phi: NCSeries, truncation=None) -> dict:
 
     nm = n - 1  # one division by b happened
     out = {}
-    out["q11"] = max_cseries_coeff((q11 - subst_reindex(p11)).truncate(nm))
-    out["q12"] = max_cseries_coeff((q12 - subst_reindex(p12)).truncate(nm))
-    out["q21"] = max_cseries_coeff(
+    out["q11"] = max_coeff((q11 - subst_reindex(p11)).truncate(nm))
+    out["q12"] = max_coeff((q12 - subst_reindex(p12)).truncate(nm))
+    out["q21"] = max_coeff(
         (q21_cleared + a * subst_reindex(p11) + subst_reindex(b * gmat[1, 0])).truncate(nm))
-    out["q22"] = max_cseries_coeff(
+    out["q22"] = max_coeff(
         (b * q22 + b * subst_reindex(p12) + subst_reindex(v)).truncate(nm))
     return out
 
@@ -650,7 +644,7 @@ def formal_gauss_identity(gt: GTElement, truncation: int, gamma_sigma: GammaSeri
         printed_form_divisible = False
 
     report = {
-        "defect": max_cseries_coeff(lhs - rhs),
+        "defect": max_coeff(lhs - rhs),
         "printed_first_bracket_divisible_by_ab": printed_form_divisible,
     }
     return report, lhs, rhs

@@ -1,9 +1,10 @@
 """Truncated noncommutative power series in the two letters e0, e1.
 
-A series is a sparse dict word -> coefficient together with a truncation
-degree N; arithmetic is exact modulo words of weight > N.  Coefficients
-live in any ring adapter from ``rings.py``.  Series are immutable by
-convention: no operation mutates its operands.
+A series is a graded.Series keyed by words (tuples of letters) of degree
+their length; ``graded.py`` owns the storage rules, the linear structure
+and exp/log/inverse.  This module adds the concatenation product, the
+substitution of the letters, the letter maps and the Lie and group-like
+predicates.
 
 The arithmetic does not depend on the alphabet: a word is any tuple of
 letters.  The pentagon (``pentagon.py``) uses series on the three fibre
@@ -12,130 +13,21 @@ letters 0, 1, 2 of U(F_3) and on the two base letters 3, 4.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import graded
 from . import words as W
+from .graded import max_coeff
 from .rings import abs_value
 
 
-class RingMismatch(TypeError):
-    pass
+class NCSeries(graded.Series):
+    __slots__ = ()
 
-
-class NCSeries:
-    __slots__ = ("ring", "truncation", "terms")
-
-    def __init__(self, ring, truncation, terms=None, _clean=False):
-        self.ring = ring
-        self.truncation = truncation
-        if terms is None:
-            terms = {}
-        if not _clean:
-            terms = {
-                w: c
-                for w, c in terms.items()
-                if len(w) <= truncation and not ring.is_zero(c)
-            }
-        self.terms = terms
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring, truncation):
-        return cls(ring, truncation, {}, _clean=True)
-
-    @classmethod
-    def one(cls, ring, truncation):
-        return cls(ring, truncation, {W.EMPTY_WORD: ring.one}, _clean=True)
+    UNIT = W.EMPTY_WORD
+    degree = staticmethod(len)
 
     @classmethod
     def letter(cls, ring, truncation, letter):
         return cls(ring, truncation, {(letter,): ring.one}, _clean=True)
-
-    @classmethod
-    def from_word_dict(cls, ring, truncation, dct):
-        return cls(ring, truncation, dict(dct))
-
-    # -- basics --------------------------------------------------------------
-
-    def coeff(self, w):
-        if len(w) > self.truncation:
-            raise ValueError("word of weight %d beyond truncation %d" % (len(w), self.truncation))
-        return self.terms.get(tuple(w), self.ring.zero)
-
-    def constant_term(self):
-        return self.terms.get(W.EMPTY_WORD, self.ring.zero)
-
-    def truncate(self, n):
-        if n >= self.truncation:
-            return NCSeries(self.ring, n, self.terms, _clean=True)
-        return NCSeries(self.ring, n, {w: c for w, c in self.terms.items() if len(w) <= n}, _clean=True)
-
-    def homogeneous_part(self, d):
-        return {w: c for w, c in self.terms.items() if len(w) == d}
-
-    def min_degree(self):
-        if not self.terms:
-            return self.truncation + 1
-        return min(len(w) for w in self.terms)
-
-    def _common(self, other):
-        if not isinstance(other, NCSeries):
-            raise RingMismatch("expected NCSeries, got %r" % type(other))
-        if other.ring is not self.ring:
-            raise RingMismatch("coefficient rings differ: %s vs %s" % (self.ring.name, other.ring.name))
-        return min(self.truncation, other.truncation)
-
-    def __eq__(self, other):
-        if not isinstance(other, NCSeries):
-            return NotImplemented
-        n = self._common(other)
-        for w in set(self.terms) | set(other.terms):
-            if len(w) > n:
-                continue
-            if not self.ring.is_zero(self.terms.get(w, self.ring.zero) - other.terms.get(w, self.ring.zero)):
-                return False
-        return True
-
-    def __hash__(self):  # pragma: no cover - identity hashing is enough here
-        return id(self)
-
-    def __repr__(self):
-        items = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))[:8]
-        body = " + ".join("(%s)*%s" % (c, "".join("e%d" % l for l in w) or "1") for w, c in items)
-        more = "" if len(self.terms) <= 8 else " + ... (%d terms)" % len(self.terms)
-        return "NCSeries[N=%d](%s%s)" % (self.truncation, body or "0", more)
-
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other):
-        n = self._common(other)
-        out = {w: c for w, c in self.terms.items() if len(w) <= n}
-        for w, c in other.terms.items():
-            if len(w) > n:
-                continue
-            s = out.get(w)
-            s = c if s is None else s + c
-            if self.ring.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return NCSeries(self.ring, n, out, _clean=True)
-
-    def __neg__(self):
-        return NCSeries(self.ring, self.truncation, {w: -c for w, c in self.terms.items()}, _clean=True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        """Multiply by a scalar from the coefficient ring (or a Fraction)."""
-        if isinstance(c, (int, Fraction)) and not isinstance(self.ring.one, Fraction):
-            c = self.ring.from_fraction(Fraction(c))
-        if self.ring.is_zero(c):
-            return NCSeries.zero(self.ring, self.truncation)
-        return NCSeries(self.ring, self.truncation, {w: v * c for w, v in self.terms.items()}, _clean=True)
 
     # -- multiplicative structure ---------------------------------------------
 
@@ -230,9 +122,6 @@ class NCSeries:
 
         return walk(self.terms, 0)
 
-    def one_like(self):
-        return NCSeries.one(self.ring, self.truncation)
-
     # -- structure tests ----------------------------------------------------------
 
     def lie_defect(self):
@@ -266,36 +155,6 @@ class NCSeries:
 
     def is_even(self, tol=0.0):
         return max_coeff(self - self.negate_letters()) <= tol
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json(self):
-        items = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        return {
-            "truncation": self.truncation,
-            "alphabet": "e0e1",
-            "terms": [
-                {"word": "".join(str(l) for l in w), "coeff": self.ring.encode(c)}
-                for w, c in items
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, ring, obj):
-        if obj.get("alphabet", "e0e1") != "e0e1":
-            raise ValueError("unsupported alphabet %r" % obj.get("alphabet"))
-        terms = {}
-        for t in obj["terms"]:
-            w = tuple(int(ch) for ch in t["word"])
-            if any(l not in (0, 1) for l in w):
-                raise ValueError("bad word %r" % t["word"])
-            terms[w] = ring.decode(t["coeff"])
-        return cls(ring, int(obj["truncation"]), terms)
-
-
-def max_coeff(f: NCSeries) -> float:
-    """Largest coefficient magnitude; the workhorse of tolerance checks."""
-    return max((abs_value(c) for c in f.terms.values()), default=0.0)
 
 
 def series_distance(f: NCSeries, g: NCSeries) -> float:

@@ -46,13 +46,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero in QQ")
         return Fraction(1) / x
 
-    def encode(self, x):
-        fr = Fraction(x)
-        return {"num": str(fr.numerator), "den": str(fr.denominator)}
-
-    def decode(self, obj):
-        return Fraction(int(obj["num"]), int(obj["den"]))
-
 
 class ComplexField:
     """Adapter for mpmath complex coefficients at a fixed decimal precision.
@@ -95,13 +88,6 @@ class ComplexField:
     def inv(self, x):
         with self.context():
             return 1 / x
-
-    def encode(self, x):
-        return {"re": mpmath.nstr(x.real, self.digits), "im": mpmath.nstr(x.imag, self.digits)}
-
-    def decode(self, obj):
-        with self.context():
-            return mpmath.mpc(mpmath.mpf(obj["re"]), mpmath.mpf(obj["im"]))
 
 
 QQ = RationalField()

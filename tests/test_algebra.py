@@ -1,12 +1,16 @@
-"""Property tests of the series rings over QQ (associativity, distributivity,
-the unit) and of NCSeries.substitute into 2x2 matrices over CSeries, against
-a word-by-word evaluation.  Every comparison is exact."""
+"""Property tests of the series rings over QQ (the storage rules of the
+shared core, associativity, distributivity, the unit) and of
+NCSeries.substitute into 2x2 matrices over CSeries, against a word-by-word
+evaluation.  Every comparison is exact."""
+
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from associators.cseries import CSeries
+from associators.graded import RingMismatch
 from associators.mat2 import Mat2
 from associators.ncseries import NCSeries
 from associators.rings import QQ
@@ -38,6 +42,39 @@ def test_ring_axioms(xyz):
     assert same((x + y) * z, x * z + y * z)
     assert same(x * x.one_like(), x)
     assert same(x.one_like() * x, x)
+
+
+@st.composite
+def pairs(draw):
+    kind = draw(st.sampled_from((nc_series, c_series)))
+    return draw(with_constant(kind)), draw(with_constant(kind))
+
+
+def stored_cleanly(x):
+    """No stored coefficient is zero and no key lies above the truncation."""
+    return all(c != 0 and x.degree(k) <= x.truncation for k, c in x.terms.items())
+
+
+@settings(max_examples=40)
+@given(pairs(), COEFFS, TRUNCATIONS)
+def test_operations_keep_the_storage_rules(xy, c, n):
+    x, y = xy
+    for z in (x + y, x - y, x * y, x.scale(c), x.truncate(n)):
+        assert stored_cleanly(z)
+    assert (x - x).terms == {}
+    beyond = (0,) * (x.truncation + 1) if isinstance(x, NCSeries) else (x.truncation + 1, 0, 0)
+    with pytest.raises(ValueError):
+        x.coeff(beyond)
+
+
+@settings(max_examples=20)
+@given(with_constant(nc_series), with_constant(c_series))
+def test_mixing_the_two_series_kinds_raises(f, g):
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(RingMismatch):
+            op(f, g)
+        with pytest.raises(RingMismatch):
+            op(g, f)
 
 
 @st.composite

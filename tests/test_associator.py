@@ -165,13 +165,6 @@ def test_comp_fake_xinf_closed_form(even_candidate, skew_candidate):
     assert comp_fake_xinf_defect(skew_candidate) == 0.0
 
 
-def test_candidate_json_round_trip(even_candidate):
-    obj = even_candidate.to_json()
-    back = AssociatorCandidate.from_json(QQ, obj)
-    assert back.phi == even_candidate.phi
-    assert back.mu == even_candidate.mu
-
-
 def test_grouplike_preserved_by_torsor(q5, even_candidate, skew_candidate):
     f = gt_from_pair(even_candidate, skew_candidate)
     assert f.series.is_grouplike()

@@ -1,0 +1,39 @@
+"""The traced benchmark run (perfbench/run.py --trace 1) wraps package names
+that perfbench/layers.py lists; a name that is deleted or moved breaks it.
+This installs those wrappers in memory and takes them out again; it writes
+no file."""
+
+import sys
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import layers  # noqa: E402
+import tracer  # noqa: E402
+from associators import pentagon  # noqa: E402
+
+
+def bindings():
+    """Every attribute of the package's modules and of their classes."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("associators."):
+            for key, val in vars(mod).items():
+                out[name, key] = val
+                if isinstance(val, type) and val.__module__ == name:
+                    out.update(((name, key, attr), m) for attr, m in vars(val).items())
+    return out
+
+
+def changed(before, after):
+    return [k for k in before if after.get(k) is not before[k]]
+
+
+def test_layers_install_wraps_the_package_and_restores_it():
+    before = bindings()
+    with tracer.Tracer() as t:
+        layers.install(t)
+        assert ("associators.ncseries", "NCSeries", "substitute") in changed(before, bindings())
+        pentagon.P5Quotient(2)
+    assert t.names[t.spans[-1][2]] == "pentagon.P5Quotient.__init__"
+    assert changed(before, bindings()) == []

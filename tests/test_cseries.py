@@ -106,21 +106,3 @@ def test_divide_then_remultiply():
         g = lifted * mult.truncate(4 + len(form))
         back = g.divide_exact(form)
         assert back == f.truncate(back.truncation)
-
-
-def test_evaluate_matches_direct_substitution():
-    rng = random.Random(14)
-    f = random_cseries(rng, 4)
-    va, vb, vp = Fraction(1, 2), Fraction(-1, 3), Fraction(2)
-    got = f.evaluate(va, vb, vp, Fraction(1))
-    expect = sum(
-        (c * va ** m[0] * vb ** m[1] * vp ** m[2] for m, c in f.terms.items()),
-        Fraction(0),
-    )
-    assert got == expect
-
-
-def test_json_round_trip():
-    rng = random.Random(15)
-    f = random_cseries(rng, 4)
-    assert CSeries.from_json(QQ, f.to_json()) == f

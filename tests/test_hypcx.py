@@ -180,6 +180,16 @@ def test_series_terms_serve_both_base_points():
                 assert abs(sized[i, j] - long[i, j]) < 1e-38, (i, j)
 
 
+def test_fundamental_solution_rejects_a_short_engine():
+    # MPLEngine(30) is sized for z = 1/2; z = 7/10 needs more terms
+    assert MPLEngine(30).nterms < series_terms(F(7, 10), 30)
+    with pytest.raises(ValueError):
+        fundamental_solution(F(7, 10), 4, 30, MPLEngine(30))
+    # nor may an engine work at fewer digits than asked for
+    with pytest.raises(ValueError):
+        fundamental_solution(F(1, 2), 4, 50, MPLEngine(20, 400))
+
+
 def test_kz_residual_decreases_quadratically():
     d1 = kz_residual_defect(F(2, 5), 4, 30, F(1, 10 ** 6))
     d2 = kz_residual_defect(F(2, 5), 4, 30, F(1, 10 ** 7))

@@ -52,7 +52,7 @@ def test_ev_unit_and_single_word():
     assert one[0, 1] == CSeries.zero(QQ, 3)
 
     a, b, p, q = CSeries.gens(QQ, 3)
-    w = NCSeries.from_word_dict(QQ, 3, {(0, 1): Fraction(1)})
+    w = NCSeries(QQ, 3, {(0, 1): Fraction(1)})
     m = ev_xy(w)
     assert m[0, 0] == -(a * b)
     assert m[0, 1] == -(b * q)
@@ -76,7 +76,7 @@ def test_ev_of_quadratic_bracket():
 def test_word_closed_forms_against_direct_products():
     x, y = xy_matrices(QQ, 5)
     for w in W.all_words(5):
-        f = NCSeries.from_word_dict(QQ, 5, {w: Fraction(1)})
+        f = NCSeries(QQ, 5, {w: Fraction(1)})
         direct = ev_at(f, x, -y)
         for entry in ((0, 0), (0, 1), (1, 0)):
             assert word_entry_closed_form(QQ, 5, w, entry) == direct[entry[0], entry[1]]

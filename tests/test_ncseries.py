@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 from associators import words as W
-from associators.ncseries import NCSeries, bracket, lie_element, max_coeff
+from associators.ncseries import NCSeries, bracket, lie_element
 from associators.rings import QQ
 
 
@@ -15,7 +15,7 @@ def random_series(rng, n, unit_constant=True):
     terms.pop((), None)
     if unit_constant:
         terms[()] = Fraction(1)
-    return NCSeries.from_word_dict(QQ, n, terms)
+    return NCSeries(QQ, n, terms)
 
 
 def random_grouplike(rng, n, start_degree=1):
@@ -162,13 +162,3 @@ def test_letter_maps():
     e0 = NCSeries.letter(QQ, 5, 0)
     e1 = NCSeries.letter(QQ, 5, 1)
     assert f.swap_letters() == f.substitute(e1, e0)
-
-
-def test_json_round_trip():
-    rng = random.Random(37)
-    f = random_series(rng, 4)
-    obj = f.to_json()
-    assert obj["alphabet"] == "e0e1"
-    g = NCSeries.from_json(QQ, obj)
-    assert f == g
-    assert max_coeff(f - g) == 0.0

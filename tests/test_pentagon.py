@@ -275,7 +275,7 @@ def test_embedding_respects_products(q4):
         for w in W.all_words(3):
             if w and rng.random() < 0.5:
                 terms[w] = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
-        return NCSeries.from_word_dict(QQ, 3, terms)
+        return NCSeries(QQ, 3, terms)
 
     for _ in range(5):
         f, g = rand_series(), rand_series()
