@@ -2,8 +2,8 @@
 
 A series is a graded.Series keyed by exponent triples of degree their sum;
 ``graded.py`` owns the storage rules, the linear structure and
-exp/log/inverse.  This module adds the product, the constants and
-variables, the substitution of the variables and exact division.
+exp/log/inverse.  This module adds the product, the variables, the
+substitution of the variables and exact division.
 
 The third variable is p; the combination q = a + b + p is derived and is
 never stored.  Boundary conversions from a (a, b, c) parametrisation use
@@ -38,10 +38,6 @@ class CSeries(graded.Series):
 
     UNIT = (0, 0, 0)
     degree = staticmethod(sum)
-
-    @classmethod
-    def constant(cls, ring, truncation, c):
-        return cls(ring, truncation, {cls.UNIT: c})
 
     @classmethod
     def variable(cls, ring, truncation, name):

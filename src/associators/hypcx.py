@@ -28,13 +28,6 @@ from .ncseries import NCSeries, max_coeff
 from .rings import complex_field
 
 
-def _to_mpf(z):
-    """Exact conversion of Fraction/int inputs at working precision."""
-    if isinstance(z, Fraction):
-        return mp.mpf(z.numerator) / z.denominator
-    return mp.mpf(z)
-
-
 def _to_mpc(x):
     """Fraction-aware conversion to mpc at working precision."""
     if isinstance(x, Fraction):
@@ -131,8 +124,7 @@ def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
                 if val != 0:
                     terms[w] = mpmath.mpc(val)
         h = NCSeries(ring, weight, terms)
-        e0 = NCSeries.letter(ring, weight, 0)
-        zfac = e0.scale(mpmath.mpc(mp.log(_to_mpf(z)))).exp()
+        zfac = NCSeries.letter(ring, weight, 0).scale(mp.log(_to_mpc(z))).exp()
         return h * zfac, ring
 
 
@@ -145,12 +137,11 @@ def kz_residual_defect(z, weight, digits, step):
     gp, _r = fundamental_solution(z + step, weight, digits, eng)
     g, _r = fundamental_solution(z, weight, digits, eng)
     with ring.context():
-        inv2h = mpmath.mpc(1) / (2 * _to_mpf(step))
-        deriv = (gp - gm).scale(inv2h)
+        deriv = (gp - gm).scale(1 / (2 * _to_mpc(step)))
         e0 = NCSeries.letter(ring, weight, 0)
         e1 = NCSeries.letter(ring, weight, 1)
-        zz = _to_mpf(z)
-        op = e0.scale(mpmath.mpc(1 / zz)) + e1.scale(mpmath.mpc(1 / (zz - 1)))
+        zz = _to_mpc(z)
+        op = e0.scale(1 / zz) + e1.scale(1 / (zz - 1))
         return max_coeff(deriv - op * g)
 
 
@@ -184,7 +175,7 @@ def kz_series(weight, digits=50, z=Fraction(1, 2)):
     g01, ring = fundamental_solution(z, weight, digits, eng)
     g10 = fundamental_solution(1 - z, weight, digits, eng)[0].swap_letters()
     with ring.context():
-        phi = g10.inverse() * g01
+        phi = g10.antipode() * g01  # G_10 is group-like, so this is its inverse
         mu = mpmath.mpc(0, 2) * mp.pi
     cand = AssociatorCandidate(mu=mu, phi=phi, truncation=weight)
     _PHI_CACHE[key] = cand
@@ -214,7 +205,7 @@ def mzv_direct(index, nterms=3000):
     One forward pass over n <= nterms forms every partial sum
     S(N) = sum over 0 < n_1 < ... < n_m <= N of prod n_i^(-k_i).  Its tail
     zeta - S(N) has an asymptotic expansion in log^j N / N^i with j < depth,
-    so S(N) is fitted at 1 + 3 * depth geometrically spaced N in
+    so _extrapolate fits S(N) at 1 + 3 * depth geometrically spaced N in
     [nterms/4, nterms] against {1} and {log^j N / N^i : 1 <= i <= 3, j < depth},
     and the constant term is returned.
 
@@ -229,7 +220,7 @@ def mzv_direct(index, nterms=3000):
         raise ValueError("non-admissible index")
     depth = len(index)
     unknowns = 1 + 3 * depth
-    points = sorted({round(nterms * 4 ** (-k / (unknowns - 1))) for k in range(unknowns)})
+    points = _geometric_points(nterms, unknowns)
     if len(points) < unknowns or points[0] < 2:
         raise ValueError("nterms=%d gives too few sample points for depth %d" % (nterms, depth))
     with mp.workdps(30):
@@ -240,11 +231,20 @@ def mzv_direct(index, nterms=3000):
             for j in range(depth, 0, -1):
                 inner[j] += inner[j - 1] / mp.mpf(n) ** index[j - 1]
             partial[n] = inner[depth]
-        rows = [[mp.mpf(1)] + [mp.log(N) ** j / mp.mpf(N) ** i
-                               for i in range(1, 4) for j in range(depth)]
-                for N in points]
-        fit = mp.lu_solve(mp.matrix(rows), mp.matrix([partial[N] for N in points]))
-        return fit[0]
+        return _extrapolate(partial, points, lambda N: [mp.log(N) ** j / mp.mpf(N) ** i
+                                                        for i in range(1, 4) for j in range(depth)])
+
+
+def _geometric_points(nterms, count):
+    """Up to count distinct integers, geometrically spaced in [nterms/4, nterms]."""
+    return sorted({round(nterms * 4 ** (-k / (count - 1))) for k in range(count)})
+
+
+def _extrapolate(partial, points, basis):
+    """Constant term C of the fit partial[N] = C + sum_k gamma_k basis(N)[k]
+    through the points, one unknown per point, at the working precision."""
+    rows = [[1] + basis(N) for N in points]
+    return mp.lu_solve(mp.matrix(rows), mp.matrix([partial[N] for N in points]))[0]
 
 
 # -- shuffle regularization oracle ----------------------------------------------------
@@ -314,65 +314,70 @@ def regularized_table(base_values, max_weight):
 
 # -- the classical hypergeometric series ------------------------------------------------
 
+Z1_MAX_TERMS = 51200  # the most partial sums hyp2f1 extrapolates at z = 1
+
 
 def hyp2f1(a, b, c, z, digits=50):
-    """Partial summation of the Gauss series for |z| < 1, and
-    Euler-Maclaurin tail summation at z = 1 (requires Re(c-a-b) > 0).
+    """The Gauss series sum_n (a)_n (b)_n / ((c)_n n!) z^n, for |z| < 1 and
+    for z = 1 with Re(c - a - b) > 0; c must not be a non-positive integer.
 
-    A non-positive-integer c is rejected.  At geometric z the tail is
-    bounded by a ratio estimate; at z = 1 the tail handling is the
-    heuristic-but-validated Euler-Maclaurin route.
+    |z| < 1: terms are added at digits + 15 working digits until one is below
+    10^-(digits + 10) after at least 8; the stop rule bounds no tail.
+
+    z = 1: the partial sums S(N) = sum_(n<N) have the tail N^-s (beta_0 +
+    beta_1/N + ...), s = c - a - b.  _extrapolate fits S(N) at 22 geometric
+    N in [nterms/4, nterms] against {1} and {N^(-s-j) : j <= 20}, at
+    digits + 30 working digits; the fit with two fewer unknowns on the
+    interior points differs from it by the error estimate.  nterms doubles
+    from 800 until that is below 10^-(digits + 10), the contract on the
+    absolute error, and past Z1_MAX_TERMS this raises ArithmeticError.  The
+    estimate is no bound; on nine sets (complex a, b; s from 0.05 to 2.8) at
+    30 to 50 digits the error was 10^5-fold below the contract or more.
     """
-    with mp.workdps(digits + 15):
+    with mp.workdps(digits + 30):
         a, b, c, z = _to_mpc(a), _to_mpc(b), _to_mpc(c), _to_mpc(z)
-        if mpmath.isint(c.real) and c.imag == 0 and c.real <= 0:
-            raise ValueError("c must not be a non-positive integer")
-        if mpmath.fabs(z) < 1:
-            eps = mp.mpf(10) ** (-(digits + 10))
-            term = mpmath.mpc(1)
-            total = mpmath.mpc(1)
-            n = 0
-            while True:
+        s = c - a - b
+    if mpmath.isint(c.real) and c.imag == 0 and c.real <= 0:
+        raise ValueError("c must not be a non-positive integer")
+    eps = mp.mpf(10) ** (-(digits + 10))
+    if mpmath.fabs(z) < 1:
+        with mp.workdps(digits + 15):
+            term = total = mpmath.mpc(1)
+            for n in range(100000):
                 term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
                 total += term
-                n += 1
-                if mpmath.fabs(term) < eps and n > 8:
-                    break
-                if n > 100000:
-                    raise ArithmeticError("series did not reach tolerance")
-            return total
-        if z == 1:
-            if (c - a - b).real <= 0:
-                raise ValueError("z = 1 requires Re(c - a - b) > 0")
-            with mp.workdps(digits + 30):
-                n0 = 1500
-                term = mpmath.mpc(1)
-                total = mpmath.mpc(1)
-                for n in range(n0):
-                    term = term * (a + n) * (b + n) / ((c + n) * (n + 1))
-                    total += term
-                pref = mpmath.gamma(c) / (mpmath.gamma(a) * mpmath.gamma(b))
+                if mpmath.fabs(term) < eps and n >= 8:
+                    return total
+            raise ArithmeticError("series did not reach tolerance")
+    if z != 1 or s.real <= 0:
+        raise ValueError("need |z| < 1, or z = 1 with Re(c - a - b) > 0")
+    with mp.workdps(digits + 30):
+        partial, term, nterms = [mpmath.mpc(0), mpmath.mpc(1)], mpmath.mpc(1), 800
 
-                def tail_term(x):
-                    return pref * mpmath.gamma(a + x) * mpmath.gamma(b + x) / (
-                        mpmath.gamma(c + x) * mpmath.gamma(1 + x))
-
-                # Euler-Maclaurin with three correction terms; the remainder
-                # scales like n0^(Re(a+b-c)-6), far below the target here
-                x0 = mpmath.mpf(n0 + 1)
-                tail = mpmath.quad(tail_term, [x0, mp.inf])
-                tail += tail_term(x0) / 2
-                tail -= mpmath.diff(tail_term, x0, 1) / 12
-                tail += mpmath.diff(tail_term, x0, 3) / 720
-                tail -= mpmath.diff(tail_term, x0, 5) / 30240
-                return total + tail
-        raise ValueError("|z| must be < 1, or z = 1")
+        def column(N):
+            # N^(-s-j) nterms^(s+j), j <= 20: the fitted tail with scaled columns
+            x = mp.mpf(nterms) / N
+            xs = x ** s
+            return [xs * x ** j for j in range(21)]
+        while True:
+            for n in range(len(partial) - 1, nterms):
+                term = term * (a + n - 1) * (b + n - 1) / ((c + n - 1) * n)
+                partial.append(partial[-1] + term)  # partial[N] = S(N)
+            points = _geometric_points(nterms, 22)
+            value = _extrapolate(partial, points, column)
+            estimate = mpmath.fabs(value - _extrapolate(partial, points[1:-1],
+                                                        lambda N: column(N)[:-2]))
+            if estimate < eps:
+                return value
+            if nterms >= Z1_MAX_TERMS:
+                raise ArithmeticError("z = 1: error estimate %.1e at %d terms" % (estimate, nterms))
+            nterms *= 2
 
 
 def gauss_summation_defect(a, b, c, digits=50):
     """Distance between the series value at z = 1 and the classical gamma
-    quotient (the two routes are independent: partial sums plus
-    Euler-Maclaurin against the gamma function)."""
+    quotient (the two routes are independent: extrapolated partial sums
+    against the gamma function)."""
     with mp.workdps(digits + 15):
         a, b, c = _to_mpc(a), _to_mpc(b), _to_mpc(c)
         lhs = hyp2f1(a, b, c, 1, digits)

@@ -3,8 +3,8 @@
 A series is a graded.Series keyed by words (tuples of letters) of degree
 their length; ``graded.py`` owns the storage rules, the linear structure
 and exp/log/inverse.  This module adds the concatenation product, the
-substitution of the letters, the letter maps and the Lie and group-like
-predicates.
+antipode, the substitution of the letters, the letter maps and the Lie and
+group-like predicates.
 
 The arithmetic does not depend on the alphabet: a word is any tuple of
 letters.  The pentagon (``pentagon.py``) uses series on the three fibre
@@ -57,17 +57,19 @@ class NCSeries(graded.Series):
     log = graded.log
     inverse = graded.inverse
 
+    def antipode(self):
+        """(S g | w) = (-1)^|w| (g | reversed w): the inverse of a group-like
+        g, at no product's cost.  Not the inverse of other series: 1 + e0 e1
+        has inverse 1 - e0 e1 + ... and antipode 1 + e1 e0."""
+        return self.negate_letters().apply_word_map(lambda w: w[::-1])
+
     # -- letter-level maps -----------------------------------------------------
 
     def apply_word_map(self, f):
-        """Push the series through an injective word map (used for letter
-        swaps); coefficients are untouched."""
-        out = {}
-        for w, c in self.terms.items():
-            k = f(w)
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return NCSeries(self.ring, self.truncation, out)
+        """Push the series through an injective, length-preserving word map
+        (letter swaps, reversal); coefficients are untouched."""
+        return NCSeries(self.ring, self.truncation, {f(w): c for w, c in self.terms.items()},
+                        _clean=True)
 
     def swap_letters(self):
         """f(e1, e0)."""
@@ -75,11 +77,8 @@ class NCSeries(graded.Series):
 
     def negate_letters(self):
         """f(-e0, -e1): scale each word by (-1)^weight."""
-        out = {}
-        ring = self.ring
-        for w, c in self.terms.items():
-            out[w] = c if len(w) % 2 == 0 else -c
-        return NCSeries(ring, self.truncation, out, _clean=True)
+        return NCSeries(self.ring, self.truncation,
+                        {w: -c if len(w) % 2 else c for w, c in self.terms.items()}, _clean=True)
 
     # -- substitution -----------------------------------------------------------
 

@@ -18,7 +18,7 @@ from associators.associator import (
 )
 from associators.hypcx import kz_series
 from associators.matspec import varphi_equals_gamma_matrix
-from associators.ncseries import NCSeries, bracket, lie_element, max_coeff, series_distance
+from associators.ncseries import NCSeries, bracket, lie_element, series_distance
 from associators.pentagon import P5Quotient, pentagon_residual
 from associators.rings import QQ
 

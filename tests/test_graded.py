@@ -1,6 +1,7 @@
 """Property tests of the graded-series core (exp, log, inverse) on every
 algebra that uses it: NCSeries, CSeries and 2x2 matrices over CSeries, all
-over QQ, so every comparison is exact; and inverse over the complex ring."""
+over QQ, so every comparison is exact; inverse over the complex ring; and
+the antipode of NCSeries against inverse."""
 
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from associators import words as W
 from associators.cseries import CSeries
 from associators.mat2 import Mat2, mat_exp_graded
 from associators.matspec import mat_log_graded
-from associators.ncseries import NCSeries, series_distance
+from associators.ncseries import NCSeries, lie_element, series_distance
 from associators.rings import QQ, complex_field
 
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -36,6 +37,14 @@ def c_series(draw, n=None):
     monos = [(i, j, k) for i in range(n + 1) for j in range(n + 1 - i)
              for k in range(n + 1 - i - j) if i + j + k > 0]
     return CSeries(QQ, n, draw(st.dictionaries(st.sampled_from(monos), COEFFS, max_size=6)))
+
+
+@st.composite
+def lie_series(draw):
+    """A Lie element of NCSeries: sparse Lyndon-basis coordinates."""
+    n = draw(TRUNCATIONS)
+    lyndon = [lw for d in range(1, n + 1) for lw, _ in W.lie_basis(d)]
+    return lie_element(QQ, n, draw(st.dictionaries(st.sampled_from(lyndon), COEFFS, max_size=6)))
 
 
 @st.composite
@@ -117,3 +126,19 @@ def test_inverse_leaves_no_rounding_residue():
     with ring.context():
         y = NCSeries.one(ring, 4).scale(mpmath.mpc(3, 1)) + NCSeries.letter(ring, 4, 0)
         assert series_distance(y * y.inverse(), y.one_like()) < 1e-25
+
+
+@settings(max_examples=30)
+@given(lie_series())
+def test_antipode_inverts_a_group_like_series(x):
+    g = x.exp()
+    assert g.antipode() == g.inverse()
+
+
+def test_antipode_is_no_inverse_off_the_group():
+    # 1 + e0 e1 is not group-like: its inverse is 1 - e0 e1 + (e0 e1)^2 - ...
+    e0, e1 = NCSeries.letter(QQ, 4, 0), NCSeries.letter(QQ, 4, 1)
+    f = e0.one_like() + e0 * e1
+    assert f.antipode() == f.one_like() + e1 * e0
+    assert f.inverse() == f.one_like() - e0 * e1 + e0 * e1 * e0 * e1
+    assert f.antipode() != f.inverse()

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from associators import hypcx
 from associators import words as W
 from associators.hypcx import (
     MPLEngine,
@@ -256,6 +257,30 @@ def test_hyp2f1_values():
     with pytest.raises(ValueError):
         # z = 1 needs Re(c - a - b) > 0
         hyp2f1(2, 3, 4, 1, 30)
+
+
+def gamma_quotient(a, b, c):
+    return mpmath.gamma(c) * mpmath.gamma(c - a - b) / (mpmath.gamma(c - a) * mpmath.gamma(c - b))
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (F(1, 10), F(1, 5), F(1, 2)),  # s = 1/5: the Euler-Maclaurin tail was 3e-16 off here
+    (mpmath.mpc("0.3", "0.2"), mpmath.mpc("0.1", "-0.4"), mpmath.mpc("1.2", "0.1")),
+    (2, 3, 6),  # 800 terms are not enough (see the cap test below)
+    (F(1, 2), F(1, 2), F(21, 20)),  # s = 1/20
+], ids=["s=1/5", "complex", "doubling", "s=1/20"])
+def test_hyp2f1_at_one_keeps_its_contract(a, b, c):
+    digits = 40
+    with mp.workdps(digits + 30):
+        exact = gamma_quotient(*(mpmath.mpf(x.numerator) / x.denominator if isinstance(x, F)
+                                 else mpmath.mpc(x) for x in (a, b, c)))
+        assert abs(hyp2f1(a, b, c, 1, digits) - exact) < mpmath.mpf(10) ** -(digits + 10)
+
+
+def test_hyp2f1_at_one_raises_past_its_term_cap(monkeypatch):
+    monkeypatch.setattr(hypcx, "Z1_MAX_TERMS", 800)
+    with pytest.raises(ArithmeticError):
+        hyp2f1(2, 3, 6, 1, 40)
 
 
 def test_gauss_summation():

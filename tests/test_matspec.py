@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from associators import words as W
-from associators.associator import AssociatorCandidate, GTElement, gt_from_pair
+from associators.associator import GTElement, gt_from_pair
 from associators.cseries import CSeries, ExactDivisionError, max_cseries_coeff
-from associators.gammafn import gamma_even, gamma_of_associator, GammaSeries
+from associators.gammafn import gamma_even, GammaSeries
 from associators.matspec import (
     ThetaMap,
     V_STARS,
