@@ -54,19 +54,12 @@ class GTElement:
 
 
 def two_cycle_defect(phi: NCSeries) -> float:
-    with phi.ring.context():
-        prod = phi * phi.swap_letters()
-        return max_coeff(prod - NCSeries.one(phi.ring, phi.truncation))
+    return max_coeff(phi * phi.swap_letters() - NCSeries.one(phi.ring, phi.truncation))
 
 
 def three_cycle_defect(phi: NCSeries, mu) -> float:
     """e^(mu e0/2) phi(einf, e0) e^(mu einf/2) phi(e1, einf) e^(mu e1/2)
     phi(e0, e1) - 1."""
-    with phi.ring.context():
-        return _three_cycle_defect(phi, mu)
-
-
-def _three_cycle_defect(phi, mu):
     ring, n = phi.ring, phi.truncation
     half = ring.from_fraction(Fraction(1, 2)) * mu
     e0 = NCSeries.letter(ring, n, 0)
@@ -90,11 +83,6 @@ def check_associator(cand: AssociatorCandidate, quotient: P5Quotient = None,
     is exact.  The pentagon verdict reads the two faces of the pentagon
     product (see pentagon.py), which decide it exactly when phi is
     group-like; "commutator_grouplike" reports whether it is."""
-    with cand.ring.context():
-        return _check_associator(cand, quotient, tol, pentagon_degree)
-
-
-def _check_associator(cand, quotient, tol, pentagon_degree):
     phi, mu, ring = cand.phi, cand.mu, cand.ring
     report = {}
     report["mu_invertible"] = not ring.is_zero(mu)
@@ -252,8 +240,23 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
 
 # -- torsor action ------------------------------------------------------------------------
 #
-# These maps run at the ring's working precision; their self-checks allow
-# the ring's noise floor (0 over QQ), since roundoff defeats exact equality.
+# Self-checks allow the ring's noise floor (0 over QQ), since roundoff
+# defeats exact equality.
+
+
+def _comp_images(phi, mu):
+    """(mu e0, mu phi^-1 e1 phi): the logarithms of the images of x0 and x1
+    under x0 -> exp(mu e0), x1 -> phi^-1 exp(mu e1) phi."""
+    e0 = NCSeries.letter(phi.ring, phi.truncation, 0)
+    e1 = NCSeries.letter(phi.ring, phi.truncation, 1)
+    return e0.scale(mu), (phi.inverse() * e1 * phi).scale(mu)
+
+
+def _conjugate_first(s, g, lam):
+    """s(lam g e0 g^-1, lam e1) g: gt_act's left form and gt_compose's series."""
+    e0 = NCSeries.letter(g.ring, g.truncation, 0)
+    e1 = NCSeries.letter(g.ring, g.truncation, 1)
+    return s.substitute((g * e0 * g.inverse()).scale(lam), e1.scale(lam)) * g
 
 
 def gt_act(gt: GTElement, cand: AssociatorCandidate, self_check: bool = True):
@@ -264,36 +267,22 @@ def gt_act(gt: GTElement, cand: AssociatorCandidate, self_check: bool = True):
     is recomputed and compared when self_check is set; a mismatch would
     signal an implementation bug, not bad input.
     """
-    phi, mu, ring = cand.phi, cand.mu, cand.ring
     n = min(cand.truncation, gt.truncation)
-    with ring.context():
-        phi = phi.truncate(n)
-        s = gt.series.truncate(n)
-        e0 = NCSeries.letter(ring, n, 0)
-        e1 = NCSeries.letter(ring, n, 1)
-        phi_inv = phi.inverse()
-        right = phi * s.substitute(e0.scale(mu), (phi_inv * e1 * phi).scale(mu))
-        if self_check:
-            left = s.substitute((phi * e0 * phi_inv).scale(mu), e1.scale(mu)) * phi
-            if max_coeff(left - right) > ring.noise_floor:
-                raise AssertionError("the two torsor-action forms disagree")
-        return AssociatorCandidate(mu=gt.lam * mu, phi=right, truncation=n)
+    phi, s = cand.phi.truncate(n), gt.series.truncate(n)
+    right = phi * s.substitute(*_comp_images(phi, cand.mu))
+    if self_check:
+        left = _conjugate_first(s, phi, cand.mu)
+        if max_coeff(left - right) > cand.ring.noise_floor:
+            raise AssertionError("the two torsor-action forms disagree")
+    return AssociatorCandidate(mu=gt.lam * cand.mu, phi=right, truncation=n)
 
 
 def gt_compose(g1: GTElement, g2: GTElement) -> GTElement:
     """Group law (lambda1, f1) * (lambda2, f2) =
     (lambda2 lambda1, f1(f2 x^(lambda2) f2^-1, y^(lambda2)) f2)."""
-    ring = g1.ring
     n = min(g1.truncation, g2.truncation)
-    with ring.context():
-        s1 = g1.series.truncate(n)
-        s2 = g2.series.truncate(n)
-        e0 = NCSeries.letter(ring, n, 0)
-        e1 = NCSeries.letter(ring, n, 1)
-        arg0 = (s2 * e0 * s2.inverse()).scale(g2.lam)
-        arg1 = e1.scale(g2.lam)
-        series = s1.substitute(arg0, arg1) * s2
-        return GTElement(lam=g1.lam * g2.lam, series=series, truncation=n)
+    series = _conjugate_first(g1.series.truncate(n), g2.series.truncate(n), g2.lam)
+    return GTElement(lam=g1.lam * g2.lam, series=series, truncation=n)
 
 
 def gt_from_pair(c1: AssociatorCandidate, c2: AssociatorCandidate) -> GTElement:
@@ -302,35 +291,30 @@ def gt_from_pair(c1: AssociatorCandidate, c2: AssociatorCandidate) -> GTElement:
     substitution x0 -> e^(mu e0), x1 -> phi^-1 e^(mu e1) phi is triangular
     in the degree)."""
     ring = c1.ring
-    with ring.context():
-        if abs_value(c1.mu - c2.mu) > ring.noise_floor:
-            raise ValueError("gt_from_pair needs equal mu")
-        n = min(c1.truncation, c2.truncation)
-        mu = c1.mu
-        mu_inv = ring.inv(mu)
-        phi1 = c1.phi.truncate(n)
-        target = phi1.inverse() * c2.phi.truncate(n)
-        e0 = NCSeries.letter(ring, n, 0)
-        e1 = NCSeries.letter(ring, n, 1)
-        arg0 = e0.scale(mu)
-        arg1 = (phi1.inverse() * e1 * phi1).scale(mu)
+    if abs_value(c1.mu - c2.mu) > ring.noise_floor:
+        raise ValueError("gt_from_pair needs equal mu")
+    n = min(c1.truncation, c2.truncation)
+    mu_inv = ring.inv(c1.mu)
+    phi1 = c1.phi.truncate(n)
+    target = phi1.inverse() * c2.phi.truncate(n)
+    images = _comp_images(phi1, c1.mu)
 
-        terms = {(): ring.one}
-        for d in range(1, n + 1):
-            current = NCSeries(ring, n, dict(terms))
-            diff = target - current.substitute(arg0, arg1)
-            scale = mu_inv
-            for _ in range(d - 1):
-                scale = scale * mu_inv
-            for w in W.words_of_weight(d):
-                c = diff.coeff(w)
-                if not ring.is_zero(c):
-                    terms[w] = c * scale
-        series = NCSeries(ring, n, terms)
-        if max_coeff(series.substitute(arg0, arg1) - target) > ring.noise_floor:
-            raise InconsistentSystem("substitution inversion failed; inputs are not "
-                                     "a torsor pair at this truncation")
-        return GTElement(lam=ring.one, series=series, truncation=n)
+    terms = {(): ring.one}
+    for d in range(1, n + 1):
+        current = NCSeries(ring, n, dict(terms))
+        diff = target - current.substitute(*images)
+        scale = mu_inv
+        for _ in range(d - 1):
+            scale = scale * mu_inv
+        for w in W.words_of_weight(d):
+            c = diff.coeff(w)
+            if not ring.is_zero(c):
+                terms[w] = c * scale
+    series = NCSeries(ring, n, terms)
+    if max_coeff(series.substitute(*images) - target) > ring.noise_floor:
+        raise InconsistentSystem("substitution inversion failed; inputs are not "
+                                 "a torsor pair at this truncation")
+    return GTElement(lam=ring.one, series=series, truncation=n)
 
 
 # -- fake comparison map -------------------------------------------------------------------
@@ -344,20 +328,15 @@ def comp_fake(cand: AssociatorCandidate, element):
     generator in {"x0", "x1"} or a group-like NCSeries in the exponential
     picture.
     """
-    phi, mu, ring = cand.phi, cand.mu, cand.ring
     n = cand.truncation
-    with ring.context():
-        e0 = NCSeries.letter(ring, n, 0)
-        e1 = NCSeries.letter(ring, n, 1)
-        log0 = e0.scale(mu)
-        log1 = (phi.inverse() * e1 * phi).scale(mu)
-        if isinstance(element, NCSeries):
-            return element.substitute(log0, log1)
-        acc = NCSeries.one(ring, n)
-        for gen, exp in element:
-            base = log0 if gen == "x0" else log1
-            acc = acc * base.scale(ring.from_int(int(exp))).exp()
-        return acc
+    log0, log1 = _comp_images(cand.phi.truncate(n), cand.mu)
+    if isinstance(element, NCSeries):
+        return element.substitute(log0, log1)
+    acc = NCSeries.one(cand.ring, n)
+    for gen, exp in element:
+        base = log0 if gen == "x0" else log1
+        acc = acc * base.scale(cand.ring.from_int(int(exp))).exp()
+    return acc
 
 
 def comp_fake_xinf_defect(cand: AssociatorCandidate) -> float:
@@ -365,11 +344,10 @@ def comp_fake_xinf_defect(cand: AssociatorCandidate) -> float:
     mu = 1: Ad(phi(e0, einf) e^(-e0/2))^-1 (e^(einf)) against the direct
     image of x1^-1 x0^-1."""
     ring, n = cand.ring, cand.truncation
-    with ring.context():
-        direct = comp_fake(cand, [("x1", -1), ("x0", -1)])
-        e0 = NCSeries.letter(ring, n, 0)
-        e1 = NCSeries.letter(ring, n, 1)
-        einf = -(e0 + e1)
-        u = cand.phi.substitute(e0, einf) * e0.scale(Fraction(-1, 2)).exp()
-        closed = u.inverse() * einf.exp() * u
-        return max_coeff(direct - closed)
+    direct = comp_fake(cand, [("x1", -1), ("x0", -1)])
+    e0 = NCSeries.letter(ring, n, 0)
+    e1 = NCSeries.letter(ring, n, 1)
+    einf = -(e0 + e1)
+    u = cand.phi.substitute(e0, einf) * e0.scale(Fraction(-1, 2)).exp()
+    closed = u.inverse() * einf.exp() * u
+    return max_coeff(direct - closed)

@@ -99,8 +99,7 @@ class GammaSeries:
 
     def series(self):
         """Coefficients of the gamma series itself."""
-        with self.ring.context():
-            return _coeffs(_series(self.ring, self.log_coeffs).exp())
+        return _coeffs(_series(self.ring, self.log_coeffs).exp())
 
     def multiply(self, other):
         if other.order != self.order or other.ring is not self.ring:
@@ -127,20 +126,14 @@ class GammaSeries:
 
     def ratio(self, s: CSeries, t: CSeries, u: CSeries, v: CSeries) -> CSeries:
         """Gamma(s) Gamma(t) / (Gamma(u) Gamma(v)) as a CSeries."""
-        with self.ring.context():
-            log = self.log_at_form(s) + self.log_at_form(t) \
-                - self.log_at_form(u) - self.log_at_form(v)
-            return log.exp()
+        log = self.log_at_form(s) + self.log_at_form(t) \
+            - self.log_at_form(u) - self.log_at_form(v)
+        return log.exp()
 
     def reflection_defect(self, mu, order=None):
         """Largest coefficient of Gamma(t) Gamma(-t) (e^(mu t/2)-e^(-mu t/2))/(mu t) - 1."""
         ring = self.ring
         n = self.order if order is None else min(order, self.order)
-        with ring.context():
-            return self._reflection_defect(mu, n)
-
-    def _reflection_defect(self, mu, n):
-        ring = self.ring
         even_log = [ring.zero] * (n + 1)
         for k in range(2, n + 1, 2):
             even_log[k] = self.log_coeffs[k] + self.log_coeffs[k]
@@ -208,12 +201,11 @@ def gamma_even_bernoulli_report(order, ring=QQ):
 def _gamma_of_series(s) -> GammaSeries:
     """Log coefficients (-1)^(k+1)/k * (s | e0^(k-1) e1), k = 1..truncation."""
     ring, n = s.ring, s.truncation
-    with ring.context():
-        coeffs = [ring.zero] * (n + 1)
-        for k in range(1, n + 1):
-            w = (0,) * (k - 1) + (1,)
-            coeffs[k] = s.coeff(w) * ring.from_fraction(Fraction((-1) ** (k + 1), k))
-        return GammaSeries(ring, n, coeffs)
+    coeffs = [ring.zero] * (n + 1)
+    for k in range(1, n + 1):
+        w = (0,) * (k - 1) + (1,)
+        coeffs[k] = s.coeff(w) * ring.from_fraction(Fraction((-1) ** (k + 1), k))
+    return GammaSeries(ring, n, coeffs)
 
 
 def gamma_of_associator(cand) -> GammaSeries:

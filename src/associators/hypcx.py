@@ -28,11 +28,12 @@ from .ncseries import NCSeries, max_coeff
 from .rings import complex_field
 
 
-def _to_mpc(x):
-    """Fraction-aware conversion to mpc at working precision."""
+def _to_mpc(x, ctx=mp):
+    """Fraction-aware conversion to an mpc of the mpmath context ctx: the
+    global one at its working precision, or a complex ring's ``ring.mp``."""
     if isinstance(x, Fraction):
-        return mpmath.mpc(x.numerator) / x.denominator
-    return mpmath.mpc(x)
+        return ctx.mpc(x.numerator) / x.denominator
+    return ctx.mpc(x)
 
 
 # -- multiple polylogarithm coefficient engine ------------------------------------
@@ -98,8 +99,7 @@ class MPLEngine:
         acc = 0
         for c in reversed(self.coeff_series(word)):
             acc = acc * p // q + c
-        with complex_field(self.digits).context():
-            return mp.mpf((acc, -self.prec))
+        return complex_field(self.digits).mp.mpf((acc, -self.prec))
 
 
 def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
@@ -117,15 +117,14 @@ def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
         raise ValueError("MPL engine has %d terms at %d digits; z = %s at %d digits needs %d"
                          % (engine.nterms, engine.digits, z, digits, nterms))
     terms = {}
-    with ring.context():
-        for n in range(weight + 1):
-            for w in W.words_of_weight(n):
-                val = engine.h_coefficient(w, z)
-                if val != 0:
-                    terms[w] = mpmath.mpc(val)
-        h = NCSeries(ring, weight, terms)
-        zfac = NCSeries.letter(ring, weight, 0).scale(mp.log(_to_mpc(z))).exp()
-        return h * zfac, ring
+    for n in range(weight + 1):
+        for w in W.words_of_weight(n):
+            val = engine.h_coefficient(w, z)
+            if val != 0:
+                terms[w] = ring.mp.mpc(val)
+    h = NCSeries(ring, weight, terms)
+    zfac = NCSeries.letter(ring, weight, 0).scale(ring.mp.log(_to_mpc(z, ring.mp))).exp()
+    return h * zfac, ring
 
 
 def kz_residual_defect(z, weight, digits, step):
@@ -136,13 +135,12 @@ def kz_residual_defect(z, weight, digits, step):
     gm, ring = fundamental_solution(z - step, weight, digits, eng)
     gp, _r = fundamental_solution(z + step, weight, digits, eng)
     g, _r = fundamental_solution(z, weight, digits, eng)
-    with ring.context():
-        deriv = (gp - gm).scale(1 / (2 * _to_mpc(step)))
-        e0 = NCSeries.letter(ring, weight, 0)
-        e1 = NCSeries.letter(ring, weight, 1)
-        zz = _to_mpc(z)
-        op = e0.scale(1 / zz) + e1.scale(1 / (zz - 1))
-        return max_coeff(deriv - op * g)
+    deriv = (gp - gm).scale(1 / (2 * _to_mpc(step, ring.mp)))
+    e0 = NCSeries.letter(ring, weight, 0)
+    e1 = NCSeries.letter(ring, weight, 1)
+    zz = _to_mpc(z, ring.mp)
+    op = e0.scale(1 / zz) + e1.scale(1 / (zz - 1))
+    return max_coeff(deriv - op * g)
 
 
 # -- the multiple zeta value generating series --------------------------------------
@@ -174,10 +172,8 @@ def kz_series(weight, digits=50, z=Fraction(1, 2)):
     eng = MPLEngine(digits, series_terms(z, digits))
     g01, ring = fundamental_solution(z, weight, digits, eng)
     g10 = fundamental_solution(1 - z, weight, digits, eng)[0].swap_letters()
-    with ring.context():
-        phi = g10.antipode() * g01  # G_10 is group-like, so this is its inverse
-        mu = mpmath.mpc(0, 2) * mp.pi
-    cand = AssociatorCandidate(mu=mu, phi=phi, truncation=weight)
+    phi = g10.antipode() * g01  # G_10 is group-like, so this is its inverse
+    cand = AssociatorCandidate(mu=ring.mp.mpc(0, 2) * ring.mp.pi, phi=phi, truncation=weight)
     _PHI_CACHE[key] = cand
     return cand
 
@@ -192,10 +188,8 @@ def mzv(index, digits=40, weight_cap=12):
     if wt > weight_cap:
         raise ValueError("weight %d beyond cap %d" % (wt, weight_cap))
     cand = kz_series(wt, digits)
-    word = W.word_from_index(index)
-    with complex_field(digits).context():
-        c = cand.phi.coeff(word)
-        return -c if len(index) % 2 else c
+    c = cand.phi.coeff(W.word_from_index(index))
+    return -c if len(index) % 2 else c
 
 
 def mzv_direct(index, nterms=3000):
@@ -397,18 +391,6 @@ def euler_transformation_defect(a, b, c, z, digits=50):
 # -- the numeric solution-matrix checks -----------------------------------------------------
 
 
-def numeric_xy(a, b, c):
-    """X0, Y0 over mpc for concrete parameter values: u = 1 - c,
-    v = a + b + 1 - c."""
-    a, b, c = _to_mpc(a), _to_mpc(b), _to_mpc(c)
-    u = 1 - c
-    v = a + b + 1 - c
-    zero = mpmath.mpc(0)
-    x0 = Mat2(zero, b, zero, u)
-    y0 = Mat2(zero, zero, a, v)
-    return x0, y0
-
-
 @lru_cache(maxsize=1)
 def _shared_engine(digits, nterms):
     """The most recent engine of this size; the only one kept alive."""
@@ -418,55 +400,53 @@ def _shared_engine(digits, nterms):
 @lru_cache
 def solution_matrix_at(a, b, c, z, weight, digits=50, star="01", engine=None):
     """Numeric evaluation of the fundamental solution at (X0, -Y0), column
-    mixed; star selects the 01 or 10 solution.  Cached: hg11_defect and
+    mixed; star selects the 01 or 10 solution.  X0 = [[0, b], [0, 1 - c]]
+    and Y0 = [[0, 0], [a, a + b + 1 - c]].  Cached: hg11_defect and
     kummer_row_defects ask for the same 01 matrix.  Without an engine, the
     01 and the 10 solution at z share one (series_terms)."""
     engine = engine if engine is not None else _shared_engine(digits, series_terms(z, digits))
-    with complex_field(digits).context():
-        x0, y0 = numeric_xy(a, b, c)
-        one = Mat2.identity(mpmath.mpc(1), mpmath.mpc(0))
-        if star == "01":
-            g, _ = fundamental_solution(z, weight, digits, engine)
-        elif star == "10":
-            g = fundamental_solution(1 - z, weight, digits, engine)[0].swap_letters()
-        else:
-            raise ValueError("star must be 01 or 10 for the numeric row checks")
-        gm = g.substitute(x0, -y0, one=one)
-        a_, b_, c_ = _to_mpc(a), _to_mpc(b), _to_mpc(c)
-        p_ = 1 - c_
-        q_ = a_ + b_ + p_
-        if star == "01":
-            k = Mat2(mpmath.mpc(1), mpmath.mpc(1), mpmath.mpc(0), p_ / b_)
-        else:
-            k = Mat2(mpmath.mpc(1), mpmath.mpc(0), -a_ / q_, (q_ - 1) / b_)
-        return gm * k
+    if star == "01":
+        g, ring = fundamental_solution(z, weight, digits, engine)
+    elif star == "10":
+        g, ring = fundamental_solution(1 - z, weight, digits, engine)
+        g = g.swap_letters()
+    else:
+        raise ValueError("star must be 01 or 10 for the numeric row checks")
+    zero, one = ring.zero, ring.one
+    a, b, c = (_to_mpc(x, ring.mp) for x in (a, b, c))
+    p = 1 - c
+    gm = g.substitute(Mat2(zero, b, zero, p), -Mat2(zero, zero, a, a + b + 1 - c),
+                      one=Mat2.identity(one, zero))
+    q = a + b + p
+    if star == "01":
+        return gm * Mat2(one, one, zero, p / b)
+    return gm * Mat2(one, zero, -a / q, (q - 1) / b)
 
 
 def hg11_defect(a, b, c, z, weight, digits=50):
     """[G_01(X0, -Y0)(z)]_11 against the hypergeometric series; the column
     mix of solution_matrix_at leaves that entry unchanged."""
-    with complex_field(digits).context():
-        g11 = solution_matrix_at(a, b, c, z, weight, digits, "01")[0, 0]
-        return float(mpmath.fabs(g11 - hyp2f1(a, b, c, z, digits)))
+    g11 = solution_matrix_at(a, b, c, z, weight, digits, "01")[0, 0]
+    return float(mpmath.fabs(g11 - hyp2f1(a, b, c, z, digits)))
 
 
 def kummer_row_defects(a, b, c, z, weight, digits=50):
     """First-row identities of the 01 and 10 solution matrices against
     hypergeometric values (four scalar checks)."""
-    with complex_field(digits).context():
-        v01 = solution_matrix_at(a, b, c, z, weight, digits, "01")
-        v10 = solution_matrix_at(a, b, c, z, weight, digits, "10")
-        a_, b_, c_, z_ = _to_mpc(a), _to_mpc(b), _to_mpc(c), _to_mpc(z)
-        out = {}
-        out["01_left"] = float(mpmath.fabs(v01[0, 0] - hyp2f1(a, b, c, z, digits)))
-        rhs = mpmath.power(z_, 1 - c_) * hyp2f1(b_ + 1 - c_, a_ + 1 - c_, 2 - c_, z, digits)
-        out["01_right"] = float(mpmath.fabs(v01[0, 1] - rhs))
-        out["10_left"] = float(mpmath.fabs(
-            v10[0, 0] - hyp2f1(a_, b_, a_ + b_ + 1 - c_, 1 - z_, digits)))
-        rhs = mpmath.power(1 - z_, c_ - a_ - b_) * hyp2f1(
-            c_ - a_, c_ - b_, c_ - a_ - b_ + 1, 1 - z_, digits)
-        out["10_right"] = float(mpmath.fabs(v10[0, 1] - rhs))
-        return out
+    v01 = solution_matrix_at(a, b, c, z, weight, digits, "01")
+    v10 = solution_matrix_at(a, b, c, z, weight, digits, "10")
+    ctx = complex_field(digits).mp
+    a_, b_, c_, z_ = (_to_mpc(x, ctx) for x in (a, b, c, z))
+    out = {}
+    out["01_left"] = float(mpmath.fabs(v01[0, 0] - hyp2f1(a, b, c, z, digits)))
+    rhs = ctx.power(z_, 1 - c_) * hyp2f1(b_ + 1 - c_, a_ + 1 - c_, 2 - c_, z, digits)
+    out["01_right"] = float(mpmath.fabs(v01[0, 1] - rhs))
+    out["10_left"] = float(mpmath.fabs(
+        v10[0, 0] - hyp2f1(a_, b_, a_ + b_ + 1 - c_, 1 - z_, digits)))
+    rhs = ctx.power(1 - z_, c_ - a_ - b_) * hyp2f1(
+        c_ - a_, c_ - b_, c_ - a_ - b_ + 1, 1 - z_, digits)
+    out["10_right"] = float(mpmath.fabs(v10[0, 1] - rhs))
+    return out
 
 
 def gamma_log_defect(weight, digits=50):
@@ -476,11 +456,10 @@ def gamma_log_defect(weight, digits=50):
 
     cand = kz_series(weight, digits)
     g = gamma_of_associator(cand)
-    with complex_field(digits).context():
-        worst = 0.0
-        for n in range(2, weight + 1):
-            expect = mpmath.zeta(n) * mpmath.mpc(-1) ** n / n
-            worst = max(worst, float(mpmath.fabs(g.log_coeffs[n] - expect)))
-        # the t^1 coefficient vanishes (no single-letter terms)
-        worst = max(worst, float(mpmath.fabs(g.log_coeffs[1])))
-        return worst
+    ctx = cand.ring.mp
+    worst = 0.0
+    for n in range(2, weight + 1):
+        expect = ctx.zeta(n) * ctx.mpc(-1) ** n / n
+        worst = max(worst, float(mpmath.fabs(g.log_coeffs[n] - expect)))
+    # the t^1 coefficient vanishes (no single-letter terms)
+    return max(worst, float(mpmath.fabs(g.log_coeffs[1])))

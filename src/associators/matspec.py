@@ -45,8 +45,7 @@ def xy_matrices(ring, truncation):
 
 def ev_at(f: NCSeries, m0: Mat2, m1: Mat2) -> Mat2:
     """Evaluation of a two-letter series at a pair of matrices."""
-    with f.ring.context():
-        return f.substitute(m0, m1)
+    return f.substitute(m0, m1)
 
 
 def ev_xy(f: NCSeries, truncation=None) -> Mat2:
@@ -139,12 +138,6 @@ def gamma_ratio_matrix(gamma: GammaSeries, truncation: int) -> GammaMatrix:
     if gamma.order < truncation:
         raise ValueError("gamma series order %d too small for truncation %d"
                          % (gamma.order, truncation))
-    with ring.context():
-        return _gamma_ratio_matrix(gamma, truncation)
-
-
-def _gamma_ratio_matrix(gamma, truncation):
-    ring = gamma.ring
     a, b, p, q = CSeries.gens(ring, truncation)
     r_main = gamma.ratio(-p, -q, -p - a, -p - b)
     r_top = gamma.ratio(p, -q, -a, -b)
@@ -161,7 +154,7 @@ def _gamma_ratio_matrix(gamma, truncation):
 
     det_defect = max_coeff(m.det() - CSeries.one(ring, truncation))
 
-    if getattr(ring, "exact", False) and gamma.order >= truncation + 2:
+    if ring.exact and gamma.order >= truncation + 2:
         n2 = truncation + 2
         a2, b2, p2, q2 = CSeries.gens(ring, n2)
         num = (a2 * b2 + p2 * q2) * gamma.ratio(p2, q2, p2 + a2, p2 + b2) \
@@ -199,9 +192,7 @@ def varphi_equals_gamma_matrix(cand: AssociatorCandidate, truncation=None, tol=0
     n = cand.truncation if truncation is None else truncation
     lhs = ev_xy(cand.phi, n)
     gm = gamma_ratio_matrix(gamma_of_associator(cand), n)
-    with cand.ring.context():
-        diff_max = max(max_coeff(lhs[i, j] - gm.m[i, j])
-                       for i in range(2) for j in range(2))
+    diff_max = max(max_coeff(lhs[i, j] - gm.m[i, j]) for i in range(2) for j in range(2))
     report = {
         "equal": diff_max <= tol,
         "max_entry_difference": diff_max,
@@ -216,10 +207,8 @@ def varphi_equals_gamma_matrix(cand: AssociatorCandidate, truncation=None, tol=0
 
 def zeta_value(phi: NCSeries, index):
     """zeta_phi(k_1, ..., k_m) = (-1)^m (phi | e0^(k_m - 1) e1 ... e0^(k_1 - 1) e1)."""
-    w = W.word_from_index(index)
-    with phi.ring.context():
-        c = phi.coeff(w)
-        return -c if len(index) % 2 else c
+    c = phi.coeff(W.word_from_index(index))
+    return -c if len(index) % 2 else c
 
 
 def _admissible_indices_by_stats(max_weight):
@@ -249,12 +238,6 @@ def ohno_zagier_sum(phi: NCSeries, truncation, boundary="k>=n+s") -> CSeries:
     if boundary not in ("k>=n+s", "k>n+s"):
         raise ValueError("unknown boundary %r" % boundary)
     ring = phi.ring
-    with ring.context():
-        return _ohno_zagier_sum(phi, truncation, boundary)
-
-
-def _ohno_zagier_sum(phi, truncation, boundary):
-    ring = phi.ring
     a, b, p, q = CSeries.gens(ring, truncation)
     abq = a * b + p * q
     acc = CSeries.one(ring, truncation)
@@ -281,9 +264,8 @@ def ohno_zagier_exponential(phi: NCSeries, truncation) -> CSeries:
     gamma ratio at (-p, -q; -p-a, -p-b)."""
     ring = phi.ring
     gamma = gamma_of_associator(AssociatorCandidate(ring.one, phi, phi.truncation))
-    with ring.context():
-        a, b, p, q = CSeries.gens(ring, truncation)
-        return gamma.ratio(-p, -q, -p - a, -p - b)
+    a, b, p, q = CSeries.gens(ring, truncation)
+    return gamma.ratio(-p, -q, -p - a, -p - b)
 
 
 # -- evaluation homomorphism and the formal hypergeometric series ----------------------

@@ -126,10 +126,6 @@ class NCSeries(graded.Series):
     def lie_defect(self):
         """Largest residual coefficient of log(self) outside the free Lie
         algebra, as a float (0.0 for exact Lie logs)."""
-        with self.ring.context():
-            return self._lie_defect()
-
-    def _lie_defect(self):
         g = self.log()
         worst = 0.0
         for d in range(1, self.truncation + 1):
@@ -154,12 +150,6 @@ class NCSeries(graded.Series):
 
     def is_even(self, tol=0.0):
         return max_coeff(self - self.negate_letters()) <= tol
-
-
-def series_distance(f: NCSeries, g: NCSeries) -> float:
-    """max_coeff(f - g) at the ring's working precision."""
-    with f.ring.context():
-        return max_coeff(f - g)
 
 
 def lie_element(ring, truncation, coords):

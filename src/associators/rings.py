@@ -6,12 +6,24 @@ are provided here:
 
 * ``QQ`` -- exact rationals, backed by ``fractions.Fraction``;
 * ``ComplexField(digits)`` -- arbitrary-precision complex numbers, backed
-  by mpmath, with the working precision carried explicitly on the adapter.
+  by mpmath, with the working precision carried on the adapter.
+
+Precision contract of ``ComplexField``: its numbers belong to the ring's own
+mpmath context ``ring.mp`` (digits + 10 decimal digits), and mpmath rounds
+every operation on them at that precision whatever the global ``mp.dps``.
+Two mpmath rules decide whether a number stays in the ring:
+
+* a mixed operation is rounded by the context of its left operand (an int
+  or Fraction on the left defers to the mpmath number on the right);
+* a global function (``mpmath.mpc(x)``, ``mpmath.log``, ``mpmath.zeta``)
+  rounds at the global precision, 15 digits by default.
+
+So a number enters the ring through the adapter or ``ring.mp`` (``ring.mp.mpc``,
+``ring.mp.log``, ``ring.mp.pi``), never through a global function.
 """
 
 from __future__ import annotations
 
-import contextlib
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,10 +39,6 @@ class RationalField:
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    def context(self):
-        """No-op context; exact arithmetic has no working precision."""
-        return contextlib.nullcontext()
 
     def from_int(self, n):
         return Fraction(n)
@@ -50,8 +58,11 @@ class RationalField:
 class ComplexField:
     """Adapter for mpmath complex coefficients at a fixed decimal precision.
 
-    The precision is a property of the adapter, not global state: every
-    conversion and operation on its coefficients runs under ``context()``.
+    The precision is a property of the adapter, not global state: ``mp`` is
+    a private mpmath context at digits + 10 digits, and zero, one and the
+    results of from_int, from_fraction and inv are its numbers, so every
+    operation on them is rounded there.  A number from a global mpmath
+    function must be converted by ``mp`` first (see the module docstring).
     """
 
     exact = False
@@ -61,24 +72,17 @@ class ComplexField:
         self.name = "CC%d" % digits
         # roundoff in a value that is exactly zero stays below this floor
         self.noise_floor = 10.0 ** (-(2 * digits) // 3)
-        with mpmath.workdps(digits):
-            self.zero = mpmath.mpc(0)
-            self.one = mpmath.mpc(1)
-
-    def context(self):
-        """Working-precision context for coefficient arithmetic; mpmath
-        rounds every operation to the ambient precision, so all entry
-        points processing complex coefficients must run inside this."""
-        return mpmath.workdps(self.digits + 10)
+        self.mp = mpmath.MPContext()
+        self.mp.dps = digits + 10
+        self.zero = self.mp.mpc(0)
+        self.one = self.mp.mpc(1)
 
     def from_int(self, n):
-        with self.context():
-            return mpmath.mpc(n)
+        return self.mp.mpc(n)
 
     def from_fraction(self, fr):
         fr = Fraction(fr)
-        with self.context():
-            return mpmath.mpc(fr.numerator) / fr.denominator
+        return self.mp.mpc(fr.numerator) / fr.denominator
 
     def is_zero(self, x):
         # Exact zero only: tolerance comparisons belong to the checks, not
@@ -86,8 +90,7 @@ class ComplexField:
         return x == 0
 
     def inv(self, x):
-        with self.context():
-            return 1 / x
+        return self.one / x
 
 
 QQ = RationalField()

@@ -16,9 +16,10 @@ from associators.associator import (
     gt_from_pair,
     solve_unitary,
 )
+from associators.graded import max_coeff
 from associators.hypcx import kz_series
 from associators.matspec import varphi_equals_gamma_matrix
-from associators.ncseries import NCSeries, bracket, lie_element, series_distance
+from associators.ncseries import NCSeries, bracket, lie_element
 from associators.pentagon import P5Quotient, pentagon_residual
 from associators.rings import QQ
 
@@ -178,13 +179,12 @@ def test_torsor_maps_over_the_complex_ring():
     cand = kz_series(5, 40)
     ring, n = cand.ring, cand.truncation
     one = NCSeries.one(ring, n)
-    assert series_distance(gt_act(GTElement.identity(ring, n), cand).phi, cand.phi) < 1e-30
-    assert series_distance(comp_fake(cand, [("x1", 1), ("x1", -1)]), one) < 1e-30
-    assert series_distance(gt_from_pair(cand, cand).series, one) < 1e-30
+    assert max_coeff(gt_act(GTElement.identity(ring, n), cand).phi - cand.phi) < 1e-30
+    assert max_coeff(comp_fake(cand, [("x1", 1), ("x1", -1)]) - one) < 1e-30
+    assert max_coeff(gt_from_pair(cand, cand).series - one) < 1e-30
     g = random_grouplike(random.Random(41), n, start=2)
-    with ring.context():
-        g = NCSeries(ring, n, {w: ring.from_fraction(c) for w, c in g.terms.items()})
+    g = NCSeries(ring, n, {w: ring.from_fraction(c) for w, c in g.terms.items()})
     other = gt_act(GTElement(ring.one, g, n), cand)
     f = gt_from_pair(cand, other)
-    assert series_distance(f.series, g) < 1e-30
-    assert series_distance(gt_act(f, cand).phi, other.phi) < 1e-30
+    assert max_coeff(f.series - g) < 1e-30
+    assert max_coeff(gt_act(f, cand).phi - other.phi) < 1e-30

@@ -7,6 +7,7 @@ from mpmath import mp
 
 from associators import hypcx
 from associators import words as W
+from associators.graded import max_coeff
 from associators.hypcx import (
     MPLEngine,
     euler_transformation_defect,
@@ -25,7 +26,6 @@ from associators.hypcx import (
     shuffle_words,
     solution_matrix_at,
 )
-from associators.ncseries import series_distance
 
 
 def test_mzv_pi_oracles():
@@ -121,18 +121,17 @@ def test_exact_solver_degree_four_matches_kz(even_candidate):
     # part, so the even solution shares the degree-4 logarithm with it.
     kz = kz_series(4, 40)
     exact = even_candidate.phi.log()
-    with kz.ring.context():
-        kz_log = kz.phi.log()
-        mu4 = kz.mu ** 4
-        for w in W.words_of_weight(4):
-            assert abs(exact.coeff(w) - kz_log.coeff(w) / mu4) < 1e-30, w
+    kz_log = kz.phi.log()
+    mu4 = kz.mu ** 4
+    for w in W.words_of_weight(4):
+        assert abs(exact.coeff(w) - kz_log.coeff(w) / mu4) < 1e-30, w
 
 
 def test_kz_series_independent_of_base_point():
     base = kz_series(4, 35)
     for z in (F(3, 10), F(3, 4)):
         other = kz_series(4, 35, z=z)
-        assert series_distance(other.phi.truncate(4), base.phi.truncate(4)) < 1e-30
+        assert max_coeff(other.phi.truncate(4) - base.phi.truncate(4)) < 1e-30
 
 
 def test_fundamental_solution_normalisation():
