@@ -20,7 +20,7 @@ use exp and log.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .rings import abs_value
 
@@ -150,6 +150,16 @@ class Series:
             return self.zero(self.ring, self.truncation)
         return type(self)(self.ring, self.truncation, {k: v * c for k, v in self.terms.items()},
                           _clean=True)
+
+    @property
+    def denominator(self):
+        """The lcm of the coefficient denominators (over QQ), as for a Fraction."""
+        return lcm(*(c.denominator for c in self.terms.values()))
+
+    def as_integers(self, k):
+        """k times the series, with int coefficients; k a multiple of denominator."""
+        return type(self)(self.ring, self.truncation, {m: c.numerator * (k // c.denominator)
+                                                       for m, c in self.terms.items()}, _clean=True)
 
 
 def max_coeff(f: Series) -> float:

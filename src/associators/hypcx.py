@@ -414,10 +414,8 @@ def solution_matrix_at(a, b, c, z, weight, digits=50, star="01", engine=None):
         raise ValueError("star must be 01 or 10 for the numeric row checks")
     zero, one = ring.zero, ring.one
     a, b, c = (_to_mpc(x, ring.mp) for x in (a, b, c))
-    p = 1 - c
-    gm = g.substitute(Mat2(zero, b, zero, p), -Mat2(zero, zero, a, a + b + 1 - c),
-                      one=Mat2.identity(one, zero))
-    q = a + b + p
+    p, q = 1 - c, a + b + 1 - c
+    gm = g.substitute(Mat2(zero, b, zero, p), -Mat2(zero, zero, a, q), one=Mat2.identity(one, zero))
     if star == "01":
         return gm * Mat2(one, one, zero, p / b)
     return gm * Mat2(one, zero, -a / q, (q - 1) / b)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import lcm
+
 from . import graded
 
 
@@ -44,15 +46,12 @@ class Mat2:
         )
 
     def scale(self, c):
-        out = []
-        for x in self.e:
-            out.append(x.scale(c) if hasattr(x, "scale") else x * c)
-        return Mat2(*out)
+        return Mat2(*(x.scale(c) if hasattr(x, "scale") else x * c for x in self.e))
 
     def truncate(self, n):
         return Mat2(*(x.truncate(n) if hasattr(x, "truncate") else x for x in self.e))
 
-    # the grading of the entries, which graded and NCSeries.substitute read
+    # the entries' grading and integer copies, read by graded and NCSeries.substitute
     @property
     def truncation(self):
         return min(x.truncation for x in self.e)
@@ -60,17 +59,22 @@ class Mat2:
     def min_degree(self):
         return min(x.min_degree() for x in self.e)
 
+    @property
+    def denominator(self):
+        return lcm(*(x.denominator for x in self.e))
+
+    def as_integers(self, k):
+        return Mat2(*(x.as_integers(k) if hasattr(x, "as_integers") else int(x * k) for x in self.e))
+
     def det(self):
         a = self.e
         return a[0] * a[3] - a[1] * a[2]
 
     def one_like(self):
-        a = self.e[0]
-        if hasattr(a, "one_like"):
-            one = a.one_like()
-            zero = one - one
-            return Mat2.identity(one, zero)
-        raise TypeError("entries do not expose one_like; build the identity explicitly")
+        if not hasattr(self.e[0], "one_like"):
+            raise TypeError("entries do not expose one_like; build the identity explicitly")
+        one = self.e[0].one_like()
+        return Mat2.identity(one, one - one)
 
     def adjugate(self):
         a = self.e

@@ -13,6 +13,8 @@ letters 0, 1, 2 of U(F_3) and on the two base letters 3, 4.
 
 from __future__ import annotations
 
+from math import lcm
+
 from . import graded
 from . import words as W
 from .graded import max_coeff
@@ -90,20 +92,32 @@ class NCSeries(graded.Series):
 
         A left Horner walk of the word trie to degree n, the smaller of this
         truncation and that of ``one``: the node of a prefix of length s and
-        coefficient c returns c one + image0 child_0 + image1 child_1 to
+        coefficient c returns V_s = c one + image0 child_0 + image1 child_1 to
         degree n - s, each child lifted from degree n - s - 1.  The lift needs
         images without a degree-0 part, so a graded image (one with a
         truncation) with a constant term is rejected; ungraded ones, such as
         numeric matrices, are taken as they are.
+
+        Over QQ it clears denominators once, walks on Python ints and divides
+        once.  With D, d, e the lcm of the denominators (``.denominator``) of
+        the series, of both images and of ``one``, W_s = D d^(n-s) e V_s is
+        (c D d^(n-s)) (e one) + sum (d image) W_(s+1), all ints (``as_integers``);
+        it returns W_0 / (D d^n e), and its largest int is D d^n e times a coefficient.
         """
         images = (image0, image1)
         for im in images:
             if hasattr(im, "truncation") and im.min_degree() < 1:
                 raise ValueError("letter image has a nonzero constant term; "
                                  "substitute logarithms of group elements instead")
-        if one is None:
-            one = image0.one_like()
+        one = image0.one_like() if one is None else one
         n = min(self.truncation, getattr(one, "truncation", self.truncation))
+        terms, unit = self.terms, None
+        if self.ring.exact:
+            big_d, e, d = self.denominator, one.denominator, lcm(*(im.denominator for im in images))
+            terms = {w: c.numerator * (big_d // c.denominator) * d ** (n - len(w))
+                     for w, c in self.terms.items() if len(w) <= n}
+            images = tuple(im.as_integers(d) for im in images)
+            one, unit = one.as_integers(e), self.ring.inv(big_d * d ** n * e)
         ones = [one.truncate(n - s) for s in range(n + 1)]
 
         def walk(terms, s):
@@ -119,7 +133,8 @@ class NCSeries(graded.Series):
                         out = out + im * walk(child, s + 1).truncate(n - s)
             return out
 
-        return walk(self.terms, 0)
+        out = walk(terms, 0)
+        return out if unit is None else out.scale(unit)
 
     # -- structure tests ----------------------------------------------------------
 
@@ -138,9 +153,7 @@ class NCSeries(graded.Series):
         return worst
 
     def is_grouplike(self, tol=0.0):
-        if not self.ring.is_zero(self.constant_term() - self.ring.one):
-            return False
-        return self.lie_defect() <= tol
+        return self.ring.is_zero(self.constant_term() - self.ring.one) and self.lie_defect() <= tol
 
     def linear_part_size(self):
         return max(abs_value(self.coeff((0,))), abs_value(self.coeff((1,))))
@@ -157,8 +170,7 @@ def lie_element(ring, truncation, coords):
     terms = {}
     for lw, c in coords.items():
         for w, m in W.lyndon_bracket_words(tuple(lw)).items():
-            s = terms.get(w, ring.zero) + c * ring.from_int(m)
-            terms[w] = s
+            terms[w] = terms.get(w, ring.zero) + c * ring.from_int(m)
     return NCSeries(ring, truncation, terms)
 
 

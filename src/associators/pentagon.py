@@ -136,6 +136,11 @@ class P5Element:
         vec = {(g,) + u: c * a for g, c in self.combo.items() for u, a in y.terms.items()}
         return NCSeries(y.ring, y.truncation + 1, self.quotient.reduce_vector(vec), _clean=True)
 
+    denominator = 1  # PAIR_EXPANSION is integral
+
+    def as_integers(self, k):
+        return P5Element(self.quotient, {g: c * k for g, c in self.combo.items()})
+
 
 def strand_generator(quotient, i, j):
     """The class of t_ij."""

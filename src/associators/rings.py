@@ -31,7 +31,8 @@ import mpmath
 
 
 class RationalField:
-    """Adapter for exact rational coefficients."""
+    """Adapter for exact rational coefficients: a QQ series holds Fractions,
+    and int coefficients exist only inside NCSeries.substitute's walk."""
 
     name = "QQ"
     exact = True

@@ -1,9 +1,13 @@
 """Property tests of the series rings over QQ (the storage rules of the
 shared core, associativity, distributivity, the unit) and of
-NCSeries.substitute into 2x2 matrices over CSeries, against a word-by-word
-evaluation.  Every comparison is exact."""
+NCSeries.substitute into series, into 2x2 matrices over CSeries and into
+strand generators, against a word-by-word evaluation.  Every comparison is
+exact."""
 
 import operator
+import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +16,9 @@ from hypothesis import strategies as st
 from associators.cseries import CSeries
 from associators.graded import RingMismatch
 from associators.mat2 import Mat2
+from associators.matspec import ThetaMap
 from associators.ncseries import NCSeries
+from associators.pentagon import P5Quotient, strand_generator
 from associators.rings import QQ
 from test_graded import COEFFS, TRUNCATIONS, c_series, nc_series
 
@@ -94,18 +100,19 @@ def substitutions(draw):
             draw(images(n)), draw(images(n)))
 
 
-def word_by_word(f, a, b):
-    """sum over the words w of f of (f|w) times the product of the letter
-    images along w, each product formed from the identity."""
-    n = min(f.truncation, a.truncation)
-    one = a.one_like().truncate(n)
-    acc = one.scale(QQ.zero)
+def word_by_word(f, a, b, one=None):
+    """sum over the words w of f of (f|w) a_(w1) ... a_(wk) . one, with no
+    trie: the letter images along w act on one, the last letter first, and
+    one is a.one_like() by default."""
+    one = a.one_like() if one is None else one
+    n = min(f.truncation, getattr(one, "truncation", f.truncation))
+    acc = one.truncate(n).scale(QQ.zero)
     for w, c in f.terms.items():
         if len(w) <= n:
             t = one
-            for letter in w:
-                t = t * (a, b)[letter]
-            acc = acc + t.scale(c)
+            for letter in reversed(w):
+                t = (a, b)[letter] * t
+            acc = acc + t.truncate(n).scale(c)
     return acc
 
 
@@ -129,3 +136,62 @@ def test_substitute_rejects_a_matrix_image_with_a_degree_zero_part():
     image1 = Mat2(CSeries.one(QQ, 3) + a, zero, zero, q)
     with pytest.raises(ValueError):
         NCSeries.letter(QQ, 3, 0).substitute(image0, image1)
+
+
+# -- the exact walk against the word-by-word sum, on seeded rational inputs ----
+
+
+def rational_series(rng, n, letters, lengths, count):
+    """An NCSeries with count random words of the given lengths and
+    coefficients of denominator up to 7."""
+    words = [tuple(rng.choice(letters) for _ in range(rng.choice(lengths))) for _ in range(count)]
+    return NCSeries(QQ, n, {w: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 7))
+                            for w in words})
+
+
+def nc_images(rng, n):
+    a, b = (rational_series(rng, n, (0, 1), (1, 2), 3) for _ in range(2))
+    return a, b, rational_series(rng, n, (0, 1), (0, 1, 2), 5)
+
+
+def matrix_images(rng, n):
+    theta = ThetaMap(n)
+    half = CSeries.one(QQ, n).scale(Fraction(1, 2))
+    return theta.log_image0, theta.log_image1, theta.identity + Mat2(half, half, half, half)
+
+
+def strand_images(rng, n):
+    q = P5Quotient(n)
+    return (strand_generator(q, 1, 2), strand_generator(q, 2, 3),
+            rational_series(rng, n, (0, 1, 2), (0, 1, 2), 6))
+
+
+def coefficients(x):
+    entries = x.e if isinstance(x, Mat2) else (x,)
+    return [c for e in entries for c in e.terms.values()]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind, n", [(nc_images, 6), (matrix_images, 5), (strand_images, 4)])
+def test_exact_walk_is_the_word_by_word_sum(kind, n, seed):
+    rng = random.Random(seed)
+    f = rational_series(rng, n, (0, 1), range(n + 1), 30)
+    a, b, one = kind(rng, n)
+    # the walk has denominators to clear: in the series and in an image or one
+    assert f.denominator > 1 and lcm(a.denominator, b.denominator, one.denominator) > 1
+    got = f.substitute(a, b, one=one)
+    expect = word_by_word(f, a, b, one)
+    assert same_matrix(got, expect) if isinstance(got, Mat2) else same(got, expect)
+    # the ints of the walk never leave it
+    assert all(type(c) is Fraction for c in coefficients(got))
+
+
+def test_exact_walk_into_rational_number_matrices():
+    # ungraded images: every word of f counts, and the entries are numbers
+    rng = random.Random(4)
+    f = rational_series(rng, 5, (0, 1), range(6), 30)
+    a, b, one = (Mat2(*(Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(4)))
+                 for _ in range(3))
+    got = f.substitute(a, b, one=one)
+    assert got.e == word_by_word(f, a, b, one).e
+    assert all(type(c) is Fraction for c in got.e)

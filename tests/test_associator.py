@@ -15,6 +15,8 @@ from associators.associator import (
     gt_compose,
     gt_from_pair,
     solve_unitary,
+    three_cycle_defect,
+    two_cycle_defect,
 )
 from associators.graded import max_coeff
 from associators.hypcx import kz_series
@@ -97,6 +99,18 @@ def test_solver_tiebreaks_and_nullspace_records(q5):
     assert zero_rep.nullspace_dims == lex_rep.nullspace_dims
     if all(v == 0 for v in zero_rep.nullspace_dims.values()):
         assert zero_cand.phi == lex_cand.phi
+
+
+def test_pentagon_and_quadratic_give_the_cycles_at_degree_7():
+    # Furusho (2010): the pentagon with the quadratic term implies the 2- and
+    # 3-cycle relations; the solver imposes neither.  The non-even solve has
+    # one free parameter at each of degrees 3, 5, 7 (grt_1's sigma_3,
+    # sigma_5, sigma_7), and the lex tiebreak takes each one nonzero.
+    cand, rep = solve_unitary(7, P5Quotient(7), tiebreak="lex", even=False)
+    assert rep.nullspace_dims == {3: 1, 4: 0, 5: 1, 6: 0, 7: 1}
+    assert not cand.phi.is_even()
+    assert two_cycle_defect(cand.phi) == 0
+    assert three_cycle_defect(cand.phi, cand.mu) == 0
 
 
 def test_skew_solver_output(q5, skew_candidate):
