@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import words as W
 from .ncseries import NCSeries, lie_element, max_coeff
-from .pentagon import P5Quotient, pentagon_residual, embed, base_image, PENTAGON_POSITIONS
+from .pentagon import NFIBRE, P5Quotient, PENTAGON_POSITIONS, lie_image, pentagon_residual
 from .rings import QQ, abs_value
 
 
@@ -110,55 +111,62 @@ class InconsistentSystem(ArithmeticError):
 
 
 def solve_fraction_system(columns, rhs):
-    """Solve sum_j x_j col_j = rhs over Fraction; the columns and rhs are
-    sparse dicts key -> Fraction.  Returns (particular, nullspace) where
+    """Solve sum_j x_j col_j = rhs over QQ; the columns and rhs are sparse
+    dicts key -> Fraction (or int).  Returns (particular, nullspace) where
     particular is a list of Fractions (free variables set to 0) and
-    nullspace is a list of basis vectors."""
+    nullspace is a list of basis vectors, each with 1 at its free column.
+
+    Both come from the reduced row echelon form R, computed fraction-free:
+    each row is scaled by the lcm of its denominators, and Gauss-Jordan
+    elimination in the form of Bareiss keeps the matrix equal to D R with D
+    the last pivot.  A pivot p in row r and column c turns every other row
+    into (p row - row[c] row_r) / D_old, an exact division (Bareiss 1968;
+    Nakos, Turner and Williams 1997), and D becomes p.  Rows that become zero
+    are dropped on the way."""
     support = set(rhs)
     for col in columns:
         support.update(col)
-    support = sorted(support)
     ncols = len(columns)
     rows = []
-    for key in support:
-        row = [col.get(key, Fraction(0)) for col in columns]
-        row.append(rhs.get(key, Fraction(0)))
+    for key in sorted(support):
+        row = [Fraction(col.get(key, 0)) for col in columns]
+        row.append(Fraction(rhs.get(key, 0)))
         if any(row):
-            rows.append(row)
+            den = lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (den // x.denominator) for x in row])
 
-    pivots = []
-    r = 0
+    den, pivots, r = 1, [], 0
     for c in range(ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            a = row[c]
+            if a:
+                rows[i] = [(p * x - a * y) // den for x, y in zip(row, prow)]
+            elif p != den:
+                rows[i] = [p * x // den for x in row]
+        rows = rows[:r + 1] + [row for row in rows[r + 1:] if any(row)]
+        den = p
         pivots.append(c)
         r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            raise InconsistentSystem("no solution")
+    if len(rows) > r:
+        raise InconsistentSystem("no solution")
 
     particular = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        particular[c] = rows[i][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
+    for row, c in zip(rows, pivots):
+        particular[c] = Fraction(row[ncols], den)
     nullspace = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -rows[i][fc]
+        for row, c in zip(rows, pivots):
+            vec[c] = Fraction(-row[fc], den)
         nullspace.append(vec)
     return particular, nullspace
 
@@ -174,14 +182,22 @@ class SolveReport:
     degree_notes: dict
 
 
-def _embedding_column(beta_coords, degree, quotient):
-    """Degree-d part of both pentagon faces of a Lie basis element, summed
-    over the five positions; this is the column of the linearised system."""
-    elt = lie_element(QQ, degree, beta_coords)
-    col = NCSeries.zero(QQ, degree)
+def _lyndon_rows(d):
+    """The Lyndon words of degree d on the fibre letters 0, 1, 2 and on the
+    base letters 3, 4."""
+    return set(W.lyndon_words(d, NFIBRE)) | {tuple(x + NFIBRE for x in w) for w in W.lyndon_words(d)}
+
+
+def _pentagon_column(lw, rows, memo):
+    """The column of the Lyndon word lw on the given rows: the degree-|lw|
+    part of both pentagon faces of its Lie element, summed over the five
+    positions, which is the sum of the pairs lie_image(lw, i, j, k)."""
+    col = {}
     for ijk in PENTAGON_POSITIONS:
-        col = col + embed(elt, quotient, *ijk) + base_image(elt, *ijk)
-    return col.homogeneous_part(degree)
+        for part in lie_image(lw, *ijk, memo, rows):
+            for w, c in part.items():
+                col[w] = col.get(w, 0) + c
+    return {w: c for w, c in col.items() if c}
 
 
 def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
@@ -195,6 +211,19 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
     corresponding residual components is verified rather than assumed.
     Free parameters are resolved by the tiebreak policy: "zero" takes all
     zero, "lex" sets the lexicographically first free parameter to 1.
+
+    The degree-d system is linear and lives in the Lie algebra
+    p_5 = F_3 x| F_2.  With phi right through degree d - 1, the degree-d part
+    of the pentagon residual is a Lie element of F_3 + F_2 (the lowest part
+    of a group-like element), and so is each column: the sum over the five
+    positions of the Lyndon element's image in p_5 (pentagon.lie_image).  A
+    Lie polynomial is zero exactly when its coefficients on the Lyndon words
+    are, since the Lyndon elements are unitriangular against the Lyndon
+    words (Reutenauer, Free Lie Algebras, 1993, Thm 5.1); so only the rows of
+    Lyndon words, fibre words on 0, 1, 2 and base words on 3, 4, enter the
+    elimination, which solve_fraction_system runs on integers.  At each
+    degree the whole residual is computed, and a term below degree d raises
+    InconsistentSystem: every earlier solution is re-checked on all rows.
     """
     if n < 2:
         raise ValueError("need degree >= 2")
@@ -207,9 +236,15 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
     nullspace_dims = {}
     notes = {}
 
+    memo = {}  # lie_image's sub-brackets, shared by the degrees
     for d in range(2, n + 1):
         phi_d = lie_element(QQ, d, coords).exp()
-        b = pentagon_residual(phi_d, quotient).homogeneous_part(d)
+        residual = pentagon_residual(phi_d, quotient)
+        if residual.min_degree() < d:
+            raise InconsistentSystem(
+                "the solution through degree %d leaves a pentagon residual at "
+                "degree %d" % (d - 1, residual.min_degree()))
+        b = residual.homogeneous_part(d)
         if d == 2 or (even and d % 2 == 1):
             # no unknowns at this degree: the residual must vanish by itself
             if b:
@@ -219,8 +254,9 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
             notes[d] = "forced zero" if d != 2 else "quadratic term fixed"
             continue
         basis = W.lie_basis(d)
-        columns = [_embedding_column({lw: Fraction(1)}, d, quotient) for lw, _ in basis]
-        rhs = {m: -c for m, c in b.items()}
+        rows = _lyndon_rows(d)
+        columns = [_pentagon_column(lw, rows, memo) for lw, _ in basis]
+        rhs = {m: -c for m, c in b.items() if m in rows}
         particular, nullspace = solve_fraction_system(columns, rhs)
         nullspace_dims[d] = len(nullspace)
         pick = list(particular)

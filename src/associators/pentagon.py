@@ -33,10 +33,21 @@ applies the five factors to 1 from the right, each one f(t_ij, t_jk) . y
 being NCSeries.substitute at the two strand generators acting on y; the
 base face is a product in the letters 3, 4.  Neither forms a product in
 U(P_5).
+
+The solver's columns are Lie elements, and it builds them in the Lie
+algebra p_5 = F_3 x| F_2 itself (lie_image).  An element of p_5 is a pair
+(f, b) of a fibre Lie polynomial f on the letters 0, 1, 2 and a base Lie
+polynomial b on 3, 4; it acts on 1 by f, and its image in U(F_2) is b, so
+the pair is already its reading on the two faces.  The bracket is
+
+    [(f1, b1), (f2, b2)] = ([f1, f2] + b1.f2 - b2.f1, [b1, b2]),
+
+where b.f is the action of U(F_2) on F_3 by the derivations of BRACKET.
 """
 
 from __future__ import annotations
 
+from . import words as W
 from .ncseries import NCSeries
 
 # generator indices: 0, 1, 2 = t15, t25, t35 (the fibre), 3, 4 = t12, t23
@@ -60,6 +71,17 @@ PAIR_EXPANSION = {
 # [t12, t15] = [t15, t25], [t12, t25] = [t25, t15], [t12, t35] = 0,
 # [t23, t15] = 0, [t23, t25] = [t25, t35], [t23, t35] = [t35, t25]
 BRACKET = {(3, 0): (0, 1), (3, 1): (1, 0), (4, 1): (1, 2), (4, 2): (2, 1)}
+
+
+def _leibniz(g, u):
+    """[g, u] for a base letter g and a fibre word u, as (word, sign) pairs:
+    g acts on each letter of u in turn by BRACKET."""
+    for p, x in enumerate(u):
+        xy = BRACKET.get((g, x))
+        if xy is not None:
+            left, right = u[:p], u[p + 1:]
+            yield left + xy + right, 1
+            yield left + xy[::-1] + right, -1
 
 
 def pair(i, j):
@@ -97,14 +119,9 @@ class P5Quotient:
             i -= 1
         if i < 0:
             return ((mono, 1),)
-        g, head = mono[i], mono[:i]
-        vec = {}
-        for p in range(i + 1, len(mono)):
-            xy = BRACKET.get((g, mono[p]))
-            if xy is not None:
-                left, right = head + mono[i + 1:p], mono[p + 1:]
-                for w, s in ((left + xy + right, 1), (left + xy[::-1] + right, -1)):
-                    vec[w] = vec.get(w, 0) + s
+        head, vec = mono[:i], {}
+        for w, s in _leibniz(mono[i], mono[i + 1:]):
+            vec[head + w] = vec.get(head + w, 0) + s
         return tuple(self.reduce_vector(vec).items())
 
     def reduce_vector(self, vec):
@@ -185,3 +202,124 @@ def pentagon_residual(f, quotient):
     for ijk in PENTAGON_POSITIONS:
         base = base * base_image(f, *ijk)
     return fibre - one + base - one
+
+
+# -- Lie polynomials in p_5 = F_3 x| F_2, as pairs of word -> int dicts ----------
+
+def _read_back(bracket):
+    """BRACKET read backwards: (g, x, y) -> the (t, sign) for which [g, t]
+    puts the adjacent letters x y into a word with that sign."""
+    out = {}
+    for (g, t), (x, y) in bracket.items():
+        out.setdefault((g, x, y), []).append((t, 1))
+        out.setdefault((g, y, x), []).append((t, -1))
+    return out
+
+
+_UNBRACKET = _read_back(BRACKET)
+
+
+def _add_into(out, vec, scale):
+    """out += scale vec, keeping no zero coefficient."""
+    for w, c in vec.items():
+        s = out.get(w, 0) + scale * c
+        if s:
+            out[w] = s
+        else:
+            out.pop(w, None)
+
+
+def _commutator(x, y, rows=None):
+    """xy - yx, or its coefficients on the words rows (x, y homogeneous)."""
+    out = {}
+    if rows is None:
+        for wx, cx in x.items():
+            for wy, cy in y.items():
+                c = cx * cy
+                out[wx + wy] = out.get(wx + wy, 0) + c
+                out[wy + wx] = out.get(wy + wx, 0) - c
+    elif x and y:
+        a = len(next(iter(x)))
+        for z in rows:
+            out[z] = x.get(z[:a], 0) * y.get(z[a:], 0) - y.get(z[:-a], 0) * x.get(z[-a:], 0)
+    return {w: c for w, c in out.items() if c}
+
+
+def _derive_on(g, vec, rows):
+    """(g . vec) on the words rows: each adjacent pair that [g, t] can make
+    is read back to t."""
+    out = {}
+    for z in rows:
+        c = 0
+        for p in range(len(z) - 1):
+            for t, s in _UNBRACKET.get((g, z[p], z[p + 1]), ()):
+                c += s * vec.get(z[:p] + (t,) + z[p + 2:], 0)
+        if c:
+            out[z] = c
+    return out
+
+
+def _act(base, fibre, rows=None):
+    """b . f, or its coefficients on the words rows.  Each base word
+    g_1 ... g_k of b applies g_k first; the images of shared suffixes are
+    computed once, and with rows the last letter g_1 is read on the rows
+    only."""
+    images = {(): fibre}
+
+    def image(w):
+        v = images.get(w)
+        if v is None:
+            v = {}
+            for u, c in image(w[1:]).items():
+                for x, s in _leibniz(w[0], u):
+                    v[x] = v.get(x, 0) + s * c
+            v = images[w] = {x: c for x, c in v.items() if c}
+        return v
+
+    out = {}
+    if rows is None:
+        for w, c in base.items():
+            _add_into(out, image(w), c)
+        return out
+    heads = {}
+    for w, c in base.items():
+        _add_into(heads.setdefault(w[0], {}), image(w[1:]), c)
+    for g, vec in heads.items():
+        _add_into(out, _derive_on(g, vec, rows), 1)
+    return out
+
+
+def p5_bracket(x, y, rows=None):
+    """[(f1, b1), (f2, b2)] = ([f1, f2] + b1.f2 - b2.f1, [b1, b2]), or its
+    coefficients on the words rows."""
+    (f1, b1), (f2, b2) = x, y
+    fibre = _commutator(f1, f2, rows)
+    _add_into(fibre, _act(b1, f2, rows), 1)
+    _add_into(fibre, _act(b2, f1, rows), -1)
+    return fibre, _commutator(b1, b2, rows)
+
+
+def lie_image(lw, i, j, k, memo, rows=None):
+    """l(t_ij, t_jk) in p_5 for a Lyndon word l on the letters 0, 1, as a
+    pair (fibre, base) of word -> int dicts on the letters 0, 1, 2 and 3, 4.
+
+    The Lyndon element of l is the bracket of those of its standard
+    factorisation, and the letters 0, 1 go to the strand generators of
+    PAIR_EXPANSION.  memo maps (l, i, j, k) to the image; a caller that
+    keeps it across degrees shares the sub-brackets.  With rows, a set of
+    words of degree |l|, only the coefficients on those words are returned:
+    the last bracket is read there and not expanded, and not memoised."""
+    key = (lw, i, j, k)
+    image = memo.get(key)
+    if image is None and len(lw) == 1:
+        combo = PAIR_EXPANSION[pair(*((i, j), (j, k))[lw[0]])]
+        image = memo[key] = tuple({(g,): c for g, c in combo.items() if (g < NFIBRE) == fibre}
+                                  for fibre in (True, False))
+    elif image is None:
+        u, v = W._standard_factorization(lw)
+        image = p5_bracket(lie_image(u, i, j, k, memo), lie_image(v, i, j, k, memo), rows)
+        if rows is None:
+            memo[key] = image
+    if rows is None:
+        return image
+    return tuple({w: c for w, c in part.items() if w in rows} for part in image)

@@ -4,16 +4,21 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
+from associators import associator
 from associators import words as W
 from associators.associator import (
     AssociatorCandidate,
     GTElement,
+    InconsistentSystem,
     check_associator,
     comp_fake,
     comp_fake_xinf_defect,
     gt_act,
     gt_compose,
     gt_from_pair,
+    solve_fraction_system,
     solve_unitary,
     three_cycle_defect,
     two_cycle_defect,
@@ -22,7 +27,14 @@ from associators.graded import max_coeff
 from associators.hypcx import kz_series
 from associators.matspec import varphi_equals_gamma_matrix
 from associators.ncseries import NCSeries, bracket, lie_element
-from associators.pentagon import P5Quotient, pentagon_residual
+from associators.pentagon import (
+    PENTAGON_POSITIONS,
+    P5Quotient,
+    base_image,
+    embed,
+    lie_image,
+    pentagon_residual,
+)
 from associators.rings import QQ
 
 
@@ -111,6 +123,152 @@ def test_pentagon_and_quadratic_give_the_cycles_at_degree_7():
     assert not cand.phi.is_even()
     assert two_cycle_defect(cand.phi) == 0
     assert three_cycle_defect(cand.phi, cand.mu) == 0
+
+
+def test_grt1_dimensions_through_degree_8():
+    # grt_1 has one generator in each odd degree >= 3 and is free on them
+    # (Ihara, ICM 1990): through degree 8 that is sigma_3, sigma_5, sigma_7
+    # and [sigma_3, sigma_5]
+    _, rep = solve_unitary(8, P5Quotient(8), tiebreak="lex", even=False)
+    assert rep.nullspace_dims == {3: 1, 4: 0, 5: 1, 6: 0, 7: 1, 8: 1}
+
+
+# -- the Lie-algebra solver against the fibre-module one ------------------------
+
+
+def embedding_column(lw, quotient):
+    """The column of the Lyndon word lw as the solver once built it: the
+    Lyndon element expanded into words, acting letter by letter on 1
+    (embed) and mapped to U(F_2) (base_image), on every row."""
+    d = len(lw)
+    elt = lie_element(QQ, d, {lw: Fraction(1)})
+    col = NCSeries.zero(QQ, d)
+    for ijk in PENTAGON_POSITIONS:
+        col = col + embed(elt, quotient, *ijk) + base_image(elt, *ijk)
+    return col.homogeneous_part(d)
+
+
+def full_row_systems(n, tiebreak, even):
+    """solve_unitary's loop with embedding_column and every row: the
+    (particular, nullspace) of each degree it solves."""
+    q = P5Quotient(n)
+    coords = {(0, 1): Fraction(1, 24)}
+    out = []
+    for d in range(3, n + 1):
+        if even and d % 2:
+            continue
+        residual = pentagon_residual(lie_element(QQ, d, coords).exp(), q)
+        rhs = {w: -c for w, c in residual.homogeneous_part(d).items()}
+        basis = W.lie_basis(d)
+        particular, nullspace = solve_fraction_system(
+            [embedding_column(lw, q) for lw, _ in basis], rhs)
+        out.append((particular, nullspace))
+        if tiebreak == "lex" and nullspace:
+            particular = [x + y for x, y in zip(particular, nullspace[0])]
+        coords.update((lw, c) for (lw, _), c in zip(basis, particular) if c)
+    return out
+
+
+def test_bracket_columns_are_the_embedding_columns():
+    q, memo = P5Quotient(6), {}
+    for d in range(1, 7):
+        rows = associator._lyndon_rows(d)
+        for lw, _ in W.lie_basis(d):
+            oracle = embedding_column(lw, q)
+            full = {}
+            for ijk in PENTAGON_POSITIONS:
+                for part in lie_image(lw, *ijk, memo):
+                    for w, c in part.items():
+                        full[w] = full.get(w, 0) + c
+            assert {w: c for w, c in full.items() if c} == oracle
+            restricted = {w: c for w, c in oracle.items() if w in rows}
+            assert associator._pentagon_column(lw, rows, memo) == restricted
+
+
+@pytest.mark.parametrize("tiebreak, even", [("zero", True), ("lex", True), ("lex", False)])
+def test_lyndon_rows_lose_no_equation(monkeypatch, tiebreak, even):
+    solved = []
+
+    def recording(columns, rhs):
+        solved.append(solve_fraction_system(columns, rhs))
+        return solved[-1]
+
+    monkeypatch.setattr(associator, "solve_fraction_system", recording)
+    solve_unitary(7, P5Quotient(7), tiebreak=tiebreak, even=even)
+    assert solved == full_row_systems(7, tiebreak, even)
+
+
+def test_solver_rechecks_earlier_degrees(monkeypatch):
+    # the even degree-4 system has no nullspace, so a changed particular
+    # solution is wrong; the degree-5 residual must then show a degree-4 term
+    calls = []
+
+    def wrong_once(columns, rhs):
+        particular, nullspace = solve_fraction_system(columns, rhs)
+        if not calls:
+            particular = [x + 1 for x in particular]
+        calls.append(len(columns))
+        return particular, nullspace
+
+    monkeypatch.setattr(associator, "solve_fraction_system", wrong_once)
+    with pytest.raises(InconsistentSystem, match="through degree 4 .* at degree 4"):
+        solve_unitary(5, P5Quotient(5), tiebreak="zero", even=True)
+    assert calls == [3]
+
+
+def fraction_rref_solve(columns, rhs):
+    """Gauss-Jordan elimination on Fractions, the reference for
+    solve_fraction_system."""
+    ncols = len(columns)
+    keys = sorted(set(rhs).union(*columns))
+    rows = [[Fraction(col.get(k, 0)) for col in columns] + [Fraction(rhs.get(k, 0))] for k in keys]
+    pivots, r = [], 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(row[ncols] for row in rows[r:]):
+        return None
+    particular = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        particular[c] = rows[i][ncols]
+    nullspace = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -rows[i][fc]
+        nullspace.append(vec)
+    return particular, nullspace
+
+
+entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 4), st.lists(st.lists(entries, min_size=5, max_size=5), min_size=1, max_size=6),
+       st.lists(entries, min_size=4, max_size=4))
+def test_integer_elimination_is_the_fraction_rref(ncols, matrix, mix):
+    # the rows are random, plus combinations of them, so that ranks drop and
+    # some right-hand sides are consistent and some are not
+    matrix = matrix + [[sum(m * row[j] for m, row in zip(mix, matrix)) for j in range(5)]]
+    columns = [{k: row[j] for k, row in enumerate(matrix) if row[j]} for j in range(ncols)]
+    rhs = {k: row[4] for k, row in enumerate(matrix) if row[4]}
+    expected = fraction_rref_solve(columns, rhs)
+    if expected is None:
+        with pytest.raises(InconsistentSystem):
+            solve_fraction_system(columns, rhs)
+    else:
+        got = solve_fraction_system(columns, rhs)
+        assert got == expected
+        assert all(type(x) is Fraction for vec in [got[0]] + got[1] for x in vec)
 
 
 def test_skew_solver_output(q5, skew_candidate):

@@ -10,7 +10,7 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import layers  # noqa: E402
 import tracer  # noqa: E402
-from associators import pentagon  # noqa: E402
+from associators import associator, pentagon  # noqa: E402
 
 
 def bindings():
@@ -37,3 +37,13 @@ def test_layers_install_wraps_the_package_and_restores_it():
         pentagon.P5Quotient(2)
     assert t.names[t.spans[-1][2]] == "pentagon.P5Quotient.__init__"
     assert changed(before, bindings()) == []
+
+
+def test_solver_probes_count_the_lyndon_systems():
+    # the non-even degree-5 solve has 2 + 3 + 6 unknowns at degrees 3, 4, 5
+    # and grt_1's sigma_3 and sigma_5 as nullspace
+    with tracer.Tracer() as t:
+        layers.install(t)
+        associator.solve_unitary(5, pentagon.P5Quotient(5), tiebreak="lex", even=False)
+    assert t.counters["associator.linsolve_cols"] == 11
+    assert t.counters["associator.nullspace_dim"] == 2
