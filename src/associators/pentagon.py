@@ -206,19 +206,6 @@ def pentagon_residual(f, quotient):
 
 # -- Lie polynomials in p_5 = F_3 x| F_2, as pairs of word -> int dicts ----------
 
-def _read_back(bracket):
-    """BRACKET read backwards: (g, x, y) -> the (t, sign) for which [g, t]
-    puts the adjacent letters x y into a word with that sign."""
-    out = {}
-    for (g, t), (x, y) in bracket.items():
-        out.setdefault((g, x, y), []).append((t, 1))
-        out.setdefault((g, y, x), []).append((t, -1))
-    return out
-
-
-_UNBRACKET = _read_back(BRACKET)
-
-
 def _add_into(out, vec, scale):
     """out += scale vec, keeping no zero coefficient."""
     for w, c in vec.items():
@@ -245,47 +232,35 @@ def _commutator(x, y, rows=None):
     return {w: c for w, c in out.items() if c}
 
 
-def _derive_on(g, vec, rows):
-    """(g . vec) on the words rows: each adjacent pair that [g, t] can make
-    is read back to t."""
+def _derive(g, vec, rows=None):
+    """g . vec for a base letter g, or its coefficients on the words rows."""
     out = {}
-    for z in rows:
-        c = 0
-        for p in range(len(z) - 1):
-            for t, s in _UNBRACKET.get((g, z[p], z[p + 1]), ()):
-                c += s * vec.get(z[:p] + (t,) + z[p + 2:], 0)
-        if c:
-            out[z] = c
-    return out
+    for u, c in vec.items():
+        for x, s in _leibniz(g, u):
+            if rows is None or x in rows:
+                out[x] = out.get(x, 0) + s * c
+    return {x: c for x, c in out.items() if c}
 
 
 def _act(base, fibre, rows=None):
-    """b . f, or its coefficients on the words rows.  Each base word
+    """b . f, or its coefficients on the words rows.  A base word
     g_1 ... g_k of b applies g_k first; the images of shared suffixes are
-    computed once, and with rows the last letter g_1 is read on the rows
-    only."""
+    computed once, and the last letter g_1 acts once on the sum of the
+    images that it heads."""
     images = {(): fibre}
 
     def image(w):
         v = images.get(w)
         if v is None:
-            v = {}
-            for u, c in image(w[1:]).items():
-                for x, s in _leibniz(w[0], u):
-                    v[x] = v.get(x, 0) + s * c
-            v = images[w] = {x: c for x, c in v.items() if c}
+            v = images[w] = _derive(w[0], image(w[1:]))
         return v
 
-    out = {}
-    if rows is None:
-        for w, c in base.items():
-            _add_into(out, image(w), c)
-        return out
     heads = {}
     for w, c in base.items():
         _add_into(heads.setdefault(w[0], {}), image(w[1:]), c)
+    out = {}
     for g, vec in heads.items():
-        _add_into(out, _derive_on(g, vec, rows), 1)
+        _add_into(out, _derive(g, vec, rows), 1)
     return out
 
 
