@@ -283,7 +283,7 @@ def lie_image(lw, i, j, k, memo, rows=None):
     PAIR_EXPANSION.  memo maps (l, i, j, k) to the image; a caller that
     keeps it across degrees shares the sub-brackets.  With rows, a set of
     words of degree |l|, only the coefficients on those words are returned:
-    the last bracket is read there and not expanded, and not memoised."""
+    the last bracket keeps no other word, and it is not memoised."""
     key = (lw, i, j, k)
     image = memo.get(key)
     if image is None and len(lw) == 1:
