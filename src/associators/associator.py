@@ -188,15 +188,16 @@ def _lyndon_rows(d):
     return set(W.lyndon_words(d, NFIBRE)) | {tuple(x + NFIBRE for x in w) for w in W.lyndon_words(d)}
 
 
-def _pentagon_column(lw, rows, memo):
+def _pentagon_column(lw, rows, quotient, memo):
     """The column of the Lyndon word lw on the given rows: the degree-|lw|
     part of both pentagon faces of its Lie element, summed over the five
     positions, which is the sum of the pairs lie_image(lw, i, j, k)."""
     col = {}
     for ijk in PENTAGON_POSITIONS:
-        for part in lie_image(lw, *ijk, memo, rows):
+        for part in lie_image(lw, *ijk, quotient, memo):
             for w, c in part.items():
-                col[w] = col.get(w, 0) + c
+                if w in rows:
+                    col[w] = col.get(w, 0) + c
     return {w: c for w, c in col.items() if c}
 
 
@@ -255,7 +256,7 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
             continue
         basis = W.lie_basis(d)
         rows = _lyndon_rows(d)
-        columns = [_pentagon_column(lw, rows, memo) for lw, _ in basis]
+        columns = [_pentagon_column(lw, rows, quotient, memo) for lw, _ in basis]
         rhs = {m: -c for m, c in b.items() if m in rows}
         particular, nullspace = solve_fraction_system(columns, rhs)
         nullspace_dims[d] = len(nullspace)

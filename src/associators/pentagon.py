@@ -84,6 +84,15 @@ def _leibniz(g, u):
             yield left + xy[::-1] + right, -1
 
 
+def _add(vec, w, c):
+    """vec[w] += c, keeping no zero coefficient."""
+    s = vec.get(w, 0) + c
+    if s:
+        vec[w] = s
+    else:
+        vec.pop(w, None)
+
+
 def pair(i, j):
     i, j = int(i), int(j)
     if i == j:
@@ -111,31 +120,33 @@ class P5Quotient:
         return [self.dimension(d) for d in range(self.truncation + 1)]
 
     def nf_monomial(self, mono):
-        """mono . 1 as a tuple of (fibre word, int) pairs: the rightmost base
-        letter g acts on the fibre word u after it by Leibniz, and the letters
-        before g act on the result."""
-        i = len(mono) - 1
-        while i >= 0 and mono[i] < NFIBRE:
-            i -= 1
-        if i < 0:
-            return ((mono, 1),)
-        head, vec = mono[:i], {}
-        for w, s in _leibniz(mono[i], mono[i + 1:]):
-            vec[head + w] = vec.get(head + w, 0) + s
-        return tuple(self.reduce_vector(vec).items())
+        """mono . 1 as a tuple of (fibre word, int) pairs."""
+        return tuple(self.reduce_vector({mono: 1}).items())
 
     def reduce_vector(self, vec):
-        """The vector {word: coefficient} applied to 1."""
-        out = {}
-        for mono, c in vec.items():
-            for m, k in self.nf_monomial(mono):
-                s = out.get(m)
-                s = c * k if s is None else s + c * k
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return out
+        """The vector {word: coefficient} applied to 1.  A word is a head,
+        through its last base letter g, and a tail of fibre letters; g acts
+        on the tail by Leibniz, which leaves a shorter head.  The words of
+        one head are taken together, longest heads first, so that each head
+        acts once on the sum of the tails that reach it."""
+        levels = [{} for _ in range(max(map(len, vec), default=0) + 1)]
+
+        def group(w):
+            """The tails of w's head, and w's tail."""
+            i = len(w)
+            while i and w[i - 1] < NFIBRE:
+                i -= 1
+            return levels[i].setdefault(w[:i], {}), w[i:]
+
+        for w, c in vec.items():
+            _add(*group(w), c)
+        for level in levels[:0:-1]:
+            for head, tails in level.items():
+                into, prefix = group(head[:-1])
+                for u, c in tails.items():
+                    for x, s in _leibniz(head[-1], u):
+                        _add(into, prefix + x, s * c)
+        return levels[0].get((), {})
 
 
 class P5Element:
@@ -206,95 +217,39 @@ def pentagon_residual(f, quotient):
 
 # -- Lie polynomials in p_5 = F_3 x| F_2, as pairs of word -> int dicts ----------
 
-def _add_into(out, vec, scale):
-    """out += scale vec, keeping no zero coefficient."""
-    for w, c in vec.items():
-        s = out.get(w, 0) + scale * c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-
-
-def _commutator(x, y, rows=None):
-    """xy - yx, or its coefficients on the words rows (x, y homogeneous)."""
-    out = {}
-    if rows is None:
-        for wx, cx in x.items():
-            for wy, cy in y.items():
-                c = cx * cy
-                out[wx + wy] = out.get(wx + wy, 0) + c
-                out[wy + wx] = out.get(wy + wx, 0) - c
-    elif x and y:
-        a = len(next(iter(x)))
-        for z in rows:
-            out[z] = x.get(z[:a], 0) * y.get(z[a:], 0) - y.get(z[:-a], 0) * x.get(z[-a:], 0)
-    return {w: c for w, c in out.items() if c}
-
-
-def _derive(g, vec, rows=None):
-    """g . vec for a base letter g, or its coefficients on the words rows."""
-    out = {}
-    for u, c in vec.items():
-        for x, s in _leibniz(g, u):
-            if rows is None or x in rows:
-                out[x] = out.get(x, 0) + s * c
-    return {x: c for x, c in out.items() if c}
-
-
-def _act(base, fibre, rows=None):
-    """b . f, or its coefficients on the words rows.  A base word
-    g_1 ... g_k of b applies g_k first; the images of shared suffixes are
-    computed once, and the last letter g_1 acts once on the sum of the
-    images that it heads."""
-    images = {(): fibre}
-
-    def image(w):
-        v = images.get(w)
-        if v is None:
-            v = images[w] = _derive(w[0], image(w[1:]))
-        return v
-
-    heads = {}
-    for w, c in base.items():
-        _add_into(heads.setdefault(w[0], {}), image(w[1:]), c)
-    out = {}
-    for g, vec in heads.items():
-        _add_into(out, _derive(g, vec, rows), 1)
-    return out
-
-
-def p5_bracket(x, y, rows=None):
-    """[(f1, b1), (f2, b2)] = ([f1, f2] + b1.f2 - b2.f1, [b1, b2]), or its
-    coefficients on the words rows."""
+def p5_bracket(x, y, quotient):
+    """[(f1, b1), (f2, b2)] = ([f1, f2] + b1.f2 - b2.f1, [b1, b2]), where
+    b.f is the word vector b f applied to 1."""
     (f1, b1), (f2, b2) = x, y
-    fibre = _commutator(f1, f2, rows)
-    _add_into(fibre, _act(b1, f2, rows), 1)
-    _add_into(fibre, _act(b2, f1, rows), -1)
-    return fibre, _commutator(b1, b2, rows)
+    act = {}
+    for b, f, sign in ((b1, f2, 1), (b2, f1, -1)):
+        for wb, cb in b.items():
+            for wf, cf in f.items():
+                _add(act, wb + wf, sign * cb * cf)
+    fibre = W.commutator(f1, f2)
+    for w, c in quotient.reduce_vector(act).items():
+        _add(fibre, w, c)
+    return fibre, W.commutator(b1, b2)
 
 
-def lie_image(lw, i, j, k, memo, rows=None):
+def lie_image(lw, i, j, k, quotient, memo):
     """l(t_ij, t_jk) in p_5 for a Lyndon word l on the letters 0, 1, as a
     pair (fibre, base) of word -> int dicts on the letters 0, 1, 2 and 3, 4.
 
     The Lyndon element of l is the bracket of those of its standard
     factorisation, and the letters 0, 1 go to the strand generators of
-    PAIR_EXPANSION.  memo maps (l, i, j, k) to the image; a caller that
-    keeps it across degrees shares the sub-brackets.  With rows, a set of
-    words of degree |l|, only the coefficients on those words are returned:
-    the last bracket keeps no other word, and it is not memoised."""
-    key = (lw, i, j, k)
-    image = memo.get(key)
-    if image is None and len(lw) == 1:
+    PAIR_EXPANSION.  memo maps (w, i, j, k) to the image of every factor w
+    of the recursion, but l's own image is not stored: a caller that keeps
+    memo across degrees shares the sub-brackets and holds no image of its
+    top degree."""
+    if len(lw) == 1:
         combo = PAIR_EXPANSION[pair(*((i, j), (j, k))[lw[0]])]
-        image = memo[key] = tuple({(g,): c for g, c in combo.items() if (g < NFIBRE) == fibre}
-                                  for fibre in (True, False))
-    elif image is None:
-        u, v = W._standard_factorization(lw)
-        image = p5_bracket(lie_image(u, i, j, k, memo), lie_image(v, i, j, k, memo), rows)
-        if rows is None:
-            memo[key] = image
-    if rows is None:
-        return image
-    return tuple({w: c for w, c in part.items() if w in rows} for part in image)
+        return tuple({(g,): c for g, c in combo.items() if (g < NFIBRE) == fibre}
+                     for fibre in (True, False))
+    factors = []
+    for w in W._standard_factorization(lw):
+        key = (w, i, j, k)
+        if key not in memo:
+            memo[key] = lie_image(w, i, j, k, quotient, memo)
+        factors.append(memo[key])
+    return p5_bracket(*factors, quotient)

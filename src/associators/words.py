@@ -142,16 +142,18 @@ def lyndon_bracket_words(w: Word):
     if len(w) == 1:
         return {w: 1}
     u, v = _standard_factorization(w)
-    a = lyndon_bracket_words(u)
-    b = lyndon_bracket_words(v)
+    return commutator(lyndon_bracket_words(u), lyndon_bracket_words(v))
+
+
+def commutator(x, y):
+    """xy - yx for two word -> int dicts."""
     out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            k = wa + wb
-            out[k] = out.get(k, 0) + ca * cb
-            k = wb + wa
-            out[k] = out.get(k, 0) - ca * cb
-    return {k: c for k, c in out.items() if c}
+    for wx, cx in x.items():
+        for wy, cy in y.items():
+            c = cx * cy
+            out[wx + wy] = out.get(wx + wy, 0) + c
+            out[wy + wx] = out.get(wy + wx, 0) - c
+    return {w: c for w, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)

@@ -175,14 +175,30 @@ def test_bracket_columns_are_the_embedding_columns():
         rows = associator._lyndon_rows(d)
         for lw, _ in W.lie_basis(d):
             oracle = embedding_column(lw, q)
+            restricted = {w: c for w, c in oracle.items() if w in rows}
+            # a fresh memo builds the column from nothing; the shared one
+            # answers from the sub-brackets of the lower degrees
+            assert associator._pentagon_column(lw, rows, q, {}) == restricted
             full = {}
             for ijk in PENTAGON_POSITIONS:
-                for part in lie_image(lw, *ijk, memo):
+                for part in lie_image(lw, *ijk, q, memo):
                     for w, c in part.items():
                         full[w] = full.get(w, 0) + c
             assert {w: c for w, c in full.items() if c} == oracle
-            restricted = {w: c for w, c in oracle.items() if w in rows}
-            assert associator._pentagon_column(lw, rows, memo) == restricted
+
+
+# the number of Lyndon words of length d on 3 and on 2 letters (OEIS A027376
+# and A001037), (1/d) sum over e | d of mobius(d / e) k^e
+@pytest.mark.parametrize("d, nfibre, nbase", [(1, 3, 2), (2, 3, 1), (4, 18, 3), (6, 116, 9), (8, 810, 30)])
+def test_lyndon_rows_are_the_fibre_and_base_lyndon_words(d, nfibre, nbase):
+    rows = associator._lyndon_rows(d)
+    fibre = {w for w in rows if set(w) <= {0, 1, 2}}
+    base = {w for w in rows if set(w) <= {3, 4}}
+    assert (len(fibre), len(base)) == (nfibre, nbase)
+    assert rows == fibre | base
+    for w in rows:
+        # a Lyndon word is strictly smaller than each of its proper rotations
+        assert len(w) == d and all(w < w[r:] + w[:r] for r in range(1, d))
 
 
 @pytest.mark.parametrize("tiebreak, even", [("zero", True), ("lex", True), ("lex", False)])
