@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from fractions import Fraction
@@ -157,10 +158,13 @@ def test_first_entry_mismatch_reports_monomial():
 def test_ohno_zagier_boundary_resolution(even_candidate):
     phi = even_candidate.phi
     target = ev_xy(phi)[0, 0]
-    good = ohno_zagier_sum(phi, 5, boundary="k>=n+s")
-    strict = ohno_zagier_sum(phi, 5, boundary="k>n+s")
-    assert good == target
-    assert not (strict == target)
+    assert ohno_zagier_sum(phi, 5) == target
+    # over words k >= n + s always holds; the strict reading k > n + s is the
+    # sum of phi without its words of weight k = n + s, and it misses target
+    strict = NCSeries(QQ, 5, {w: c for w, c in phi.terms.items()
+                              if len(w) != W.depth(w) + W.height(w)})
+    assert ohno_zagier_sum(strict, 5) == ohno_zagier_sum(phi, 5, boundary="k>n+s")
+    assert not (ohno_zagier_sum(strict, 5) == target)
     # the exponential side is the same series
     assert ohno_zagier_exponential(phi, 5) == target
 
@@ -177,6 +181,13 @@ def test_entry11_via_stats_random():
     for _ in range(5):
         g = random_grouplike(rng, 4)
         assert entry11_via_stats(g) == ev_xy(g)[0, 0]
+
+
+def test_entry11_via_stats_keeps_the_constant_term():
+    # not group-like, constant term 3
+    f = NCSeries(QQ, 4, {(): Fraction(3), (0, 1): Fraction(2), (0, 0, 1, 1): Fraction(-1, 5),
+                         (0, 1, 0, 1): Fraction(7), (1, 0): Fraction(4)})
+    assert entry11_via_stats(f) == ev_xy(f)[0, 0]
 
 
 # -- theta map and solution matrices ------------------------------------------------------
@@ -250,6 +261,34 @@ def test_v_matrix_homomorphism_in_g(even_candidate):
             v_prod, _ = v_matrix(g1 * g2, star, 4, theta=theta, n_plus=npl)
             v2, _ = v_matrix(g2, star, 4, theta=theta, n_plus=npl)
             assert first_entry_mismatch(v_prod, raw1 * v2) is None
+
+
+def matrix_digest(m):
+    text = ";".join(repr(sorted((k, str(c)) for k, c in m[i, j].terms.items()))
+                    for i in range(2) for j in range(2))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+COCYCLE_DIGESTS_4 = {
+    "01": "13724b8bc83186df",
+    "10": "77032321bc1d18dc",
+    "1inf": "45368294e83d2018",
+    "inf1": "caf80027a3db8a9f",
+    "inf0": "da33280cbc565566",
+    "0inf": "ab99eda98bdec2a0",
+}
+
+
+def test_cocycle_image_values_at_truncation_4(even_candidate):
+    # the homomorphism test holds for any letter images; these pin the values
+    g = random_grouplike(random.Random(7), 4)
+    theta = ThetaMap(4)
+    npl = n_plus_matrix(even_candidate.phi.truncate(4))
+    from associators.matspec import cocycle_image
+
+    got = {star: matrix_digest(cocycle_image(g, star, theta=theta, n_plus=npl))
+           for star in V_STARS}
+    assert got == COCYCLE_DIGESTS_4
 
 
 # -- transformation identities ---------------------------------------------------------
