@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import words as W
-from .ncseries import NCSeries, lie_element, max_coeff
+from .ncseries import NCSeries, free_group_word, lie_element, max_coeff
 from .pentagon import NFIBRE, P5Quotient, PENTAGON_POSITIONS, lie_image, pentagon_residual
 from .rings import QQ, abs_value
 
@@ -296,21 +296,20 @@ def _conjugate_first(s, g, lam):
     return s.substitute((g * e0 * g.inverse()).scale(lam), e1.scale(lam)) * g
 
 
-def gt_act(gt: GTElement, cand: AssociatorCandidate, self_check: bool = True):
+def gt_act(gt: GTElement, cand: AssociatorCandidate):
     """(lambda, f) acting on (mu, phi): (lambda mu,
     phi * f(e^(mu e0), phi^-1 e^(mu e1) phi)).
 
     The equivalent left-hand form f(phi e^(mu e0) phi^-1, e^(mu e1)) * phi
-    is recomputed and compared when self_check is set; a mismatch would
-    signal an implementation bug, not bad input.
+    is recomputed and compared; a mismatch would signal an implementation
+    bug, not bad input.
     """
     n = min(cand.truncation, gt.truncation)
     phi, s = cand.phi.truncate(n), gt.series.truncate(n)
     right = phi * s.substitute(*_comp_images(phi, cand.mu))
-    if self_check:
-        left = _conjugate_first(s, phi, cand.mu)
-        if max_coeff(left - right) > cand.ring.noise_floor:
-            raise AssertionError("the two torsor-action forms disagree")
+    left = _conjugate_first(s, phi, cand.mu)
+    if max_coeff(left - right) > cand.ring.noise_floor:
+        raise AssertionError("the two torsor-action forms disagree")
     return AssociatorCandidate(mu=gt.lam * cand.mu, phi=right, truncation=n)
 
 
@@ -366,14 +365,9 @@ def comp_fake(cand: AssociatorCandidate, element):
     picture.
     """
     n = cand.truncation
-    log0, log1 = _comp_images(cand.phi.truncate(n), cand.mu)
-    if isinstance(element, NCSeries):
-        return element.substitute(log0, log1)
-    acc = NCSeries.one(cand.ring, n)
-    for gen, exp in element:
-        base = log0 if gen == "x0" else log1
-        acc = acc * base.scale(cand.ring.from_int(int(exp))).exp()
-    return acc
+    if not isinstance(element, NCSeries):
+        element = free_group_word(cand.ring, n, element)
+    return element.substitute(*_comp_images(cand.phi.truncate(n), cand.mu))
 
 
 def comp_fake_xinf_defect(cand: AssociatorCandidate) -> float:

@@ -115,7 +115,8 @@ class CSeries(graded.Series):
 
     # -- exact division ---------------------------------------------------------------
 
-    def _divide_var(self, i, form_name, noise):
+    def _divide_var(self, i, form_name):
+        noise = self.ring.noise_floor
         out = {}
         for m, c in self.terms.items():
             if m[i] == 0:
@@ -142,26 +143,23 @@ class CSeries(graded.Series):
         p = CSeries.variable(ring, n, "p")
         return self.subst(a, b, a + b + p)
 
-    def divide_exact(self, form, noise=None):
+    def divide_exact(self, form):
         """Exact division by one of a, b, p, q, ab, pq, bq, ba; raises
         ExactDivisionError when a monomial obstructs it.  The quotient's
         truncation drops by the degree of the form.
 
         Over an inexact ring, offending monomials below the roundoff noise
-        floor (the ring's noise_floor) are dropped instead of raising; noise
-        overrides the floor."""
-        if noise is None:
-            noise = self.ring.noise_floor
+        floor (the ring's noise_floor) are dropped instead of raising."""
         if len(form) > 1:
             out = self
             for ch in form:
-                out = out.divide_exact(ch, noise)
+                out = out.divide_exact(ch)
             return out
         if form in VAR_NAMES:
-            return self._divide_var(VAR_NAMES.index(form), form, noise)
+            return self._divide_var(VAR_NAMES.index(form), form)
         if form == "q":
             g = self._to_q_coords()
-            g = g._divide_var(2, "q", noise)
+            g = g._divide_var(2, "q")
             return g._from_q_coords()
         raise ValueError("unknown form %r" % form)
 

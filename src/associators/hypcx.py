@@ -178,18 +178,24 @@ def kz_series(weight, digits=50, z=Fraction(1, 2)):
     return cand
 
 
-def mzv(index, digits=40, weight_cap=12):
+MZV_WEIGHT_CAP = 12
+
+
+def mzv(index, digits=40):
     """Multiple zeta value for an admissible index (k_1, ..., k_m), the sum
-    over 0 < n_1 < ... < n_m of prod n_i^(-k_i)."""
+    over 0 < n_1 < ... < n_m of prod n_i^(-k_i), for weights up to
+    MZV_WEIGHT_CAP.
+
+    Raise the cap only together with tests at the new cap: zeta(w) against
+    mpmath.zeta, the sum theorem, one duality pair, and
+    test_kz_series_keeps_its_digits at that weight."""
     index = tuple(int(k) for k in index)
     if not W.is_admissible(index):
         raise ValueError("index %r is not admissible (last entry must exceed 1)" % (index,))
     wt = sum(index)
-    if wt > weight_cap:
-        raise ValueError("weight %d beyond cap %d" % (wt, weight_cap))
-    cand = kz_series(wt, digits)
-    c = cand.phi.coeff(W.word_from_index(index))
-    return -c if len(index) % 2 else c
+    if wt > MZV_WEIGHT_CAP:
+        raise ValueError("weight %d beyond cap %d" % (wt, MZV_WEIGHT_CAP))
+    return W.zeta_value(kz_series(wt, digits).phi, index)
 
 
 def mzv_direct(index, nterms=3000):

@@ -4,13 +4,25 @@ Series in e0, e1 are evaluated at the matrices
 
     X = [[0, b], [0, p]],   Y = [[0, 0], [a, q]],   q = a + b + p,
 
-over the commutative series ring in (a, b, p).  The module hosts: the
-per-word closed forms of the evaluation entries (classified by weight,
-depth, height), the gamma-ratio matrix attached to a gamma series together
-with its SL2 property, the comparison of the two against each other, the
-evaluation homomorphism sending x0 to e^X and x1 to the conjugated e^(-Y),
-the six solution matrices, the transformation identities for arbitrary
-group-like series, and the formal Gauss summation identity.
+over the commutative series ring in (a, b, p).  The module hosts:
+
+- the per-word closed forms of the evaluation entries, which depend on the
+  word only through its (weight, depth, height); summed per statistic they
+  give the Ohno-Zagier generating sum of the (1,1) entry;
+- the gamma-ratio matrix attached to a gamma series, built from four gamma
+  ratios (main, top, low, diag), with its SL2 property and its comparison
+  against the evaluation of an associator;
+- the evaluation homomorphism theta: x0 -> e^X, x1 -> M^(-1) e^(-Y) M for
+  the even gamma matrix M, on series and on free-group words;
+- the six solution matrices.  Each is g(u, w) for one row (u, C, v) of a
+  table over X, Y, M and the (einf, e1) evaluation N of the associator:
+  w = C v C^(-1) for the stars 01, 10 and inf1, and
+  w = log(e^(-u/2) C e^v C^(-1) e^(-u/2)) for 1inf, inf0 and 0inf;
+- the transformation and weighted-sum identities for arbitrary group-like
+  series, the appendix entry relations, and the formal Gauss summation
+  identity.
+
+Every function works at the truncation of the series it is given.
 
 All statements with denominators are handled through cleared forms and
 exact division; a division failure is a finding (it falsifies the identity
@@ -28,7 +40,7 @@ from .cseries import CSeries, ExactDivisionError, subst_swap_ab, subst_reindex
 from .gammafn import GammaSeries, gamma_even, gamma_of_associator, gamma_of_gt
 from .graded import max_coeff
 from .mat2 import Mat2, mat_exp_graded
-from .ncseries import NCSeries
+from .ncseries import NCSeries, free_group_word
 from .rings import QQ
 
 
@@ -48,11 +60,10 @@ def ev_at(f: NCSeries, m0: Mat2, m1: Mat2) -> Mat2:
     return f.substitute(m0, m1)
 
 
-def ev_xy(f: NCSeries, truncation=None) -> Mat2:
+def ev_xy(f: NCSeries) -> Mat2:
     """Evaluation at (X, -Y)."""
-    n = f.truncation if truncation is None else truncation
-    x, y = xy_matrices(f.ring, n)
-    return ev_at(f.truncate(min(n, f.truncation)), x, -y)
+    x, y = xy_matrices(f.ring, f.truncation)
+    return ev_at(f, x, -y)
 
 
 # -- per-word closed forms of the evaluation entries ----------------------------
@@ -60,6 +71,12 @@ def ev_xy(f: NCSeries, truncation=None) -> Mat2:
 
 def _stats(w):
     return W.weight(w), W.depth(w), W.height(w)
+
+
+def _entry00_form(ab, p, q, abq, k, n, s):
+    """ab p^(k-n-s) q^(n-s) abq^(s-1): the (1,1) entry of a word of weight k,
+    depth n and height s at (X, -Y), up to the sign (-1)^n."""
+    return ab * p.pow(k - n - s) * q.pow(n - s) * abq.pow(s - 1)
 
 
 def word_entry_closed_form(ring, truncation, w, entry):
@@ -80,7 +97,7 @@ def word_entry_closed_form(ring, truncation, w, entry):
     if entry == (0, 0):
         if w[0] != W.E0 or w[-1] != W.E1:
             return CSeries.zero(ring, truncation)
-        out = (a * b) * p.pow(k - n - s) * q.pow(n - s) * abq.pow(s - 1)
+        out = _entry00_form(a * b, p, q, abq, k, n, s)
     elif entry == (0, 1):
         if w[0] != W.E0:
             return CSeries.zero(ring, truncation)
@@ -94,20 +111,38 @@ def word_entry_closed_form(ring, truncation, w, entry):
     return out.scale(sign)
 
 
-def entry11_via_stats(f: NCSeries, truncation=None) -> CSeries:
-    """(1,1) entry of the evaluation assembled from the per-word closed form;
-    an independent route used as the oracle for the generating-function
-    identities."""
-    n = f.truncation if truncation is None else truncation
-    acc = CSeries.zero(f.ring, n)
-    for w, c in f.terms.items():
-        if not w:
-            acc = acc + CSeries.one(f.ring, n).scale(c)
-            continue
-        if w[0] != W.E0 or w[-1] != W.E1 or len(w) > n:
-            continue
-        acc = acc + word_entry_closed_form(f.ring, n, w, (0, 0)).scale(c)
+def _stats_sum(f: NCSeries, ab, p, q, abq) -> CSeries:
+    """f's constant term plus the sum over (weight k, depth n, height s) of
+    g(k, n, s) _entry00_form(ab, p, q, abq, k, n, s), where g(k, n, s) sums
+    the zeta values of f over the words from e0 to e1 with those statistics
+    (the admissible indices of weight k, depth n and height s)."""
+    groups = {}
+    for w in f.terms:
+        if w and w[0] == W.E0 and w[-1] == W.E1:
+            key = _stats(w)
+            groups[key] = groups.get(key, f.ring.zero) + W.zeta_value(f, W.index_from_word(w))
+    acc = CSeries.one(f.ring, ab.truncation).scale(f.constant_term())
+    for (k, n, s), g0 in sorted(groups.items()):
+        acc = acc + _entry00_form(ab, p, q, abq, k, n, s).scale(g0)
     return acc
+
+
+def ohno_zagier_sum(phi: NCSeries) -> CSeries:
+    """(phi | 1) + ab sum g0(k,n,s) p^(k-n-s) q^(n-s) (ab+pq)^(s-1), where g0
+    aggregates the zeta values of phi over admissible indices of fixed
+    (weight, depth, height): the (1,1) entry of phi at (X, -Y).
+
+    Over words k >= n + s and n >= s always hold; the weight-2 coefficient
+    forces this reading over the strict k > n + s."""
+    a, b, p, q = CSeries.gens(phi.ring, phi.truncation)
+    return _stats_sum(phi, a * b, p, q, a * b + p * q)
+
+
+def ohno_zagier_exponential(phi: NCSeries) -> CSeries:
+    """exp sum_{n>=2} zeta_phi(n)/n {p^n + q^n - (a+p)^n - (b+p)^n}, i.e. the
+    gamma ratio at (-p, -q; -p-a, -p-b)."""
+    gamma = gamma_of_associator(AssociatorCandidate(phi.ring.one, phi, phi.truncation))
+    return _ratios(gamma, phi.truncation)[0]
 
 
 # -- gamma-ratio matrix ----------------------------------------------------------
@@ -115,14 +150,20 @@ def entry11_via_stats(f: NCSeries, truncation=None) -> CSeries:
 
 class GammaMatrix:
     """The 2x2 matrix attached to a gamma series: a unimodular matrix m over
-    the (a, b, p) series ring, plus the cleared row-2 data of the inner
-    ratio matrix c (whose second row has denominator pq)."""
+    the (a, b, p) series ring."""
 
-    def __init__(self, m: Mat2, c_row2_cleared, det_defect: float):
+    def __init__(self, m: Mat2, det_defect: float):
         self.m = m
-        self.c_row2_cleared = c_row2_cleared  # (pq*c21, pq*c22)
         self.det_defect = det_defect
         self.det_is_one = det_defect == 0.0
+
+
+def _ratios(gamma: GammaSeries, truncation: int):
+    """The four gamma ratios (main, top, low, diag) at (-p, -q; -p-a, -p-b),
+    (p, -q; -a, -b), (-p, q; a, b) and (p, q; p+a, p+b)."""
+    a, b, p, q = CSeries.gens(gamma.ring, truncation)
+    return (gamma.ratio(-p, -q, -p - a, -p - b), gamma.ratio(p, -q, -a, -b),
+            gamma.ratio(-p, q, a, b), gamma.ratio(p, q, p + a, p + b))
 
 
 def gamma_ratio_matrix(gamma: GammaSeries, truncation: int) -> GammaMatrix:
@@ -132,41 +173,37 @@ def gamma_ratio_matrix(gamma: GammaSeries, truncation: int) -> GammaMatrix:
     and q is exactly what the unimodularity argument promises.  The (2,2)
     entry is produced from det = 1 (which only needs gamma up to the
     truncation order); when two extra orders of gamma are available, the
-    explicit pq-division route is computed as well and cross-checked.
+    explicit pq-division route is computed as well and cross-checked.  The
+    ratios are then computed once, two orders higher, and truncated.
     """
-    ring = gamma.ring
-    if gamma.order < truncation:
+    ring, n = gamma.ring, truncation
+    if gamma.order < n:
         raise ValueError("gamma series order %d too small for truncation %d"
-                         % (gamma.order, truncation))
-    a, b, p, q = CSeries.gens(ring, truncation)
-    r_main = gamma.ratio(-p, -q, -p - a, -p - b)
-    r_top = gamma.ratio(p, -q, -a, -b)
-    r_low = gamma.ratio(-p, q, a, b)
-    r_diag = gamma.ratio(p, q, p + a, p + b)
+                         % (gamma.order, n))
+    cross_check = ring.exact and gamma.order >= n + 2
+    ratios = _ratios(gamma, n + 2 if cross_check else n)
+    r_main, r_top, r_low = (r.truncate(n) for r in ratios[:3])
+    a, b, p, q = CSeries.gens(ring, n)
 
     m11 = r_main
     # multiplying by the degree-1 forms restores the degree lost to the
     # exact division, so lifting the quotient's truncation first is sound
-    m12 = (b * (r_top - r_main).divide_exact("p").truncate(truncation)).truncate(truncation)
-    m21 = (a * (r_low - r_main).divide_exact("q").truncate(truncation)).truncate(truncation)
-    m22 = (CSeries.one(ring, truncation) + m12 * m21) * m11.inverse()
+    m12 = (b * (r_top - r_main).divide_exact("p").truncate(n)).truncate(n)
+    m21 = (a * (r_low - r_main).divide_exact("q").truncate(n)).truncate(n)
+    m22 = (CSeries.one(ring, n) + m12 * m21) * m11.inverse()
     m = Mat2(m11, m12, m21, m22)
 
-    det_defect = max_coeff(m.det() - CSeries.one(ring, truncation))
+    det_defect = max_coeff(m.det() - CSeries.one(ring, n))
 
-    if ring.exact and gamma.order >= truncation + 2:
-        n2 = truncation + 2
-        a2, b2, p2, q2 = CSeries.gens(ring, n2)
-        num = (a2 * b2 + p2 * q2) * gamma.ratio(p2, q2, p2 + a2, p2 + b2) \
-            + (a2 * b2) * (gamma.ratio(-p2, -q2, -p2 - a2, -p2 - b2)
-                           - gamma.ratio(-p2, q2, a2, b2)
-                           - gamma.ratio(p2, -q2, -a2, -b2))
+    if cross_check:
+        main, top, low, diag = ratios
+        a2, b2, p2, q2 = CSeries.gens(ring, n + 2)
+        num = (a2 * b2 + p2 * q2) * diag + (a2 * b2) * (main - low - top)
         alt22 = num.divide_exact("pq")
         if not (alt22 == m22.truncate(alt22.truncation)):
             raise AssertionError("the two (2,2) entry routes disagree")
 
-    c_row2_cleared = ((a * b) * r_low, (a * b + p * q) * r_diag)
-    return GammaMatrix(m, c_row2_cleared, det_defect)
+    return GammaMatrix(m, det_defect)
 
 
 def gamma_matrix_plus(truncation: int, ring=QQ) -> GammaMatrix:
@@ -186,12 +223,12 @@ def first_entry_mismatch(m1: Mat2, m2: Mat2):
     return None
 
 
-def varphi_equals_gamma_matrix(cand: AssociatorCandidate, truncation=None, tol=0.0):
+def varphi_equals_gamma_matrix(cand: AssociatorCandidate):
     """Entrywise comparison of the evaluation of phi at (X, -Y) with the
-    matrix built from its gamma series."""
-    n = cand.truncation if truncation is None else truncation
-    lhs = ev_xy(cand.phi, n)
-    gm = gamma_ratio_matrix(gamma_of_associator(cand), n)
+    matrix built from its gamma series, up to the ring's noise floor."""
+    lhs = ev_xy(cand.phi)
+    gm = gamma_ratio_matrix(gamma_of_associator(cand), cand.truncation)
+    tol = cand.ring.noise_floor
     diff_max = max(max_coeff(lhs[i, j] - gm.m[i, j]) for i in range(2) for j in range(2))
     report = {
         "equal": diff_max <= tol,
@@ -200,72 +237,6 @@ def varphi_equals_gamma_matrix(cand: AssociatorCandidate, truncation=None, tol=0
         "first_mismatch": None if diff_max <= tol else first_entry_mismatch(lhs, gm.m),
     }
     return report, lhs, gm
-
-
-# -- Ohno-Zagier style aggregation ------------------------------------------------
-
-
-def zeta_value(phi: NCSeries, index):
-    """zeta_phi(k_1, ..., k_m) = (-1)^m (phi | e0^(k_m - 1) e1 ... e0^(k_1 - 1) e1)."""
-    c = phi.coeff(W.word_from_index(index))
-    return -c if len(index) % 2 else c
-
-
-def _admissible_indices_by_stats(max_weight):
-    """Group admissible indices by (weight, depth, height)."""
-    out = {}
-    def rec(prefix, total):
-        if prefix:
-            if prefix[-1] > 1:
-                idx = tuple(prefix)
-                key = (total, len(idx), sum(1 for k in idx if k > 1))
-                out.setdefault(key, []).append(idx)
-        for k in range(1, max_weight - total + 1):
-            prefix.append(k)
-            rec(prefix, total + k)
-            prefix.pop()
-    rec([], 0)
-    return out
-
-
-def ohno_zagier_sum(phi: NCSeries, truncation, boundary="k>=n+s") -> CSeries:
-    """1 + ab * sum g0(k,n,s) p^(k-n-s) q^(n-s) (ab+pq)^(s-1), where g0
-    aggregates the zeta values of phi over admissible indices of fixed
-    (weight, depth, height).
-
-    boundary selects the summation constraint: "k>=n+s" (the reading forced
-    by the weight-2 coefficient) or "k>n+s"."""
-    if boundary not in ("k>=n+s", "k>n+s"):
-        raise ValueError("unknown boundary %r" % boundary)
-    ring = phi.ring
-    a, b, p, q = CSeries.gens(ring, truncation)
-    abq = a * b + p * q
-    acc = CSeries.one(ring, truncation)
-    grouped = _admissible_indices_by_stats(min(truncation, phi.truncation))
-    for (k, n, s), indices in sorted(grouped.items()):
-        if n < s:
-            continue
-        if boundary == "k>=n+s" and k < n + s:
-            continue
-        if boundary == "k>n+s" and k <= n + s:
-            continue
-        g0 = ring.zero
-        for idx in indices:
-            g0 = g0 + zeta_value(phi, idx)
-        if ring.is_zero(g0):
-            continue
-        term = (a * b) * p.pow(k - n - s) * q.pow(n - s) * abq.pow(s - 1)
-        acc = acc + term.scale(g0)
-    return acc
-
-
-def ohno_zagier_exponential(phi: NCSeries, truncation) -> CSeries:
-    """exp sum_{n>=2} zeta_phi(n)/n {p^n + q^n - (a+p)^n - (b+p)^n}, i.e. the
-    gamma ratio at (-p, -q; -p-a, -p-b)."""
-    ring = phi.ring
-    gamma = gamma_of_associator(AssociatorCandidate(ring.one, phi, phi.truncation))
-    a, b, p, q = CSeries.gens(ring, truncation)
-    return gamma.ratio(-p, -q, -p - a, -p - b)
 
 
 # -- evaluation homomorphism and the formal hypergeometric series ----------------------
@@ -281,33 +252,19 @@ class ThetaMap:
         self.ring = ring
         gm = gamma_matrix if gamma_matrix is not None else gamma_matrix_plus(truncation, ring)
         self.m_plus = gm.m
-        x, y = xy_matrices(ring, truncation)
-        self.x = x
-        self.y = y
+        self.m_inv = self.m_plus.inverse()
+        self.x, self.y = xy_matrices(ring, truncation)
         one = CSeries.one(ring, truncation)
-        zero = CSeries.zero(ring, truncation)
-        self.identity = Mat2.identity(one, zero)
-        self._m_inv = self.m_plus.inverse()
-        self.log_image0 = x
-        self.log_image1 = (self._m_inv * (-y)) * self.m_plus
-
-    def image_of_series(self, s: NCSeries) -> Mat2:
-        """Image of a group-like series in the exponential picture."""
-        return s.truncate(self.truncation).substitute(
-            self.log_image0, self.log_image1, one=self.identity)
-
-    def image_of_word(self, word_pairs) -> Mat2:
-        """Image of a free-group word [(generator, exponent), ...]."""
-        acc = self.identity
-        for gen, exp in word_pairs:
-            base = self.log_image0 if gen == "x0" else self.log_image1
-            acc = acc * mat_exp_graded(base.scale(Fraction(int(exp))))
-        return acc
+        self.identity = Mat2.identity(one, CSeries.zero(ring, truncation))
+        self.log_image0 = self.x
+        self.log_image1 = (self.m_inv * (-self.y)) * self.m_plus
 
     def __call__(self, element) -> Mat2:
-        if isinstance(element, NCSeries):
-            return self.image_of_series(element)
-        return self.image_of_word(element)
+        """Image of a group-like series in the exponential picture, or of a
+        free-group word [(generator, exponent), ...]."""
+        if not isinstance(element, NCSeries):
+            element = free_group_word(self.ring, self.truncation, element)
+        return element.substitute(self.log_image0, self.log_image1, one=self.identity)
 
     def formal_2f1(self, element) -> CSeries:
         return self(element)[0, 0]
@@ -326,49 +283,41 @@ def mat_log_graded(m: Mat2) -> Mat2:
 V_STARS = ("01", "10", "1inf", "inf1", "inf0", "0inf")
 
 
-def n_plus_matrix(phi: NCSeries, truncation=None) -> Mat2:
+def n_plus_matrix(phi: NCSeries) -> Mat2:
     """Evaluation at (X, -Y) of phi(einf, e1), i.e. phi substituted at
     (Y - X, -Y)."""
-    n = phi.truncation if truncation is None else truncation
-    x, y = xy_matrices(phi.ring, n)
-    return ev_at(phi.truncate(n), y - x, -y)
+    x, y = xy_matrices(phi.ring, phi.truncation)
+    return ev_at(phi, y - x, -y)
 
 
-def cocycle_image(g: NCSeries, star: str, truncation=None, theta: ThetaMap = None,
-                  n_plus: Mat2 = None) -> Mat2:
+def cocycle_image(g: NCSeries, star: str, theta: ThetaMap = None, n_plus: Mat2 = None) -> Mat2:
     """Image of the cocycle stand-in g under the closed-form evaluation for
-    one of the six solutions; multiplicative in g."""
-    n = g.truncation if truncation is None else truncation
-    ring = g.ring
-    if theta is None:
-        theta = ThetaMap(n, ring)
-    m_plus = theta.m_plus
-    m_inv = m_plus.inverse()
-    x, y = theta.x, theta.y
-    gs = g.truncate(n)
+    one of the six solutions; multiplicative in g.
 
-    if star == "01":
-        return theta.image_of_series(gs)
-    if star == "10":
-        return gs.substitute(-y, (m_plus * x) * m_inv, one=theta.identity)
-    if star == "1inf":
-        half = mat_exp_graded(y.scale(Fraction(1, 2)))
-        inner = half * m_plus * mat_exp_graded(-x) * m_inv * half
-        return gs.substitute(-y, mat_log_graded(inner), one=theta.identity)
-    if n_plus is None:
-        raise ValueError("stars inf1, inf0 need the n_plus matrix")
-    n_inv = n_plus.inverse()
-    if star == "inf1":
-        return gs.substitute(y - x, (n_inv * (-y)) * n_plus, one=theta.identity)
-    if star == "inf0":
-        half = mat_exp_graded((x - y).scale(Fraction(1, 2)))
-        inner = half * n_inv * mat_exp_graded(y) * n_plus * half
-        return gs.substitute(y - x, mat_log_graded(inner), one=theta.identity)
-    if star == "0inf":
-        half = mat_exp_graded(-x.scale(Fraction(1, 2)))
-        inner = half * m_inv * mat_exp_graded(y) * m_plus * half
-        return gs.substitute(x, mat_log_graded(inner), one=theta.identity)
-    raise ValueError("unknown star %r" % star)
+    The image is g(u, w) for the star's row (u, C, v), over X, Y, the even
+    gamma matrix M and n_plus = N: w = C v C^(-1) for 01, 10 and inf1, and
+    w = log(e^(-u/2) C e^v C^(-1) e^(-u/2)) for 1inf, inf0 and 0inf."""
+    if theta is None:
+        theta = ThetaMap(g.truncation, g.ring)
+    x, y = theta.x, theta.y
+    # each C as the pair (C, C^(-1))
+    m = (theta.m_plus, theta.m_inv)
+    m_inv, n_inv = m[::-1], None
+    if star in ("inf1", "inf0"):
+        if n_plus is None:
+            raise ValueError("stars inf1, inf0 need the n_plus matrix")
+        n_inv = (n_plus.inverse(), n_plus)
+    rows = {"01": (x, m_inv, -y), "10": (-y, m, x), "inf1": (y - x, n_inv, -y),
+            "1inf": (-y, m, -x), "inf0": (y - x, n_inv, y), "0inf": (x, m_inv, y)}
+    if star not in rows:
+        raise ValueError("unknown star %r" % star)
+    u, (c, c_inv), v = rows[star]
+    if star in ("01", "10", "inf1"):
+        w = (c * v) * c_inv
+    else:
+        half = mat_exp_graded(u.scale(Fraction(-1, 2)))
+        w = mat_log_graded(half * c * mat_exp_graded(v) * c_inv * half)
+    return g.substitute(u, w, one=theta.identity)
 
 
 def column_mix_cleared(ring, truncation, star):
@@ -388,8 +337,7 @@ def column_mix_cleared(ring, truncation, star):
     raise ValueError("unknown star %r" % star)
 
 
-def v_matrix(g: NCSeries, star: str, truncation=None, theta: ThetaMap = None,
-             n_plus: Mat2 = None):
+def v_matrix(g: NCSeries, star: str, theta: ThetaMap = None, n_plus: Mat2 = None):
     """One of the six solution matrices, built from the closed forms that are
     free of any associator choice, multiplied by the cleared column-mix
     matrix.  Returns (cleared matrix, clearing monomial).
@@ -397,21 +345,15 @@ def v_matrix(g: NCSeries, star: str, truncation=None, theta: ThetaMap = None,
     g is the group-like stand-in for the relevant cocycle, in the
     exponential picture.
     """
-    n = g.truncation if truncation is None else truncation
-    ring = g.ring
-    gm = cocycle_image(g, star, n, theta=theta, n_plus=n_plus)
-    k, clearing = column_mix_cleared(ring, n, star)
+    gm = cocycle_image(g, star, theta=theta, n_plus=n_plus)
+    k, clearing = column_mix_cleared(g.ring, g.truncation, star)
     return gm * k, clearing
 
 
 # -- transformation identities for arbitrary group-like series ------------------------
 
 
-def _exp_linear(ring, truncation, var, coeff):
-    return CSeries.variable(ring, truncation, var).scale(coeff).exp()
-
-
-def transformation_identities(g: NCSeries, truncation=None) -> dict:
+def transformation_identities(g: NCSeries) -> dict:
     """The three solution-matrix compatibilities, verified exactly for an
     arbitrary group-like series g.
 
@@ -422,41 +364,36 @@ def transformation_identities(g: NCSeries, truncation=None) -> dict:
     Checks are performed on b- or q-cleared forms, so everything stays in
     the polynomial ring.  Returns per-identity defect magnitudes.
     """
-    n = g.truncation if truncation is None else truncation
-    ring = g.ring
-    gs = g.truncate(n)
-    x, y = xy_matrices(ring, n)
-    c0 = gs.coeff((0,))
-    c1 = gs.coeff((1,))
+    x, y = xy_matrices(g.ring, g.truncation)
+    a, b, _, q = CSeries.gens(g.ring, g.truncation)
+    c0 = g.coeff((0,))
+    c1 = g.coeff((1,))
     out = {}
 
     # identity "inf1": [g(Y-X, -Y) (1, -a/b)^T]_1 = e^(c0 a) iota([g(X,-Y)]_11)
-    h = ev_at(gs, y - x, -y)
-    gmat = ev_at(gs, x, -y)
-    b_form = CSeries.variable(ring, n, "b")
-    lhs = b_form * h[0, 0] - CSeries.variable(ring, n, "a") * h[0, 1]
-    rhs = b_form * (_exp_linear(ring, n, "a", c0) * subst_reindex(gmat[0, 0]))
+    h = ev_at(g, y - x, -y)
+    gmat = ev_at(g, x, -y)
+    lhs = b * h[0, 0] - a * h[0, 1]
+    rhs = b * (a.scale(c0).exp() * subst_reindex(gmat[0, 0]))
     out["inf1"] = max_coeff(lhs - rhs)
 
     # identity "1inf": q-cleared, same prefactor, reindexed on the cleared combo
-    a_form = CSeries.variable(ring, n, "a")
-    q_form = a_form + b_form + CSeries.variable(ring, n, "p")
-    lhs2 = q_form * h[0, 0] - a_form * h[0, 1]
-    inner = q_form * gmat[0, 0] - a_form * gmat[0, 1]
-    rhs2 = _exp_linear(ring, n, "a", c0) * subst_reindex(inner)
+    lhs2 = q * h[0, 0] - a * h[0, 1]
+    inner = q * gmat[0, 0] - a * gmat[0, 1]
+    rhs2 = a.scale(c0).exp() * subst_reindex(inner)
     out["1inf"] = max_coeff(lhs2 - rhs2)
 
     # identity "inf0": g at (Y-X, X) against g at (X, Y-X), prefactor e^((c0-c1) a)
-    h3 = ev_at(gs, y - x, x)
-    g3 = ev_at(gs, x, y - x)
-    lhs3 = b_form * h3[0, 0] - a_form * h3[0, 1]
-    rhs3 = b_form * (_exp_linear(ring, n, "a", c0 - c1) * subst_reindex(g3[0, 0]))
+    h3 = ev_at(g, y - x, x)
+    g3 = ev_at(g, x, y - x)
+    lhs3 = b * h3[0, 0] - a * h3[0, 1]
+    rhs3 = b * (a.scale(c0 - c1).exp() * subst_reindex(g3[0, 0]))
     out["inf0"] = max_coeff(lhs3 - rhs3)
 
     return out
 
 
-def swap_invariance_defect(g: NCSeries, truncation=None, theta: ThetaMap = None) -> float:
+def swap_invariance_defect(g: NCSeries, theta: ThetaMap = None) -> float:
     """a <-> b invariance of the (1,1) entry of the "1inf" solution matrix,
     the core of the transformation theorem.
 
@@ -466,13 +403,10 @@ def swap_invariance_defect(g: NCSeries, truncation=None, theta: ThetaMap = None)
     function structure of the first row); it is asserted here on the
     assembled solution matrix where the gamma ratios participate.
     """
-    n = g.truncation if truncation is None else truncation
-    ring = g.ring
-    v, clearing = v_matrix(g, "1inf", n, theta=theta)
+    v, clearing = v_matrix(g, "1inf", theta=theta)
     assert clearing == "bq"
     w = v[0, 0]
-    a = CSeries.variable(ring, n, "a")
-    b = CSeries.variable(ring, n, "b")
+    a, b, _, _ = CSeries.gens(g.ring, g.truncation)
     return max_coeff(a * w - b * subst_swap_ab(w))
 
 
@@ -480,14 +414,11 @@ def _subst_euler(f: CSeries) -> CSeries:
     """(a, b, p) -> (b+p, a+p, -p): the parameter change of the Euler
     transformation (primed parameters (a', b') -> (c'-a', c'-b'), c' = q
     fixed)."""
-    ring, n = f.ring, f.truncation
-    a = CSeries.variable(ring, n, "a")
-    b = CSeries.variable(ring, n, "b")
-    p = CSeries.variable(ring, n, "p")
+    a, b, p, _ = CSeries.gens(f.ring, f.truncation)
     return f.subst(b + p, a + p, -p)
 
 
-def formal_euler_identity(f: NCSeries, truncation=None, theta: ThetaMap = None) -> float:
+def formal_euler_identity(f: NCSeries, theta: ThetaMap = None) -> float:
     """The formal Euler transformation on the "10" solution matrix.
 
     With W the bq-cleared (1,1) entry and T the Euler parameter change, the
@@ -495,49 +426,33 @@ def formal_euler_identity(f: NCSeries, truncation=None, theta: ThetaMap = None) 
     the e1 coefficient of the cocycle stand-in (the abelianised cocycle
     datum standing in for the Kummer exponent).  Returns the defect.
     """
-    n = f.truncation if truncation is None else truncation
-    ring = f.ring
-    v, clearing = v_matrix(f, "10", n, theta=theta)
+    v, clearing = v_matrix(f, "10", theta=theta)
     assert clearing == "bq"
     w = v[0, 0]
     rho = f.coeff((1,))
-    a = CSeries.variable(ring, n, "a")
-    b = CSeries.variable(ring, n, "b")
-    p = CSeries.variable(ring, n, "p")
+    a, b, p, _ = CSeries.gens(f.ring, f.truncation)
     lhs = (a + p) * w
     rhs = p.scale(rho).exp() * b * _subst_euler(w)
     return max_coeff(lhs - rhs)
 
 
-def weighted_sum_identities(g: NCSeries, truncation=None) -> dict:
+def weighted_sum_identities(g: NCSeries) -> dict:
     """The two generating-function expressions for the first row of the
     column-mixed evaluation of an arbitrary series g:
 
     (i) the (1,1) entry against the (weight, depth, height) aggregation;
     (ii) the row combination [g]_11 + p ([g]_12 / b) against the reflected
-         aggregation with the e^(c0 p) prefactor (g group-like).
+         aggregation (ab and ab+pq exchanged, p -> -p) with the e^(c0 p)
+         prefactor (g group-like).
     """
-    n = g.truncation if truncation is None else truncation
-    ring = g.ring
-    gs = g.truncate(n)
+    n, ring = g.truncation, g.ring
     x, y = xy_matrices(ring, n)
-    gmat = ev_at(gs, x, -y)
-    out = {}
-
-    out["entry11_vs_stats"] = max_coeff(gmat[0, 0] - entry11_via_stats(gs, n))
+    gmat = ev_at(g, x, -y)
+    out = {"entry11_vs_stats": max_coeff(gmat[0, 0] - ohno_zagier_sum(g))}
 
     a, b, p, q = CSeries.gens(ring, n)
-    abq = a * b + p * q
     lhs = gmat[0, 0] + p * gmat[0, 1].divide_exact("b")
-    acc = CSeries.one(ring, n)
-    for w, c in gs.terms.items():
-        if not w or w[0] != W.E0 or w[-1] != W.E1 or len(w) > n:
-            continue
-        k, nn, s = _stats(w)
-        sign = Fraction(-1) ** nn
-        term = abq * (-p).pow(k - nn - s) * q.pow(nn - s) * (a * b).pow(s - 1)
-        acc = acc + term.scale(c * ring.from_fraction(sign))
-    rhs = _exp_linear(ring, n, "p", gs.coeff((0,))) * acc
+    rhs = p.scale(g.coeff((0,))).exp() * _stats_sum(g, a * b + p * q, -p, q, a * b)
     out["row_reflection"] = max_coeff(lhs.truncate(n - 1) - rhs.truncate(n - 1))
     return out
 
@@ -545,18 +460,16 @@ def weighted_sum_identities(g: NCSeries, truncation=None) -> dict:
 # -- appendix entry relations -------------------------------------------------------
 
 
-def appendix_entry_relations(phi: NCSeries, truncation=None) -> dict:
+def appendix_entry_relations(phi: NCSeries) -> dict:
     """The four entry relations linking the column-mixed evaluations of a
     commutator group-like series at (X, -Y) and at (Y-X, -Y); they make the
     (einf, e1) evaluation independent of the choice of even unitary
     associator.  All checks are b-cleared and exact."""
-    n = phi.truncation if truncation is None else truncation
-    ring = phi.ring
-    gs = phi.truncate(n)
-    x, y = xy_matrices(ring, n)
-    gmat = ev_at(gs, x, -y)       # P-side
-    hmat = ev_at(gs, y - x, -y)   # Q-side
-    a, b, p, _ = CSeries.gens(ring, n)
+    n = phi.truncation
+    x, y = xy_matrices(phi.ring, n)
+    gmat = ev_at(phi, x, -y)       # P-side
+    hmat = ev_at(phi, y - x, -y)   # Q-side
+    a, b, p, _ = CSeries.gens(phi.ring, n)
 
     g12_over_b = gmat[0, 1].divide_exact("b")
     h12_over_b = hmat[0, 1].divide_exact("b")
@@ -582,7 +495,7 @@ def appendix_entry_relations(phi: NCSeries, truncation=None) -> dict:
 # -- formal Gauss summation -----------------------------------------------------------
 
 
-def formal_gauss_identity(gt: GTElement, truncation: int, gamma_sigma: GammaSeries = None):
+def formal_gauss_identity(gt: GTElement, truncation: int):
     """The formal Gauss summation identity for a GT element.
 
     The left side is the (1,1) entry of the evaluation homomorphism applied
@@ -599,18 +512,13 @@ def formal_gauss_identity(gt: GTElement, truncation: int, gamma_sigma: GammaSeri
     ring = gt.ring
     n = truncation
     n_int = n + 2
-    gplus = gamma_even(n_int + 2, ring)
-    gsig = gamma_sigma if gamma_sigma is not None else gamma_of_gt(gt)
+    gsig = gamma_of_gt(gt)
     if gsig.order < n:
-        raise ValueError("gamma_sigma order too small")
+        raise ValueError("GT element of truncation %d too short for truncation %d"
+                         % (gsig.order, n))
+    r_main, r_top, r_low, r_diag = _ratios(gamma_even(n_int + 2, ring), n_int)
+    s_main, _, s_low, _ = _ratios(gsig, n_int)
     a, b, p, q = CSeries.gens(ring, n_int)
-
-    r_main = gplus.ratio(-p, -q, -p - a, -p - b)
-    r_top = gplus.ratio(p, -q, -a, -b)
-    r_low = gplus.ratio(-p, q, a, b)
-    r_diag = gplus.ratio(p, q, p + a, p + b)
-    s_main = gsig.ratio(-p, -q, -p - a, -p - b)
-    s_low = gsig.ratio(-p, q, a, b)
 
     term1 = (a * b) * (r_main - r_top).divide_exact("pq") * r_low * s_low
     term2 = ((a * b + p * q) * r_diag - (a * b) * r_low).divide_exact("pq") * r_main * s_main

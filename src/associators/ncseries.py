@@ -174,5 +174,15 @@ def lie_element(ring, truncation, coords):
     return NCSeries(ring, truncation, terms)
 
 
+def free_group_word(ring, truncation, word_pairs) -> NCSeries:
+    """The group-like series prod exp(k e_gen) of a free-group word
+    [(gen, k), ...], gen "x0" or "x1" standing for e0 or e1."""
+    acc = NCSeries.one(ring, truncation)
+    for gen, k in word_pairs:
+        letter = NCSeries.letter(ring, truncation, W.E0 if gen == "x0" else W.E1)
+        acc = acc * letter.scale(ring.from_int(int(k))).exp()
+    return acc
+
+
 def bracket(f: NCSeries, g: NCSeries) -> NCSeries:
     return f * g - g * f

@@ -57,6 +57,13 @@ def word_from_index(index) -> Word:
     return tuple(out)
 
 
+def zeta_value(phi, index):
+    """zeta_phi(k_1, ..., k_m) = (-1)^m (phi | word_from_index(k)): the one
+    sign convention for multiple zeta values read off a series phi."""
+    c = phi.coeff(word_from_index(index))
+    return -c if len(index) % 2 else c
+
+
 def index_from_word(w: Word):
     """Inverse of word_from_index; defined for words ending in e1."""
     if not w or w[-1] != E1:

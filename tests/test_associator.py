@@ -328,8 +328,8 @@ def test_gt_action_composition_on_random_pairs():
     for _ in range(5):
         g1 = GTElement(Fraction(1), random_grouplike(rng, n, start=2), n)
         g2 = GTElement(Fraction(1), random_grouplike(rng, n, start=2), n)
-        one_then_two = gt_act(g2, gt_act(g1, cand, self_check=False), self_check=False)
-        combined = gt_act(gt_compose(g2, g1), cand, self_check=False)
+        one_then_two = gt_act(g2, gt_act(g1, cand))
+        combined = gt_act(gt_compose(g2, g1), cand)
         assert one_then_two.phi == combined.phi
         assert one_then_two.mu == combined.mu
 

@@ -33,3 +33,56 @@ def test_no_unused_imports(path):
 def test_the_scan_sees_an_unused_import():
     source = "from __future__ import annotations\nimport os\nfrom math import pi, tau as t\nprint(pi)\n"
     assert unused_imports(source) == [(2, "os"), (3, "t")]
+
+
+# -- dead definitions -----------------------------------------------------------
+
+SCANNED = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+def named(node):
+    """The names a syntax tree mentions: identifiers, attributes, imported
+    names and the dotted parts of string constants (the benchmark's tracer
+    binds package functions by name)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.update(sub.name.split("."))
+            if sub.asname:
+                out.add(sub.asname)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.update(sub.value.split("."))
+    return out
+
+
+def dead_definitions(sources):
+    """Top-level functions and classes of the package that no statement
+    other than their own definition names.  sources: {posix path relative
+    to the repository root: source}."""
+    defined, mentions = [], []
+    for path, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if path.startswith("src/") and isinstance(
+                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path, stmt.name, stmt))
+            mentions.append((stmt, named(stmt)))
+    return sorted((path, name) for path, name, own in defined
+                  if not any(name in names for stmt, names in mentions if stmt is not own))
+
+
+def test_every_package_definition_is_named_elsewhere():
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in SCANNED}
+    assert dead_definitions(sources) == []
+
+
+def test_the_scan_sees_a_dead_definition():
+    sources = {
+        "src/m.py": "def used():\n    pass\n\ndef dead():\n    return dead()\n\n"
+                    "def bound():\n    pass\n\nclass Alias:\n    pass\n",
+        "tests/t.py": "from m import used, Alias as A\nfix(m, 'm.bound')\n",
+    }
+    assert dead_definitions(sources) == [("src/m.py", "dead")]
