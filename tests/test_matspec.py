@@ -31,8 +31,8 @@ from associators.matspec import (
     xy_matrices,
 )
 from associators.ncseries import NCSeries, bracket, lie_element
-from associators.words import zeta_value
 from associators.rings import QQ
+from associators.words import zeta_value
 
 
 def random_grouplike(rng, n, start=1):
