@@ -13,9 +13,6 @@ system where q replaces p as the third variable.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import mul
-
 from . import graded
 from .rings import abs_value
 
@@ -95,22 +92,20 @@ class CSeries(graded.Series):
             if any(sum(m) > 1 for m in im.terms):
                 raise ValueError("image form has degree > 1")
         images = (image_a, image_b, image_p)
-        n = self.truncation
-        one = CSeries.one(self.ring, n)
-        pow_memo = [{0: one} for _ in range(3)]
+        memo = {CSeries.UNIT: CSeries.one(self.ring, self.truncation)}
 
-        def power(i, e):
-            got = pow_memo[i].get(e)
+        def image(m):
+            # the image of m with one factor of its first variable fewer,
+            # times that variable's form
+            got = memo.get(m)
             if got is None:
-                got = power(i, e - 1) * images[i]
-                pow_memo[i][e] = got
+                i = next(k for k, e in enumerate(m) if e)
+                got = memo[m] = image(m[:i] + (m[i] - 1,) + m[i + 1:]) * images[i]
             return got
 
-        acc = CSeries.zero(self.ring, n)
+        acc = CSeries.zero(self.ring, self.truncation)
         for m, c in self.terms.items():
-            # only the variables that occur: no products by 1
-            t = reduce(mul, [power(i, e) for i, e in enumerate(m) if e] or [one])
-            acc = acc + t.scale(c)
+            acc = acc + image(m).scale(c)
         return acc
 
     # -- exact division ---------------------------------------------------------------

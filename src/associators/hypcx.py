@@ -5,10 +5,13 @@ classical hypergeometric series, and the numeric identity suite.
 The fundamental solution of d/dz G = (e0/z + e1/(z-1)) G with
 G z^(-e0) -> 1 as z -> 0+ is carried as G = h(z) exp(log z * e0) where every
 coefficient of h is an ordinary power series in z with rapidly computable
-coefficients.  Evaluating the pair of solutions at z = 1/2 and letter-swap
-yields the multiple zeta value generating series without any limit process:
-the ratio G_10(z)^(-1) G_01(z) is constant in z, and at 1/2 both factors
-converge geometrically (the half-point convolution scheme).
+coefficients.  One pair of solutions, G_01(z) and G_10(z) = G_01(1 - z)(e1, e0)
+from one engine (_solutions), gives both complex objects: G_10(z)^(-1) G_01(z)
+is the multiple zeta value generating series, constant in z, and at 1/2 both
+factors converge geometrically (the half-point convolution scheme), so no
+limit process is needed; each solution at (X0, -Y0) gives a Kummer row of the
+hypergeometric equation.  kz_series keeps per (digits, z) only the highest
+weight computed, and no engine outlives its call.
 """
 
 from __future__ import annotations
@@ -104,9 +107,9 @@ class MPLEngine:
 
 def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
     """G_01 at a real point z in (0, 1), as a group-like series over the
-    complex coefficient ring, together with the ring.  A given engine must
-    have at least the digits asked for and series_terms(z, digits) terms,
-    which its precision contract at z needs."""
+    complex coefficient ring.  A given engine must have at least the digits
+    asked for and series_terms(z, digits) terms, which its precision
+    contract at z needs."""
     if not (0 < z < 1):
         raise ValueError("z must lie in (0, 1)")
     ring = complex_field(digits)
@@ -116,15 +119,18 @@ def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
     elif engine.nterms < nterms or engine.digits < digits:
         raise ValueError("MPL engine has %d terms at %d digits; z = %s at %d digits needs %d"
                          % (engine.nterms, engine.digits, z, digits, nterms))
-    terms = {}
-    for n in range(weight + 1):
-        for w in W.words_of_weight(n):
-            val = engine.h_coefficient(w, z)
-            if val != 0:
-                terms[w] = ring.mp.mpc(val)
-    h = NCSeries(ring, weight, terms)
+    h = NCSeries(ring, weight, {w: ring.mp.mpc(engine.h_coefficient(w, z))
+                                for w in W.all_words(weight)})
     zfac = NCSeries.letter(ring, weight, 0).scale(ring.mp.log(_to_mpc(z, ring.mp))).exp()
-    return h * zfac, ring
+    return h * zfac
+
+
+def _solutions(z, weight, digits):
+    """G_01(z) and G_10(z) = G_01(1 - z)(e1, e0) from one engine, which
+    series_terms sizes for both base points."""
+    eng = MPLEngine(digits, series_terms(z, digits))
+    return (fundamental_solution(z, weight, digits, eng),
+            fundamental_solution(1 - z, weight, digits, eng).swap_letters())
 
 
 def kz_residual_defect(z, weight, digits, step):
@@ -132,9 +138,10 @@ def kz_residual_defect(z, weight, digits, step):
     defect decreases quadratically in the step until precision is hit."""
     # series_terms grows with max(z, 1 - z), so the end points bound it
     eng = MPLEngine(digits, max(series_terms(z - step, digits), series_terms(z + step, digits)))
-    gm, ring = fundamental_solution(z - step, weight, digits, eng)
-    gp, _r = fundamental_solution(z + step, weight, digits, eng)
-    g, _r = fundamental_solution(z, weight, digits, eng)
+    gm = fundamental_solution(z - step, weight, digits, eng)
+    gp = fundamental_solution(z + step, weight, digits, eng)
+    g = fundamental_solution(z, weight, digits, eng)
+    ring = g.ring
     deriv = (gp - gm).scale(1 / (2 * _to_mpc(step, ring.mp)))
     e0 = NCSeries.letter(ring, weight, 0)
     e1 = NCSeries.letter(ring, weight, 1)
@@ -146,7 +153,7 @@ def kz_residual_defect(z, weight, digits, step):
 # -- the multiple zeta value generating series --------------------------------------
 
 
-_PHI_CACHE = {}
+_PHI_CACHE = {}  # (digits, z) -> the candidate of the highest weight computed
 
 
 def kz_series(weight, digits=50, z=Fraction(1, 2)):
@@ -157,25 +164,16 @@ def kz_series(weight, digits=50, z=Fraction(1, 2)):
     z is taken as a Fraction so that the two solutions are evaluated at
     exactly complementary points."""
     z = Fraction(z)
-    key = (weight, digits, z)
-    got = _PHI_CACHE.get(key)
-    if got is not None:
-        return got
+    got = _PHI_CACHE.get((digits, z))
+    if got is None or got.truncation < weight:
+        g01, g10 = _solutions(z, weight, digits)
+        ring = g01.ring
+        phi = g10.antipode() * g01  # G_10 is group-like, so this is its inverse
+        got = AssociatorCandidate(mu=ring.mp.mpc(0, 2) * ring.mp.pi, phi=phi, truncation=weight)
+        _PHI_CACHE[digits, z] = got
     # coefficients of words of length <= weight do not depend on the
-    # truncation, so a series cached at a higher weight answers as well
-    higher = [w for (w, d, zz) in _PHI_CACHE if w > weight and (d, zz) == (digits, z)]
-    if higher:
-        big = _PHI_CACHE[(min(higher), digits, z)]
-        cand = AssociatorCandidate(mu=big.mu, phi=big.phi.truncate(weight), truncation=weight)
-        _PHI_CACHE[key] = cand
-        return cand
-    eng = MPLEngine(digits, series_terms(z, digits))
-    g01, ring = fundamental_solution(z, weight, digits, eng)
-    g10 = fundamental_solution(1 - z, weight, digits, eng)[0].swap_letters()
-    phi = g10.antipode() * g01  # G_10 is group-like, so this is its inverse
-    cand = AssociatorCandidate(mu=ring.mp.mpc(0, 2) * ring.mp.pi, phi=phi, truncation=weight)
-    _PHI_CACHE[key] = cand
-    return cand
+    # truncation, so the cached series answers every lower weight
+    return AssociatorCandidate(mu=got.mu, phi=got.phi.truncate(weight), truncation=weight)
 
 
 MZV_WEIGHT_CAP = 12
@@ -333,6 +331,10 @@ def hyp2f1(a, b, c, z, digits=50):
     absolute error, and past Z1_MAX_TERMS this raises ArithmeticError.  The
     estimate is no bound; on nine sets (complex a, b; s from 0.05 to 2.8) at
     30 to 50 digits the error was 10^5-fold below the contract or more.
+
+    The contract holds to 60 digits, where (2, 3, 6) converges (3.3 s, 2-core
+    host); at 70 it raises with the estimate 2.2e-75, while (1/10, 1/5, 7/20)
+    converges.
     """
     with mp.workdps(digits + 30):
         a, b, c, z = _to_mpc(a), _to_mpc(b), _to_mpc(c), _to_mpc(z)
@@ -397,52 +399,38 @@ def euler_transformation_defect(a, b, c, z, digits=50):
 # -- the numeric solution-matrix checks -----------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _shared_engine(digits, nterms):
-    """The most recent engine of this size; the only one kept alive."""
-    return MPLEngine(digits, nterms)
-
-
 @lru_cache
-def solution_matrix_at(a, b, c, z, weight, digits=50, star="01", engine=None):
-    """Numeric evaluation of the fundamental solution at (X0, -Y0), column
-    mixed; star selects the 01 or 10 solution.  X0 = [[0, b], [0, 1 - c]]
-    and Y0 = [[0, 0], [a, a + b + 1 - c]].  Cached: hg11_defect and
-    kummer_row_defects ask for the same 01 matrix.  Without an engine, the
-    01 and the 10 solution at z share one (series_terms)."""
-    engine = engine if engine is not None else _shared_engine(digits, series_terms(z, digits))
-    if star == "01":
-        g, ring = fundamental_solution(z, weight, digits, engine)
-    elif star == "10":
-        g, ring = fundamental_solution(1 - z, weight, digits, engine)
-        g = g.swap_letters()
-    else:
-        raise ValueError("star must be 01 or 10 for the numeric row checks")
+def solution_matrix_at(a, b, c, z, weight, digits=50):
+    """The 01 and 10 solutions at (X0, -Y0), each column mixed, as the pair
+    (V_01, V_10).  X0 = [[0, b], [0, 1 - c]] and
+    Y0 = [[0, 0], [a, a + b + 1 - c]].  Cached: hg11_defect and
+    kummer_row_defects ask for the same 01 matrix."""
+    g01, g10 = _solutions(z, weight, digits)
+    ring = g01.ring
     zero, one = ring.zero, ring.one
     a, b, c = (_to_mpc(x, ring.mp) for x in (a, b, c))
     p, q = 1 - c, a + b + 1 - c
-    gm = g.substitute(Mat2(zero, b, zero, p), -Mat2(zero, zero, a, q), one=Mat2.identity(one, zero))
-    if star == "01":
-        return gm * Mat2(one, one, zero, p / b)
-    return gm * Mat2(one, zero, -a / q, (q - 1) / b)
+    x, y, unit = Mat2(zero, b, zero, p), -Mat2(zero, zero, a, q), Mat2.identity(one, zero)
+    return (g01.substitute(x, y, one=unit) * Mat2(one, one, zero, p / b),
+            g10.substitute(x, y, one=unit) * Mat2(one, zero, -a / q, (q - 1) / b))
 
 
 def hg11_defect(a, b, c, z, weight, digits=50):
     """[G_01(X0, -Y0)(z)]_11 against the hypergeometric series; the column
     mix of solution_matrix_at leaves that entry unchanged."""
-    g11 = solution_matrix_at(a, b, c, z, weight, digits, "01")[0, 0]
-    return float(mpmath.fabs(g11 - hyp2f1(a, b, c, z, digits)))
+    v01, _ = solution_matrix_at(a, b, c, z, weight, digits)
+    return float(mpmath.fabs(v01[0, 0] - hyp2f1(a, b, c, z, digits)))
 
 
 def kummer_row_defects(a, b, c, z, weight, digits=50):
     """First-row identities of the 01 and 10 solution matrices against
-    hypergeometric values (four scalar checks)."""
-    v01 = solution_matrix_at(a, b, c, z, weight, digits, "01")
-    v10 = solution_matrix_at(a, b, c, z, weight, digits, "10")
+    hypergeometric values (four scalar checks); the 01 left one is
+    hg11_defect."""
+    v01, v10 = solution_matrix_at(a, b, c, z, weight, digits)
     ctx = complex_field(digits).mp
     a_, b_, c_, z_ = (_to_mpc(x, ctx) for x in (a, b, c, z))
     out = {}
-    out["01_left"] = float(mpmath.fabs(v01[0, 0] - hyp2f1(a, b, c, z, digits)))
+    out["01_left"] = hg11_defect(a, b, c, z, weight, digits)
     rhs = ctx.power(z_, 1 - c_) * hyp2f1(b_ + 1 - c_, a_ + 1 - c_, 2 - c_, z, digits)
     out["01_right"] = float(mpmath.fabs(v01[0, 1] - rhs))
     out["10_left"] = float(mpmath.fabs(

@@ -117,7 +117,7 @@ def lyndon_words(n: int, alphabet_size: int = 2):
             w.append(w[len(w) - m])
         while w and w[-1] == alphabet_size - 1:
             w.pop()
-    return [u for u in out if len(u) == n]
+    return out
 
 
 @lru_cache(maxsize=None)

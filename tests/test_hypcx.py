@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction as F
 
 import mpmath
@@ -136,7 +138,7 @@ def test_kz_series_independent_of_base_point():
 
 def test_fundamental_solution_normalisation():
     # the analytic factor has no e0 coefficient: (G|e0) is exactly log z
-    g, ring = fundamental_solution(F(1, 2), 3, 30)
+    g = fundamental_solution(F(1, 2), 3, 30)
     with mp.workdps(40):
         assert abs(g.coeff((0,)) - mp.log(mp.mpf(1) / 2)) < 1e-28
         # coefficient of e1 is log(1-z)
@@ -168,16 +170,40 @@ def test_mpl_engine_polylog_and_log_power_oracles(z):
 
 
 def test_series_terms_serve_both_base_points():
-    # the 10 solution at z is evaluated at 1 - z: an engine sized by
-    # series_terms(z) must match a far longer one there
+    # the pair of solutions at z evaluates G_01 at 1 - z with the engine
+    # sized by series_terms(z): it must match a far longer one there
     assert series_terms(F(3, 10), 40) == series_terms(F(7, 10), 40)
-    args = (F(1, 10), F(1, 5), F(23, 20), F(3, 10), 8, 40, "10")
-    sized = solution_matrix_at(*args, engine=MPLEngine(40, series_terms(F(3, 10), 40)))
-    long = solution_matrix_at(*args, engine=MPLEngine(40, 600))
-    with mp.workdps(50):
-        for i in range(2):
-            for j in range(2):
-                assert abs(sized[i, j] - long[i, j]) < 1e-38, (i, j)
+    sized = fundamental_solution(F(7, 10), 8, 40, MPLEngine(40, series_terms(F(3, 10), 40)))
+    long = fundamental_solution(F(7, 10), 8, 40, MPLEngine(40, 600))
+    assert max_coeff(sized - long) < 1e-38
+
+
+def test_no_engine_outlives_its_call(monkeypatch):
+    engines = []
+
+    class Recorded(MPLEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(hypcx, "MPLEngine", Recorded)
+    monkeypatch.setattr(hypcx, "_PHI_CACHE", {})
+    kz_series(5, 33)
+    solution_matrix_at(F(1, 10), F(1, 5), F(23, 20), F(3, 10), 5, 33)
+    gc.collect()
+    assert len(engines) == 2
+    assert [ref() for ref in engines] == [None, None]
+
+
+def test_kz_series_keeps_the_highest_weight_per_digits_and_point(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(hypcx, "_PHI_CACHE", cache)
+    kz_series(5, 27)
+    three = kz_series(3, 27)
+    assert list(cache) == [(27, F(1, 2))] and cache[27, F(1, 2)].truncation == 5
+    assert three.truncation == 3 and three.phi == cache[27, F(1, 2)].phi.truncate(3)
+    kz_series(6, 27)
+    assert list(cache) == [(27, F(1, 2))] and cache[27, F(1, 2)].truncation == 6
 
 
 def test_fundamental_solution_rejects_a_short_engine():
