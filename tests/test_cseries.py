@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from fractions import Fraction
@@ -10,7 +11,7 @@ from associators.cseries import (
     subst_reindex,
     subst_swap_ab,
 )
-from associators.rings import QQ
+from associators.rings import QQ, complex_field
 
 
 def random_cseries(rng, n, unit_constant=True):
@@ -106,3 +107,33 @@ def test_divide_then_remultiply():
         g = lifted * mult.truncate(4 + len(form))
         back = g.divide_exact(form)
         assert back == f.truncate(back.truncation)
+
+
+def series_digest(fs):
+    text = ";".join(repr(sorted((k, str(c)) for k, c in f.terms.items())) for f in fs)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_subst_values_on_random_series():
+    # twenty seeded series through the parameter maps and the division by q
+    rng = random.Random(20)
+    fs = [random_cseries(rng, 6, unit_constant=False) for _ in range(20)]
+    _, _, _, q = CSeries.gens(QQ, 6)
+    assert series_digest(map(subst_reindex, fs)) == "babb8a65346c9004"
+    assert series_digest(map(subst_swap_ab, fs)) == "069fbad584195f71"
+    assert series_digest((f * q).divide_exact("q") for f in fs) == "1a1ffd7ef7bb639e"
+    forms = [CSeries(QQ, 6, f.homogeneous_part(1)) for f in fs]
+    assert series_digest((f + q).subst(q, g, q - g) for f, g in zip(fs, forms)) == "9659c8cc1166cefc"
+
+
+def test_divide_exact_by_q_over_the_complex_ring():
+    # the complex ring takes the rounded path; its bits are pinned by mpmath's _mpc_
+    ring = complex_field(40)
+    rng = random.Random(21)
+    f = random_cseries(rng, 6)
+    f = CSeries(ring, 6, {m: ring.from_fraction(c) * ring.mp.mpc(1, rng.randint(-3, 3))
+                          for m, c in f.terms.items()})
+    _, _, _, q = CSeries.gens(ring, 6)
+    g = (f * q).divide_exact("q")
+    text = repr(sorted((m, c._mpc_) for m, c in g.terms.items()))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "6b59606f08d9b6e9"

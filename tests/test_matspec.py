@@ -290,6 +290,28 @@ def test_cocycle_image_values_at_truncation_4(even_candidate):
     assert got == COCYCLE_DIGESTS_4
 
 
+EV_AT_DIGESTS_6 = {
+    "x,-y": "efa30e9355a4745f",
+    "y-x,-y": "ab6759428a307038",
+    "y-x,x": "dfe7d2236ad879e5",
+    "x,y-x": "4c66d768bbfca75d",
+}
+
+
+def test_ev_at_values_at_truncation_6():
+    # the four matrix pairs of the identity functions, on one seeded rational series
+    g = random_grouplike(random.Random(8), 6)
+    x, y = xy_matrices(QQ, 6)
+    pairs = {"x,-y": (x, -y), "y-x,-y": (y - x, -y), "y-x,x": (y - x, x), "x,y-x": (x, y - x)}
+    got = {name: matrix_digest(ev_at(g, *pair)) for name, pair in pairs.items()}
+    assert got == EV_AT_DIGESTS_6
+
+
+def test_theta_map_values_at_truncation_6():
+    g = random_grouplike(random.Random(9), 6)
+    assert matrix_digest(ThetaMap(6)(g)) == "206c305ab20034cf"
+
+
 # -- transformation identities ---------------------------------------------------------
 
 
