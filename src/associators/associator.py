@@ -283,10 +283,11 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
 
 def _comp_images(phi, mu):
     """(mu e0, mu phi^-1 e1 phi): the logarithms of the images of x0 and x1
-    under x0 -> exp(mu e0), x1 -> phi^-1 exp(mu e1) phi."""
+    under x0 -> exp(mu e0), x1 -> phi^-1 exp(mu e1) phi.  phi must be
+    group-like: its inverse is taken as its antipode."""
     e0 = NCSeries.letter(phi.ring, phi.truncation, 0)
     e1 = NCSeries.letter(phi.ring, phi.truncation, 1)
-    return e0.scale(mu), (phi.inverse() * e1 * phi).scale(mu)
+    return e0.scale(mu), (phi.antipode() * e1 * phi).scale(mu)
 
 
 def _conjugate_first(s, g, lam):

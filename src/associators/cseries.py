@@ -13,6 +13,8 @@ system where q replaces p as the third variable.
 
 from __future__ import annotations
 
+from math import lcm
+
 from . import graded
 from .rings import abs_value
 
@@ -83,7 +85,10 @@ class CSeries(graded.Series):
 
     def subst(self, image_a, image_b, image_p):
         """Endomorphism sending the variables to degree-1 forms (validated:
-        no constant term, degree <= 1), so the grading is preserved."""
+        no constant term, degree <= 1), so the grading is preserved.  Over QQ
+        it clears denominators as NCSeries.substitute does: with D, d the lcm of
+        the denominators of the series and of the forms, it sums c D d^(n-deg m)
+        times m at the forms times d, all ints, and divides once by D d^n."""
         for im in (image_a, image_b, image_p):
             if not isinstance(im, CSeries):
                 raise TypeError("images must be CSeries")
@@ -91,8 +96,15 @@ class CSeries(graded.Series):
                 raise ValueError("image form has a constant term")
             if any(sum(m) > 1 for m in im.terms):
                 raise ValueError("image form has degree > 1")
-        images = (image_a, image_b, image_p)
-        memo = {CSeries.UNIT: CSeries.one(self.ring, self.truncation)}
+        images, ring, n = (image_a, image_b, image_p), self.ring, self.truncation
+        terms, one, unit = self.terms, CSeries.one(ring, n), None
+        if ring.exact:
+            big_d, d = self.denominator, lcm(*(im.denominator for im in images))
+            terms = {m: c.numerator * (big_d // c.denominator) * d ** (n - sum(m))
+                     for m, c in terms.items()}
+            images = tuple(im.as_integers(d) for im in images)
+            one, unit = one.as_integers(1), ring.inv(big_d * d ** n)
+        memo = {CSeries.UNIT: one}
 
         def image(m):
             # the image of m with one factor of its first variable fewer,
@@ -103,10 +115,10 @@ class CSeries(graded.Series):
                 got = memo[m] = image(m[:i] + (m[i] - 1,) + m[i + 1:]) * images[i]
             return got
 
-        acc = CSeries.zero(self.ring, self.truncation)
-        for m, c in self.terms.items():
+        acc = CSeries.zero(ring, n)
+        for m, c in terms.items():
             acc = acc + image(m).scale(c)
-        return acc
+        return acc if unit is None else acc.scale(unit)
 
     # -- exact division ---------------------------------------------------------------
 

@@ -7,14 +7,15 @@ coefficient is zero and no stored key lies above N.  Coefficients live in
 any ring adapter from ``rings.py``.  Series are immutable by convention: no
 operation mutates its operands.  A subclass names the key of 1 (UNIT) and
 the degree of a key, and supplies the product: NCSeries (words, degree
-len) and CSeries (exponent triples, degree sum).
+len), CSeries (exponent triples, degree sum) and MatSeries (entry and
+exponent triple, degree of the triple; its 1 has two keys).
 
 exp, log and inverse only need +, -, *, scale(Fraction), one_like(),
 min_degree() and a .truncation (inverse also needs constant_term() and
 .ring).  Products beyond the truncation vanish, so a power series in x of
 positive minimal degree v stops after truncation // v terms.  NCSeries and
-CSeries bind these functions as their methods; 2x2 matrices over CSeries
-use exp and log.
+CSeries bind these functions as their methods; MatSeries (2x2 matrices
+over CSeries) uses exp and log.
 """
 
 from __future__ import annotations

@@ -410,7 +410,7 @@ def solution_matrix_at(a, b, c, z, weight, digits=50):
     zero, one = ring.zero, ring.one
     a, b, c = (_to_mpc(x, ring.mp) for x in (a, b, c))
     p, q = 1 - c, a + b + 1 - c
-    x, y, unit = Mat2(zero, b, zero, p), -Mat2(zero, zero, a, q), Mat2.identity(one, zero)
+    x, y, unit = Mat2(zero, b, zero, p), -Mat2(zero, zero, a, q), Mat2(one, zero, zero, one)
     return (g01.substitute(x, y, one=unit) * Mat2(one, one, zero, p / b),
             g10.substitute(x, y, one=unit) * Mat2(one, zero, -a / q, (q - 1) / b))
 

@@ -39,7 +39,7 @@ from .associator import AssociatorCandidate, GTElement
 from .cseries import CSeries, ExactDivisionError, subst_swap_ab, subst_reindex
 from .gammafn import GammaSeries, gamma_even, gamma_of_associator, gamma_of_gt
 from .graded import max_coeff
-from .mat2 import Mat2, mat_exp_graded
+from .mat2 import Mat2, MatSeries, mat_exp_graded
 from .ncseries import NCSeries, free_group_word
 from .rings import QQ
 
@@ -56,8 +56,8 @@ def xy_matrices(ring, truncation):
 
 
 def ev_at(f: NCSeries, m0: Mat2, m1: Mat2) -> Mat2:
-    """Evaluation of a two-letter series at a pair of matrices."""
-    return f.substitute(m0, m1)
+    """f at a pair of matrices over CSeries; the walk runs on their MatSeries."""
+    return f.substitute(MatSeries.from_mat2(m0), MatSeries.from_mat2(m1)).to_mat2()
 
 
 def ev_xy(f: NCSeries) -> Mat2:
@@ -245,17 +245,16 @@ def varphi_equals_gamma_matrix(cand: AssociatorCandidate):
 class ThetaMap:
     """x0 -> e^X, x1 -> M^(-1) e^(-Y) M for the even unitary gamma matrix;
     the (1,1) entry of the image of a group element is the formal
-    hypergeometric series."""
+    hypergeometric series.  X, Y, M, M^(-1), the letter images and the
+    identity are held as MatSeries."""
 
     def __init__(self, truncation, ring=QQ, gamma_matrix=None):
         self.truncation = truncation
         self.ring = ring
         gm = gamma_matrix if gamma_matrix is not None else gamma_matrix_plus(truncation, ring)
-        self.m_plus = gm.m
-        self.m_inv = self.m_plus.inverse()
-        self.x, self.y = xy_matrices(ring, truncation)
-        one = CSeries.one(ring, truncation)
-        self.identity = Mat2.identity(one, CSeries.zero(ring, truncation))
+        self.m_plus, self.m_inv = (MatSeries.from_mat2(m) for m in (gm.m, gm.m.inverse()))
+        self.x, self.y = (MatSeries.from_mat2(m) for m in xy_matrices(ring, truncation))
+        self.identity = MatSeries.one(ring, truncation)
         self.log_image0 = self.x
         self.log_image1 = (self.m_inv * (-self.y)) * self.m_plus
 
@@ -264,7 +263,7 @@ class ThetaMap:
         free-group word [(generator, exponent), ...]."""
         if not isinstance(element, NCSeries):
             element = free_group_word(self.ring, self.truncation, element)
-        return element.substitute(self.log_image0, self.log_image1, one=self.identity)
+        return element.substitute(self.log_image0, self.log_image1, one=self.identity).to_mat2()
 
     def formal_2f1(self, element) -> CSeries:
         return self(element)[0, 0]
@@ -273,7 +272,7 @@ class ThetaMap:
 # -- matrix logarithm for the non-conjugation closed forms ---------------------------
 
 
-def mat_log_graded(m: Mat2) -> Mat2:
+def mat_log_graded(m: MatSeries) -> MatSeries:
     return graded.log(m)
 
 
@@ -296,7 +295,8 @@ def cocycle_image(g: NCSeries, star: str, theta: ThetaMap = None, n_plus: Mat2 =
 
     The image is g(u, w) for the star's row (u, C, v), over X, Y, the even
     gamma matrix M and n_plus = N: w = C v C^(-1) for 01, 10 and inf1, and
-    w = log(e^(-u/2) C e^v C^(-1) e^(-u/2)) for 1inf, inf0 and 0inf."""
+    w = log(e^(-u/2) C e^v C^(-1) e^(-u/2)) for 1inf, inf0 and 0inf.  u, w
+    and the products that build w are MatSeries."""
     if theta is None:
         theta = ThetaMap(g.truncation, g.ring)
     x, y = theta.x, theta.y
@@ -306,7 +306,7 @@ def cocycle_image(g: NCSeries, star: str, theta: ThetaMap = None, n_plus: Mat2 =
     if star in ("inf1", "inf0"):
         if n_plus is None:
             raise ValueError("stars inf1, inf0 need the n_plus matrix")
-        n_inv = (n_plus.inverse(), n_plus)
+        n_inv = (MatSeries.from_mat2(n_plus.inverse()), MatSeries.from_mat2(n_plus))
     rows = {"01": (x, m_inv, -y), "10": (-y, m, x), "inf1": (y - x, n_inv, -y),
             "1inf": (-y, m, -x), "inf0": (y - x, n_inv, y), "0inf": (x, m_inv, y)}
     if star not in rows:
@@ -317,7 +317,7 @@ def cocycle_image(g: NCSeries, star: str, theta: ThetaMap = None, n_plus: Mat2 =
     else:
         half = mat_exp_graded(u.scale(Fraction(-1, 2)))
         w = mat_log_graded(half * c * mat_exp_graded(v) * c_inv * half)
-    return g.substitute(u, w, one=theta.identity)
+    return g.substitute(u, w, one=theta.identity).to_mat2()
 
 
 def column_mix_cleared(ring, truncation, star):

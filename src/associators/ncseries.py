@@ -86,7 +86,8 @@ class NCSeries(graded.Series):
 
     def substitute(self, image0, image1, one=None):
         """f(image0, image1) . one, for images with +, * and .scale(coeff):
-        series, 2x2 matrices over series or numbers, strand generators.
+        series (MatSeries for 2x2 matrices over the (a, b, p) series), Mat2
+        over numbers, strand generators.
         ``one`` is the vector the images act on from the left, by default
         image0.one_like().
 

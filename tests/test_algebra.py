@@ -1,8 +1,9 @@
 """Property tests of the series rings over QQ (the storage rules of the
 shared core, associativity, distributivity, the unit) and of
-NCSeries.substitute into series, into 2x2 matrices over CSeries and into
-strand generators, against a word-by-word evaluation.  Every comparison is
-exact."""
+NCSeries.substitute into series, into MatSeries (2x2 matrices over CSeries
+as one series) and into strand generators, against a word-by-word
+evaluation; the matrix oracle multiplies Mat2 over CSeries.  Every
+comparison is exact."""
 
 import operator
 import random
@@ -15,11 +16,11 @@ from hypothesis import strategies as st
 
 from associators.cseries import CSeries
 from associators.graded import RingMismatch
-from associators.mat2 import Mat2
+from associators.mat2 import Mat2, MatSeries
 from associators.matspec import ThetaMap
 from associators.ncseries import NCSeries
 from associators.pentagon import P5Quotient, strand_generator
-from associators.rings import QQ
+from associators.rings import QQ, complex_field
 from test_graded import COEFFS, TRUNCATIONS, c_series, nc_series
 
 
@@ -84,13 +85,39 @@ def test_mixing_the_two_series_kinds_raises(f, g):
 
 
 @st.composite
+def mat2_pairs(draw):
+    """Two Mat2 over CSeries with constant parts, each entry at its own truncation."""
+    return tuple(Mat2(*(draw(with_constant(c_series)) for _ in range(4))) for _ in range(2))
+
+
+@settings(max_examples=20)
+@given(mat2_pairs())
+def test_matrix_series_is_the_entrywise_matrix_algebra(xy):
+    x, y = xy
+    n = min(e.truncation for e in x.e + y.e)
+    assert same_matrix(MatSeries.from_mat2(x).to_mat2(), x.truncate(min(e.truncation for e in x.e)))
+    for op in (operator.add, operator.mul):
+        got = op(MatSeries.from_mat2(x), MatSeries.from_mat2(y))
+        assert stored_cleanly(got) and got.truncation == n
+        assert same_matrix(got.to_mat2(), op(x, y).truncate(n))
+
+
+def test_matrix_series_across_rings_raise():
+    x = MatSeries.one(QQ, 3)
+    for other in (MatSeries.one(complex_field(20), 3), CSeries.one(QQ, 3)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(RingMismatch):
+                op(x, other)
+
+
+@st.composite
 def images(draw, n):
-    """A Mat2 over CSeries at truncation n with parts of degree 1..3."""
+    """A MatSeries at truncation n with parts of degree 1..3."""
     entries = []
     for _ in range(4):
         x = draw(c_series(n))
         entries.append(CSeries(QQ, n, {m: c for m, c in x.terms.items() if sum(m) <= 3}))
-    return Mat2(*entries)
+    return MatSeries.from_mat2(Mat2(*entries))
 
 
 @st.composite
@@ -116,6 +143,14 @@ def word_by_word(f, a, b, one=None):
     return acc
 
 
+def matrix_word_by_word(f, a, b, one=None):
+    """word_by_word on the Mat2 forms of MatSeries images and one: the
+    oracle multiplies four CSeries entries, not one contracted series."""
+    one = a.one_like() if one is None else one
+    f = f.truncate(min(f.truncation, one.truncation))
+    return word_by_word(f, a.to_mat2(), b.to_mat2(), one.to_mat2())
+
+
 def same_matrix(x, y):
     return all(same(u, v) for u, v in zip(x.e, y.e))
 
@@ -124,16 +159,16 @@ def same_matrix(x, y):
 @given(substitutions())
 def test_substitute_into_matrices(inputs):
     f, g, a, b = inputs
-    assert same_matrix(f.substitute(a, b), word_by_word(f, a, b))
-    assert same_matrix((f * g).substitute(a, b), f.substitute(a, b) * g.substitute(a, b))
+    assert same_matrix(f.substitute(a, b).to_mat2(), matrix_word_by_word(f, a, b))
+    assert same((f * g).substitute(a, b), f.substitute(a, b) * g.substitute(a, b))
 
 
 def test_substitute_rejects_a_matrix_image_with_a_degree_zero_part():
     # a degree-0 part would carry the degree that a child of the walk leaves out
     a, b, p, q = CSeries.gens(QQ, 3)
     zero = CSeries.zero(QQ, 3)
-    image0 = Mat2(zero, b, zero, p)
-    image1 = Mat2(CSeries.one(QQ, 3) + a, zero, zero, q)
+    image0 = MatSeries.from_mat2(Mat2(zero, b, zero, p))
+    image1 = MatSeries.from_mat2(Mat2(CSeries.one(QQ, 3) + a, zero, zero, q))
     with pytest.raises(ValueError):
         NCSeries.letter(QQ, 3, 0).substitute(image0, image1)
 
@@ -157,18 +192,14 @@ def nc_images(rng, n):
 def matrix_images(rng, n):
     theta = ThetaMap(n)
     half = CSeries.one(QQ, n).scale(Fraction(1, 2))
-    return theta.log_image0, theta.log_image1, theta.identity + Mat2(half, half, half, half)
+    return (theta.log_image0, theta.log_image1,
+            theta.identity + MatSeries.from_mat2(Mat2(half, half, half, half)))
 
 
 def strand_images(rng, n):
     q = P5Quotient(n)
     return (strand_generator(q, 1, 2), strand_generator(q, 2, 3),
             rational_series(rng, n, (0, 1, 2), (0, 1, 2), 6))
-
-
-def coefficients(x):
-    entries = x.e if isinstance(x, Mat2) else (x,)
-    return [c for e in entries for c in e.terms.values()]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -180,10 +211,12 @@ def test_exact_walk_is_the_word_by_word_sum(kind, n, seed):
     # the walk has denominators to clear: in the series and in an image or one
     assert f.denominator > 1 and lcm(a.denominator, b.denominator, one.denominator) > 1
     got = f.substitute(a, b, one=one)
-    expect = word_by_word(f, a, b, one)
-    assert same_matrix(got, expect) if isinstance(got, Mat2) else same(got, expect)
+    if isinstance(got, MatSeries):
+        assert same_matrix(got.to_mat2(), matrix_word_by_word(f, a, b, one))
+    else:
+        assert same(got, word_by_word(f, a, b, one))
     # the ints of the walk never leave it
-    assert all(type(c) is Fraction for c in coefficients(got))
+    assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def test_exact_walk_into_rational_number_matrices():

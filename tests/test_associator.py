@@ -361,6 +361,15 @@ def test_grouplike_preserved_by_torsor(q5, even_candidate, skew_candidate):
     assert out.phi.is_commutator_grouplike()
 
 
+def test_antipode_inverts_the_candidates(even_candidate, skew_candidate):
+    # the torsor maps invert phi by its antipode, which needs phi group-like
+    for cand in (even_candidate, skew_candidate):
+        assert cand.phi.is_grouplike()
+        assert cand.phi.antipode() == cand.phi.inverse()
+    phi = kz_series(8, 40).phi
+    assert max_coeff(phi.antipode() - phi.inverse()) < 1e-45
+
+
 def test_torsor_maps_over_the_complex_ring():
     # at 40 digits the maps run at working precision and their self-checks
     # accept roundoff below the ring's noise floor, not above it

@@ -137,3 +137,24 @@ def test_divide_exact_by_q_over_the_complex_ring():
     g = (f * q).divide_exact("q")
     text = repr(sorted((m, c._mpc_) for m, c in g.terms.items()))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "6b59606f08d9b6e9"
+
+
+def test_subst_clears_denominators_exactly():
+    # forms with denominators; the oracle multiplies out each monomial over Fractions
+    rng = random.Random(22)
+    a, b, p, _ = CSeries.gens(QQ, 6)
+    forms = (a.scale(Fraction(1, 2)) - p.scale(Fraction(1, 3)), b + p.scale(Fraction(2, 5)),
+             a - b.scale(Fraction(3, 4)))
+    for _ in range(10):
+        f = random_cseries(rng, 6)
+        expect = CSeries.zero(QQ, 6)
+        for m, c in f.terms.items():
+            t = CSeries.one(QQ, 6).scale(c)
+            for form, e in zip(forms, m):
+                for _ in range(e):
+                    t = t * form
+            expect = expect + t
+        got = f.subst(*forms)
+        assert got == expect and got.truncation == 6
+        # the ints of the walk never leave it
+        assert all(type(c) is Fraction for c in got.terms.values())
