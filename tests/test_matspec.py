@@ -312,6 +312,30 @@ def test_theta_map_values_at_truncation_6():
     assert matrix_digest(ThetaMap(6)(g)) == "206c305ab20034cf"
 
 
+V_MATRIX_DIGESTS_4 = {
+    "01": "301985af13a5bbaf",
+    "10": "dca05a4bf75ef56f",
+    "1inf": "1ae4d4c3114acd15",
+    "inf1": "c104d779deed3f2a",
+    "inf0": "72cbb40d7d3515b0",
+    "0inf": "b87ae0dd97a56167",
+}
+
+
+def test_v_matrix_values_at_truncation_4(even_candidate):
+    g = random_grouplike(random.Random(7), 4)
+    theta = ThetaMap(4)
+    npl = n_plus_matrix(even_candidate.phi.truncate(4))
+    got = {star: matrix_digest(v_matrix(g, star, theta=theta, n_plus=npl)[0]) for star in V_STARS}
+    assert got == V_MATRIX_DIGESTS_4
+
+
+def test_gamma_matrix_and_n_plus_values(even_candidate):
+    m = gamma_matrix_plus(8).m
+    assert (matrix_digest(m), matrix_digest(m.inverse())) == ("6e1faf914c748837", "5a2ccfaaf4b02fa0")
+    assert matrix_digest(n_plus_matrix(even_candidate.phi)) == "cff366bad9444825"
+
+
 # -- transformation identities ---------------------------------------------------------
 
 
@@ -403,6 +427,12 @@ def test_formal_gauss_torsor_fixture(even_candidate, skew_candidate):
     assert max_cseries_coeff(rhs - oracle) == 0.0
     # the series is nontrivial from degree 3 on
     assert any(sum(m) == 3 for m in lhs.terms)
+
+
+def test_formal_gauss_oracle_values(even_candidate, skew_candidate):
+    oracle = formal_gauss_oracle(gt_from_pair(even_candidate, skew_candidate), 5)
+    text = repr(sorted((k, str(c)) for k, c in oracle.terms.items()))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "b13c19119b921af2"
 
 
 def test_formal_gauss_degree2_slice(even_candidate, skew_candidate):
