@@ -13,8 +13,6 @@ system where q replaces p as the third variable.
 
 from __future__ import annotations
 
-from math import lcm
-
 from . import graded
 from .rings import abs_value
 
@@ -86,9 +84,8 @@ class CSeries(graded.Series):
     def subst(self, image_a, image_b, image_p):
         """Endomorphism sending the variables to degree-1 forms (validated:
         no constant term, degree <= 1), so the grading is preserved.  Over QQ
-        it clears denominators as NCSeries.substitute does: with D, d the lcm of
-        the denominators of the series and of the forms, it sums c D d^(n-deg m)
-        times m at the forms times d, all ints, and divides once by D d^n."""
+        it clears denominators once (graded.cleared), sums on ints and divides
+        once."""
         for im in (image_a, image_b, image_p):
             if not isinstance(im, CSeries):
                 raise TypeError("images must be CSeries")
@@ -99,11 +96,7 @@ class CSeries(graded.Series):
         images, ring, n = (image_a, image_b, image_p), self.ring, self.truncation
         terms, one, unit = self.terms, CSeries.one(ring, n), None
         if ring.exact:
-            big_d, d = self.denominator, lcm(*(im.denominator for im in images))
-            terms = {m: c.numerator * (big_d // c.denominator) * d ** (n - sum(m))
-                     for m, c in terms.items()}
-            images = tuple(im.as_integers(d) for im in images)
-            one, unit = one.as_integers(1), ring.inv(big_d * d ** n)
+            terms, images, one, unit = graded.cleared(self, images, one, n)
         memo = {CSeries.UNIT: one}
 
         def image(m):
@@ -137,18 +130,12 @@ class CSeries(graded.Series):
 
     def _to_q_coords(self):
         # p = (third) - a - b, with the third slot reread as q
-        ring, n = self.ring, self.truncation
-        a = CSeries.variable(ring, n, "a")
-        b = CSeries.variable(ring, n, "b")
-        t = CSeries.variable(ring, n, "p")  # stands for q after the change
+        a, b, t, _ = CSeries.gens(self.ring, self.truncation)
         return self.subst(a, b, t - a - b)
 
     def _from_q_coords(self):
-        ring, n = self.ring, self.truncation
-        a = CSeries.variable(ring, n, "a")
-        b = CSeries.variable(ring, n, "b")
-        p = CSeries.variable(ring, n, "p")
-        return self.subst(a, b, a + b + p)
+        a, b, _, q = CSeries.gens(self.ring, self.truncation)
+        return self.subst(a, b, q)
 
     def divide_exact(self, form):
         """Exact division by one of a, b, p, q, ab, pq, bq, ba; raises
@@ -180,10 +167,7 @@ max_cseries_coeff = graded.max_coeff
 
 def subst_swap_ab(f: CSeries) -> CSeries:
     """The a <-> b swap (fixes p and q)."""
-    ring, n = f.ring, f.truncation
-    a = CSeries.variable(ring, n, "a")
-    b = CSeries.variable(ring, n, "b")
-    p = CSeries.variable(ring, n, "p")
+    a, b, p, _ = CSeries.gens(f.ring, f.truncation)
     return f.subst(b, a, p)
 
 
@@ -194,8 +178,5 @@ def subst_reindex(f: CSeries) -> CSeries:
     both parameter changes used by the transformation identities reduce to
     this one map in (a, b, p) coordinates.
     """
-    ring, n = f.ring, f.truncation
-    a = CSeries.variable(ring, n, "a")
-    b = CSeries.variable(ring, n, "b")
-    p = CSeries.variable(ring, n, "p")
+    a, b, p, _ = CSeries.gens(f.ring, f.truncation)
     return f.subst(a, a + p, b - a)

@@ -15,7 +15,10 @@ min_degree() and a .truncation (inverse also needs constant_term() and
 .ring).  Products beyond the truncation vanish, so a power series in x of
 positive minimal degree v stops after truncation // v terms.  NCSeries and
 CSeries bind these functions as their methods; MatSeries (2x2 matrices
-over CSeries) uses exp and log.
+over CSeries) uses exp and log, but its 1 has two keys, so MatSeries.inverse
+is the adjugate over the determinant, not inverse.  ``cleared`` is the
+integer form of a substitution over QQ that NCSeries.substitute and
+CSeries.subst walk on.
 """
 
 from __future__ import annotations
@@ -161,6 +164,24 @@ class Series:
         """k times the series, with int coefficients; k a multiple of denominator."""
         return type(self)(self.ring, self.truncation, {m: c.numerator * (k // c.denominator)
                                                        for m, c in self.terms.items()}, _clean=True)
+
+
+def cleared(f, images, one, n):
+    """The integer form of f(images) . one to degree n over QQ, which
+    NCSeries.substitute and CSeries.subst walk on: (terms, images, one, unit).
+
+    With D, d and e the lcm of the denominators (``.denominator``) of f, of
+    the images and of one, a key m of f of degree <= n and coefficient c
+    becomes the int c D d^(n - deg m), each image d image and one e one
+    (``as_integers``).  Each term m(images) . one then carries D d^n e, so
+    the walk on these ints times unit = 1/(D d^n e) is f(images) . one; its
+    largest int is D d^n e times a coefficient."""
+    big_d, d, e = f.denominator, lcm(*(im.denominator for im in images)), one.denominator
+    deg = f.degree
+    terms = {m: c.numerator * (big_d // c.denominator) * d ** (n - deg(m))
+             for m, c in f.terms.items() if deg(m) <= n}
+    return (terms, tuple(im.as_integers(d) for im in images), one.as_integers(e),
+            f.ring.inv(big_d * d ** n * e))
 
 
 def max_coeff(f: Series) -> float:

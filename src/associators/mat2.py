@@ -1,11 +1,11 @@
-"""2x2 matrices: Mat2 over numbers (``hypcx``) or CSeries (the gamma-ratio
-matrix and its inverse), and MatSeries, a matrix over the (a, b, p) series
-held as one graded series: what NCSeries.substitute and graded's exp and log
-act on, one dict and one contraction loop per product instead of four CSeries."""
+"""2x2 matrices: Mat2 over numbers, what ``hypcx`` walks over the complex
+ring, and MatSeries, a matrix over the (a, b, p) series held as one graded
+series: what NCSeries.substitute and graded's exp and log act on, one dict
+and one contraction loop per product instead of four CSeries.  The 1 of a
+MatSeries has two keys, so its inverse is the adjugate over the determinant,
+not graded.inverse."""
 
 from __future__ import annotations
-
-from math import lcm
 
 from . import graded
 from .cseries import CSeries
@@ -28,10 +28,6 @@ class Mat2:
         a, b = self.e, other.e
         return Mat2(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
-    def __sub__(self, other):
-        a, b = self.e, other.e
-        return Mat2(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
-
     def __neg__(self):
         a = self.e
         return Mat2(-a[0], -a[1], -a[2], -a[3])
@@ -51,28 +47,11 @@ class Mat2:
     def truncate(self, n):
         return Mat2(*(x.truncate(n) if hasattr(x, "truncate") else x for x in self.e))
 
-    # the integer copy NCSeries.substitute takes of a rational number matrix
-    @property
-    def denominator(self):
-        return lcm(*(x.denominator for x in self.e))
-
-    def as_integers(self, k):
-        return Mat2(*(int(x * k) for x in self.e))
-
-    def det(self):
-        a = self.e
-        return a[0] * a[3] - a[1] * a[2]
-
-    def inverse(self):
-        """The adjugate times the determinant's own .inverse(), from the left."""
-        c, a = self.det().inverse(), self.e
-        return Mat2(c * a[3], c * -a[1], c * -a[2], c * a[0])
-
 
 class MatSeries(graded.Series):
     """A 2x2 matrix over the (a, b, p) series ring: the key (i, j, a, b, p)
-    is the monomial a^a b^b p^p of entry (i, j), of degree a + b + p; from a
-    Mat2 at its entries' smallest truncation.  The rest is graded's."""
+    is the monomial a^a b^b p^p of entry (i, j), of degree a + b + p.
+    m[i, j] is that entry as a CSeries.  The rest is graded's."""
 
     __slots__ = ()
 
@@ -83,15 +62,23 @@ class MatSeries(graded.Series):
         return cls(ring, truncation, dict.fromkeys(((0, 0, 0, 0, 0), (1, 1, 0, 0, 0)), ring.one))
 
     @classmethod
-    def from_mat2(cls, m: Mat2):
-        return cls(m.e[0].ring, min(x.truncation for x in m.e),
-                   {(i >> 1, i & 1) + k: c for i, x in enumerate(m.e) for k, c in x.terms.items()})
+    def of(cls, e00, e01, e10, e11):
+        """The matrix of four CSeries, at their smallest truncation."""
+        es = (e00, e01, e10, e11)
+        return cls(e00.ring, min(x.truncation for x in es),
+                   {(i >> 1, i & 1) + k: c for i, x in enumerate(es) for k, c in x.terms.items()})
 
-    def to_mat2(self) -> Mat2:
-        entries = ({}, {}, {}, {})
-        for (i, j, *k), c in self.terms.items():
-            entries[2 * i + j][tuple(k)] = c
-        return Mat2(*(CSeries(self.ring, self.truncation, e, _clean=True) for e in entries))
+    def __getitem__(self, ij):
+        return CSeries(self.ring, self.truncation,
+                       {k[2:]: c for k, c in self.terms.items() if k[:2] == ij}, _clean=True)
+
+    def det(self) -> CSeries:
+        return self[0, 0] * self[1, 1] - self[0, 1] * self[1, 0]
+
+    def inverse(self):
+        """The adjugate times the determinant's inverse."""
+        c = self.det().inverse()
+        return MatSeries.of(c * self[1, 1], c * -self[0, 1], c * -self[1, 0], c * self[0, 0])
 
     def __mul__(self, other):
         n = self._common(other)

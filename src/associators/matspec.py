@@ -39,7 +39,7 @@ from .associator import AssociatorCandidate, GTElement
 from .cseries import CSeries, ExactDivisionError, subst_swap_ab, subst_reindex
 from .gammafn import GammaSeries, gamma_even, gamma_of_associator, gamma_of_gt
 from .graded import max_coeff
-from .mat2 import Mat2, MatSeries, mat_exp_graded
+from .mat2 import MatSeries, mat_exp_graded
 from .ncseries import NCSeries, free_group_word
 from .rings import QQ
 
@@ -50,17 +50,15 @@ from .rings import QQ
 def xy_matrices(ring, truncation):
     a, b, p, q = CSeries.gens(ring, truncation)
     zero = CSeries.zero(ring, truncation)
-    x = Mat2(zero, b, zero, p)
-    y = Mat2(zero, zero, a, q)
-    return x, y
+    return MatSeries.of(zero, b, zero, p), MatSeries.of(zero, zero, a, q)
 
 
-def ev_at(f: NCSeries, m0: Mat2, m1: Mat2) -> Mat2:
-    """f at a pair of matrices over CSeries; the walk runs on their MatSeries."""
-    return f.substitute(MatSeries.from_mat2(m0), MatSeries.from_mat2(m1)).to_mat2()
+def ev_at(f: NCSeries, m0: MatSeries, m1: MatSeries) -> MatSeries:
+    """f at a pair of matrices."""
+    return f.substitute(m0, m1)
 
 
-def ev_xy(f: NCSeries) -> Mat2:
+def ev_xy(f: NCSeries) -> MatSeries:
     """Evaluation at (X, -Y)."""
     x, y = xy_matrices(f.ring, f.truncation)
     return ev_at(f, x, -y)
@@ -152,7 +150,7 @@ class GammaMatrix:
     """The 2x2 matrix attached to a gamma series: a unimodular matrix m over
     the (a, b, p) series ring."""
 
-    def __init__(self, m: Mat2, det_defect: float):
+    def __init__(self, m: MatSeries, det_defect: float):
         self.m = m
         self.det_defect = det_defect
         self.det_is_one = det_defect == 0.0
@@ -191,7 +189,7 @@ def gamma_ratio_matrix(gamma: GammaSeries, truncation: int) -> GammaMatrix:
     m12 = (b * (r_top - r_main).divide_exact("p").truncate(n)).truncate(n)
     m21 = (a * (r_low - r_main).divide_exact("q").truncate(n)).truncate(n)
     m22 = (CSeries.one(ring, n) + m12 * m21) * m11.inverse()
-    m = Mat2(m11, m12, m21, m22)
+    m = MatSeries.of(m11, m12, m21, m22)
 
     det_defect = max_coeff(m.det() - CSeries.one(ring, n))
 
@@ -211,16 +209,14 @@ def gamma_matrix_plus(truncation: int, ring=QQ) -> GammaMatrix:
     return gamma_ratio_matrix(gamma_even(truncation + 2, ring), truncation)
 
 
-def first_entry_mismatch(m1: Mat2, m2: Mat2):
+def first_entry_mismatch(m1: MatSeries, m2: MatSeries):
     """None when equal; otherwise (entry, monomial, difference) for the first
-    differing coefficient in a deterministic scan."""
-    for i in range(2):
-        for j in range(2):
-            d = m1[i, j] - m2[i, j]
-            if d.terms:
-                mono = min(d.terms, key=lambda m: (sum(m), m))
-                return ((i, j), mono, d.terms[mono])
-    return None
+    differing coefficient, by entry, then degree, then monomial."""
+    d = (m1 - m2).terms
+    if not d:
+        return None
+    k = min(d, key=lambda k: (k[:2], sum(k[2:]), k[2:]))
+    return k[:2], k[2:], d[k]
 
 
 def varphi_equals_gamma_matrix(cand: AssociatorCandidate):
@@ -229,7 +225,7 @@ def varphi_equals_gamma_matrix(cand: AssociatorCandidate):
     lhs = ev_xy(cand.phi)
     gm = gamma_ratio_matrix(gamma_of_associator(cand), cand.truncation)
     tol = cand.ring.noise_floor
-    diff_max = max(max_coeff(lhs[i, j] - gm.m[i, j]) for i in range(2) for j in range(2))
+    diff_max = max_coeff(lhs - gm.m)
     report = {
         "equal": diff_max <= tol,
         "max_entry_difference": diff_max,
@@ -246,24 +242,24 @@ class ThetaMap:
     """x0 -> e^X, x1 -> M^(-1) e^(-Y) M for the even unitary gamma matrix;
     the (1,1) entry of the image of a group element is the formal
     hypergeometric series.  X, Y, M, M^(-1), the letter images and the
-    identity are held as MatSeries."""
+    identity are MatSeries."""
 
     def __init__(self, truncation, ring=QQ, gamma_matrix=None):
         self.truncation = truncation
         self.ring = ring
         gm = gamma_matrix if gamma_matrix is not None else gamma_matrix_plus(truncation, ring)
-        self.m_plus, self.m_inv = (MatSeries.from_mat2(m) for m in (gm.m, gm.m.inverse()))
-        self.x, self.y = (MatSeries.from_mat2(m) for m in xy_matrices(ring, truncation))
+        self.m_plus, self.m_inv = gm.m, gm.m.inverse()
+        self.x, self.y = xy_matrices(ring, truncation)
         self.identity = MatSeries.one(ring, truncation)
         self.log_image0 = self.x
         self.log_image1 = (self.m_inv * (-self.y)) * self.m_plus
 
-    def __call__(self, element) -> Mat2:
+    def __call__(self, element) -> MatSeries:
         """Image of a group-like series in the exponential picture, or of a
         free-group word [(generator, exponent), ...]."""
         if not isinstance(element, NCSeries):
             element = free_group_word(self.ring, self.truncation, element)
-        return element.substitute(self.log_image0, self.log_image1, one=self.identity).to_mat2()
+        return element.substitute(self.log_image0, self.log_image1, one=self.identity)
 
     def formal_2f1(self, element) -> CSeries:
         return self(element)[0, 0]
@@ -282,21 +278,21 @@ def mat_log_graded(m: MatSeries) -> MatSeries:
 V_STARS = ("01", "10", "1inf", "inf1", "inf0", "0inf")
 
 
-def n_plus_matrix(phi: NCSeries) -> Mat2:
+def n_plus_matrix(phi: NCSeries) -> MatSeries:
     """Evaluation at (X, -Y) of phi(einf, e1), i.e. phi substituted at
     (Y - X, -Y)."""
     x, y = xy_matrices(phi.ring, phi.truncation)
     return ev_at(phi, y - x, -y)
 
 
-def cocycle_image(g: NCSeries, star: str, theta: ThetaMap = None, n_plus: Mat2 = None) -> Mat2:
+def cocycle_image(g: NCSeries, star: str, theta: ThetaMap = None,
+                  n_plus: MatSeries = None) -> MatSeries:
     """Image of the cocycle stand-in g under the closed-form evaluation for
     one of the six solutions; multiplicative in g.
 
     The image is g(u, w) for the star's row (u, C, v), over X, Y, the even
     gamma matrix M and n_plus = N: w = C v C^(-1) for 01, 10 and inf1, and
-    w = log(e^(-u/2) C e^v C^(-1) e^(-u/2)) for 1inf, inf0 and 0inf.  u, w
-    and the products that build w are MatSeries."""
+    w = log(e^(-u/2) C e^v C^(-1) e^(-u/2)) for 1inf, inf0 and 0inf."""
     if theta is None:
         theta = ThetaMap(g.truncation, g.ring)
     x, y = theta.x, theta.y
@@ -306,7 +302,7 @@ def cocycle_image(g: NCSeries, star: str, theta: ThetaMap = None, n_plus: Mat2 =
     if star in ("inf1", "inf0"):
         if n_plus is None:
             raise ValueError("stars inf1, inf0 need the n_plus matrix")
-        n_inv = (MatSeries.from_mat2(n_plus.inverse()), MatSeries.from_mat2(n_plus))
+        n_inv = (n_plus.inverse(), n_plus)
     rows = {"01": (x, m_inv, -y), "10": (-y, m, x), "inf1": (y - x, n_inv, -y),
             "1inf": (-y, m, -x), "inf0": (y - x, n_inv, y), "0inf": (x, m_inv, y)}
     if star not in rows:
@@ -317,7 +313,7 @@ def cocycle_image(g: NCSeries, star: str, theta: ThetaMap = None, n_plus: Mat2 =
     else:
         half = mat_exp_graded(u.scale(Fraction(-1, 2)))
         w = mat_log_graded(half * c * mat_exp_graded(v) * c_inv * half)
-    return g.substitute(u, w, one=theta.identity).to_mat2()
+    return g.substitute(u, w, one=theta.identity)
 
 
 def column_mix_cleared(ring, truncation, star):
@@ -327,17 +323,17 @@ def column_mix_cleared(ring, truncation, star):
     zero = CSeries.zero(ring, truncation)
     one = CSeries.one(ring, truncation)
     if star in ("01", "0inf"):
-        return Mat2(b, b, zero, p), "b"
+        return MatSeries.of(b, b, zero, p), "b"
     if star == "10":
-        return Mat2(b * q, zero, -(a * b), q * (q - one)), "bq"
+        return MatSeries.of(b * q, zero, -(a * b), q * (q - one)), "bq"
     if star == "1inf":
-        return Mat2(b * q, zero, -(a * b), q * (one - q)), "bq"
+        return MatSeries.of(b * q, zero, -(a * b), q * (one - q)), "bq"
     if star in ("inf1", "inf0"):
-        return Mat2(b, b, -a, -b), "b"
+        return MatSeries.of(b, b, -a, -b), "b"
     raise ValueError("unknown star %r" % star)
 
 
-def v_matrix(g: NCSeries, star: str, theta: ThetaMap = None, n_plus: Mat2 = None):
+def v_matrix(g: NCSeries, star: str, theta: ThetaMap = None, n_plus: MatSeries = None):
     """One of the six solution matrices, built from the closed forms that are
     free of any associator choice, multiplied by the cleared column-mix
     matrix.  Returns (cleared matrix, clearing monomial).

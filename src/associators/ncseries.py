@@ -13,8 +13,6 @@ letters 0, 1, 2 of U(F_3) and on the two base letters 3, 4.
 
 from __future__ import annotations
 
-from math import lcm
-
 from . import graded
 from . import words as W
 from .graded import max_coeff
@@ -86,8 +84,9 @@ class NCSeries(graded.Series):
 
     def substitute(self, image0, image1, one=None):
         """f(image0, image1) . one, for images with +, * and .scale(coeff):
-        series (MatSeries for 2x2 matrices over the (a, b, p) series), Mat2
-        over numbers, strand generators.
+        series (MatSeries for 2x2 matrices over the (a, b, p) series), strand
+        generators, and Mat2 over numbers, which are walked over the complex
+        ring only.
         ``one`` is the vector the images act on from the left, by default
         image0.one_like().
 
@@ -99,11 +98,8 @@ class NCSeries(graded.Series):
         truncation) with a constant term is rejected; ungraded ones, such as
         numeric matrices, are taken as they are.
 
-        Over QQ it clears denominators once, walks on Python ints and divides
-        once.  With D, d, e the lcm of the denominators (``.denominator``) of
-        the series, of both images and of ``one``, W_s = D d^(n-s) e V_s is
-        (c D d^(n-s)) (e one) + sum (d image) W_(s+1), all ints (``as_integers``);
-        it returns W_0 / (D d^n e), and its largest int is D d^n e times a coefficient.
+        Over QQ it clears denominators once (graded.cleared), walks on Python
+        ints and divides once.
         """
         images = (image0, image1)
         for im in images:
@@ -114,11 +110,7 @@ class NCSeries(graded.Series):
         n = min(self.truncation, getattr(one, "truncation", self.truncation))
         terms, unit = self.terms, None
         if self.ring.exact:
-            big_d, e, d = self.denominator, one.denominator, lcm(*(im.denominator for im in images))
-            terms = {w: c.numerator * (big_d // c.denominator) * d ** (n - len(w))
-                     for w, c in self.terms.items() if len(w) <= n}
-            images = tuple(im.as_integers(d) for im in images)
-            one, unit = one.as_integers(e), self.ring.inv(big_d * d ** n * e)
+            terms, images, one, unit = graded.cleared(self, images, one, n)
         ones = [one.truncate(n - s) for s in range(n + 1)]
 
         def walk(terms, s):

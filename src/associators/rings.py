@@ -32,7 +32,8 @@ import mpmath
 
 class RationalField:
     """Adapter for exact rational coefficients: a QQ series holds Fractions,
-    and int coefficients exist only inside NCSeries.substitute's walk."""
+    and int coefficients exist only inside the cleared walks of
+    NCSeries.substitute and CSeries.subst (graded.cleared)."""
 
     name = "QQ"
     exact = True

@@ -2,7 +2,8 @@
 shared core, associativity, distributivity, the unit) and of
 NCSeries.substitute into series, into MatSeries (2x2 matrices over CSeries
 as one series) and into strand generators, against a word-by-word
-evaluation; the matrix oracle multiplies Mat2 over CSeries.  Every
+evaluation; the matrix oracle multiplies Mat2 over CSeries.  MatSeries
+against Mat2 over CSeries, and its determinant and inverse.  Every
 comparison is exact."""
 
 import operator
@@ -11,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from associators.cseries import CSeries
@@ -95,11 +96,20 @@ def mat2_pairs(draw):
 def test_matrix_series_is_the_entrywise_matrix_algebra(xy):
     x, y = xy
     n = min(e.truncation for e in x.e + y.e)
-    assert same_matrix(MatSeries.from_mat2(x).to_mat2(), x.truncate(min(e.truncation for e in x.e)))
+    assert same_matrix(MatSeries.of(*x.e), x.truncate(min(e.truncation for e in x.e)))
     for op in (operator.add, operator.mul):
-        got = op(MatSeries.from_mat2(x), MatSeries.from_mat2(y))
+        got = op(MatSeries.of(*x.e), MatSeries.of(*y.e))
         assert stored_cleanly(got) and got.truncation == n
-        assert same_matrix(got.to_mat2(), op(x, y).truncate(n))
+        assert same_matrix(got, op(x, y).truncate(n))
+
+
+@settings(max_examples=20)
+@given(mat2_pairs())
+def test_matrix_series_inverse_and_determinant(xy):
+    x, y = (MatSeries.of(*m.e) for m in xy)
+    assume(x.det().constant_term() != 0)
+    assert same(x * x.inverse(), x.one_like()) and same(x.inverse() * x, x.one_like())
+    assert same((x * y).det(), x.det() * y.det())
 
 
 def test_matrix_series_across_rings_raise():
@@ -117,7 +127,7 @@ def images(draw, n):
     for _ in range(4):
         x = draw(c_series(n))
         entries.append(CSeries(QQ, n, {m: c for m, c in x.terms.items() if sum(m) <= 3}))
-    return MatSeries.from_mat2(Mat2(*entries))
+    return MatSeries.of(*entries)
 
 
 @st.composite
@@ -148,18 +158,20 @@ def matrix_word_by_word(f, a, b, one=None):
     oracle multiplies four CSeries entries, not one contracted series."""
     one = a.one_like() if one is None else one
     f = f.truncate(min(f.truncation, one.truncation))
-    return word_by_word(f, a.to_mat2(), b.to_mat2(), one.to_mat2())
+    return word_by_word(f, *(Mat2(*(m[i, j] for i in range(2) for j in range(2)))
+                             for m in (a, b, one)))
 
 
 def same_matrix(x, y):
-    return all(same(u, v) for u, v in zip(x.e, y.e))
+    """Entrywise equality at equal truncations, of Mat2 or MatSeries."""
+    return all(same(x[i, j], y[i, j]) for i in range(2) for j in range(2))
 
 
 @settings(max_examples=40)
 @given(substitutions())
 def test_substitute_into_matrices(inputs):
     f, g, a, b = inputs
-    assert same_matrix(f.substitute(a, b).to_mat2(), matrix_word_by_word(f, a, b))
+    assert same_matrix(f.substitute(a, b), matrix_word_by_word(f, a, b))
     assert same((f * g).substitute(a, b), f.substitute(a, b) * g.substitute(a, b))
 
 
@@ -167,8 +179,8 @@ def test_substitute_rejects_a_matrix_image_with_a_degree_zero_part():
     # a degree-0 part would carry the degree that a child of the walk leaves out
     a, b, p, q = CSeries.gens(QQ, 3)
     zero = CSeries.zero(QQ, 3)
-    image0 = MatSeries.from_mat2(Mat2(zero, b, zero, p))
-    image1 = MatSeries.from_mat2(Mat2(CSeries.one(QQ, 3) + a, zero, zero, q))
+    image0 = MatSeries.of(zero, b, zero, p)
+    image1 = MatSeries.of(CSeries.one(QQ, 3) + a, zero, zero, q)
     with pytest.raises(ValueError):
         NCSeries.letter(QQ, 3, 0).substitute(image0, image1)
 
@@ -193,7 +205,7 @@ def matrix_images(rng, n):
     theta = ThetaMap(n)
     half = CSeries.one(QQ, n).scale(Fraction(1, 2))
     return (theta.log_image0, theta.log_image1,
-            theta.identity + MatSeries.from_mat2(Mat2(half, half, half, half)))
+            theta.identity + MatSeries.of(half, half, half, half))
 
 
 def strand_images(rng, n):
@@ -212,19 +224,9 @@ def test_exact_walk_is_the_word_by_word_sum(kind, n, seed):
     assert f.denominator > 1 and lcm(a.denominator, b.denominator, one.denominator) > 1
     got = f.substitute(a, b, one=one)
     if isinstance(got, MatSeries):
-        assert same_matrix(got.to_mat2(), matrix_word_by_word(f, a, b, one))
+        assert same_matrix(got, matrix_word_by_word(f, a, b, one))
     else:
         assert same(got, word_by_word(f, a, b, one))
     # the ints of the walk never leave it
     assert all(type(c) is Fraction for c in got.terms.values())
 
-
-def test_exact_walk_into_rational_number_matrices():
-    # ungraded images: every word of f counts, and the entries are numbers
-    rng = random.Random(4)
-    f = rational_series(rng, 5, (0, 1), range(6), 30)
-    a, b, one = (Mat2(*(Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(4)))
-                 for _ in range(3))
-    got = f.substitute(a, b, one=one)
-    assert got.e == word_by_word(f, a, b, one).e
-    assert all(type(c) is Fraction for c in got.e)

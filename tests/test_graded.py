@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from associators import words as W
 from associators.cseries import CSeries
 from associators.graded import max_coeff
-from associators.mat2 import Mat2, MatSeries, mat_exp_graded
+from associators.mat2 import MatSeries, mat_exp_graded
 from associators.matspec import mat_log_graded
 from associators.ncseries import NCSeries, lie_element
 from associators.rings import QQ, complex_field
@@ -52,7 +52,7 @@ def lie_series(draw):
 def matrices(draw):
     """A MatSeries whose entries have positive degree."""
     n = draw(TRUNCATIONS)
-    return MatSeries.from_mat2(Mat2(*(draw(c_series(n)) for _ in range(4))))
+    return MatSeries.of(*(draw(c_series(n)) for _ in range(4)))
 
 
 SERIES = st.one_of(nc_series(), c_series())

@@ -143,10 +143,10 @@ def test_varphi_equals_gamma_matrix_skew(skew_candidate):
 
 def test_first_entry_mismatch_reports_monomial():
     a, b, p, q = CSeries.gens(QQ, 3)
-    from associators.mat2 import Mat2
+    from associators.mat2 import MatSeries
 
-    m1 = Mat2(CSeries.one(QQ, 3), a, b, p)
-    m2 = Mat2(CSeries.one(QQ, 3), a, b + a * p, p)
+    m1 = MatSeries.of(CSeries.one(QQ, 3), a, b, p)
+    m2 = MatSeries.of(CSeries.one(QQ, 3), a, b + a * p, p)
     where = first_entry_mismatch(m1, m2)
     assert where[0] == (1, 0)
     assert where[1] == (1, 0, 1)
