@@ -21,9 +21,6 @@ class Mat2:
         i, j = ij
         return self.e[2 * i + j]
 
-    def __repr__(self):
-        return "Mat2(%r, %r, %r, %r)" % self.e
-
     def __add__(self, other):
         a, b = self.e, other.e
         return Mat2(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])

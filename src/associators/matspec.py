@@ -215,7 +215,7 @@ def first_entry_mismatch(m1: MatSeries, m2: MatSeries):
     d = (m1 - m2).terms
     if not d:
         return None
-    k = min(d, key=lambda k: (k[:2], sum(k[2:]), k[2:]))
+    k = min(d, key=lambda m: (m[:2], sum(m[2:]), m[2:]))
     return k[:2], k[2:], d[k]
 
 

@@ -3,7 +3,7 @@ shared core, associativity, distributivity, the unit) and of
 NCSeries.substitute into series, into MatSeries (2x2 matrices over CSeries
 as one series) and into strand generators, against a word-by-word
 evaluation; the matrix oracle multiplies Mat2 over CSeries.  MatSeries
-against Mat2 over CSeries, and its determinant and inverse.  Every
+against Mat2 over CSeries, with its determinant and inverse.  Every
 comparison is exact."""
 
 import operator
