@@ -291,10 +291,11 @@ def _comp_images(phi, mu):
 
 
 def _conjugate_first(s, g, lam):
-    """s(lam g e0 g^-1, lam e1) g: gt_act's left form and gt_compose's series."""
+    """s(lam g e0 g^-1, lam e1) g: gt_act's left form and gt_compose's series;
+    g is group-like (an associator or a GT series), so g^-1 is its antipode."""
     e0 = NCSeries.letter(g.ring, g.truncation, 0)
     e1 = NCSeries.letter(g.ring, g.truncation, 1)
-    return s.substitute((g * e0 * g.inverse()).scale(lam), e1.scale(lam)) * g
+    return s.substitute((g * e0 * g.antipode()).scale(lam), e1.scale(lam)) * g
 
 
 def gt_act(gt: GTElement, cand: AssociatorCandidate):
@@ -326,14 +327,14 @@ def gt_from_pair(c1: AssociatorCandidate, c2: AssociatorCandidate) -> GTElement:
     """The unique lambda = 1 element f with gt_act((1, f), c1) = c2 for two
     associators sharing the same mu; solved degree by degree (the
     substitution x0 -> e^(mu e0), x1 -> phi^-1 e^(mu e1) phi is triangular
-    in the degree)."""
+    in the degree).  phi1 is group-like, so phi1^-1 is its antipode."""
     ring = c1.ring
     if abs_value(c1.mu - c2.mu) > ring.noise_floor:
         raise ValueError("gt_from_pair needs equal mu")
     n = min(c1.truncation, c2.truncation)
     mu_inv = ring.inv(c1.mu)
     phi1 = c1.phi.truncate(n)
-    target = phi1.inverse() * c2.phi.truncate(n)
+    target = phi1.antipode() * c2.phi.truncate(n)
     images = _comp_images(phi1, c1.mu)
 
     terms = {(): ring.one}

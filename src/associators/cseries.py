@@ -14,7 +14,7 @@ system where q replaces p as the third variable.
 from __future__ import annotations
 
 from . import graded
-from .rings import abs_value
+from .rings import QQ, abs_value
 
 VAR_NAMES = ("a", "b", "p")
 
@@ -50,12 +50,11 @@ class CSeries(graded.Series):
         p = cls.variable(ring, truncation, "p")
         return a, b, p, a + b + p
 
-    def __mul__(self, other):
-        n = self._common(other)
-        ring = self.ring
+    @graded.product
+    def __mul__(x, y, n):
         out = {}
-        right = [(m, sum(m), c) for m, c in other.terms.items()]
-        for ma, ca in self.terms.items():
+        right = [(m, sum(m), c) for m, c in y.items()]
+        for ma, ca in x.items():
             da = sum(ma)
             if da > n:
                 continue
@@ -66,8 +65,7 @@ class CSeries(graded.Series):
                 v = ca * cb
                 s = out.get(k)
                 out[k] = v if s is None else s + v
-        out = {m: c for m, c in out.items() if not ring.is_zero(c)}
-        return CSeries(ring, n, out, _clean=True)
+        return out
 
     def pow(self, k):
         out = CSeries.one(self.ring, self.truncation)
@@ -84,8 +82,8 @@ class CSeries(graded.Series):
     def subst(self, image_a, image_b, image_p):
         """Endomorphism sending the variables to degree-1 forms (validated:
         no constant term, degree <= 1), so the grading is preserved.  Over QQ
-        it clears denominators once (graded.cleared), sums on ints and divides
-        once."""
+        it clears denominators once (graded.cleared), sums series over ZZ and
+        divides once, by the scaling that lands them on QQ."""
         for im in (image_a, image_b, image_p):
             if not isinstance(im, CSeries):
                 raise TypeError("images must be CSeries")
@@ -93,9 +91,9 @@ class CSeries(graded.Series):
                 raise ValueError("image form has a constant term")
             if any(sum(m) > 1 for m in im.terms):
                 raise ValueError("image form has degree > 1")
-        images, ring, n = (image_a, image_b, image_p), self.ring, self.truncation
-        terms, one, unit = self.terms, CSeries.one(ring, n), None
-        if ring.exact:
+        images, n = (image_a, image_b, image_p), self.truncation
+        terms, one, unit = self.terms, CSeries.one(self.ring, n), None
+        if self.ring is QQ:
             terms, images, one, unit = graded.cleared(self, images, one, n)
         memo = {CSeries.UNIT: one}
 
@@ -108,9 +106,9 @@ class CSeries(graded.Series):
                 got = memo[m] = image(m[:i] + (m[i] - 1,) + m[i + 1:]) * images[i]
             return got
 
-        acc = CSeries.zero(ring, n)
+        acc = CSeries.zero(one.ring, n)
         for m, c in terms.items():
-            acc = acc + image(m).scale(c)
+            acc = acc.add_into(image(m).scale(c))
         return acc if unit is None else acc.scale(unit)
 
     # -- exact division ---------------------------------------------------------------
@@ -128,15 +126,6 @@ class CSeries(graded.Series):
             out[tuple(k)] = c
         return CSeries(self.ring, self.truncation - 1, out, _clean=True)
 
-    def _to_q_coords(self):
-        # p = (third) - a - b, with the third slot reread as q
-        a, b, t, _ = CSeries.gens(self.ring, self.truncation)
-        return self.subst(a, b, t - a - b)
-
-    def _from_q_coords(self):
-        a, b, _, q = CSeries.gens(self.ring, self.truncation)
-        return self.subst(a, b, q)
-
     def divide_exact(self, form):
         """Exact division by one of a, b, p, q, ab, pq, bq, ba; raises
         ExactDivisionError when a monomial obstructs it.  The quotient's
@@ -152,9 +141,11 @@ class CSeries(graded.Series):
         if form in VAR_NAMES:
             return self._divide_var(VAR_NAMES.index(form), form)
         if form == "q":
-            g = self._to_q_coords()
-            g = g._divide_var(2, "q")
-            return g._from_q_coords()
+            # p = (third) - a - b, with the third slot reread as q, and back
+            a, b, t, _ = CSeries.gens(self.ring, self.truncation)
+            g = self.subst(a, b, t - a - b)._divide_var(2, "q")
+            a, b, _, q = CSeries.gens(self.ring, g.truncation)
+            return g.subst(a, b, q)
         raise ValueError("unknown form %r" % form)
 
 

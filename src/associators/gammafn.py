@@ -9,7 +9,7 @@ unavoidable cancellations exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 from .cseries import CSeries
 from .graded import max_coeff
@@ -30,15 +30,6 @@ def _coeffs(s):
 # -- Bernoulli numbers -----------------------------------------------------------
 
 
-def _primes_up_to(n):
-    sieve = [True] * (n + 1)
-    sieve[0:2] = [False, False]
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = [False] * len(sieve[p * p:: p])
-    return [p for p in range(2, n + 1) if sieve[p]]
-
-
 class BernoulliTable:
     """Exact B_0 .. B_max_index with the von Staudt-Clausen denominator check
     applied on construction."""
@@ -52,10 +43,9 @@ class BernoulliTable:
 
     def _check_von_staudt_clausen(self):
         for n in range(2, len(self.values), 2):
-            expect = 1
-            for p in _primes_up_to(n + 1):
-                if n % (p - 1) == 0:
-                    expect *= p
+            # the product of the primes p with (p - 1) | n
+            expect = prod(p for p in range(2, n + 2)
+                          if n % (p - 1) == 0 and all(p % r for r in range(2, p)))
             if self.values[n].denominator != expect:
                 raise AssertionError(
                     "Bernoulli denominator check failed at n=%d: %s vs %d"
@@ -65,8 +55,6 @@ class BernoulliTable:
 
 def _bernoulli_list(m):
     # B_m = -1/(m+1) * sum_{j<m} C(m+1, j) B_j
-    from math import comb
-
     out = [Fraction(1)]
     for n in range(1, m + 1):
         s = Fraction(0)

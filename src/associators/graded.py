@@ -1,14 +1,17 @@
 """The graded-series core of the package: the storage rules of a truncated
-sparse series, and truncated exp, log and inverse for every graded algebra.
+sparse series, its product step, and truncated exp, log and inverse for
+every graded algebra.
 
 A Series is a sparse dict key -> coefficient together with a truncation
 degree N; arithmetic is exact modulo keys of degree > N, no stored
 coefficient is zero and no stored key lies above N.  Coefficients live in
 any ring adapter from ``rings.py``.  Series are immutable by convention: no
-operation mutates its operands.  A subclass names the key of 1 (UNIT) and
-the degree of a key, and supplies the product: NCSeries (words, degree
-len), CSeries (exponent triples, degree sum) and MatSeries (entry and
-exponent triple, degree of the triple; its 1 has two keys).
+operation but add_into mutates its operands.  A subclass names the key of 1
+(UNIT) and the degree of a key, and hands its coefficient loop to
+``product``: NCSeries (words, degree len), CSeries (exponent triples, degree
+sum) and MatSeries (entry and exponent triple, degree of the triple; its 1
+has two keys).  Over QQ ``product`` runs on ints over one denominator per
+operand, FLINT's fmpq_poly form (flintlib.org/doc/fmpq_poly.html).
 
 exp, log and inverse only need +, -, *, scale(Fraction), one_like(),
 min_degree() and a .truncation (inverse also needs constant_term() and
@@ -17,8 +20,8 @@ positive minimal degree v stops after truncation // v terms.  NCSeries and
 CSeries bind these functions as their methods; MatSeries (2x2 matrices
 over CSeries) uses exp and log, but its 1 has two keys, so MatSeries.inverse
 is the adjugate over the determinant, not inverse.  ``cleared`` is the
-integer form of a substitution over QQ that NCSeries.substitute and
-CSeries.subst walk on.
+integer form, over ZZ, of a substitution over QQ that NCSeries.substitute
+and CSeries.subst walk on.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .rings import abs_value
+from .rings import QQ, ZZ, abs_value
 
 
 class RingMismatch(TypeError):
@@ -35,7 +38,7 @@ class RingMismatch(TypeError):
 
 class Series:
     """Storage and linear structure of a truncated sparse series; a subclass
-    sets UNIT and degree and defines __mul__."""
+    sets UNIT and degree and defines __mul__ by ``product``."""
 
     __slots__ = ("ring", "truncation", "terms")
 
@@ -45,8 +48,7 @@ class Series:
     def __init__(self, ring, truncation, terms=None, _clean=False):
         self.ring = ring
         self.truncation = truncation
-        if terms is None:
-            terms = {}
+        terms = {} if terms is None else terms
         if not _clean:
             deg = self.degree
             terms = {k: c for k, c in terms.items()
@@ -90,9 +92,7 @@ class Series:
         return {k: c for k, c in self.terms.items() if deg(k) == d}
 
     def min_degree(self):
-        if not self.terms:
-            return self.truncation + 1
-        return min(map(self.degree, self.terms))
+        return min(map(self.degree, self.terms), default=self.truncation + 1)
 
     def _common(self, other):
         if type(other) is not type(self):
@@ -104,14 +104,7 @@ class Series:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        n = self._common(other)
-        deg, zero = self.degree, self.ring.zero
-        for k in set(self.terms) | set(other.terms):
-            if deg(k) > n:
-                continue
-            if not self.ring.is_zero(self.terms.get(k, zero) - other.terms.get(k, zero)):
-                return False
-        return True
+        return not (self - other).terms
 
     def __hash__(self):  # pragma: no cover - identity hashing is enough here
         return id(self)
@@ -125,19 +118,24 @@ class Series:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):
+        return type(self)(self.ring, self.truncation, dict(self.terms), _clean=True).add_into(other)
+
+    def add_into(self, other):
+        """self + other, summed into the dict of self unless other truncates
+        lower: only for a series nothing else holds, such as a walk's node."""
         n = self._common(other)
-        deg = self.degree
-        out = {k: c for k, c in self.terms.items() if deg(k) <= n}
+        out = self if n == self.truncation else self.truncate(n)
+        if other.truncation > n:
+            other = other.truncate(n)
+        is_zero, terms = self.ring.is_zero, out.terms
         for k, c in other.terms.items():
-            if deg(k) > n:
-                continue
-            s = out.get(k)
+            s = terms.get(k)
             s = c if s is None else s + c
-            if self.ring.is_zero(s):
-                out.pop(k, None)
+            if is_zero(s):
+                terms.pop(k, None)
             else:
-                out[k] = s
-        return type(self)(self.ring, n, out, _clean=True)
+                terms[k] = s
+        return out
 
     def __neg__(self):
         return type(self)(self.ring, self.truncation, {k: -c for k, c in self.terms.items()},
@@ -147,12 +145,16 @@ class Series:
         return self + (-other)
 
     def scale(self, c):
-        """Multiply by a scalar from the coefficient ring (or a Fraction)."""
-        if isinstance(c, (int, Fraction)) and not isinstance(self.ring.one, Fraction):
-            c = self.ring.from_fraction(Fraction(c))
-        if self.ring.is_zero(c):
-            return self.zero(self.ring, self.truncation)
-        return type(self)(self.ring, self.truncation, {k: v * c for k, v in self.terms.items()},
+        """Multiply by a scalar from the coefficient ring (or a Fraction); a
+        series over ZZ times a Fraction, as a cleared walk ends, is over QQ."""
+        ring = self.ring
+        if not ring.exact and isinstance(c, (int, Fraction)):
+            c = ring.from_fraction(Fraction(c))
+        elif ring is ZZ and isinstance(c, Fraction):
+            ring = QQ
+        if ring.is_zero(c):
+            return self.zero(ring, self.truncation)
+        return type(self)(ring, self.truncation, {k: v * c for k, v in self.terms.items()},
                           _clean=True)
 
     @property
@@ -161,9 +163,27 @@ class Series:
         return lcm(*(c.denominator for c in self.terms.values()))
 
     def as_integers(self, k):
-        """k times the series, with int coefficients; k a multiple of denominator."""
-        return type(self)(self.ring, self.truncation, {m: c.numerator * (k // c.denominator)
-                                                       for m, c in self.terms.items()}, _clean=True)
+        """k times the series over ZZ; k a multiple of denominator."""
+        return type(self)(ZZ, self.truncation, {m: c.numerator * (k // c.denominator)
+                                                for m, c in self.terms.items()}, _clean=True)
+
+
+def product(loop):
+    """A subclass's __mul__ from its coefficient loop: loop(x, y, n) sums the
+    coefficient products of the term dicts x and y into each key of degree
+    <= n.  Over QQ it runs on both operands cleared to ints (as_integers) and
+    each sum is divided once."""
+    def __mul__(self, other):
+        n, ring = self._common(other), self.ring
+        if ring is QQ:
+            dx, dy = self.denominator, other.denominator
+            out = loop(self.as_integers(dx).terms, other.as_integers(dy).terms, n)
+            out = {k: Fraction(c, dx * dy) for k, c in out.items() if c}
+        else:
+            out = loop(self.terms, other.terms, n)
+            out = {k: c for k, c in out.items() if not ring.is_zero(c)}
+        return type(self)(ring, n, out, _clean=True)
+    return __mul__
 
 
 def cleared(f, images, one, n):
@@ -173,15 +193,15 @@ def cleared(f, images, one, n):
     With D, d and e the lcm of the denominators (``.denominator``) of f, of
     the images and of one, a key m of f of degree <= n and coefficient c
     becomes the int c D d^(n - deg m), each image d image and one e one
-    (``as_integers``).  Each term m(images) . one then carries D d^n e, so
-    the walk on these ints times unit = 1/(D d^n e) is f(images) . one; its
-    largest int is D d^n e times a coefficient."""
+    (``as_integers``, over ZZ).  Each term m(images) . one then carries
+    D d^n e, so the walk on these ints scaled by unit = 1/(D d^n e) is
+    f(images) . one over QQ; its largest int is D d^n e times a coefficient."""
     big_d, d, e = f.denominator, lcm(*(im.denominator for im in images)), one.denominator
     deg = f.degree
     terms = {m: c.numerator * (big_d // c.denominator) * d ** (n - deg(m))
              for m, c in f.terms.items() if deg(m) <= n}
     return (terms, tuple(im.as_integers(d) for im in images), one.as_integers(e),
-            f.ring.inv(big_d * d ** n * e))
+            QQ.inv(big_d * d ** n * e))
 
 
 def max_coeff(f: Series) -> float:
@@ -195,7 +215,7 @@ def power_sum(x, coeff):
     acc = pw.scale(0)
     for k in range(1, x.truncation // x.min_degree() + 1):
         pw = pw * x
-        acc = acc + pw.scale(coeff(k))
+        acc = acc.add_into(pw.scale(coeff(k)))
     return acc
 
 

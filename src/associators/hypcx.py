@@ -266,10 +266,7 @@ def shuffle_words(u, v):
 
 
 def _run_length(w, letter):
-    m = 0
-    while m < len(w) and w[m] == letter:
-        m += 1
-    return m
+    return next((i for i, x in enumerate(w) if x != letter), len(w))
 
 
 def regularized_table(base_values, max_weight):

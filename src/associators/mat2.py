@@ -1,9 +1,9 @@
 """2x2 matrices: Mat2 over numbers, what ``hypcx`` walks over the complex
-ring, and MatSeries, a matrix over the (a, b, p) series held as one graded
-series: what NCSeries.substitute and graded's exp and log act on, one dict
-and one contraction loop per product instead of four CSeries.  The 1 of a
-MatSeries has two keys, so its inverse is the adjugate over the determinant,
-not graded.inverse."""
+ring (summed by +), and MatSeries, a matrix over the (a, b, p) series held
+as one graded series: what NCSeries.substitute and graded's exp and log act
+on, one dict and one contraction loop per product (on ints over QQ,
+graded.product) instead of four CSeries.  The 1 of a MatSeries has two
+keys, so its inverse is the adjugate over the determinant."""
 
 from __future__ import annotations
 
@@ -77,12 +77,13 @@ class MatSeries(graded.Series):
         c = self.det().inverse()
         return MatSeries.of(c * self[1, 1], c * -self[0, 1], c * -self[1, 0], c * self[0, 0])
 
-    def __mul__(self, other):
-        n = self._common(other)
+    @graded.product
+    def __mul__(x, y, n):
+        # entry (i, j) of x against entry (j, k) of y
         rows, out = ([], []), {}
-        for (j, k, a, b, p), c in other.terms.items():
+        for (j, k, a, b, p), c in y.items():
             rows[j].append((k, a, b, p, a + b + p, c))
-        for (i, j, a, b, p), ca in self.terms.items():
+        for (i, j, a, b, p), ca in x.items():
             da = a + b + p
             if da > n:
                 continue
@@ -93,8 +94,7 @@ class MatSeries(graded.Series):
                 v = ca * cb
                 s = out.get(key)
                 out[key] = v if s is None else s + v
-        is_zero = self.ring.is_zero
-        return MatSeries(self.ring, n, {k: c for k, c in out.items() if not is_zero(c)}, _clean=True)
+        return out
 
 
 def mat_exp_graded(m: MatSeries) -> MatSeries:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import graded
 from . import words as W
 from .graded import max_coeff
-from .rings import abs_value
+from .rings import QQ, abs_value
 
 
 class NCSeries(graded.Series):
@@ -31,14 +31,13 @@ class NCSeries(graded.Series):
 
     # -- multiplicative structure ---------------------------------------------
 
-    def __mul__(self, other):
-        n = self._common(other)
+    @graded.product
+    def __mul__(x, y, n):
         by_len_r = {}
-        for w, c in other.terms.items():
+        for w, c in y.items():
             by_len_r.setdefault(len(w), []).append((w, c))
-        ring = self.ring
         out = {}
-        for wa, ca in self.terms.items():
+        for wa, ca in x.items():
             la = len(wa)
             if la > n:
                 continue
@@ -50,8 +49,7 @@ class NCSeries(graded.Series):
                     v = ca * cb
                     s = out.get(k)
                     out[k] = v if s is None else s + v
-        out = {w: c for w, c in out.items() if not ring.is_zero(c)}
-        return NCSeries(ring, n, out, _clean=True)
+        return out
 
     exp = graded.exp
     log = graded.log
@@ -98,8 +96,10 @@ class NCSeries(graded.Series):
         truncation) with a constant term is rejected; ungraded ones, such as
         numeric matrices, are taken as they are.
 
-        Over QQ it clears denominators once (graded.cleared), walks on Python
-        ints and divides once.
+        Over QQ it clears denominators once (graded.cleared), walks series
+        over ZZ and divides once, by the scaling that lands them on QQ.  A
+        node sums its children into the dict it has just built (add_into);
+        number matrices are summed by +.
         """
         images = (image0, image1)
         for im in images:
@@ -109,13 +109,14 @@ class NCSeries(graded.Series):
         one = image0.one_like() if one is None else one
         n = min(self.truncation, getattr(one, "truncation", self.truncation))
         terms, unit = self.terms, None
-        if self.ring.exact:
+        if self.ring is QQ:
             terms, images, one, unit = graded.cleared(self, images, one, n)
         ones = [one.truncate(n - s) for s in range(n + 1)]
+        add = graded.Series.add_into if isinstance(one, graded.Series) else type(one).__add__
 
         def walk(terms, s):
             # terms: the suffixes after one prefix of length s
-            out = ones[s].scale(terms.get(W.EMPTY_WORD, self.ring.zero))
+            out = ones[s].scale(terms.get(W.EMPTY_WORD, 0))
             if s < n:
                 children = ({}, {})
                 for w, c in terms.items():
@@ -123,7 +124,7 @@ class NCSeries(graded.Series):
                         children[w[0]][w[1:]] = c
                 for im, child in zip(images, children):
                     if child:
-                        out = out + im * walk(child, s + 1).truncate(n - s)
+                        out = add(out, im * walk(child, s + 1).truncate(n - s))
             return out
 
         out = walk(terms, 0)

@@ -1,10 +1,11 @@
 """Coefficient rings for the truncated series arithmetic.
 
 Everything downstream (noncommutative series, commutative series in
-(a, b, p), 2x2 matrices) is generic over a small ring adapter.  Two rings
+(a, b, p), 2x2 matrices) is generic over a small ring adapter.  Three rings
 are provided here:
 
 * ``QQ`` -- exact rationals, backed by ``fractions.Fraction``;
+* ``ZZ`` -- Python ints, the ring of the cleared walks over QQ;
 * ``ComplexField(digits)`` -- arbitrary-precision complex numbers, backed
   by mpmath, with the working precision carried on the adapter.
 
@@ -31,9 +32,9 @@ import mpmath
 
 
 class RationalField:
-    """Adapter for exact rational coefficients: a QQ series holds Fractions,
-    and int coefficients exist only inside the cleared walks of
-    NCSeries.substitute and CSeries.subst (graded.cleared)."""
+    """Adapter for exact rational coefficients: a QQ series holds Fractions.
+    Its products run on ints (graded.product), and its walks on series over
+    ZZ (graded.cleared) scaled back by a Fraction."""
 
     name = "QQ"
     exact = True
@@ -49,12 +50,10 @@ class RationalField:
         return Fraction(fr)
 
     def is_zero(self, x):
-        return x == 0
+        return not x
 
     def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero in QQ")
-        return Fraction(1) / x
+        return Fraction(1) / x  # ZeroDivisionError at x = 0
 
 
 class ComplexField:
@@ -89,13 +88,26 @@ class ComplexField:
     def is_zero(self, x):
         # Exact zero only: tolerance comparisons belong to the checks, not
         # to the arithmetic (pruning by tolerance would corrupt results).
-        return x == 0
+        return not x
 
     def inv(self, x):
         return self.one / x
 
 
+class IntegerRing:
+    """Adapter for int coefficients: those of the cleared walks over QQ."""
+
+    name = "ZZ"
+    exact = True
+    zero = 0
+    one = 1
+
+    def is_zero(self, x):
+        return not x
+
+
 QQ = RationalField()
+ZZ = IntegerRing()
 
 
 @lru_cache(maxsize=None)
@@ -107,6 +119,4 @@ def complex_field(digits=50) -> ComplexField:
 
 def abs_value(x):
     """|x| as a float, usable on Fraction and mpmath numbers alike."""
-    if isinstance(x, Fraction):
-        return abs(float(x))
-    return float(mpmath.fabs(x))
+    return abs(float(x)) if isinstance(x, Fraction) else float(mpmath.fabs(x))

@@ -30,10 +30,7 @@ def depth(w: Word) -> int:
 
 def height(w: Word) -> int:
     """1 + number of factors e1*e0; 0 for the empty word."""
-    if not w:
-        return 0
-    runs = sum(1 for i in range(len(w) - 1) if w[i] == E1 and w[i + 1] == E0)
-    return runs + 1
+    return 1 + sum(1 for x, y in zip(w, w[1:]) if (x, y) == (E1, E0)) if w else 0
 
 
 def dual_word(w: Word) -> Word:
@@ -81,11 +78,7 @@ def index_from_word(w: Word):
 
 
 def words_of_weight(n: int):
-    if n == 0:
-        yield EMPTY_WORD
-        return
-    for bits in itertools.product((E0, E1), repeat=n):
-        yield bits
+    return itertools.product((E0, E1), repeat=n)
 
 
 def all_words(max_weight: int):
@@ -133,13 +126,7 @@ def _standard_factorization(w: Word):
 
 
 def _is_lyndon(w: Word) -> bool:
-    n = len(w)
-    if n == 0:
-        return False
-    for i in range(1, n):
-        if w[i:] + w[:i] <= w:
-            return False
-    return True
+    return bool(w) and all(w[i:] + w[:i] > w for i in range(1, len(w)))
 
 
 @lru_cache(maxsize=None)

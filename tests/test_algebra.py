@@ -3,8 +3,10 @@ shared core, associativity, distributivity, the unit) and of
 NCSeries.substitute into series, into MatSeries (2x2 matrices over CSeries
 as one series) and into strand generators, against a word-by-word
 evaluation; the matrix oracle multiplies Mat2 over CSeries.  MatSeries
-against Mat2 over CSeries, with its determinant and inverse.  Every
-comparison is exact."""
+against Mat2 over CSeries, with its determinant and inverse.  Products over
+QQ against a naive Fraction double loop, with Fraction coefficients in
+every QQ result, and the walk's inputs unchanged by its in-place sums.
+Every comparison is exact."""
 
 import operator
 import random
@@ -15,10 +17,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from associators.cseries import CSeries
+from associators.cseries import CSeries, subst_reindex
 from associators.graded import RingMismatch
 from associators.mat2 import Mat2, MatSeries
-from associators.matspec import ThetaMap
+from associators.matspec import ThetaMap, ev_at, ev_xy, gamma_matrix_plus, xy_matrices
 from associators.ncseries import NCSeries
 from associators.pentagon import P5Quotient, strand_generator
 from associators.rings import QQ, complex_field
@@ -230,3 +232,119 @@ def test_exact_walk_is_the_word_by_word_sum(kind, n, seed):
     # the ints of the walk never leave it
     assert all(type(c) is Fraction for c in got.terms.values())
 
+
+
+# -- products over QQ run on ints: a naive Fraction double loop as oracle --------
+
+
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 10, 12)
+
+
+def rational_terms(rng, keys):
+    return {k: Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)) for k in keys}
+
+
+def random_monomials(rng, n, count):
+    return [tuple(rng.randint(0, n) for _ in range(3)) for _ in range(count)]
+
+
+def nc_operand(rng, n):
+    words = [tuple(rng.choice((0, 1)) for _ in range(rng.randint(0, n))) for _ in range(12)]
+    return NCSeries(QQ, n, rational_terms(rng, words))
+
+
+def c_operand(rng, n):
+    return CSeries(QQ, n, rational_terms(rng, random_monomials(rng, n, 12)))
+
+
+def mat_operand(rng, n):
+    return MatSeries(QQ, n, rational_terms(rng, [(rng.randint(0, 1), rng.randint(0, 1)) + m
+                                                 for m in random_monomials(rng, n, 16)]))
+
+
+def word_key(u, v):
+    return u + v
+
+
+def monomial_key(u, v):
+    return tuple(i + j for i, j in zip(u, v))
+
+
+def entry_key(u, v):
+    return u[:1] + v[1:2] + monomial_key(u[2:], v[2:]) if u[1] == v[0] else None
+
+
+def naive_product(x, y, key):
+    """The product of two QQ series by a double loop over their Fractions."""
+    n = min(x.truncation, y.truncation)
+    out = {}
+    for u, cu in x.terms.items():
+        for v, cv in y.terms.items():
+            k = key(u, v)
+            if k is not None and x.degree(k) <= n:
+                out[k] = out.get(k, Fraction(0)) + cu * cv
+    return {k: c for k, c in out.items() if c}
+
+
+def all_fractions(x):
+    return all(type(c) is Fraction for c in x.terms.values())
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("operand, key", [(nc_operand, word_key), (c_operand, monomial_key),
+                                          (mat_operand, entry_key)])
+def test_product_is_the_fraction_double_loop(operand, key, seed):
+    rng = random.Random(seed)
+    x, y = operand(rng, rng.randint(2, 5)), operand(rng, rng.randint(2, 5))
+    assert x.denominator > 1 and y.denominator > 1
+    for u, v in ((x, y), (y, x), (x, x)):
+        got = u * v
+        assert got.terms == naive_product(u, v, key)
+        assert got.truncation == min(u.truncation, v.truncation)
+        assert all_fractions(got)
+
+
+def test_qq_series_hold_fractions():
+    rng = random.Random(4)
+    f = rational_series(rng, 5, (0, 1), range(6), 20)
+    a, b, one = nc_images(rng, 5)
+    g = c_operand(rng, 5)
+    h = CSeries(QQ, 5, {m: c for m, c in g.terms.items() if sum(m) > 0})
+    lie = f - f.one_like().scale(f.constant_term())
+    for x in (f * a, g * g, f.substitute(a, b, one=one), subst_reindex(g), lie.exp(),
+              h.exp(), (h.exp()).log(), lie.exp().log(), ev_xy(lie.exp()),
+              gamma_matrix_plus(4).m):
+        assert x.ring is QQ and all_fractions(x)
+
+
+# -- the walk sums into its own nodes, never into its inputs ------------------------
+
+
+def snapshot(*xs):
+    return [(x.truncation, dict(x.terms)) for x in xs]
+
+
+@pytest.mark.parametrize("ring", [QQ, complex_field(20)])
+def test_walk_leaves_its_inputs_untouched(ring):
+    n = 5
+    rng = random.Random(5)
+    terms = rational_series(rng, n, (0, 1), range(n + 1), 30).terms
+    g = NCSeries(ring, n, {w: ring.from_fraction(c) for w, c in terms.items()})
+    g = g.one_like() + g - g.one_like().scale(g.constant_term())
+    x, y = xy_matrices(ring, n)
+    minus_y = -y
+    a, b, _ = (NCSeries(ring, n, {w: ring.from_fraction(c) for w, c in s.terms.items()})
+               for s in nc_images(rng, n))
+    # a one of truncation <= n: the walk's one.truncate shares its dict
+    for one in (NCSeries.one(ring, n) + a, NCSeries.one(ring, n - 1) + b):
+        before = snapshot(g, a, b, one)
+        g.substitute(a, b, one=one)
+        assert snapshot(g, a, b, one) == before
+    before = snapshot(g, x, minus_y)
+    ev_at(g, x, minus_y)
+    assert snapshot(g, x, minus_y) == before
+    if ring is QQ:
+        theta = ThetaMap(n)
+        before = snapshot(g, theta.log_image0, theta.log_image1, theta.identity)
+        theta(g)
+        assert snapshot(g, theta.log_image0, theta.log_image1, theta.identity) == before

@@ -9,6 +9,7 @@ from mpmath import mp
 from associators import words as W
 from associators.graded import max_coeff
 from associators.hypcx import fundamental_solution, kz_series, mzv, solution_matrix_at
+from associators.rings import QQ, complex_field
 
 
 def _digest(series):
@@ -47,3 +48,10 @@ def test_numeric_boundaries_hand_out_ring_numbers():
     assert all(mzv(W.index_from_word(w), 40).context is ctx for w in convergent)
     for m in solution_matrix_at(F(1, 10), F(1, 5), F(1, 2), F(3, 10), 6, 40):
         assert all(x.context is ctx for x in m.e)
+
+
+def test_is_zero_means_exactly_zero():
+    ring = complex_field(40)
+    assert ring.is_zero(ring.mp.mpc(0)) and QQ.is_zero(F(0))
+    assert not ring.is_zero(ring.mp.mpc(0, 1e-70)) and not ring.is_zero(ring.mp.mpf(1e-70))
+    assert not QQ.is_zero(F(1, 10 ** 80))
