@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 from fractions import Fraction
 
 from associators import words as W
-from associators.ncseries import NCSeries, bracket, lie_element
-from associators.rings import QQ
+from associators.graded import max_coeff
+from associators.ncseries import NCSeries, bracket, free_group_word, lie_element
+from associators.rings import QQ, complex_field
 
 
 def random_series(rng, n, unit_constant=True):
@@ -162,3 +164,26 @@ def test_letter_maps():
     e0 = NCSeries.letter(QQ, 5, 0)
     e1 = NCSeries.letter(QQ, 5, 1)
     assert f.swap_letters() == f.substitute(e1, e0)
+
+
+def mpc_digest(*vectors):
+    """sha256 of the mpmath bits of every coefficient of word -> mpc dicts."""
+    text = ";".join(repr(sorted((w, c._mpc_) for w, c in v.items())) for v in vectors)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_lie_element_and_free_group_word_keep_their_complex_bits():
+    # the Lyndon brackets' int multiplicities and the word's int exponents
+    # enter the complex ring exactly
+    ring = complex_field(40)
+    rng = random.Random(43)
+    coords = {lw: ring.from_fraction(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])))
+              * ring.mp.mpc(1, rng.randint(-2, 2))
+              for d in range(1, 7) for lw, _ in W.lie_basis(d)}
+    f = lie_element(ring, 6, coords)
+    back = [W.lie_coordinates(f.homogeneous_part(d), d, ring) for d in range(1, 7)]
+    assert max_coeff(f - lie_element(ring, 6, {lw: c for part, _ in back
+                                               for lw, c in part.items()})) < 1e-45
+    g = free_group_word(ring, 6, [("x0", 2), ("x1", -1), ("x0", -3), ("x1", 2)])
+    assert mpc_digest(f.terms, f.exp().terms, g.terms, *(v for pair in back for v in pair)) \
+        == "d30441421d7c8579"
