@@ -327,7 +327,9 @@ def gt_from_pair(c1: AssociatorCandidate, c2: AssociatorCandidate) -> GTElement:
     """The unique lambda = 1 element f with gt_act((1, f), c1) = c2 for two
     associators sharing the same mu; solved degree by degree (the
     substitution x0 -> e^(mu e0), x1 -> phi^-1 e^(mu e1) phi is triangular
-    in the degree).  phi1 is group-like, so phi1^-1 is its antipode."""
+    in the degree: degree d of f is mu^-d times that of the defect
+    phi1^-1 phi2 - f(images) left by its lower degrees).  phi1 is
+    group-like, so phi1^-1 is its antipode."""
     ring = c1.ring
     if abs_value(c1.mu - c2.mu) > ring.noise_floor:
         raise ValueError("gt_from_pair needs equal mu")
@@ -337,18 +339,11 @@ def gt_from_pair(c1: AssociatorCandidate, c2: AssociatorCandidate) -> GTElement:
     target = phi1.antipode() * c2.phi.truncate(n)
     images = _comp_images(phi1, c1.mu)
 
-    terms = {(): ring.one}
+    series, scale = NCSeries.one(ring, n), mu_inv
     for d in range(1, n + 1):
-        current = NCSeries(ring, n, dict(terms))
-        diff = target - current.substitute(*images)
-        scale = mu_inv
-        for _ in range(d - 1):
-            scale = scale * mu_inv
-        for w in W.words_of_weight(d):
-            c = diff.coeff(w)
-            if not ring.is_zero(c):
-                terms[w] = c * scale
-    series = NCSeries(ring, n, terms)
+        part = (target - series.substitute(*images)).homogeneous_part(d)
+        series = series.add_into(NCSeries(ring, n, part, _clean=True).scale(scale))
+        scale = scale * mu_inv
     if max_coeff(series.substitute(*images) - target) > ring.noise_floor:
         raise InconsistentSystem("substitution inversion failed; inputs are not "
                                  "a torsor pair at this truncation")

@@ -14,7 +14,7 @@ system where q replaces p as the third variable.
 from __future__ import annotations
 
 from . import graded
-from .rings import QQ, abs_value
+from .rings import abs_value
 
 VAR_NAMES = ("a", "b", "p")
 
@@ -68,6 +68,8 @@ class CSeries(graded.Series):
         return out
 
     def pow(self, k):
+        if k < 0:
+            raise ValueError("negative power %d of a series" % k)
         out = CSeries.one(self.ring, self.truncation)
         for _ in range(k):
             out = out * self
@@ -81,9 +83,9 @@ class CSeries(graded.Series):
 
     def subst(self, image_a, image_b, image_p):
         """Endomorphism sending the variables to degree-1 forms (validated:
-        no constant term, degree <= 1), so the grading is preserved.  Over QQ
-        it clears denominators once (graded.cleared), sums series over ZZ and
-        divides once, by the scaling that lands them on QQ."""
+        no constant term, degree <= 1), so the grading is preserved.  The sum
+        runs on graded.cleared's form: over QQ on series over ZZ, divided
+        once at the end."""
         for im in (image_a, image_b, image_p):
             if not isinstance(im, CSeries):
                 raise TypeError("images must be CSeries")
@@ -92,9 +94,7 @@ class CSeries(graded.Series):
             if any(sum(m) > 1 for m in im.terms):
                 raise ValueError("image form has degree > 1")
         images, n = (image_a, image_b, image_p), self.truncation
-        terms, one, unit = self.terms, CSeries.one(self.ring, n), None
-        if self.ring is QQ:
-            terms, images, one, unit = graded.cleared(self, images, one, n)
+        terms, images, one, unit = graded.cleared(self, images, CSeries.one(self.ring, n), n)
         memo = {CSeries.UNIT: one}
 
         def image(m):

@@ -20,8 +20,8 @@ positive minimal degree v stops after truncation // v terms.  NCSeries and
 CSeries bind these functions as their methods; MatSeries (2x2 matrices
 over CSeries) uses exp and log, but its 1 has two keys, so MatSeries.inverse
 is the adjugate over the determinant, not inverse.  ``cleared`` is the
-integer form, over ZZ, of a substitution over QQ that NCSeries.substitute
-and CSeries.subst walk on.
+form, over ZZ for a QQ series, that NCSeries.substitute and CSeries.subst
+walk on.
 """
 
 from __future__ import annotations
@@ -29,7 +29,19 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .rings import QQ, ZZ, abs_value
+from .rings import QQ, abs_value
+
+
+class IntegerRing:
+    """The ring of int coefficients that a cleared walk over QQ runs on."""
+
+    name, exact, zero, one = "ZZ", True, 0, 1
+
+    def is_zero(self, x):
+        return not x
+
+
+ZZ = IntegerRing()
 
 
 class RingMismatch(TypeError):
@@ -187,21 +199,27 @@ def product(loop):
 
 
 def cleared(f, images, one, n):
-    """The integer form of f(images) . one to degree n over QQ, which
-    NCSeries.substitute and CSeries.subst walk on: (terms, images, one, unit).
-
-    With D, d and e the lcm of the denominators (``.denominator``) of f, of
-    the images and of one, a key m of f of degree <= n and coefficient c
-    becomes the int c D d^(n - deg m), each image d image and one e one
-    (``as_integers``, over ZZ).  Each term m(images) . one then carries
-    D d^n e, so the walk on these ints scaled by unit = 1/(D d^n e) is
-    f(images) . one over QQ; its largest int is D d^n e times a coefficient."""
-    big_d, d, e = f.denominator, lcm(*(im.denominator for im in images)), one.denominator
-    deg = f.degree
+    """(terms, images, one, unit): what NCSeries.substitute and CSeries.subst
+    walk to degree n, and the unit that scales the walk to f(images) . one.
+    Off QQ: f.terms, the inputs and unit None.  Over QQ, with D, d, e the
+    lcm of the denominators of f, the images and one, a key m of degree
+    <= n and coefficient c becomes the int c D d^(n - deg m), the images
+    d image and one e one, over ZZ, and unit = 1/(D d^n e).  Only Series are
+    cleared; other images and ones (strand generators) are walked as they
+    are, with d = 1 or e = 1."""
+    if f.ring is not QQ:
+        return f.terms, images, one, None
+    d = e = 1
+    if all(isinstance(im, Series) for im in images):
+        d = lcm(*(im.denominator for im in images))
+        images = tuple(im.as_integers(d) for im in images)
+    if isinstance(one, Series):
+        e = one.denominator
+        one = one.as_integers(e)
+    big_d, deg = f.denominator, f.degree
     terms = {m: c.numerator * (big_d // c.denominator) * d ** (n - deg(m))
              for m, c in f.terms.items() if deg(m) <= n}
-    return (terms, tuple(im.as_integers(d) for im in images), one.as_integers(e),
-            QQ.inv(big_d * d ** n * e))
+    return terms, images, one, QQ.inv(big_d * d ** n * e)
 
 
 def max_coeff(f: Series) -> float:

@@ -60,8 +60,11 @@ class MatSeries(graded.Series):
 
     @classmethod
     def of(cls, e00, e01, e10, e11):
-        """The matrix of four CSeries, at their smallest truncation."""
+        """The matrix of four CSeries over one ring, at their smallest
+        truncation."""
         es = (e00, e01, e10, e11)
+        if any(type(x) is not CSeries or x.ring is not e00.ring for x in es):
+            raise graded.RingMismatch("MatSeries.of takes four CSeries over one ring")
         return cls(e00.ring, min(x.truncation for x in es),
                    {(i >> 1, i & 1) + k: c for i, x in enumerate(es) for k, c in x.terms.items()})
 

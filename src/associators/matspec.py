@@ -71,47 +71,37 @@ def _stats(w):
     return W.weight(w), W.depth(w), W.height(w)
 
 
-def _entry00_form(ab, p, q, abq, k, n, s):
-    """ab p^(k-n-s) q^(n-s) abq^(s-1): the (1,1) entry of a word of weight k,
+def _entry_form(pre, dp, dq, p, q, abq, k, n, s):
+    """pre p^(k-n-s+dp) q^(n-s+dq) abq^(s-1): an entry of a word of weight k,
     depth n and height s at (X, -Y), up to the sign (-1)^n."""
-    return ab * p.pow(k - n - s) * q.pow(n - s) * abq.pow(s - 1)
+    return pre * p.pow(k - n - s + dp) * q.pow(n - s + dq) * abq.pow(s - 1)
 
 
 def word_entry_closed_form(ring, truncation, w, entry):
     """Closed form of a single entry of the evaluation of a word at (X, -Y),
     as a polynomial in (ab, p, q, ab+pq) determined by (weight, depth,
-    height); entries (1,1), (1,2) and (2,1) are covered.
+    height); entries (1,1), (1,2) and (2,1) are covered, with the
+    prefactors ab, b and a and the p or q shift of their row.
 
-    (1,1) is supported on words starting with e0 and ending with e1,
-    (1,2) on words starting with e0, (2,1) on words ending with e1.
+    Row 1 is supported on words starting with e0, column 1 on words ending
+    with e1.
     """
     a, b, p, q = CSeries.gens(ring, truncation)
-    one = CSeries.one(ring, truncation)
     if not w:
+        one = CSeries.one(ring, truncation)
         return one if entry in ((0, 0), (1, 1)) else CSeries.zero(ring, truncation)
-    k, n, s = _stats(w)
-    sign = Fraction(-1) ** n
-    abq = a * b + p * q
-    if entry == (0, 0):
-        if w[0] != W.E0 or w[-1] != W.E1:
-            return CSeries.zero(ring, truncation)
-        out = _entry00_form(a * b, p, q, abq, k, n, s)
-    elif entry == (0, 1):
-        if w[0] != W.E0:
-            return CSeries.zero(ring, truncation)
-        out = b * p.pow(k - n - s) * q.pow(n - s + 1) * abq.pow(s - 1)
-    elif entry == (1, 0):
-        if w[-1] != W.E1:
-            return CSeries.zero(ring, truncation)
-        out = a * p.pow(k - n - s + 1) * q.pow(n - s) * abq.pow(s - 1)
-    else:
+    forms = {(0, 0): (a * b, 0, 0), (0, 1): (b, 0, 1), (1, 0): (a, 1, 0)}
+    if entry not in forms:
         raise ValueError("closed form available for entries (0,0), (0,1), (1,0) only")
-    return out.scale(sign)
+    if (entry[0] == 0 and w[0] != W.E0) or (entry[1] == 0 and w[-1] != W.E1):
+        return CSeries.zero(ring, truncation)
+    k, n, s = _stats(w)
+    return _entry_form(*forms[entry], p, q, a * b + p * q, k, n, s).scale(Fraction(-1) ** n)
 
 
 def _stats_sum(f: NCSeries, ab, p, q, abq) -> CSeries:
     """f's constant term plus the sum over (weight k, depth n, height s) of
-    g(k, n, s) _entry00_form(ab, p, q, abq, k, n, s), where g(k, n, s) sums
+    g(k, n, s) _entry_form(ab, 0, 0, p, q, abq, k, n, s), where g(k, n, s) sums
     the zeta values of f over the words from e0 to e1 with those statistics
     (the admissible indices of weight k, depth n and height s)."""
     groups = {}
@@ -121,7 +111,7 @@ def _stats_sum(f: NCSeries, ab, p, q, abq) -> CSeries:
             groups[key] = groups.get(key, f.ring.zero) + W.zeta_value(f, W.index_from_word(w))
     acc = CSeries.one(f.ring, ab.truncation).scale(f.constant_term())
     for (k, n, s), g0 in sorted(groups.items()):
-        acc = acc + _entry00_form(ab, p, q, abq, k, n, s).scale(g0)
+        acc = acc + _entry_form(ab, 0, 0, p, q, abq, k, n, s).scale(g0)
     return acc
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import graded
 from . import words as W
 from .graded import max_coeff
-from .rings import QQ, abs_value
+from .rings import abs_value
 
 
 class NCSeries(graded.Series):
@@ -96,10 +96,10 @@ class NCSeries(graded.Series):
         truncation) with a constant term is rejected; ungraded ones, such as
         numeric matrices, are taken as they are.
 
-        Over QQ it clears denominators once (graded.cleared), walks series
-        over ZZ and divides once, by the scaling that lands them on QQ.  A
-        node sums its children into the dict it has just built (add_into);
-        number matrices are summed by +.
+        The walk runs on graded.cleared's form: over QQ the series are
+        cleared to ZZ once and the result is divided once.  A node sums its
+        children into the dict it has just built (add_into); number matrices
+        are summed by +.
         """
         images = (image0, image1)
         for im in images:
@@ -108,9 +108,7 @@ class NCSeries(graded.Series):
                                  "substitute logarithms of group elements instead")
         one = image0.one_like() if one is None else one
         n = min(self.truncation, getattr(one, "truncation", self.truncation))
-        terms, unit = self.terms, None
-        if self.ring is QQ:
-            terms, images, one, unit = graded.cleared(self, images, one, n)
+        terms, images, one, unit = graded.cleared(self, images, one, n)
         ones = [one.truncate(n - s) for s in range(n + 1)]
         add = graded.Series.add_into if isinstance(one, graded.Series) else type(one).__add__
 
@@ -164,7 +162,7 @@ def lie_element(ring, truncation, coords):
     terms = {}
     for lw, c in coords.items():
         for w, m in W.lyndon_bracket_words(tuple(lw)).items():
-            terms[w] = terms.get(w, ring.zero) + c * ring.from_int(m)
+            terms[w] = terms.get(w, ring.zero) + c * m
     return NCSeries(ring, truncation, terms)
 
 
@@ -174,7 +172,7 @@ def free_group_word(ring, truncation, word_pairs) -> NCSeries:
     acc = NCSeries.one(ring, truncation)
     for gen, k in word_pairs:
         letter = NCSeries.letter(ring, truncation, W.E0 if gen == "x0" else W.E1)
-        acc = acc * letter.scale(ring.from_int(int(k))).exp()
+        acc = acc * letter.scale(int(k)).exp()
     return acc
 
 

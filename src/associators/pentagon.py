@@ -150,7 +150,8 @@ class P5Quotient:
 
 
 class P5Element:
-    """A combination sum c_g g of the five generators, acting on U(F_3)."""
+    """A combination sum c_g g of the five generators, acting on U(F_3).  Its
+    coefficients are ints, so a walk over QQ takes it uncleared."""
 
     __slots__ = ("quotient", "combo")
 
@@ -163,11 +164,6 @@ class P5Element:
         of y's words u applied to 1.  The degree goes up by one."""
         vec = {(g,) + u: c * a for g, c in self.combo.items() for u, a in y.terms.items()}
         return NCSeries(y.ring, y.truncation + 1, self.quotient.reduce_vector(vec), _clean=True)
-
-    denominator = 1  # PAIR_EXPANSION is integral
-
-    def as_integers(self, k):
-        return P5Element(self.quotient, {g: c * k for g, c in self.combo.items()})
 
 
 def strand_generator(quotient, i, j):
@@ -190,7 +186,7 @@ def base_image(f, i, j, k):
     """f(t_ij, t_jk) in U(F_2), with the fibre letters set to 0, as a
     series on the base letters 3, 4."""
     ring, n = f.ring, f.truncation
-    ims = [NCSeries(ring, n, {(g,): ring.from_int(c)
+    ims = [NCSeries(ring, n, {(g,): ring.from_fraction(c)
                               for g, c in PAIR_EXPANSION[pair(a, b)].items() if g >= NFIBRE})
            for a, b in ((i, j), (j, k))]
     return f.substitute(*ims, one=NCSeries.one(ring, n))

@@ -1,11 +1,10 @@
 """Coefficient rings for the truncated series arithmetic.
 
 Everything downstream (noncommutative series, commutative series in
-(a, b, p), 2x2 matrices) is generic over a small ring adapter.  Three rings
+(a, b, p), 2x2 matrices) is generic over a small ring adapter.  Two rings
 are provided here:
 
 * ``QQ`` -- exact rationals, backed by ``fractions.Fraction``;
-* ``ZZ`` -- Python ints, the ring of the cleared walks over QQ;
 * ``ComplexField(digits)`` -- arbitrary-precision complex numbers, backed
   by mpmath, with the working precision carried on the adapter.
 
@@ -34,7 +33,7 @@ import mpmath
 class RationalField:
     """Adapter for exact rational coefficients: a QQ series holds Fractions.
     Its products run on ints (graded.product), and its walks on series over
-    ZZ (graded.cleared) scaled back by a Fraction."""
+    graded.ZZ (graded.cleared) scaled back by a Fraction."""
 
     name = "QQ"
     exact = True
@@ -42,9 +41,6 @@ class RationalField:
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
 
     def from_fraction(self, fr):
         return Fraction(fr)
@@ -61,9 +57,10 @@ class ComplexField:
 
     The precision is a property of the adapter, not global state: ``mp`` is
     a private mpmath context at digits + 10 digits, and zero, one and the
-    results of from_int, from_fraction and inv are its numbers, so every
-    operation on them is rounded there.  A number from a global mpmath
-    function must be converted by ``mp`` first (see the module docstring).
+    results of from_fraction and inv are its numbers, so every operation on
+    them is rounded there.  An int operand enters such an operation exactly;
+    a number from a global mpmath function must be converted by ``mp``
+    first (see the module docstring).
     """
 
     exact = False
@@ -78,9 +75,6 @@ class ComplexField:
         self.zero = self.mp.mpc(0)
         self.one = self.mp.mpc(1)
 
-    def from_int(self, n):
-        return self.mp.mpc(n)
-
     def from_fraction(self, fr):
         fr = Fraction(fr)
         return self.mp.mpc(fr.numerator) / fr.denominator
@@ -94,20 +88,7 @@ class ComplexField:
         return self.one / x
 
 
-class IntegerRing:
-    """Adapter for int coefficients: those of the cleared walks over QQ."""
-
-    name = "ZZ"
-    exact = True
-    zero = 0
-    one = 1
-
-    def is_zero(self, x):
-        return not x
-
-
 QQ = RationalField()
-ZZ = IntegerRing()
 
 
 @lru_cache(maxsize=None)

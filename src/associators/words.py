@@ -189,7 +189,7 @@ def lie_coordinates(vec, degree, ring):
             continue
         coords[lw] = c
         for word, m in exp.items():
-            val = rem.get(word, ring.zero) - c * ring.from_int(m)
+            val = rem.get(word, ring.zero) - c * m
             if ring.is_zero(val):
                 rem.pop(word, None)
             else:

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from associators.cseries import CSeries, subst_reindex
-from associators.graded import RingMismatch
+from associators.graded import RingMismatch, Series
 from associators.mat2 import Mat2, MatSeries
 from associators.matspec import ThetaMap, ev_at, ev_xy, gamma_matrix_plus, xy_matrices
 from associators.ncseries import NCSeries
@@ -120,6 +120,12 @@ def test_matrix_series_across_rings_raise():
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(RingMismatch):
                 op(x, other)
+    # of() takes four CSeries over one ring, as every binary operation does
+    one, zero = CSeries.one(QQ, 3), CSeries.zero(QQ, 3)
+    for other in (CSeries.one(complex_field(20), 3), NCSeries.one(QQ, 3)):
+        for entries in ((other, zero, zero, one), (one, zero, zero, other)):
+            with pytest.raises(RingMismatch):
+                MatSeries.of(*entries)
 
 
 @st.composite
@@ -222,8 +228,9 @@ def test_exact_walk_is_the_word_by_word_sum(kind, n, seed):
     rng = random.Random(seed)
     f = rational_series(rng, n, (0, 1), range(n + 1), 30)
     a, b, one = kind(rng, n)
-    # the walk has denominators to clear: in the series and in an image or one
-    assert f.denominator > 1 and lcm(a.denominator, b.denominator, one.denominator) > 1
+    # the walk has denominators to clear: in the series and in a series image or one
+    assert f.denominator > 1
+    assert lcm(*(x.denominator for x in (a, b, one) if isinstance(x, Series))) > 1
     got = f.substitute(a, b, one=one)
     if isinstance(got, MatSeries):
         assert same_matrix(got, matrix_word_by_word(f, a, b, one))

@@ -1,6 +1,5 @@
 import functools
 import itertools
-import math
 import random
 
 from fractions import Fraction
@@ -82,14 +81,6 @@ class RefP5:
 
     def scale(self, c):
         return RefP5(self.n, {w: v * c for w, v in self.terms.items()})
-
-    # the integer copy that NCSeries.substitute takes over QQ
-    @property
-    def denominator(self):
-        return math.lcm(*(c.denominator for c in self.terms.values()))
-
-    def as_integers(self, k):
-        return RefP5(self.n, {w: int(c * k) for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + other.scale(-1)
