@@ -36,7 +36,7 @@ from associators.pentagon import (
     pentagon_residual,
 )
 from associators.rings import QQ
-from test_ncseries import mpc_digest
+from test_ncseries import mpc_digest, qq_digest
 
 
 def random_grouplike(rng, n, start=1, lam_scale=2):
@@ -294,6 +294,27 @@ def test_skew_solver_output(q5, skew_candidate):
     assert rep["two_cycle"] and rep["three_cycle"]
     assert not rep["even"]
     assert any(len(w) == 3 for w in skew_candidate.phi.terms)
+
+
+def test_solver_keeps_its_exact_digests(skew_candidate):
+    even6, _ = solve_unitary(6, P5Quotient(6), tiebreak="zero", even=True)
+    assert qq_digest(even6.phi.terms) == "9eef36af7e2a6788"
+    assert qq_digest(skew_candidate.phi.terms) == "c2b66819385cbd3e"
+
+
+def test_gt_from_pair_keeps_its_exact_digest(even_candidate, skew_candidate):
+    assert qq_digest(gt_from_pair(even_candidate, skew_candidate).series.terms) \
+        == "8f94bf0d5dfe1a8c"
+
+
+def test_pentagon_walk_keeps_its_exact_digest(q5, even_candidate, skew_candidate):
+    # zero at the candidates' truncation; read at 6, the residual is their
+    # missing degree-6 part
+    q6 = P5Quotient(6)
+    res = [pentagon_residual(c.phi, q5).terms for c in (even_candidate, skew_candidate)]
+    res += [pentagon_residual(c.phi.truncate(6), q6).terms
+            for c in (even_candidate, skew_candidate)]
+    assert qq_digest(*res) == "b858b1b3d81b5c5c"
 
 
 def test_gt_identity_acts_trivially(even_candidate):

@@ -15,6 +15,7 @@ from associators.gammafn import (
 )
 from associators.ncseries import NCSeries
 from associators.rings import QQ
+from test_ncseries import qq_digest
 
 
 def test_bernoulli_values_and_denominators():
@@ -34,6 +35,10 @@ def test_gamma_even_low_coefficients():
     # series itself: 1 - t^2/48 + ...
     s = g.series()
     assert s[0] == 1 and s[2] == Fraction(-1, 48)
+
+
+def test_gamma_even_keeps_its_exact_digest():
+    assert qq_digest(dict(enumerate(gamma_even(10).log_coeffs))) == "92a24786b10e7372"
 
 
 def test_gamma_even_reflection_exact_order_16():

@@ -172,6 +172,13 @@ def mpc_digest(*vectors):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def qq_digest(*vectors):
+    """sha256 of the str of every Fraction of key -> Fraction dicts, sorted
+    by key."""
+    text = ";".join(repr(sorted((k, str(c)) for k, c in v.items())) for v in vectors)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def test_lie_element_and_free_group_word_keep_their_complex_bits():
     # the Lyndon brackets' int multiplicities and the word's int exponents
     # enter the complex ring exactly
