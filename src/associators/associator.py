@@ -342,7 +342,7 @@ def gt_from_pair(c1: AssociatorCandidate, c2: AssociatorCandidate) -> GTElement:
     series, scale = NCSeries.one(ring, n), mu_inv
     for d in range(1, n + 1):
         part = (target - series.substitute(*images)).homogeneous_part(d)
-        series = series.add_into(NCSeries(ring, n, part, _clean=True).scale(scale))
+        series = series.add_into(NCSeries(ring, n, part).scale(scale))
         scale = scale * mu_inv
     if max_coeff(series.substitute(*images) - target) > ring.noise_floor:
         raise InconsistentSystem("substitution inversion failed; inputs are not "

@@ -40,7 +40,7 @@ class CSeries(graded.Series):
     def variable(cls, ring, truncation, name):
         i = VAR_NAMES.index(name)
         mono = tuple(1 if k == i else 0 for k in range(3))
-        return cls(ring, truncation, {mono: ring.one}, _clean=True)
+        return cls(ring, truncation, {mono: ring.one})
 
     @classmethod
     def gens(cls, ring, truncation):
@@ -84,8 +84,8 @@ class CSeries(graded.Series):
     def subst(self, image_a, image_b, image_p):
         """Endomorphism sending the variables to degree-1 forms (validated:
         no constant term, degree <= 1), so the grading is preserved.  The sum
-        runs on graded.cleared's form: over QQ on series over ZZ, divided
-        once at the end."""
+        reads this series' stored numerators (ints over QQ) and is scaled
+        once by 1/denominator at the end."""
         for im in (image_a, image_b, image_p):
             if not isinstance(im, CSeries):
                 raise TypeError("images must be CSeries")
@@ -94,8 +94,7 @@ class CSeries(graded.Series):
             if any(sum(m) > 1 for m in im.terms):
                 raise ValueError("image form has degree > 1")
         images, n = (image_a, image_b, image_p), self.truncation
-        terms, images, one, unit = graded.cleared(self, images, CSeries.one(self.ring, n), n)
-        memo = {CSeries.UNIT: one}
+        memo = {CSeries.UNIT: CSeries.one(self.ring, n)}
 
         def image(m):
             # the image of m with one factor of its first variable fewer,
@@ -106,17 +105,17 @@ class CSeries(graded.Series):
                 got = memo[m] = image(m[:i] + (m[i] - 1,) + m[i + 1:]) * images[i]
             return got
 
-        acc = CSeries.zero(one.ring, n)
-        for m, c in terms.items():
+        acc = CSeries.zero(self.ring, n)
+        for m, c in self.numerators.items():
             acc = acc.add_into(image(m).scale(c))
-        return acc if unit is None else acc.scale(unit)
+        return acc if self.denominator == 1 else acc.scale(self.ring.inv(self.denominator))
 
     # -- exact division ---------------------------------------------------------------
 
     def _divide_var(self, i, form_name):
         noise = self.ring.noise_floor
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self.numerators.items():
             if m[i] == 0:
                 if noise > 0.0 and abs_value(c) <= noise:
                     continue
@@ -124,7 +123,7 @@ class CSeries(graded.Series):
             k = list(m)
             k[i] -= 1
             out[tuple(k)] = c
-        return CSeries(self.ring, self.truncation - 1, out, _clean=True)
+        return CSeries._stored(self.ring, self.truncation - 1, out, self.denominator)
 
     def divide_exact(self, form):
         """Exact division by one of a, b, p, q, ab, pq, bq, ba; raises

@@ -2,16 +2,16 @@
 sparse series, its product step, and truncated exp, log and inverse for
 every graded algebra.
 
-A Series is a sparse dict key -> coefficient together with a truncation
+A Series is a sparse map key -> coefficient together with a truncation
 degree N; arithmetic is exact modulo keys of degree > N, no stored
 coefficient is zero and no stored key lies above N.  Coefficients live in
-any ring adapter from ``rings.py``.  Series are immutable by convention: no
-operation but add_into mutates its operands.  A subclass names the key of 1
-(UNIT) and the degree of a key, and hands its coefficient loop to
-``product``: NCSeries (words, degree len), CSeries (exponent triples, degree
-sum) and MatSeries (entry and exponent triple, degree of the triple; its 1
-has two keys).  Over QQ ``product`` runs on ints over one denominator per
-operand, FLINT's fmpq_poly form (flintlib.org/doc/fmpq_poly.html).
+any ring adapter from ``rings.py``; a QQ series stores them as int
+numerators over one denominator (see Series).  Series are immutable by
+convention: no operation but add_into mutates its operands.  A subclass
+names the key of 1 (UNIT) and the degree of a key, and hands its
+coefficient loop to ``product``: NCSeries (words, degree len), CSeries
+(exponent triples, degree sum) and MatSeries (entry and exponent triple,
+degree of the triple; its 1 has two keys).
 
 exp, log and inverse only need +, -, *, scale(Fraction), one_like(),
 min_degree() and a .truncation (inverse also needs constant_term() and
@@ -19,63 +19,87 @@ min_degree() and a .truncation (inverse also needs constant_term() and
 positive minimal degree v stops after truncation // v terms.  NCSeries and
 CSeries bind these functions as their methods; MatSeries (2x2 matrices
 over CSeries) uses exp and log, but its 1 has two keys, so MatSeries.inverse
-is the adjugate over the determinant, not inverse.  ``cleared`` is the
-form, over ZZ for a QQ series, that NCSeries.substitute and CSeries.subst
-walk on.
+is the adjugate over the determinant, not inverse.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
-from .rings import QQ, abs_value
-
-
-class IntegerRing:
-    """The ring of int coefficients that a cleared walk over QQ runs on."""
-
-    name, exact, zero, one = "ZZ", True, 0, 1
-
-    def is_zero(self, x):
-        return not x
-
-
-ZZ = IntegerRing()
+from .rings import abs_value
 
 
 class RingMismatch(TypeError):
     pass
 
 
+class Terms(Mapping):
+    """A series' terms, key -> ring number: a read-only view of its stored form."""
+
+    __slots__ = ("s",)
+
+    def __init__(self, s):
+        self.s = s
+
+    def __getitem__(self, key):
+        return self.s.ring.value(self.s.numerators[key], self.s.denominator)
+
+    def __iter__(self):
+        return iter(self.s.numerators)
+
+    def __len__(self):
+        return len(self.s.numerators)
+
+
 class Series:
     """Storage and linear structure of a truncated sparse series; a subclass
-    sets UNIT and degree and defines __mul__ by ``product``."""
+    sets UNIT and degree and defines __mul__ by ``product``.
 
-    __slots__ = ("ring", "truncation", "terms")
+    Stored form, FLINT's fmpq_poly form (flintlib.org/doc/fmpq_poly.html):
+    ``numerators``, key -> int (a ring number off QQ), over one positive int
+    ``denominator`` (1 off QQ).  The constructor clears key -> ring number
+    once; terms, coeff, constant_term and homogeneous_part give ring numbers.
+    Every operation but a sum, which keeps the lcm, gives lowest terms."""
+
+    __slots__ = ("ring", "truncation", "numerators", "denominator")
 
     UNIT = None          # the key of 1
     degree = None        # key -> degree, a staticmethod
 
-    def __init__(self, ring, truncation, terms=None, _clean=False):
-        self.ring = ring
-        self.truncation = truncation
-        terms = {} if terms is None else terms
-        if not _clean:
-            deg = self.degree
-            terms = {k: c for k, c in terms.items()
-                     if deg(k) <= truncation and not ring.is_zero(c)}
-        self.terms = terms
+    def __init__(self, ring, truncation, terms=None):
+        split, deg = ring.split, self.degree
+        parts = [(k, split(c)) for k, c in (terms or {}).items() if deg(k) <= truncation]
+        den = lcm(*(d for _, (_, d) in parts))
+        self.ring, self.truncation, self.denominator = ring, truncation, den
+        self.numerators = {k: c if d == den else c * (den // d)
+                           for k, (c, d) in parts if not ring.is_zero(c)}
+
+    @classmethod
+    def _stored(cls, ring, truncation, numerators, den):
+        """numerators / den in lowest terms, numerators already stored cleanly."""
+        if den != 1:
+            g = gcd(den, *numerators.values())
+            if g != 1:
+                numerators, den = {k: c // g for k, c in numerators.items()}, den // g
+        x = cls.__new__(cls)
+        x.ring, x.truncation, x.numerators, x.denominator = ring, truncation, numerators, den
+        return x
+
+    @property
+    def terms(self):
+        return Terms(self)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ring, truncation):
-        return cls(ring, truncation, {}, _clean=True)
+        return cls._stored(ring, truncation, {}, 1)
 
     @classmethod
     def one(cls, ring, truncation):
-        return cls(ring, truncation, {cls.UNIT: ring.one}, _clean=True)
+        return cls(ring, truncation, {cls.UNIT: ring.one})
 
     def one_like(self):
         return self.one(self.ring, self.truncation)
@@ -93,18 +117,17 @@ class Series:
         return self.terms.get(self.UNIT, self.ring.zero)
 
     def truncate(self, n):
-        if n >= self.truncation:
-            return type(self)(self.ring, n, self.terms, _clean=True)
-        deg = self.degree
-        return type(self)(self.ring, n, {k: c for k, c in self.terms.items() if deg(k) <= n},
-                          _clean=True)
+        deg, nums = self.degree, self.numerators
+        if n < self.truncation:
+            nums = {k: c for k, c in nums.items() if deg(k) <= n}
+        return self._stored(self.ring, n, nums, self.denominator)
 
     def homogeneous_part(self, d):
-        deg = self.degree
-        return {k: c for k, c in self.terms.items() if deg(k) == d}
+        deg, value, den = self.degree, self.ring.value, self.denominator
+        return {k: value(c, den) for k, c in self.numerators.items() if deg(k) == d}
 
     def min_degree(self):
-        return min(map(self.degree, self.terms), default=self.truncation + 1)
+        return min(map(self.degree, self.numerators), default=self.truncation + 1)
 
     def _common(self, other):
         if type(other) is not type(self):
@@ -116,110 +139,73 @@ class Series:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return not (self - other).terms
-
-    def __hash__(self):  # pragma: no cover - identity hashing is enough here
-        return id(self)
+        return not (self - other).numerators
 
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda kv: (self.degree(kv[0]), kv[0]))[:8]
         body = " + ".join("(%s)*%s" % (c, k) for k, c in items)
-        more = "" if len(self.terms) <= 8 else " + ... (%d terms)" % len(self.terms)
+        more = "" if len(self.numerators) <= 8 else " + ... (%d terms)" % len(self.numerators)
         return "%s[N=%d](%s%s)" % (type(self).__name__, self.truncation, body or "0", more)
 
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):
-        return type(self)(self.ring, self.truncation, dict(self.terms), _clean=True).add_into(other)
+        return self._stored(self.ring, self.truncation, dict(self.numerators),
+                            self.denominator).add_into(other)
 
     def add_into(self, other):
         """self + other, summed into the dict of self unless other truncates
-        lower: only for a series nothing else holds, such as a walk's node."""
+        lower: only for a series nothing else holds, such as a walk's node.
+        Both sides are brought to the lcm of their denominators."""
         n = self._common(other)
         out = self if n == self.truncation else self.truncate(n)
         if other.truncation > n:
             other = other.truncate(n)
-        is_zero, terms = self.ring.is_zero, out.terms
-        for k, c in other.terms.items():
-            s = terms.get(k)
+        d = out.denominator
+        den = lcm(d, other.denominator)
+        if den != d:
+            out.numerators = {k: c * (den // d) for k, c in out.numerators.items()}
+            out.denominator = den
+        m = den // other.denominator
+        is_zero, nums = self.ring.is_zero, out.numerators
+        for k, c in other.numerators.items():
+            if m != 1:
+                c *= m
+            s = nums.get(k)
             s = c if s is None else s + c
             if is_zero(s):
-                terms.pop(k, None)
+                nums.pop(k, None)
             else:
-                terms[k] = s
+                nums[k] = s
         return out
 
     def __neg__(self):
-        return type(self)(self.ring, self.truncation, {k: -c for k, c in self.terms.items()},
-                          _clean=True)
+        return self._stored(self.ring, self.truncation,
+                            {k: -c for k, c in self.numerators.items()}, self.denominator)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        """Multiply by a scalar from the coefficient ring (or a Fraction); a
-        series over ZZ times a Fraction, as a cleared walk ends, is over QQ."""
+        """Multiply by a ring number, an int or a Fraction."""
         ring = self.ring
-        if not ring.exact and isinstance(c, (int, Fraction)):
-            c = ring.from_fraction(Fraction(c))
-        elif ring is ZZ and isinstance(c, Fraction):
-            ring = QQ
+        c, d = ring.split(c)
         if ring.is_zero(c):
             return self.zero(ring, self.truncation)
-        return type(self)(ring, self.truncation, {k: v * c for k, v in self.terms.items()},
-                          _clean=True)
-
-    @property
-    def denominator(self):
-        """The lcm of the coefficient denominators (over QQ), as for a Fraction."""
-        return lcm(*(c.denominator for c in self.terms.values()))
-
-    def as_integers(self, k):
-        """k times the series over ZZ; k a multiple of denominator."""
-        return type(self)(ZZ, self.truncation, {m: c.numerator * (k // c.denominator)
-                                                for m, c in self.terms.items()}, _clean=True)
+        return self._stored(ring, self.truncation, {k: v * c for k, v in self.numerators.items()},
+                            self.denominator * d)
 
 
 def product(loop):
     """A subclass's __mul__ from its coefficient loop: loop(x, y, n) sums the
-    coefficient products of the term dicts x and y into each key of degree
-    <= n.  Over QQ it runs on both operands cleared to ints (as_integers) and
-    each sum is divided once."""
+    coefficient products of the numerator dicts x and y into each key of
+    degree <= n; the denominators multiply."""
     def __mul__(self, other):
-        n, ring = self._common(other), self.ring
-        if ring is QQ:
-            dx, dy = self.denominator, other.denominator
-            out = loop(self.as_integers(dx).terms, other.as_integers(dy).terms, n)
-            out = {k: Fraction(c, dx * dy) for k, c in out.items() if c}
-        else:
-            out = loop(self.terms, other.terms, n)
-            out = {k: c for k, c in out.items() if not ring.is_zero(c)}
-        return type(self)(ring, n, out, _clean=True)
+        n, is_zero = self._common(other), self.ring.is_zero
+        out = loop(self.numerators, other.numerators, n)
+        out = {k: c for k, c in out.items() if not is_zero(c)}
+        return self._stored(self.ring, n, out, self.denominator * other.denominator)
     return __mul__
-
-
-def cleared(f, images, one, n):
-    """(terms, images, one, unit): what NCSeries.substitute and CSeries.subst
-    walk to degree n, and the unit that scales the walk to f(images) . one.
-    Off QQ: f.terms, the inputs and unit None.  Over QQ, with D, d, e the
-    lcm of the denominators of f, the images and one, a key m of degree
-    <= n and coefficient c becomes the int c D d^(n - deg m), the images
-    d image and one e one, over ZZ, and unit = 1/(D d^n e).  Only Series are
-    cleared; other images and ones (strand generators) are walked as they
-    are, with d = 1 or e = 1."""
-    if f.ring is not QQ:
-        return f.terms, images, one, None
-    d = e = 1
-    if all(isinstance(im, Series) for im in images):
-        d = lcm(*(im.denominator for im in images))
-        images = tuple(im.as_integers(d) for im in images)
-    if isinstance(one, Series):
-        e = one.denominator
-        one = one.as_integers(e)
-    big_d, deg = f.denominator, f.degree
-    terms = {m: c.numerator * (big_d // c.denominator) * d ** (n - deg(m))
-             for m, c in f.terms.items() if deg(m) <= n}
-    return terms, images, one, QQ.inv(big_d * d ** n * e)
 
 
 def max_coeff(f: Series) -> float:

@@ -69,8 +69,8 @@ class MatSeries(graded.Series):
                    {(i >> 1, i & 1) + k: c for i, x in enumerate(es) for k, c in x.terms.items()})
 
     def __getitem__(self, ij):
-        return CSeries(self.ring, self.truncation,
-                       {k[2:]: c for k, c in self.terms.items() if k[:2] == ij}, _clean=True)
+        nums = {k[2:]: c for k, c in self.numerators.items() if k[:2] == ij}
+        return CSeries._stored(self.ring, self.truncation, nums, self.denominator)
 
     def det(self) -> CSeries:
         return self[0, 0] * self[1, 1] - self[0, 1] * self[1, 0]

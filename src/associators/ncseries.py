@@ -27,7 +27,7 @@ class NCSeries(graded.Series):
 
     @classmethod
     def letter(cls, ring, truncation, letter):
-        return cls(ring, truncation, {(letter,): ring.one}, _clean=True)
+        return cls(ring, truncation, {(letter,): ring.one})
 
     # -- multiplicative structure ---------------------------------------------
 
@@ -66,8 +66,8 @@ class NCSeries(graded.Series):
     def apply_word_map(self, f):
         """Push the series through an injective, length-preserving word map
         (letter swaps, reversal); coefficients are untouched."""
-        return NCSeries(self.ring, self.truncation, {f(w): c for w, c in self.terms.items()},
-                        _clean=True)
+        return NCSeries._stored(self.ring, self.truncation,
+                                {f(w): c for w, c in self.numerators.items()}, self.denominator)
 
     def swap_letters(self):
         """f(e1, e0)."""
@@ -75,8 +75,8 @@ class NCSeries(graded.Series):
 
     def negate_letters(self):
         """f(-e0, -e1): scale each word by (-1)^weight."""
-        return NCSeries(self.ring, self.truncation,
-                        {w: -c if len(w) % 2 else c for w, c in self.terms.items()}, _clean=True)
+        nums = {w: -c if len(w) % 2 else c for w, c in self.numerators.items()}
+        return NCSeries._stored(self.ring, self.truncation, nums, self.denominator)
 
     # -- substitution -----------------------------------------------------------
 
@@ -96,10 +96,10 @@ class NCSeries(graded.Series):
         truncation) with a constant term is rejected; ungraded ones, such as
         numeric matrices, are taken as they are.
 
-        The walk runs on graded.cleared's form: over QQ the series are
-        cleared to ZZ once and the result is divided once.  A node sums its
-        children into the dict it has just built (add_into); number matrices
-        are summed by +.
+        The walk takes the stored numerators (ints over QQ) as its node
+        coefficients and scales once by 1/denominator; series images carry
+        their denominators through the products.  A node sums its children
+        into the dict it has just built (add_into); number matrices by +.
         """
         images = (image0, image1)
         for im in images:
@@ -108,7 +108,6 @@ class NCSeries(graded.Series):
                                  "substitute logarithms of group elements instead")
         one = image0.one_like() if one is None else one
         n = min(self.truncation, getattr(one, "truncation", self.truncation))
-        terms, images, one, unit = graded.cleared(self, images, one, n)
         ones = [one.truncate(n - s) for s in range(n + 1)]
         add = graded.Series.add_into if isinstance(one, graded.Series) else type(one).__add__
 
@@ -125,8 +124,8 @@ class NCSeries(graded.Series):
                         out = add(out, im * walk(child, s + 1).truncate(n - s))
             return out
 
-        out = walk(terms, 0)
-        return out if unit is None else out.scale(unit)
+        out = walk(self.numerators, 0)
+        return out if self.denominator == 1 else out.scale(self.ring.inv(self.denominator))
 
     # -- structure tests ----------------------------------------------------------
 

@@ -150,8 +150,8 @@ class P5Quotient:
 
 
 class P5Element:
-    """A combination sum c_g g of the five generators, acting on U(F_3).  Its
-    coefficients are ints, so a walk over QQ takes it uncleared."""
+    """A combination sum c_g g of the five generators, acting on U(F_3); its
+    coefficients are ints, so a product keeps the series' denominator."""
 
     __slots__ = ("quotient", "combo")
 
@@ -162,8 +162,9 @@ class P5Element:
     def __mul__(self, y):
         """The action on a series y on the fibre letters: the words (g,) + u
         of y's words u applied to 1.  The degree goes up by one."""
-        vec = {(g,) + u: c * a for g, c in self.combo.items() for u, a in y.terms.items()}
-        return NCSeries(y.ring, y.truncation + 1, self.quotient.reduce_vector(vec), _clean=True)
+        vec = {(g,) + u: c * a for g, c in self.combo.items() for u, a in y.numerators.items()}
+        return NCSeries._stored(y.ring, y.truncation + 1, self.quotient.reduce_vector(vec),
+                                y.denominator)
 
 
 def strand_generator(quotient, i, j):
@@ -186,9 +187,8 @@ def base_image(f, i, j, k):
     """f(t_ij, t_jk) in U(F_2), with the fibre letters set to 0, as a
     series on the base letters 3, 4."""
     ring, n = f.ring, f.truncation
-    ims = [NCSeries(ring, n, {(g,): ring.from_fraction(c)
-                              for g, c in PAIR_EXPANSION[pair(a, b)].items() if g >= NFIBRE})
-           for a, b in ((i, j), (j, k))]
+    ims = [NCSeries(ring, n, {(g,): c for g, c in PAIR_EXPANSION[ab].items() if g >= NFIBRE})
+           for ab in (pair(i, j), pair(j, k))]
     return f.substitute(*ims, one=NCSeries.one(ring, n))
 
 

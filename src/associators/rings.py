@@ -1,8 +1,9 @@
 """Coefficient rings for the truncated series arithmetic.
 
 Everything downstream (noncommutative series, commutative series in
-(a, b, p), 2x2 matrices) is generic over a small ring adapter.  Two rings
-are provided here:
+(a, b, p), 2x2 matrices) is generic over a small ring adapter; ``split``
+and ``value`` take a number to and from a series' stored form
+(``graded.Series``).  Two rings are provided here:
 
 * ``QQ`` -- exact rationals, backed by ``fractions.Fraction``;
 * ``ComplexField(digits)`` -- arbitrary-precision complex numbers, backed
@@ -31,9 +32,8 @@ import mpmath
 
 
 class RationalField:
-    """Adapter for exact rational coefficients: a QQ series holds Fractions.
-    Its products run on ints (graded.product), and its walks on series over
-    graded.ZZ (graded.cleared) scaled back by a Fraction."""
+    """Adapter for exact rational coefficients: Fractions, stored in a
+    series as int numerators over one denominator."""
 
     name = "QQ"
     exact = True
@@ -44,6 +44,13 @@ class RationalField:
 
     def from_fraction(self, fr):
         return Fraction(fr)
+
+    def split(self, x):
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError("a QQ coefficient is an int or a Fraction, not %s" % type(x).__name__)
+        return x.numerator, x.denominator
+
+    value = staticmethod(Fraction)
 
     def is_zero(self, x):
         return not x
@@ -78,6 +85,13 @@ class ComplexField:
     def from_fraction(self, fr):
         fr = Fraction(fr)
         return self.mp.mpc(fr.numerator) / fr.denominator
+
+    def split(self, x):
+        """(x, 1), an int or a Fraction taken into the ring first."""
+        return (self.from_fraction(x) if isinstance(x, (int, Fraction)) else x), 1
+
+    def value(self, num, den):
+        return num  # den is 1
 
     def is_zero(self, x):
         # Exact zero only: tolerance comparisons belong to the checks, not

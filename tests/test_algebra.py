@@ -4,15 +4,18 @@ NCSeries.substitute into series, into MatSeries (2x2 matrices over CSeries
 as one series) and into strand generators, against a word-by-word
 evaluation; the matrix oracle multiplies Mat2 over CSeries.  MatSeries
 against Mat2 over CSeries, with its determinant and inverse.  Products over
-QQ against a naive Fraction double loop, with Fraction coefficients in
-every QQ result, and the walk's inputs unchanged by its in-place sums.
-Every comparison is exact."""
+QQ against a naive Fraction double loop, in lowest terms and with
+Fraction coefficients in every QQ result, and the walk's inputs (their
+stored form too) unchanged by its in-place sums.  Letters and variables at
+truncation 0, and inexact numbers refused by QQ.  Every comparison is
+exact."""
 
 import operator
 import random
 from fractions import Fraction
 from math import lcm
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -75,6 +78,24 @@ def test_operations_keep_the_storage_rules(xy, c, n):
     beyond = (0,) * (x.truncation + 1) if isinstance(x, NCSeries) else (x.truncation + 1, 0, 0)
     with pytest.raises(ValueError):
         x.coeff(beyond)
+
+
+def test_letters_and_variables_at_truncation_zero():
+    # a degree-1 key lies above truncation 0, so nothing is stored
+    xs = (NCSeries.letter(QQ, 0, 0), CSeries.variable(QQ, 0, "a")) + CSeries.gens(QQ, 0)
+    assert all(stored_cleanly(x) and not x.terms for x in xs)
+    assert NCSeries.letter(QQ, 0, 0) == NCSeries.zero(QQ, 0)
+    with pytest.raises(ValueError):
+        NCSeries.letter(QQ, 0, 0).coeff((0,))
+
+
+@pytest.mark.parametrize("bad", [mpmath.mpf("0.5"), mpmath.mpc(1, 2), 0.5])
+def test_qq_series_take_no_inexact_numbers(bad):
+    for x in (NCSeries.one(QQ, 2), CSeries.one(QQ, 2)):
+        with pytest.raises(TypeError):
+            type(x)(QQ, 2, {x.UNIT: bad})
+        with pytest.raises(TypeError):
+            x.scale(bad)
 
 
 @settings(max_examples=20)
@@ -307,6 +328,7 @@ def test_product_is_the_fraction_double_loop(operand, key, seed):
     for u, v in ((x, y), (y, x), (x, x)):
         got = u * v
         assert got.terms == naive_product(u, v, key)
+        assert got.denominator == lcm(*(c.denominator for c in got.terms.values()))
         assert got.truncation == min(u.truncation, v.truncation)
         assert all_fractions(got)
 
@@ -328,7 +350,8 @@ def test_qq_series_hold_fractions():
 
 
 def snapshot(*xs):
-    return [(x.truncation, dict(x.terms)) for x in xs]
+    # the stored form too: rescaling an input to an lcm in place keeps its terms
+    return [(x.truncation, dict(x.terms), x.denominator, dict(x.numerators)) for x in xs]
 
 
 @pytest.mark.parametrize("ring", [QQ, complex_field(20)])
