@@ -11,6 +11,7 @@ from associators.cseries import (
     subst_reindex,
     subst_swap_ab,
 )
+from associators.graded import max_coeff
 from associators.rings import QQ, complex_field
 
 
@@ -143,6 +144,7 @@ def test_divide_exact_by_q_over_the_complex_ring():
                           for m, c in f.terms.items()})
     _, _, _, q = CSeries.gens(ring, 6)
     g = (f * q).divide_exact("q")
+    assert g.truncation == 5 and max_coeff(g - f.truncate(5)) < 1e-45
     text = repr(sorted((m, c._mpc_) for m, c in g.terms.items()))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "6b59606f08d9b6e9"
 

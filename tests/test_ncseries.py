@@ -179,18 +179,35 @@ def qq_digest(*vectors):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def distance_to_rationals(f, re, im=None):
+    """Largest |f_w - (re_w + i im_w)| over the words of f's truncation, for
+    a series f over a complex ring and QQ series re and im."""
+    ring, i = f.ring, f.ring.mp.mpc(0, 1)
+    im = im if im is not None else re.scale(0)
+    return max(float(abs(f.coeff(w) - ring.from_fraction(re.coeff(w))
+                         - ring.from_fraction(im.coeff(w)) * i))
+               for w in W.all_words(f.truncation))
+
+
 def test_lie_element_and_free_group_word_keep_their_complex_bits():
     # the Lyndon brackets' int multiplicities and the word's int exponents
     # enter the complex ring exactly
     ring = complex_field(40)
     rng = random.Random(43)
-    coords = {lw: ring.from_fraction(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])))
-              * ring.mp.mpc(1, rng.randint(-2, 2))
-              for d in range(1, 7) for lw, _ in W.lie_basis(d)}
-    f = lie_element(ring, 6, coords)
+    parts = {lw: (Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])), rng.randint(-2, 2))
+             for d in range(1, 7) for lw, _ in W.lie_basis(d)}
+    f = lie_element(ring, 6, {lw: ring.from_fraction(q) * ring.mp.mpc(1, k)
+                              for lw, (q, k) in parts.items()})
+    # lie_element is linear: its real and imaginary parts are Lie elements over QQ
+    re = lie_element(QQ, 6, {lw: q for lw, (q, _) in parts.items()})
+    im = lie_element(QQ, 6, {lw: q * k for lw, (q, k) in parts.items()})
+    assert distance_to_rationals(f, re, im) < 1e-45
+    assert max_coeff(f.exp().log() - f) < 1e-45
     back = [W.lie_coordinates(f.homogeneous_part(d), d, ring) for d in range(1, 7)]
     assert max_coeff(f - lie_element(ring, 6, {lw: c for part, _ in back
                                                for lw, c in part.items()})) < 1e-45
-    g = free_group_word(ring, 6, [("x0", 2), ("x1", -1), ("x0", -3), ("x1", 2)])
+    word = [("x0", 2), ("x1", -1), ("x0", -3), ("x1", 2)]
+    g = free_group_word(ring, 6, word)
+    assert distance_to_rationals(g, free_group_word(QQ, 6, word)) < 1e-45
     assert mpc_digest(f.terms, f.exp().terms, g.terms, *(v for pair in back for v in pair)) \
         == "d30441421d7c8579"
