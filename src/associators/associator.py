@@ -16,7 +16,7 @@ from math import lcm
 from . import words as W
 from .ncseries import NCSeries, free_group_word, lie_element, max_coeff
 from .pentagon import NFIBRE, P5Quotient, PENTAGON_POSITIONS, lie_image, pentagon_residual
-from .rings import QQ, abs_value
+from .rings import QQ
 
 
 @dataclass
@@ -88,7 +88,7 @@ def check_associator(cand: AssociatorCandidate, quotient: P5Quotient = None,
     report = {}
     report["mu_invertible"] = not ring.is_zero(mu)
     quad = phi.coeff((0, 1)) - mu * mu * ring.from_fraction(Fraction(1, 24))
-    report["quadratic"] = abs_value(quad) <= tol
+    report["quadratic"] = abs(quad) <= tol
     report["commutator_grouplike"] = phi.is_commutator_grouplike(tol)
     report["even"] = phi.is_even(tol)
     if quotient is not None:
@@ -331,7 +331,7 @@ def gt_from_pair(c1: AssociatorCandidate, c2: AssociatorCandidate) -> GTElement:
     phi1^-1 phi2 - f(images) left by its lower degrees).  phi1 is
     group-like, so phi1^-1 is its antipode."""
     ring = c1.ring
-    if abs_value(c1.mu - c2.mu) > ring.noise_floor:
+    if abs(c1.mu - c2.mu) > ring.noise_floor:
         raise ValueError("gt_from_pair needs equal mu")
     n = min(c1.truncation, c2.truncation)
     mu_inv = ring.inv(c1.mu)

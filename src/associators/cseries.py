@@ -14,7 +14,6 @@ system where q replaces p as the third variable.
 from __future__ import annotations
 
 from . import graded
-from .rings import abs_value
 
 VAR_NAMES = ("a", "b", "p")
 
@@ -84,8 +83,8 @@ class CSeries(graded.Series):
     def subst(self, image_a, image_b, image_p):
         """Endomorphism sending the variables to degree-1 forms (validated:
         no constant term, degree <= 1), so the grading is preserved.  The sum
-        reads this series' stored numerators (ints over QQ) and is scaled
-        once by 1/denominator at the end."""
+        reads this series' stored numerators and is scaled once by
+        1/denominator at the end."""
         for im in (image_a, image_b, image_p):
             if not isinstance(im, CSeries):
                 raise TypeError("images must be CSeries")
@@ -113,11 +112,11 @@ class CSeries(graded.Series):
     # -- exact division ---------------------------------------------------------------
 
     def _divide_var(self, i, form_name):
-        noise = self.ring.noise_floor
+        noise = self.ring.noise_floor * self.denominator
         out = {}
         for m, c in self.numerators.items():
             if m[i] == 0:
-                if noise > 0.0 and abs_value(c) <= noise:
+                if noise > 0.0 and abs(c) <= noise:
                     continue
                 raise ExactDivisionError(form_name, m)
             k = list(m)

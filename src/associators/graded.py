@@ -5,8 +5,8 @@ every graded algebra.
 A Series is a sparse map key -> coefficient together with a truncation
 degree N; arithmetic is exact modulo keys of degree > N, no stored
 coefficient is zero and no stored key lies above N.  Coefficients live in
-any ring adapter from ``rings.py``; a QQ series stores them as int
-numerators over one denominator (see Series).  Series are immutable by
+any ring adapter from ``rings.py``, stored as numerators over one
+denominator in the form the ring owns (see Series).  Series are immutable by
 convention: no operation but add_into mutates its operands.  A subclass
 names the key of 1 (UNIT) and the degree of a key, and hands its
 coefficient loop to ``product``: NCSeries (words, degree len), CSeries
@@ -26,9 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import factorial, gcd, lcm
-
-from .rings import abs_value
+from math import factorial, lcm
 
 
 class RingMismatch(TypeError):
@@ -58,10 +56,11 @@ class Series:
     sets UNIT and degree and defines __mul__ by ``product``.
 
     Stored form, FLINT's fmpq_poly form (flintlib.org/doc/fmpq_poly.html):
-    ``numerators``, key -> int (a ring number off QQ), over one positive int
-    ``denominator`` (1 off QQ).  The constructor clears key -> ring number
-    once; terms, coeff, constant_term and homogeneous_part give ring numbers.
-    Every operation but a sum, which keeps the lcm, gives lowest terms."""
+    ``numerators``, key -> int (or Gaussian integer), over one positive int
+    ``denominator``.  The constructor clears key -> ring number once (the
+    ring's split); terms, coeff, constant_term and homogeneous_part give
+    ring numbers.  Reduction is the ring's (_stored calls ring.reduce): QQ
+    gives lowest terms but after a sum, the complex ring rounds to 2^-B."""
 
     __slots__ = ("ring", "truncation", "numerators", "denominator")
 
@@ -78,11 +77,9 @@ class Series:
 
     @classmethod
     def _stored(cls, ring, truncation, numerators, den):
-        """numerators / den in lowest terms, numerators already stored cleanly."""
-        if den != 1:
-            g = gcd(den, *numerators.values())
-            if g != 1:
-                numerators, den = {k: c // g for k, c in numerators.items()}, den // g
+        """numerators / den, reduced by the ring; no numerator is zero unless
+        the ring's reduction drops it."""
+        numerators, den = ring.reduce(numerators, den)
         x = cls.__new__(cls)
         x.ring, x.truncation, x.numerators, x.denominator = ring, truncation, numerators, den
         return x
@@ -209,8 +206,9 @@ def product(loop):
 
 
 def max_coeff(f: Series) -> float:
-    """Largest coefficient magnitude; the workhorse of tolerance checks."""
-    return max((abs_value(c) for c in f.terms.values()), default=0.0)
+    """Largest coefficient magnitude, read off the stored numerators; the
+    workhorse of tolerance checks."""
+    return max(map(abs, f.numerators.values()), default=0) / f.denominator
 
 
 def power_sum(x, coeff):
@@ -240,6 +238,6 @@ def inverse(x):
     """Inverse of an element whose constant term is a unit of its ring."""
     c0inv = x.ring.inv(x.constant_term())
     y = x.scale(c0inv)
-    # subtract the constant term as computed, so no rounding residue is left
-    g = y.one_like().scale(y.constant_term()) - y
+    # subtract the stored constant term, so no rounding residue is left
+    g = y.truncate(0).truncate(y.truncation) - y
     return (y.one_like() + power_sum(g, lambda k: 1)).scale(c0inv)

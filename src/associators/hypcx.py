@@ -57,9 +57,9 @@ class MPLEngine:
     Precision contract: for a word of length L, the exact coefficients obey
     |c_n| <= 2^L, and each stored one is within 2^(L - prec) of its exact
     value (each recursion step adds one floor division).  Horner adds one
-    floor per term, so h_coefficient(word, z) is within
-    2^L (2^-prec + z^(T+1)) / (1 - z) of h_word(z) before the final
-    rounding to digits + 10 digits, T = nterms.  With
+    floor per term, so horner(word, z) 2^-prec is within
+    2^L (2^-prec + z^(T+1)) / (1 - z) of h_word(z), T = nterms, before
+    h_coefficient rounds to digits + 10 digits or a series to 2^-B.  With
     nterms = series_terms(z, digits) the absolute error is below
     2^(L+1) 10^(-(digits + 10)) / (1 - z)."""
 
@@ -94,22 +94,29 @@ class MPLEngine:
         self._memo[word] = cs
         return cs
 
-    def h_coefficient(self, word, z):
-        """Value of the h-coefficient of the word at a rational z in (0, 1),
-        by integer Horner evaluation."""
+    def horner(self, word, z):
+        """The h-coefficient of the word at a rational z in (0, 1) as an
+        integer scaled by 2^prec, by Horner evaluation on the integers."""
         z = Fraction(z)
         p, q = z.numerator, z.denominator
         acc = 0
         for c in reversed(self.coeff_series(word)):
             acc = acc * p // q + c
-        return complex_field(self.digits).mp.mpf((acc, -self.prec))
+        return acc
+
+    def h_coefficient(self, word, z):
+        """horner(word, z) as a number of the complex ring."""
+        return complex_field(self.digits).mp.mpf((self.horner(word, z), -self.prec))
 
 
 def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
     """G_01 at a real point z in (0, 1), as a group-like series over the
     complex coefficient ring.  A given engine must have at least the digits
     asked for and series_terms(z, digits) terms, which its precision
-    contract at z needs."""
+    contract at z needs.  The engine's Horner integers (scale 2^prec) are
+    rounded once to the ring's 2^-B.  log z is the integer of the word (1,)
+    at 1 - z, as in G_10, so the linear terms of G_10^(-1) G_01 cancel."""
+    z = Fraction(z)
     if not (0 < z < 1):
         raise ValueError("z must lie in (0, 1)")
     ring = complex_field(digits)
@@ -119,10 +126,10 @@ def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
     elif engine.nterms < nterms or engine.digits < digits:
         raise ValueError("MPL engine has %d terms at %d digits; z = %s at %d digits needs %d"
                          % (engine.nterms, engine.digits, z, digits, nterms))
-    h = NCSeries(ring, weight, {w: ring.mp.mpc(engine.h_coefficient(w, z))
-                                for w in W.all_words(weight)})
-    zfac = NCSeries.letter(ring, weight, 0).scale(ring.mp.log(_to_mpc(z, ring.mp))).exp()
-    return h * zfac
+    den = 1 << engine.prec
+    h = {w: c for w in W.all_words(weight) if (c := engine.horner(w, z))}
+    log_z = NCSeries._stored(ring, 1, {(0,): engine.horner((1,), 1 - z)}, den)
+    return NCSeries._stored(ring, weight, h, den) * log_z.truncate(weight).exp()
 
 
 def _solutions(z, weight, digits):

@@ -1,9 +1,9 @@
 """2x2 matrices: Mat2 over numbers, what ``hypcx`` walks over the complex
 ring (summed by +), and MatSeries, a matrix over the (a, b, p) series held
 as one graded series: what NCSeries.substitute and graded's exp and log act
-on, one dict and one contraction loop per product (on ints over QQ,
-graded.product) instead of four CSeries.  The 1 of a MatSeries has two
-keys, so its inverse is the adjugate over the determinant."""
+on, one dict and one contraction loop per product (on the stored
+numerators, graded.product) instead of four CSeries.  The 1 of a MatSeries
+has two keys, so its inverse is the adjugate over the determinant."""
 
 from __future__ import annotations
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from . import graded
 from . import words as W
 from .graded import max_coeff
-from .rings import abs_value
 
 
 class NCSeries(graded.Series):
@@ -96,10 +95,11 @@ class NCSeries(graded.Series):
         truncation) with a constant term is rejected; ungraded ones, such as
         numeric matrices, are taken as they are.
 
-        The walk takes the stored numerators (ints over QQ) as its node
-        coefficients and scales once by 1/denominator; series images carry
-        their denominators through the products.  A node sums its children
-        into the dict it has just built (add_into); number matrices by +.
+        Over series images the walk takes the stored numerators as its node
+        coefficients and scales once by 1/denominator; the images carry
+        their denominators through the products, and a node sums its
+        children into its own dict (add_into).  Number matrices walk the
+        ring numbers and sum by +.
         """
         images = (image0, image1)
         for im in images:
@@ -109,7 +109,8 @@ class NCSeries(graded.Series):
         one = image0.one_like() if one is None else one
         n = min(self.truncation, getattr(one, "truncation", self.truncation))
         ones = [one.truncate(n - s) for s in range(n + 1)]
-        add = graded.Series.add_into if isinstance(one, graded.Series) else type(one).__add__
+        graded_walk = isinstance(one, graded.Series)
+        add = graded.Series.add_into if graded_walk else type(one).__add__
 
         def walk(terms, s):
             # terms: the suffixes after one prefix of length s
@@ -124,6 +125,8 @@ class NCSeries(graded.Series):
                         out = add(out, im * walk(child, s + 1).truncate(n - s))
             return out
 
+        if not graded_walk:
+            return walk(self.terms, 0)
         out = walk(self.numerators, 0)
         return out if self.denominator == 1 else out.scale(self.ring.inv(self.denominator))
 
@@ -140,14 +143,14 @@ class NCSeries(graded.Series):
                 continue
             _, rem = W.lie_coordinates(part, d, self.ring)
             for c in rem.values():
-                worst = max(worst, abs_value(c))
+                worst = max(worst, float(abs(c)))
         return worst
 
     def is_grouplike(self, tol=0.0):
         return self.ring.is_zero(self.constant_term() - self.ring.one) and self.lie_defect() <= tol
 
     def linear_part_size(self):
-        return max(abs_value(self.coeff((0,))), abs_value(self.coeff((1,))))
+        return float(max(abs(self.coeff((0,))), abs(self.coeff((1,)))))
 
     def is_commutator_grouplike(self, tol=0.0):
         return self.is_grouplike(tol) and self.linear_part_size() <= tol

@@ -1,34 +1,42 @@
 """Coefficient rings for the truncated series arithmetic.
 
 Everything downstream (noncommutative series, commutative series in
-(a, b, p), 2x2 matrices) is generic over a small ring adapter; ``split``
-and ``value`` take a number to and from a series' stored form
-(``graded.Series``).  Two rings are provided here:
+(a, b, p), 2x2 matrices) is generic over a small ring adapter.  A series
+(``graded.Series``) stores numerators over one denominator in the ring's
+form: ``split`` and ``value`` take a number to and from it, ``reduce``
+normalises it.  ``QQ`` stores Fractions as ints in lowest terms;
+``ComplexField(digits)`` stores complex numbers in fixed point, as
+Gaussian-integer numerators over 2^B, B = ``bits`` = ``mp.prec`` + 8
+guard bits, and hands out numbers of its own mpmath context ``mp``.
 
-* ``QQ`` -- exact rationals, backed by ``fractions.Fraction``;
-* ``ComplexField(digits)`` -- arbitrary-precision complex numbers, backed
-  by mpmath, with the working precision carried on the adapter.
+Precision contract of ``ComplexField``, absolute, u = 2^-B.  A series
+operation is exact on the stored numerators, then rounds each coefficient
+once to the nearest multiple of u: u/2 in the real and in the imaginary
+part, under u in modulus.  Per coefficient, in modulus, with |f| the sum of
+the coefficient moduli of f:
 
-Precision contract of ``ComplexField``: its numbers belong to the ring's own
-mpmath context ``ring.mp`` (digits + 10 decimal digits), and mpmath rounds
-every operation on them at that precision whatever the global ``mp.dps``.
-Two mpmath rules decide whether a number stays in the ring:
+* a sum is exact;
+* a product is within u of the exact product of the stored operands, and
+  an operand off by d moves it by at most d |other operand|;
+* ``exp(x)`` with |x| <= 1 at truncation n is within 2n u of the exact exp
+  of the stored x (n products and n scales by a rounded 1/k!);
+* ``NCSeries.substitute`` over series images walks at 2^B times the values
+  and rounds at the end: with |image| <= 1 and n < B - 4, within u.
 
-* a mixed operation is rounded by the context of its left operand (an int
-  or Fraction on the left defers to the mpmath number on the right);
-* a global function (``mpmath.mpc(x)``, ``mpmath.log``, ``mpmath.zeta``)
-  rounds at the global precision, 15 digits by default.
-
-So a number enters the ring through the adapter or ``ring.mp`` (``ring.mp.mpc``,
-``ring.mp.log``, ``ring.mp.pi``), never through a global function.
+``value`` then rounds to ``mp``'s digits + 10 digits.  A number enters the
+ring through the adapter or ``ring.mp`` (``ring.mp.mpc``, ``ring.mp.log``),
+never a global mpmath function, which rounds at the global 15 digits (as
+does a mixed operation whose left operand is a global number).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt
 
 import mpmath
+from mpmath.libmp import fzero, from_man_exp
 
 
 class RationalField:
@@ -42,15 +50,18 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def from_fraction(self, fr):
-        return Fraction(fr)
+    from_fraction = value = staticmethod(Fraction)
 
     def split(self, x):
         if not isinstance(x, (int, Fraction)):
             raise TypeError("a QQ coefficient is an int or a Fraction, not %s" % type(x).__name__)
         return x.numerator, x.denominator
 
-    value = staticmethod(Fraction)
+    @staticmethod
+    def reduce(numerators, den):
+        """numerators / den in lowest terms."""
+        g = gcd(den, *numerators.values()) if den != 1 else 1
+        return (numerators, den) if g == 1 else ({k: c // g for k, c in numerators.items()}, den // g)
 
     def is_zero(self, x):
         return not x
@@ -59,16 +70,54 @@ class RationalField:
         return Fraction(1) / x  # ZeroDivisionError at x = 0
 
 
-class ComplexField:
-    """Adapter for mpmath complex coefficients at a fixed decimal precision.
+class Gaussian:
+    """re + im i, im != 0: a complex numerator off the real line.  A real
+    numerator is a plain int, so a real series multiplies on ints."""
 
-    The precision is a property of the adapter, not global state: ``mp`` is
-    a private mpmath context at digits + 10 digits, and zero, one and the
-    results of from_fraction and inv are its numbers, so every operation on
-    them is rounded there.  An int operand enters such an operation exactly;
-    a number from a global mpmath function must be converted by ``mp``
-    first (see the module docstring).
-    """
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return Gaussian(self.re + other, self.im)
+        return gaussian(self.re + other.re, self.im + other.im)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return gaussian(self.re * other, self.im * other)
+        return gaussian(self.re * other.re - self.im * other.im,
+                        self.re * other.im + self.im * other.re)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return Gaussian(-self.re, -self.im)
+
+    def __abs__(self):
+        return isqrt(self.re * self.re + self.im * self.im)  # the modulus, floored
+
+
+def gaussian(re, im):
+    return Gaussian(re, im) if im else re
+
+
+def _fixed(v, bits):
+    """The mpmath real v = (sign, man, exp, bc) times 2^bits, rounded."""
+    sign, man, exp, bc = v
+    if not man and bc:
+        raise ValueError("an infinity or nan has no fixed-point form")
+    shift = exp + bits
+    man = man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
+    return -man if sign else man
+
+
+class ComplexField:
+    """Adapter for complex coefficients at a fixed decimal precision, in
+    fixed point inside a series (see the module docstring).  The precision
+    is the adapter's, not global state: zero, one and the results of value,
+    from_fraction and inv are numbers of its private context ``mp``."""
 
     exact = False
 
@@ -79,6 +128,7 @@ class ComplexField:
         self.noise_floor = 10.0 ** (-(2 * digits) // 3)
         self.mp = mpmath.MPContext()
         self.mp.dps = digits + 10
+        self.bits = self.mp.prec + 8  # guard bits
         self.zero = self.mp.mpc(0)
         self.one = self.mp.mpc(1)
 
@@ -87,11 +137,37 @@ class ComplexField:
         return self.mp.mpc(fr.numerator) / fr.denominator
 
     def split(self, x):
-        """(x, 1), an int or a Fraction taken into the ring first."""
-        return (self.from_fraction(x) if isinstance(x, (int, Fraction)) else x), 1
+        """(numerator, 2^B); an int or a Gaussian enters exactly, a Fraction
+        or an mpmath or Python number rounded to the nearest."""
+        B = self.bits
+        if isinstance(x, (int, Gaussian)):
+            return x * (1 << B), 1 << B
+        if isinstance(x, Fraction):
+            return round(x * (1 << B)), 1 << B
+        re, im = x._mpc_ if hasattr(x, "_mpc_") else self.mp.mpc(x)._mpc_
+        return gaussian(_fixed(re, B), _fixed(im, B)), 1 << B
 
     def value(self, num, den):
-        return num  # den is 1
+        exp, (prec, rnd) = 1 - den.bit_length(), self.mp._prec_rounding
+        if isinstance(num, int):
+            return self.mp.make_mpc((from_man_exp(num, exp, prec, rnd), fzero))
+        return self.mp.make_mpc((from_man_exp(num.re, exp, prec, rnd),
+                                 from_man_exp(num.im, exp, prec, rnd)))
+
+    def reduce(self, numerators, den):
+        """numerators / den over 2^B; den is a power of 2.  Above 2^B each
+        numerator is rounded once to the nearest, and zeros drop."""
+        shift = den.bit_length() - 1 - self.bits
+        if shift <= 0:
+            return (numerators if not shift else
+                    {k: c * (1 << -shift) for k, c in numerators.items()}), den << -shift
+        half, out = 1 << (shift - 1), {}
+        for k, c in numerators.items():
+            c = ((c + half) >> shift if isinstance(c, int)
+                 else gaussian((c.re + half) >> shift, (c.im + half) >> shift))
+            if c:
+                out[k] = c
+        return out, den >> shift
 
     def is_zero(self, x):
         # Exact zero only: tolerance comparisons belong to the checks, not
@@ -110,8 +186,3 @@ def complex_field(digits=50) -> ComplexField:
     """Shared adapter per precision; series arithmetic requires operands to
     carry the identical ring object."""
     return ComplexField(digits)
-
-
-def abs_value(x):
-    """|x| as a float, usable on Fraction and mpmath numbers alike."""
-    return abs(float(x)) if isinstance(x, Fraction) else float(mpmath.fabs(x))

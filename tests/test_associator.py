@@ -36,7 +36,7 @@ from associators.pentagon import (
     pentagon_residual,
 )
 from associators.rings import QQ
-from test_ncseries import mpc_digest, qq_digest
+from test_ncseries import numerator_digest, qq_digest
 
 
 def random_grouplike(rng, n, start=1, lam_scale=2):
@@ -406,5 +406,5 @@ def test_torsor_maps_over_the_complex_ring():
     other = gt_act(GTElement(ring.one, g, n), cand)
     f = gt_from_pair(cand, other)
     assert max_coeff(f.series - g) < 1e-30
-    assert mpc_digest(f.series.terms) == "ba49633e5342e42d"
+    assert numerator_digest(f.series) == "90e34808212c02f6"
     assert max_coeff(gt_act(f, cand).phi - other.phi) < 1e-30

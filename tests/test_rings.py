@@ -2,13 +2,17 @@
 ring's mpmath context, so results do not depend on the global mp.dps, and
 the package's numeric boundaries hand out numbers of that context."""
 
+import math
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from associators import words as W
 from associators.graded import max_coeff
 from associators.hypcx import fundamental_solution, kz_series, mzv, solution_matrix_at
+from associators.ncseries import NCSeries
 from associators.rings import QQ, complex_field
 
 
@@ -55,3 +59,83 @@ def test_is_zero_means_exactly_zero():
     assert ring.is_zero(ring.mp.mpc(0)) and QQ.is_zero(F(0))
     assert not ring.is_zero(ring.mp.mpc(0, 1e-70)) and not ring.is_zero(ring.mp.mpf(1e-70))
     assert not QQ.is_zero(F(1, 10 ** 80))
+
+
+# -- the precision contract of the fixed-point ring ----------------------------
+
+CC40, CC80 = complex_field(40), complex_field(80)
+N = 4
+WORDS = [w for d in range(1, N + 1) for w in W.words_of_weight(d)]
+# parts p/q with odd q, so that entering CC40 rounds them
+PARTS = st.builds(F, st.integers(-60, 60), st.sampled_from([3, 7, 9, 11, 13, 99]))
+
+
+@st.composite
+def unit_series(draw, constant=False):
+    """A sparse series over CC40 without constant term (or with a real one
+    if constant), whose coefficient moduli sum to at most 1."""
+    terms = draw(st.dictionaries(st.sampled_from(WORDS), st.tuples(PARTS, PARTS),
+                                 min_size=1, max_size=5))
+    scale = F(1, 200 * len(terms))  # |re| + |im| <= 120 / 200 per term
+    i = CC40.mp.mpc(0, 1)
+    f = {w: CC40.from_fraction(re * scale) + CC40.from_fraction(im * scale) * i
+         for w, (re, im) in terms.items()}
+    if constant:
+        f[()] = CC40.from_fraction(draw(PARTS) / 100)
+    return NCSeries(CC40, N, f)
+
+
+def parts(f, key):
+    c = f.numerators.get(key, 0)
+    return F(getattr(c, "re", c), f.denominator), F(getattr(c, "im", 0), f.denominator)
+
+
+def twin(f):
+    """f's stored values over CC80, exactly: CC40's numerators fit its bits."""
+    e = 1 - f.denominator.bit_length()
+    return NCSeries(CC80, f.truncation, {
+        k: CC80.mp.mpc(*(CC80.mp.mpf((x, e)) for x in (getattr(c, "re", c), getattr(c, "im", 0))))
+        for k, c in f.numerators.items()})
+
+
+def ulps(f, g):
+    """max |f_k - g_k| in units of 2^-B of f's ring, exactly from the stored
+    numerators."""
+    worst = 0
+    for k in set(f.numerators) | set(g.numerators):
+        (a, b), (c, d) = parts(f, k), parts(g, k)
+        worst = max(worst, ((a - c) ** 2 + (b - d) ** 2) * f.denominator ** 2)
+    return math.sqrt(worst)
+
+
+def test_twin_is_exact():
+    f = NCSeries(CC40, 2, {(0,): CC40.from_fraction(F(1, 3)), (0, 1): CC40.from_fraction(F(2, 7)) - CC40.mp.mpc(0, 1)})
+    assert ulps(f, twin(f)) == 0 and CC80.bits > CC40.bits + 100
+
+
+@settings(max_examples=8)
+@given(unit_series(), unit_series(constant=True))
+def test_sum_and_product_keep_the_contract(f, g):
+    assert ulps(f + g, twin(f) + twin(g)) == 0
+    assert ulps(f * g, twin(f) * twin(g)) < 1
+
+
+@settings(max_examples=6)
+@given(unit_series())
+def test_exp_keeps_the_contract(x):
+    assert ulps(x.exp(), twin(x).exp()) < 2 * N
+
+
+@settings(max_examples=6)
+@given(unit_series(constant=True), unit_series(), unit_series())
+def test_walk_keeps_the_contract(f, x, y):
+    assert ulps(f.substitute(x, y), twin(f).substitute(twin(x), twin(y))) < 1
+
+
+def test_a_coefficient_below_half_a_unit_is_stored_as_zero():
+    u = CC40.mp.mpf(2) ** -CC40.bits
+    tiny = CC40.mp.mpc(0, u * 0.49)
+    f = NCSeries(CC40, 2, {(0,): tiny, (1,): CC40.mp.mpc(u * 0.51, 1), (0, 1): CC40.one})
+    assert not CC40.is_zero(tiny)
+    assert set(f.numerators) == {(1,), (0, 1)} and f.coeff((0,)) == 0
+    assert f.coeff((1,)) == CC40.mp.mpc(u, 1)
