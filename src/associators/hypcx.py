@@ -219,7 +219,7 @@ def mzv_direct(index, nterms=3000):
     nterms = 800.  Measured on every admissible index of weight <= 7 with
     100 <= nterms <= 4000, the worst error is half of that.  Raises
     ValueError when nterms is too small to give 1 + 3 * depth distinct
-    sample points."""
+    sample points.  The partial sums are ints at scale 2^128, one floor per term."""
     index = tuple(int(k) for k in index)
     if not W.is_admissible(index):
         raise ValueError("non-admissible index")
@@ -228,14 +228,15 @@ def mzv_direct(index, nterms=3000):
     points = _geometric_points(nterms, unknowns)
     if len(points) < unknowns or points[0] < 2:
         raise ValueError("nterms=%d gives too few sample points for depth %d" % (nterms, depth))
+    # inner[j] is the partial sum over the first j entries of the index
+    inner = [1 << 128] + [0] * depth
+    partial = {}
+    for n in range(1, nterms + 1):
+        for j in range(depth, 0, -1):
+            inner[j] += inner[j - 1] // n ** index[j - 1]
+        partial[n] = inner[depth]
     with mp.workdps(30):
-        # inner[j] is the partial sum over the first j entries of the index
-        inner = [mp.mpf(1)] + [mp.mpf(0)] * depth
-        partial = {}
-        for n in range(1, nterms + 1):
-            for j in range(depth, 0, -1):
-                inner[j] += inner[j - 1] / mp.mpf(n) ** index[j - 1]
-            partial[n] = inner[depth]
+        partial = {N: mp.mpf((partial[N], -128)) for N in points}
         return _extrapolate(partial, points, lambda N: [mp.log(N) ** j / mp.mpf(N) ** i
                                                         for i in range(1, 4) for j in range(depth)])
 
