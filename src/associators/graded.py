@@ -114,9 +114,10 @@ class Series:
         return self.terms.get(self.UNIT, self.ring.zero)
 
     def truncate(self, n):
+        """A new series: below the truncation the keys of degree <= n, else
+        a copy lifted to n."""
         deg, nums = self.degree, self.numerators
-        if n < self.truncation:
-            nums = {k: c for k, c in nums.items() if deg(k) <= n}
+        nums = {k: c for k, c in nums.items() if deg(k) <= n} if n < self.truncation else dict(nums)
         return self._stored(self.ring, n, nums, self.denominator)
 
     def homogeneous_part(self, d):

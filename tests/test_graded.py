@@ -136,3 +136,11 @@ def test_antipode_is_no_inverse_off_the_group():
     assert f.antipode() == f.one_like() + e1 * e0
     assert f.inverse() == f.one_like() - e0 * e1 + e0 * e1 * e0 * e1
     assert f.antipode() != f.inverse()
+
+
+def test_truncate_hands_out_a_copy():
+    # summing into a truncated or lifted series leaves its source alone
+    for n in (3, 4):
+        x = NCSeries.letter(QQ, 3, 0)
+        x.truncate(n).add_into(NCSeries.letter(QQ, 3, 1))
+        assert list(x.terms.items()) == [((0,), 1)]
