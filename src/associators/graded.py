@@ -77,9 +77,10 @@ class Series:
 
     @classmethod
     def _stored(cls, ring, truncation, numerators, den):
-        """numerators / den, reduced by the ring; no numerator is zero unless
-        the ring's reduction drops it."""
-        numerators, den = ring.reduce(numerators, den)
+        """numerators / den, reduced by the ring (over 1 there is nothing to
+        reduce); no numerator is zero unless the ring's reduction drops it."""
+        if den != 1:
+            numerators, den = ring.reduce(numerators, den)
         x = cls.__new__(cls)
         x.ring, x.truncation, x.numerators, x.denominator = ring, truncation, numerators, den
         return x

@@ -155,12 +155,11 @@ class ComplexField:
                                  from_man_exp(num.im, exp, prec, rnd)))
 
     def reduce(self, numerators, den):
-        """numerators / den over 2^B; den is a power of 2.  Above 2^B each
-        numerator is rounded once to the nearest, and zeros drop."""
+        """numerators / den, den a power of 2: up to 2^B as they are (2^B
+        unless nothing is stored), above it rounded once to 2^B, zeros dropped."""
         shift = den.bit_length() - 1 - self.bits
         if shift <= 0:
-            return (numerators if not shift else
-                    {k: c * (1 << -shift) for k, c in numerators.items()}), den << -shift
+            return numerators, den
         half, out = 1 << (shift - 1), {}
         for k, c in numerators.items():
             c = ((c + half) >> shift if isinstance(c, int)
