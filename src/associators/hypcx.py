@@ -127,7 +127,7 @@ def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
         raise ValueError("MPL engine has %d terms at %d digits; z = %s at %d digits needs %d"
                          % (engine.nterms, engine.digits, z, digits, nterms))
     den = 1 << engine.prec
-    h = {w: c for w in W.all_words(weight) if (c := engine.horner(w, z))}
+    h = {w: engine.horner(w, z) for w in W.all_words(weight)}  # zeros drop in the rounding
     log_z = NCSeries._stored(ring, 1, {(0,): engine.horner((1,), 1 - z)}, den)
     return NCSeries._stored(ring, weight, h, den) * log_z.truncate(weight).exp()
 
