@@ -329,5 +329,44 @@ def test_kummer_rows():
     assert rows["01_left"] == hg11_defect(*args)
 
 
+def _mul2(m, n):
+    """The product of two 2x2 matrices held as (e00, e01, e10, e11)."""
+    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+
+
+def solution_matrices_word_by_word(a, b, c, z, weight, digits):
+    """The oracle of solution_matrix_at: sum over the words w of G_01 and
+    G_10 of (G | w) times the product of X0 and -Y0 along w, on plain
+    ring numbers, then the column mixes."""
+    g01, g10 = hypcx._solutions(z, weight, digits)
+    ring = g01.ring
+    zero, one = ring.zero, ring.one
+    a, b, c = (ring.from_fraction(x) for x in (a, b, c))
+    p, q = 1 - c, a + b + 1 - c
+    letters = ((zero, b, zero, p), (zero, zero, -a, -q))
+    products = {(): (one, zero, zero, one)}
+    for w in list(W.all_words(weight))[1:]:
+        products[w] = _mul2(products[w[:-1]], letters[w[-1]])
+    out = []
+    for g, mix in ((g01, (one, one, zero, p / b)), (g10, (one, zero, -a / q, (q - 1) / b))):
+        acc = [zero] * 4
+        for w, coeff in g.terms.items():
+            acc = [s + coeff * x for s, x in zip(acc, products[w])]
+        out.append(_mul2(acc, mix))
+    return out
+
+
+@pytest.mark.parametrize("args, tol", [
+    # at 33 digits the ring's numbers carry 43 digits, whose last place
+    # (about 1e-44 at entries near 1) bounds any agreement
+    ((F(1, 10), F(1, 5), F(23, 20), F(3, 10), 5, 33), 1e-42),
+    ((F(2, 25), F(7, 50), F(28, 25), F(3, 10), 8, 40), 1e-45),
+])
+def test_solution_matrices_match_the_word_by_word_oracle(args, tol):
+    for v, e in zip(solution_matrix_at(*args), solution_matrices_word_by_word(*args)):
+        assert max(abs(v[i, j] - e[2 * i + j]) for i in range(2) for j in range(2)) < tol
+
+
 def test_gamma_log_matches_zeta_backend():
     assert gamma_log_defect(6, 40) < 1e-30
