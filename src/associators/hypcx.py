@@ -26,7 +26,7 @@ from mpmath import mp
 
 from . import words as W
 from .associator import AssociatorCandidate
-from .mat2 import Mat2
+from .mat2 import MatSeries
 from .ncseries import NCSeries, max_coeff
 from .rings import complex_field
 
@@ -407,17 +407,28 @@ def euler_transformation_defect(a, b, c, z, digits=50):
 @lru_cache
 def solution_matrix_at(a, b, c, z, weight, digits=50):
     """The 01 and 10 solutions at (X0, -Y0), each column mixed, as the pair
-    (V_01, V_10).  X0 = [[0, b], [0, 1 - c]] and
+    (V_01, V_10) of {(i, j): entry} dicts.  X0 = [[0, b], [0, 1 - c]] and
     Y0 = [[0, 0], [a, a + b + 1 - c]].  Cached: hg11_defect and
-    kummer_row_defects ask for the same 01 matrix."""
+    kummer_row_defects ask for the same 01 matrix.  The walk takes X0 t and
+    -Y0 t, t the first variable of MatSeries' keys, and an entry is its
+    value at t = 1.  When the entry moduli of X0 and of Y0 each sum to at
+    most 1, the walk contract (``rings``) puts each degree within 2^-B, so
+    only the truncation at the weight costs digits."""
     g01, g10 = _solutions(z, weight, digits)
     ring = g01.ring
-    zero, one = ring.zero, ring.one
     a, b, c = (_to_mpc(x, ring.mp) for x in (a, b, c))
     p, q = 1 - c, a + b + 1 - c
-    x, y, unit = Mat2(zero, b, zero, p), -Mat2(zero, zero, a, q), Mat2(one, zero, zero, one)
-    return (g01.substitute(x, y, one=unit) * Mat2(one, one, zero, p / b),
-            g10.substitute(x, y, one=unit) * Mat2(one, zero, -a / q, (q - 1) / b))
+
+    def matrix(d, *entries):  # the entries (ints or ring numbers) times t^d
+        return MatSeries(ring, weight, {(i >> 1, i & 1, d, 0, 0): e for i, e in enumerate(entries)})
+
+    def at_one(g, mix):
+        m = g.substitute(matrix(1, 0, b, 0, p), matrix(1, 0, 0, -a, -q)) * mix
+        return {ij: ring.value(sum(m[ij].numerators.values()), m.denominator)
+                for ij in ((0, 0), (0, 1), (1, 0), (1, 1))}
+
+    return (at_one(g01, matrix(0, 1, 1, 0, p / b)),
+            at_one(g10, matrix(0, 1, 0, -a / q, (q - 1) / b)))
 
 
 def hg11_defect(a, b, c, z, weight, digits=50):

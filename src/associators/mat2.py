@@ -1,9 +1,9 @@
-"""2x2 matrices: Mat2 over numbers, what ``hypcx`` walks over the complex
-ring (summed by +), and MatSeries, a matrix over the (a, b, p) series held
-as one graded series: what NCSeries.substitute and graded's exp and log act
-on, one dict and one contraction loop per product (on the stored
-numerators, graded.product) instead of four CSeries.  The 1 of a MatSeries
-has two keys, so its inverse is the adjugate over the determinant."""
+"""2x2 matrices over the (a, b, p) series.  MatSeries holds one as a
+single graded series: what NCSeries.substitute and graded's exp and log act
+on, one dict and one contraction loop per product (graded.product on the
+stored numerators); its 1 has two keys, so its inverse is the adjugate over
+the determinant.  Mat2 multiplies four CSeries: the matrix of the tests'
+word-by-word oracle, and the mat2 method that perfbench times."""
 
 from __future__ import annotations
 
@@ -25,10 +25,6 @@ class Mat2:
         a, b = self.e, other.e
         return Mat2(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
-    def __neg__(self):
-        a = self.e
-        return Mat2(-a[0], -a[1], -a[2], -a[3])
-
     def __mul__(self, other):
         a, b = self.e, other.e
         return Mat2(
@@ -39,10 +35,10 @@ class Mat2:
         )
 
     def scale(self, c):
-        return Mat2(*(x.scale(c) if hasattr(x, "scale") else x * c for x in self.e))
+        return Mat2(*(x.scale(c) for x in self.e))
 
     def truncate(self, n):
-        return Mat2(*(x.truncate(n) if hasattr(x, "truncate") else x for x in self.e))
+        return Mat2(*(x.truncate(n) for x in self.e))
 
 
 class MatSeries(graded.Series):

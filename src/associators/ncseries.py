@@ -80,37 +80,30 @@ class NCSeries(graded.Series):
     # -- substitution -----------------------------------------------------------
 
     def substitute(self, image0, image1, one=None):
-        """f(image0, image1) . one, for images with +, * and .scale(coeff):
-        series (MatSeries for 2x2 matrices over the (a, b, p) series), strand
-        generators, and Mat2 over numbers, which are walked over the complex
-        ring only.
-        ``one`` is the vector the images act on from the left, by default
-        image0.one_like().
+        """f(image0, image1) . one, for images with * against a series:
+        series (MatSeries for 2x2 matrices over the (a, b, p) series) and
+        strand generators.  ``one`` is the series the images act on from
+        the left, by default image0.one_like().
 
         A left Horner walk of the word trie to degree n, the smaller of this
         truncation and that of ``one``: the node of a prefix of length s and
         coefficient c returns V_s = c one + image0 child_0 + image1 child_1 to
         degree n - s, each child lifted from degree n - s - 1.  The lift needs
-        images without a degree-0 part, so a graded image (one with a
-        truncation) with a constant term is rejected; ungraded ones, such as
-        numeric matrices, are taken as they are.
+        images without a degree-0 part, so a series image with a constant
+        term is rejected.
 
-        Over series images the walk takes the stored numerators as its node
-        coefficients and scales once by 1/denominator; the images carry
-        their denominators through the products, and a node sums its
-        children into its own dict (add_into).  Number matrices walk the
-        ring numbers and sum by +.
+        The walk takes the stored numerators as its node coefficients and
+        scales once by 1/denominator; the images carry their denominators
+        through the products, and a node sums its children into its own dict
+        (add_into).
         """
         images = (image0, image1)
-        for im in images:
-            if hasattr(im, "truncation") and im.min_degree() < 1:
-                raise ValueError("letter image has a nonzero constant term; "
-                                 "substitute logarithms of group elements instead")
+        if any(isinstance(im, graded.Series) and im.min_degree() < 1 for im in images):
+            raise ValueError("letter image has a nonzero constant term; "
+                             "substitute logarithms of group elements instead")
         one = image0.one_like() if one is None else one
-        n = min(self.truncation, getattr(one, "truncation", self.truncation))
+        n = min(self.truncation, one.truncation)
         ones = [one.truncate(n - s) for s in range(n + 1)]
-        graded_walk = isinstance(one, graded.Series)
-        add = graded.Series.add_into if graded_walk else type(one).__add__
 
         def walk(terms, s):
             # terms: the suffixes after one prefix of length s
@@ -122,11 +115,9 @@ class NCSeries(graded.Series):
                         children[w[0]][w[1:]] = c
                 for im, child in zip(images, children):
                     if child:
-                        out = add(out, im * walk(child, s + 1).truncate(n - s))
+                        out = out.add_into(im * walk(child, s + 1).truncate(n - s))
             return out
 
-        if not graded_walk:
-            return walk(self.terms, 0)
         out = walk(self.numerators, 0)
         return out if self.denominator == 1 else out.scale(self.ring.inv(self.denominator))
 

@@ -99,8 +99,21 @@ class RefP5:
 
 
 def ref_embed(f, i, j, k):
+    """f(t_ij, t_jk) word by word, not by the package's walk: the sum over
+    the words w of (f|w) times the product of the classes along w."""
     n = f.truncation
-    return f.substitute(RefP5.t(n, i, j), RefP5.t(n, j, k))
+    letters = (RefP5.t(n, i, j), RefP5.t(n, j, k))
+    products = {(): letters[0].one_like()}
+
+    def product(w):
+        if w not in products:
+            products[w] = product(w[:-1]) * letters[w[-1]]
+        return products[w]
+
+    acc = RefP5(n, {})
+    for w, c in f.terms.items():
+        acc = acc + product(w).scale(c)
+    return acc
 
 
 def ref_pentagon_minus_one(f):

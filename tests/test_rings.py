@@ -12,6 +12,7 @@ from mpmath import mp
 from associators import words as W
 from associators.graded import max_coeff
 from associators.hypcx import fundamental_solution, kz_series, mzv, solution_matrix_at
+from associators.mat2 import MatSeries
 from associators.ncseries import NCSeries
 from associators.rings import QQ, complex_field
 
@@ -51,7 +52,8 @@ def test_numeric_boundaries_hand_out_ring_numbers():
                   if w[0] == W.E0 and w[-1] == W.E1]
     assert all(mzv(W.index_from_word(w), 40).context is ctx for w in convergent)
     for m in solution_matrix_at(F(1, 10), F(1, 5), F(1, 2), F(3, 10), 6, 40):
-        assert all(x.context is ctx for x in m.e)
+        assert set(m) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert all(x.context is ctx for x in m.values())
 
 
 def test_is_zero_means_exactly_zero():
@@ -70,19 +72,34 @@ WORDS = [w for d in range(1, N + 1) for w in W.words_of_weight(d)]
 PARTS = st.builds(F, st.integers(-60, 60), st.sampled_from([3, 7, 9, 11, 13, 99]))
 
 
+def unit_terms(draw, keys):
+    """Up to five terms over CC40 on the keys, whose coefficient moduli sum
+    to at most 1."""
+    terms = draw(st.dictionaries(st.sampled_from(keys), st.tuples(PARTS, PARTS),
+                                 min_size=1, max_size=5))
+    scale = F(1, 200 * len(terms))  # |re| + |im| <= 120 / 200 per term
+    i = CC40.mp.mpc(0, 1)
+    return {k: CC40.from_fraction(re * scale) + CC40.from_fraction(im * scale) * i
+            for k, (re, im) in terms.items()}
+
+
 @st.composite
 def unit_series(draw, constant=False):
     """A sparse series over CC40 without constant term (or with a real one
     if constant), whose coefficient moduli sum to at most 1."""
-    terms = draw(st.dictionaries(st.sampled_from(WORDS), st.tuples(PARTS, PARTS),
-                                 min_size=1, max_size=5))
-    scale = F(1, 200 * len(terms))  # |re| + |im| <= 120 / 200 per term
-    i = CC40.mp.mpc(0, 1)
-    f = {w: CC40.from_fraction(re * scale) + CC40.from_fraction(im * scale) * i
-         for w, (re, im) in terms.items()}
+    f = unit_terms(draw, WORDS)
     if constant:
         f[()] = CC40.from_fraction(draw(PARTS) / 100)
     return NCSeries(CC40, N, f)
+
+
+@st.composite
+def unit_matrix(draw):
+    """M t in one grading variable t, M a 2x2 matrix over CC40 of entry
+    moduli summing to at most 1: the shape of solution_matrix_at's letter
+    images."""
+    keys = [(i, j, 1, 0, 0) for i in range(2) for j in range(2)]
+    return MatSeries(CC40, N, unit_terms(draw, keys))
 
 
 def parts(f, key):
@@ -93,7 +110,7 @@ def parts(f, key):
 def twin(f):
     """f's stored values over CC80, exactly: CC40's numerators fit its bits."""
     e = 1 - f.denominator.bit_length()
-    return NCSeries(CC80, f.truncation, {
+    return type(f)(CC80, f.truncation, {
         k: CC80.mp.mpc(*(CC80.mp.mpf((x, e)) for x in (getattr(c, "re", c), getattr(c, "im", 0))))
         for k, c in f.numerators.items()})
 
@@ -127,9 +144,10 @@ def test_exp_keeps_the_contract(x):
 
 
 @settings(max_examples=6)
-@given(unit_series(constant=True), unit_series(), unit_series())
-def test_walk_keeps_the_contract(f, x, y):
-    assert ulps(f.substitute(x, y), twin(f).substitute(twin(x), twin(y))) < 1
+@given(unit_series(constant=True), unit_series(), unit_series(), unit_matrix(), unit_matrix())
+def test_walk_keeps_the_contract(f, x, y, mx, my):
+    for a, b in ((x, y), (mx, my)):
+        assert ulps(f.substitute(a, b), twin(f).substitute(twin(a), twin(b))) < 1
 
 
 def test_a_coefficient_below_half_a_unit_is_stored_as_zero():
