@@ -13,6 +13,8 @@ from associators.gammafn import (
     gamma_of_associator,
     gamma_of_gt,
 )
+from associators.hypcx import kz_series
+from associators.matspec import varphi_equals_gamma_matrix
 from associators.ncseries import NCSeries
 from associators.rings import QQ
 from test_ncseries import qq_digest
@@ -44,6 +46,15 @@ def test_gamma_even_keeps_its_exact_digest():
 def test_gamma_even_reflection_exact_order_16():
     g = gamma_even(16)
     assert g.reflection_defect(QQ.one) == 0.0
+
+
+def test_gamma_layer_keeps_the_complex_ring_digits():
+    # the KZ associator at weight 8: its (X, -Y) evaluation against the
+    # gamma-ratio matrix, and the reflection formula at its mu = 2 pi i
+    c = kz_series(8, 40)
+    report, _, gm = varphi_equals_gamma_matrix(c)
+    assert report["max_entry_difference"] < 1e-45 and gm.det_defect < 1e-45
+    assert gamma_of_associator(c).reflection_defect(c.mu) < 1e-45
 
 
 def test_bernoulli_exponent_reconciliation():
