@@ -86,7 +86,7 @@ def check_associator(cand: AssociatorCandidate, quotient: P5Quotient = None,
     group-like; "commutator_grouplike" reports whether it is."""
     phi, mu, ring = cand.phi, cand.mu, cand.ring
     report = {}
-    report["mu_invertible"] = not ring.is_zero(mu)
+    report["mu_invertible"] = bool(mu)
     quad = phi.coeff((0, 1)) - mu * mu * ring.from_fraction(Fraction(1, 24))
     report["quadratic"] = abs(quad) <= tol
     report["commutator_grouplike"] = phi.is_commutator_grouplike(tol)
@@ -334,7 +334,7 @@ def gt_from_pair(c1: AssociatorCandidate, c2: AssociatorCandidate) -> GTElement:
     if abs(c1.mu - c2.mu) > ring.noise_floor:
         raise ValueError("gt_from_pair needs equal mu")
     n = min(c1.truncation, c2.truncation)
-    mu_inv = ring.inv(c1.mu)
+    mu_inv = ring.one / c1.mu
     phi1 = c1.phi.truncate(n)
     target = phi1.antipode() * c2.phi.truncate(n)
     images = _comp_images(phi1, c1.mu)

@@ -88,7 +88,7 @@ class CSeries(graded.Series):
         for im in (image_a, image_b, image_p):
             if not isinstance(im, CSeries):
                 raise TypeError("images must be CSeries")
-            if not self.ring.is_zero(im.constant_term()):
+            if im.constant_term():
                 raise ValueError("image form has a constant term")
             if any(sum(m) > 1 for m in im.terms):
                 raise ValueError("image form has degree > 1")
@@ -107,7 +107,7 @@ class CSeries(graded.Series):
         acc = CSeries.zero(self.ring, n)
         for m, c in self.numerators.items():
             acc = acc.add_into(image(m).scale(c))
-        return acc if self.denominator == 1 else acc.scale(self.ring.inv(self.denominator))
+        return acc if self.denominator == 1 else acc.scale(self.ring.one / self.denominator)
 
     # -- exact division ---------------------------------------------------------------
 

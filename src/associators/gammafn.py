@@ -1,9 +1,10 @@
 """Gamma series attached to associators and GT elements.
 
-A GammaSeries is a one-variable truncated series with constant term 1,
-stored through the coefficients of its logarithm.  Ratios of gamma values
-at degree-1 forms in (a, b, p) are assembled in log space, which keeps the
-unavoidable cancellations exact.
+A GammaSeries is a truncated series in one variable t with constant term
+1, stored as its logarithm: one CSeries in the variable a (standing for t)
+without constant term.  Gamma at a degree-1 form in (a, b, p) is the
+substitution of that log at the form, and ratios of gamma values are
+assembled in log space, which keeps the unavoidable cancellations exact.
 """
 
 from __future__ import annotations
@@ -14,18 +15,6 @@ from math import comb, factorial, prod
 from .cseries import CSeries
 from .graded import max_coeff
 from .rings import QQ
-
-# -- one-variable series: CSeries in the variable a -----------------------------
-
-
-def _series(ring, coeffs):
-    """sum c_k t^k, as a CSeries in a of truncation len(coeffs) - 1."""
-    return CSeries(ring, len(coeffs) - 1, {(k, 0, 0): c for k, c in enumerate(coeffs)})
-
-
-def _coeffs(s):
-    return [s.coeff((k, 0, 0)) for k in range(s.truncation + 1)]
-
 
 # -- Bernoulli numbers -----------------------------------------------------------
 
@@ -68,49 +57,51 @@ def _bernoulli_list(m):
 
 
 class GammaSeries:
-    """Gamma-type series with constant term 1, held as log coefficients."""
+    """Gamma-type series with constant term 1, held as its logarithm: a
+    CSeries in the variable a without constant term."""
 
-    __slots__ = ("ring", "order", "log_coeffs")
+    __slots__ = ("log",)
 
-    def __init__(self, ring, order, log_coeffs):
-        if len(log_coeffs) != order + 1:
-            raise ValueError("log coefficient list must have length order+1")
-        if not ring.is_zero(log_coeffs[0]):
-            raise ValueError("log of a gamma series has no constant term")
-        self.ring = ring
-        self.order = order
-        self.log_coeffs = list(log_coeffs)
+    def __init__(self, log: CSeries):
+        if log.min_degree() < 1 or any(m[1] or m[2] for m in log.numerators):
+            raise ValueError("the log of a gamma series is a series in a without constant term")
+        self.log = log
+
+    @property
+    def ring(self):
+        return self.log.ring
+
+    @property
+    def order(self):
+        return self.log.truncation
+
+    @property
+    def log_coeffs(self):
+        """The log's coefficients at a^0 .. a^order, as a list."""
+        return [self.log.coeff((k, 0, 0)) for k in range(self.order + 1)]
 
     @classmethod
     def one(cls, ring, order):
-        return cls(ring, order, [ring.zero] * (order + 1))
+        return cls(CSeries.zero(ring, order))
 
     def series(self):
-        """Coefficients of the gamma series itself."""
-        return _coeffs(_series(self.ring, self.log_coeffs).exp())
+        """The gamma series itself, a CSeries in a."""
+        return self.log.exp()
 
     def multiply(self, other):
+        # + would truncate to the lower order without a word
         if other.order != self.order or other.ring is not self.ring:
             raise ValueError("order/ring mismatch")
-        return GammaSeries(
-            self.ring, self.order,
-            [x + y for x, y in zip(self.log_coeffs, other.log_coeffs)],
-        )
+        return GammaSeries(self.log + other.log)
 
     def scale_argument(self, mu):
         """Gamma(mu * t)."""
-        ring = self.ring
-        out = [ring.zero] * (self.order + 1)
-        pw = ring.one
-        for n in range(1, self.order + 1):
-            pw = pw * mu
-            out[n] = self.log_coeffs[n] * pw
-        return GammaSeries(ring, self.order, out)
+        return GammaSeries(self.log_at_form(CSeries.variable(self.ring, self.order, "a").scale(mu)))
 
     def log_at_form(self, form: CSeries) -> CSeries:
         """log Gamma composed with a degree-1 form in (a, b, p)."""
         zero = CSeries.zero(form.ring, form.truncation)
-        return _series(self.ring, self.log_coeffs[: form.truncation + 1]).subst(form, zero, zero)
+        return self.log.subst(form, zero, zero)
 
     def ratio(self, s: CSeries, t: CSeries, u: CSeries, v: CSeries) -> CSeries:
         """Gamma(s) Gamma(t) / (Gamma(u) Gamma(v)) as a CSeries."""
@@ -120,35 +111,21 @@ class GammaSeries:
 
     def reflection_defect(self, mu):
         """Largest coefficient of Gamma(t) Gamma(-t) (e^(mu t/2)-e^(-mu t/2))/(mu t) - 1."""
-        ring, n = self.ring, self.order
-        even_log = [ring.zero] * (n + 1)
-        for k in range(2, n + 1, 2):
-            even_log[k] = self.log_coeffs[k] + self.log_coeffs[k]
-        both = _series(ring, even_log).exp() * _series(ring, _sinh_quotient(ring, n, mu))
+        a = CSeries.variable(self.ring, self.order, "a")
+        both = (self.log + self.log_at_form(-a)).exp() * _sinh_quotient(self.ring, self.order, mu)
         return max_coeff(both - both.one_like())
 
 
 def _sinh_quotient(ring, order, mu):
-    """(e^(mu t / 2) - e^(-mu t / 2)) / (mu t) as a coefficient list."""
-    out = [ring.zero] * (order + 1)
-    mu2 = mu * mu
-    pw = ring.one
-    fact = 1  # (2m+1)!
-    for m in range(0, order // 2 + 1):
-        if m > 0:
-            pw = pw * mu2
-            fact *= (2 * m) * (2 * m + 1)
-        out[2 * m] = pw * ring.from_fraction(Fraction(1, 4 ** m * fact))
-    return out
+    """(e^(mu t / 2) - e^(-mu t / 2)) / (mu t) as a CSeries in a."""
+    return CSeries(ring, order, {(2 * m, 0, 0): (mu * mu) ** m * ring.from_fraction(
+        Fraction(1, 4 ** m * factorial(2 * m + 1))) for m in range(order // 2 + 1)})
 
 
 def gamma_even(order, ring=QQ):
     """The even unitary gamma series: square root of t / (e^(t/2) - e^(-t/2)),
     computed in log space from that closed form."""
-    den = _sinh_quotient(ring, order, ring.one)
-    log_den = _coeffs(_series(ring, den).log())
-    half = ring.from_fraction(Fraction(-1, 2))
-    return GammaSeries(ring, order, [c * half for c in log_den])
+    return GammaSeries(_sinh_quotient(ring, order, ring.one).log().scale(Fraction(-1, 2)))
 
 
 def gamma_even_bernoulli_report(order):
@@ -186,11 +163,9 @@ def gamma_even_bernoulli_report(order):
 def _gamma_of_series(s) -> GammaSeries:
     """Log coefficients (-1)^(k+1)/k * (s | e0^(k-1) e1), k = 1..truncation."""
     ring, n = s.ring, s.truncation
-    coeffs = [ring.zero] * (n + 1)
-    for k in range(1, n + 1):
-        w = (0,) * (k - 1) + (1,)
-        coeffs[k] = s.coeff(w) * ring.from_fraction(Fraction((-1) ** (k + 1), k))
-    return GammaSeries(ring, n, coeffs)
+    return GammaSeries(CSeries(ring, n, {
+        (k, 0, 0): s.coeff((0,) * (k - 1) + (1,)) * ring.from_fraction(Fraction((-1) ** (k + 1), k))
+        for k in range(1, n + 1)}))
 
 
 def gamma_of_associator(cand) -> GammaSeries:
@@ -207,10 +182,6 @@ def gamma_of_gt(gt) -> GammaSeries:
 def gamma_from_kappa(ring, order, kappa) -> GammaSeries:
     """Gamma series from supplied exponential coefficients
     {m: kappa_m, m >= 2}: log coefficient at t^m is kappa_m / m!."""
-    coeffs = [ring.zero] * (order + 1)
-    for m, val in kappa.items():
-        m = int(m)
-        if m < 2 or m > order:
-            continue
-        coeffs[m] = val * ring.from_fraction(Fraction(1, factorial(m)))
-    return GammaSeries(ring, order, coeffs)
+    return GammaSeries(CSeries(ring, order, {
+        (int(m), 0, 0): val * ring.from_fraction(Fraction(1, factorial(int(m))))
+        for m, val in kappa.items() if 2 <= int(m) <= order}))

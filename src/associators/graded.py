@@ -73,7 +73,7 @@ class Series:
         den = lcm(*(d for _, (_, d) in parts))
         self.ring, self.truncation, self.denominator = ring, truncation, den
         self.numerators = {k: c if d == den else c * (den // d)
-                           for k, (c, d) in parts if not ring.is_zero(c)}
+                           for k, (c, d) in parts if c}
 
     @classmethod
     def _stored(cls, ring, truncation, numerators, den):
@@ -166,16 +166,16 @@ class Series:
             out.numerators = {k: c * (den // d) for k, c in out.numerators.items()}
             out.denominator = den
         m = den // other.denominator
-        is_zero, nums = self.ring.is_zero, out.numerators
+        nums = out.numerators
         for k, c in other.numerators.items():
             if m != 1:
                 c *= m
             s = nums.get(k)
             s = c if s is None else s + c
-            if is_zero(s):
-                nums.pop(k, None)
-            else:
+            if s:
                 nums[k] = s
+            else:
+                nums.pop(k, None)
         return out
 
     def __neg__(self):
@@ -189,7 +189,7 @@ class Series:
         """Multiply by a ring number, an int or a Fraction."""
         ring = self.ring
         c, d = ring.split(c)
-        if ring.is_zero(c):
+        if not c:
             return self.zero(ring, self.truncation)
         return self._stored(ring, self.truncation, {k: v * c for k, v in self.numerators.items()},
                             self.denominator * d)
@@ -200,9 +200,8 @@ def product(loop):
     coefficient products of the numerator dicts x and y into each key of
     degree <= n; the denominators multiply."""
     def __mul__(self, other):
-        n, is_zero = self._common(other), self.ring.is_zero
-        out = loop(self.numerators, other.numerators, n)
-        out = {k: c for k, c in out.items() if not is_zero(c)}
+        n = self._common(other)
+        out = {k: c for k, c in loop(self.numerators, other.numerators, n).items() if c}
         return self._stored(self.ring, n, out, self.denominator * other.denominator)
     return __mul__
 
@@ -238,7 +237,7 @@ def log(x):
 
 def inverse(x):
     """Inverse of an element whose constant term is a unit of its ring."""
-    c0inv = x.ring.inv(x.constant_term())
+    c0inv = x.ring.one / x.constant_term()
     y = x.scale(c0inv)
     # subtract the stored constant term, so no rounding residue is left
     g = y.truncate(0).truncate(y.truncation) - y

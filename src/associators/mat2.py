@@ -7,6 +7,8 @@ word-by-word oracle, and the mat2 method that perfbench times."""
 
 from __future__ import annotations
 
+from math import lcm
+
 from . import graded
 from .cseries import CSeries
 
@@ -57,12 +59,15 @@ class MatSeries(graded.Series):
     @classmethod
     def of(cls, e00, e01, e10, e11):
         """The matrix of four CSeries over one ring, at their smallest
-        truncation."""
+        truncation: their stored numerators over the lcm of their
+        denominators."""
         es = (e00, e01, e10, e11)
         if any(type(x) is not CSeries or x.ring is not e00.ring for x in es):
             raise graded.RingMismatch("MatSeries.of takes four CSeries over one ring")
-        return cls(e00.ring, min(x.truncation for x in es),
-                   {(i >> 1, i & 1) + k: c for i, x in enumerate(es) for k, c in x.terms.items()})
+        n, den = min(x.truncation for x in es), lcm(*(x.denominator for x in es))
+        return cls._stored(e00.ring, n, {(i >> 1, i & 1) + k: c * (den // x.denominator)
+                                         for i, x in enumerate(es)
+                                         for k, c in x.numerators.items() if sum(k) <= n}, den)
 
     def __getitem__(self, ij):
         nums = {k[2:]: c for k, c in self.numerators.items() if k[:2] == ij}

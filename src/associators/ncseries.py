@@ -119,7 +119,7 @@ class NCSeries(graded.Series):
             return out
 
         out = walk(self.numerators, 0)
-        return out if self.denominator == 1 else out.scale(self.ring.inv(self.denominator))
+        return out if self.denominator == 1 else out.scale(self.ring.one / self.denominator)
 
     # -- structure tests ----------------------------------------------------------
 
@@ -132,13 +132,13 @@ class NCSeries(graded.Series):
             part = g.homogeneous_part(d)
             if not part:
                 continue
-            _, rem = W.lie_coordinates(part, d, self.ring)
+            _, rem = W.lie_coordinates(part, d)
             for c in rem.values():
                 worst = max(worst, float(abs(c)))
         return worst
 
     def is_grouplike(self, tol=0.0):
-        return self.ring.is_zero(self.constant_term() - self.ring.one) and self.lie_defect() <= tol
+        return self.constant_term() == self.ring.one and self.lie_defect() <= tol
 
     def linear_part_size(self):
         return float(max(abs(self.coeff((0,))), abs(self.coeff((1,)))))

@@ -9,6 +9,10 @@ normalises it.  ``QQ`` stores Fractions as ints in lowest terms;
 Gaussian-integer numerators over 2^B, B = ``bits`` = ``mp.prec`` + 8
 guard bits, and hands out numbers of its own mpmath context ``mp``.
 
+A number or numerator is zero exactly when it is false (``if c``): the
+arithmetic prunes nothing by tolerance, which would corrupt results;
+tolerances belong to the checks.  The inverse of a ring number x is ``ring.one / x``.
+
 Precision contract of ``ComplexField``, absolute, u = 2^-B.  A series
 operation is exact on the stored numerators, then rounds each coefficient
 once to the nearest multiple of u: u/2 in the real and in the imaginary
@@ -63,12 +67,6 @@ class RationalField:
         g = gcd(den, *numerators.values()) if den != 1 else 1
         return (numerators, den) if g == 1 else ({k: c // g for k, c in numerators.items()}, den // g)
 
-    def is_zero(self, x):
-        return not x
-
-    def inv(self, x):
-        return Fraction(1) / x  # ZeroDivisionError at x = 0
-
 
 class Gaussian:
     """re + im i, im != 0: a complex numerator off the real line.  A real
@@ -116,8 +114,9 @@ def _fixed(v, bits):
 class ComplexField:
     """Adapter for complex coefficients at a fixed decimal precision, in
     fixed point inside a series (see the module docstring).  The precision
-    is the adapter's, not global state: zero, one and the results of value,
-    from_fraction and inv are numbers of its private context ``mp``."""
+    is the adapter's, not global state: zero, one and the results of value
+    and from_fraction are numbers of its private context ``mp``, and so is
+    ``one / x`` for such a number x."""
 
     exact = False
 
@@ -167,14 +166,6 @@ class ComplexField:
             if c:
                 out[k] = c
         return out, den >> shift
-
-    def is_zero(self, x):
-        # Exact zero only: tolerance comparisons belong to the checks, not
-        # to the arithmetic (pruning by tolerance would corrupt results).
-        return not x
-
-    def inv(self, x):
-        return self.one / x
 
 
 QQ = RationalField()

@@ -173,7 +173,7 @@ def lie_dimension(degree: int) -> int:
     return len(lie_basis(degree))
 
 
-def lie_coordinates(vec, degree, ring):
+def lie_coordinates(vec, degree):
     """Express a homogeneous degree-d vector (word->coefficient dict) in the
     Lyndon basis.
 
@@ -185,14 +185,14 @@ def lie_coordinates(vec, degree, ring):
     coords = {}
     for lw, exp in lie_basis(degree):
         c = rem.get(lw)
-        if c is None or ring.is_zero(c):
+        if not c:
             continue
         coords[lw] = c
         for word, m in exp.items():
-            val = rem.get(word, ring.zero) - c * m
-            if ring.is_zero(val):
-                rem.pop(word, None)
-            else:
+            val = rem.get(word, 0) - c * m
+            if val:
                 rem[word] = val
-    rem = {w: c for w, c in rem.items() if not ring.is_zero(c)}
+            else:
+                rem.pop(word, None)
+    rem = {w: c for w, c in rem.items() if c}
     return coords, rem

@@ -3,6 +3,7 @@ algebra that uses it: NCSeries, CSeries and MatSeries (2x2 matrices over
 CSeries), all over QQ, so every comparison is exact; inverse over the
 complex ring; and the antipode of NCSeries against inverse."""
 
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -144,3 +145,31 @@ def test_truncate_hands_out_a_copy():
         x = NCSeries.letter(QQ, 3, 0)
         x.truncate(n).add_into(NCSeries.letter(QQ, 3, 1))
         assert list(x.terms.items()) == [((0,), 1)]
+
+
+@st.composite
+def same_kind_pairs(draw):
+    kind = draw(st.sampled_from((nc_series, c_series, matrices)))
+    return draw(kind()), draw(kind())
+
+
+OPERATIONS = (lambda x, y: x.truncate(x.truncation - 1), lambda x, y: x.truncate(x.truncation + 1),
+              operator.add, operator.sub, operator.mul,
+              lambda x, y: x.scale(1), lambda x, y: x.scale(Fraction(-2, 3)))
+LETTER_MAPS = (lambda x, y: x.apply_word_map(W.swap_letters), lambda x, y: x.negate_letters())
+
+
+@settings(max_examples=30)
+@given(same_kind_pairs())
+def test_no_result_shares_the_stored_form_of_an_input(pair):
+    # a caller may sum into a result it alone holds (add_into): that must
+    # never write into an operand
+    def stored():
+        return [(s.truncation, s.denominator, dict(s.numerators)) for s in pair]
+
+    x, y = pair
+    before = stored()
+    for op in OPERATIONS + (LETTER_MAPS if isinstance(x, NCSeries) else ()):
+        r = op(x, y)
+        r.numerators.update(dict.fromkeys(list(r.numerators), 7), mutated=7)
+        assert stored() == before
