@@ -288,18 +288,28 @@ def gamma_quotient(a, b, c):
     return mpmath.gamma(c) * mpmath.gamma(c - a - b) / (mpmath.gamma(c - a) * mpmath.gamma(c - b))
 
 
-@pytest.mark.parametrize("a, b, c", [
-    (F(1, 10), F(1, 5), F(1, 2)),  # s = 1/5: the Euler-Maclaurin tail was 3e-16 off here
-    (mpmath.mpc("0.3", "0.2"), mpmath.mpc("0.1", "-0.4"), mpmath.mpc("1.2", "0.1")),
-    (2, 3, 6),  # 800 terms are not enough (see the cap test below)
-    (F(1, 2), F(1, 2), F(21, 20)),  # s = 1/20
-], ids=["s=1/5", "complex", "doubling", "s=1/20"])
-def test_hyp2f1_at_one_keeps_its_contract(a, b, c):
-    digits = 40
-    with mp.workdps(digits + 30):
-        exact = gamma_quotient(*(mpmath.mpf(x.numerator) / x.denominator if isinstance(x, F)
-                                 else mpmath.mpc(x) for x in (a, b, c)))
-        assert abs(hyp2f1(a, b, c, 1, digits) - exact) < mpmath.mpf(10) ** -(digits + 10)
+COMPLEX_ABC = (mpmath.mpc("0.3", "0.2"), mpmath.mpc("0.1", "-0.4"), mpmath.mpc("1.2", "0.1"))
+
+
+@pytest.mark.parametrize("a, b, c, z, digits", [
+    # s = 1/5: the Euler-Maclaurin tail was 3e-16 off here
+    pytest.param(F(1, 10), F(1, 5), F(1, 2), 1, 40, id="s=1/5"),
+    pytest.param(*COMPLEX_ABC, 1, 40, id="complex"),
+    pytest.param(2, 3, 6, 1, 40, id="s=1"),  # 800 terms are not enough (see the cap test below)
+    pytest.param(F(1, 2), F(1, 2), F(21, 20), 1, 40, id="s=1/20"),
+    pytest.param(F(-13, 10), F(1, 5), F(-1, 2), 1, 40, id="Re-c<0"),
+    pytest.param(F(1, 10), F(1, 5), F(11, 10), F(3, 10), 40, id="z=3/10"),
+    pytest.param(*COMPLEX_ABC, F(3, 10), 100, id="z=3/10,complex,100"),
+])
+def test_hyp2f1_at_one_keeps_its_contract(a, b, c, z, digits):
+    """The absolute error is below 10^-(digits + 10): at z = 1 against the
+    gamma quotient, at |z| < 1 against mpmath's own hyp2f1, both at 160
+    digits."""
+    with mp.workdps(160):
+        args = [mpmath.mpf(x.numerator) / x.denominator if isinstance(x, F) else mpmath.mpc(x)
+                for x in (a, b, c, F(z))]
+        exact = gamma_quotient(*args[:3]) if z == 1 else mpmath.hyp2f1(*args)
+        assert abs(hyp2f1(a, b, c, z, digits) - exact) < mpmath.mpf(10) ** -(digits + 10)
 
 
 def test_hyp2f1_at_one_raises_past_its_term_cap(monkeypatch):
