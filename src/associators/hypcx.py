@@ -211,9 +211,9 @@ def mzv_direct(index, nterms=3000):
     One forward pass over n <= nterms forms every partial sum
     S(N) = sum over 0 < n_1 < ... < n_m <= N of prod n_i^(-k_i).  Its tail
     zeta - S(N) has an asymptotic expansion in log^j N / N^i with j < depth,
-    so _extrapolate fits S(N) at 1 + 3 * depth geometrically spaced N in
-    [nterms/4, nterms] against {1} and {log^j N / N^i : 1 <= i <= 3, j < depth},
-    and the constant term is returned.
+    so this fits S(N) at 1 + 3 * depth geometrically spaced N in [nterms/4,
+    nterms] against {1} and {log^j N / N^i : 1 <= i <= 3, j < depth}, one
+    unknown per point, and returns the constant term.
 
     Precision contract (30 working digits): the error is below
     16 * log(nterms)^(depth-1) / nterms^4, e.g. 4e-11 at depth 1 and
@@ -226,7 +226,7 @@ def mzv_direct(index, nterms=3000):
         raise ValueError("non-admissible index")
     depth = len(index)
     unknowns = 1 + 3 * depth
-    points = _geometric_points(nterms, unknowns)
+    points = sorted({round(nterms * 4 ** (-k / (unknowns - 1))) for k in range(unknowns)})
     if len(points) < unknowns or points[0] < 2:
         raise ValueError("nterms=%d gives too few sample points for depth %d" % (nterms, depth))
     # inner[j] is the partial sum over the first j entries of the index
@@ -237,21 +237,9 @@ def mzv_direct(index, nterms=3000):
             inner[j] += inner[j - 1] // n ** index[j - 1]
         partial[n] = inner[depth]
     with mp.workdps(30):
-        partial = {N: mp.mpf((partial[N], -128)) for N in points}
-        return _extrapolate(partial, points, lambda N: [mp.log(N) ** j / mp.mpf(N) ** i
-                                                        for i in range(1, 4) for j in range(depth)])
-
-
-def _geometric_points(nterms, count):
-    """Up to count distinct integers, geometrically spaced in [nterms/4, nterms]."""
-    return sorted({round(nterms * 4 ** (-k / (count - 1))) for k in range(count)})
-
-
-def _extrapolate(partial, points, basis):
-    """Constant term C of the fit partial[N] = C + sum_k gamma_k basis(N)[k]
-    through the points, one unknown per point, at the working precision."""
-    rows = [[1] + basis(N) for N in points]
-    return mp.lu_solve(mp.matrix(rows), mp.matrix([partial[N] for N in points]))[0]
+        rows = [[1] + [mp.log(N) ** j / mp.mpf(N) ** i for i in range(1, 4) for j in range(depth)]
+                for N in points]
+        return mp.lu_solve(mp.matrix(rows), mp.matrix([mp.mpf((partial[N], -128)) for N in points]))[0]
 
 
 # -- shuffle regularization oracle ----------------------------------------------------
@@ -318,83 +306,84 @@ def regularized_table(base_values, max_weight):
 
 # -- the classical hypergeometric series ------------------------------------------------
 
-Z1_MAX_TERMS = 51200  # the most partial sums hyp2f1 extrapolates at z = 1
-
 
 def hyp2f1(a, b, c, z, digits=50):
-    """The Gauss series sum_n (a)_n (b)_n / ((c)_n n!) z^n, for |z| < 1 and
-    for z = 1 with Re(c - a - b) > 0; c must not be a non-positive integer.
+    """The Gauss series F(a, b; c; z) = sum_n t_n, t_n = (a)_n (b)_n z^n /
+    ((c)_n n!), for |z| < 1 and for z = 1 with Re(c - a - b) > 0; c must not
+    be a non-positive integer.  Contract: the absolute error is below
+    eps = 10^-(digits + 10), half for truncation and half for rounding.
 
-    |z| < 1: terms are added at digits + 15 working digits until one is below
-    10^-(digits + 10) after at least 8; the stop rule bounds no tail.
+    One term loop sums P times the series; it stops at a zero term or once
+    |P| times a proven bound on the rest from n is below eps/2.  z = 1, by
+    Gauss's proof (Andrews, Askey and Roy, Special Functions, 1999, 2.2): m
+    shifts c -> c + 1 leave the series at c + m times the rational prefactor
+    P = prod_(k<m) (c-a+k)(c-b+k) / ((c+k)(c-a-b+k)), where m = max(0,
+    ceil(|a| + |b| - Re c)) + ceil((digits + 12) / log10(2e)).  With A = |a|,
+    B = |b|, C = Re c + m, sigma = C - A - B > 0, |t_n| <= u_n, the term of
+    the real series at (A, B; C); telescoping (n + C - 1) u_n bounds the rest
+    by (n + C - 1) u_n / kappa_n, kappa_n = min(sigma, (sigma n + C - 1 - AB)
+    / (n + 1)) > 0.  |z| < 1: P = 1, C = Re c; once |t_n| < eps/2 and n + C
+    > 0, later term ratios are at most rho = |z| max(1, (n + A) / (n + 1))
+    max(1, (n + B) / (n + C)); for rho < 1 the rest is below |t_n| / (1 - rho).
 
-    z = 1: the partial sums S(N) = sum_(n<N) have the tail N^-s (beta_0 +
-    beta_1/N + ...), s = c - a - b.  _extrapolate fits S(N) at 22 geometric
-    N in [nterms/4, nterms] against {1} and {N^(-s-j) : j <= 20}, at
-    digits + 30 working digits; the fit with two fewer unknowns on the
-    interior points differs from it by the error estimate.  nterms doubles
-    from 800 until that is below 10^-(digits + 10), the contract on the
-    absolute error, and past Z1_MAX_TERMS this raises ArithmeticError.  The
-    estimate is no bound; on nine sets (complex a, b; s from 0.05 to 2.8) at
-    30 to 50 digits the error was 10^5-fold below the contract or more.
-
-    The contract holds to 60 digits, where (2, 3, 6) converges (3.3 s, 2-core
-    host); at 70 it raises with the estimate 2.2e-75, while (1/10, 1/5, 7/20)
-    converges.
-    """
-    with mp.workdps(digits + 30):
-        a, b, c, z = _to_mpc(a), _to_mpc(b), _to_mpc(c), _to_mpc(z)
-        s = c - a - b
-    if mpmath.isint(c.real) and c.imag == 0 and c.real <= 0:
-        raise ValueError("c must not be a non-positive integer")
-    eps = mp.mpf(10) ** (-(digits + 10))
-    if mpmath.fabs(z) < 1:
-        with mp.workdps(digits + 15):
-            term = total = mpmath.mpc(1)
-            for n in range(100000):
-                term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+    Rounding, to first order: a term and P carry relative errors below 2 n
+    and 2 m times 10^-w at w working digits, so N terms err by at most
+    (N + m) |P| U 10^(1 - w), U the sum of u_n (z = 1) or |t_n|; w starts at
+    digits + 20 and the loop reruns at more until that is below eps/2."""
+    eps = mpmath.mpf(10) ** -(digits + 10)
+    work = digits + 20
+    while True:
+        with mp.workdps(work):
+            a_, b_, c_, z_ = (_to_mpc(x) for x in (a, b, c, z))
+            if mpmath.isint(c_.real) and c_.imag == 0 and c_.real <= 0:
+                raise ValueError("c must not be a non-positive integer")
+            s_, A, B, at_one = c_ - a_ - b_, abs(a_), abs(b_), z_ == 1
+            if at_one and s_.real > 0:
+                m = max(0, math.ceil(A + B - c_.real)) + math.ceil((digits + 12) / math.log10(2 * math.e))
+                P = mpmath.fprod((c_ - a_ + k) * (c_ - b_ + k) / ((c_ + k) * (s_ + k)) for k in range(m))
+                c_ += m
+                sigma = c_.real - A - B
+            elif abs(z_) < 1:
+                m, P = 0, mpmath.mpc(1)
+            else:
+                raise ValueError("need |z| < 1, or z = 1 with Re(c - a - b) > 0")
+            C, scale = c_.real, 2 * abs(P)  # the rest, times scale, must fall below eps
+            total, term, u, size, n = mpmath.mpc(0), mpmath.mpc(1), mpmath.mpf(1), 0, 0
+            while term:
+                if at_one:
+                    kappa = min(sigma, (sigma * n + C - 1 - A * B) / (n + 1))
+                    if kappa > 0 and scale * (n + C - 1) * u < kappa * eps:
+                        break
+                else:
+                    u = abs(term)
+                    if scale * u < eps and n + C > 0:
+                        rho = abs(z_) * max(1, (n + A) / (n + 1)) * max(1, (n + B) / (n + C))
+                        if scale * u < (1 - rho) * eps:
+                            break
                 total += term
-                if mpmath.fabs(term) < eps and n >= 8:
-                    return total
-            raise ArithmeticError("series did not reach tolerance")
-    if z != 1 or s.real <= 0:
-        raise ValueError("need |z| < 1, or z = 1 with Re(c - a - b) > 0")
-    with mp.workdps(digits + 30):
-        partial, term, nterms = [mpmath.mpc(0), mpmath.mpc(1)], mpmath.mpc(1), 800
-
-        def column(N):
-            # N^(-s-j) nterms^(s+j), j <= 20: the fitted tail with scaled columns
-            x = mp.mpf(nterms) / N
-            xs = x ** s
-            return [xs * x ** j for j in range(21)]
-        while True:
-            for n in range(len(partial) - 1, nterms):
-                term = term * (a + n - 1) * (b + n - 1) / ((c + n - 1) * n)
-                partial.append(partial[-1] + term)  # partial[N] = S(N)
-            points = _geometric_points(nterms, 22)
-            value = _extrapolate(partial, points, column)
-            estimate = mpmath.fabs(value - _extrapolate(partial, points[1:-1],
-                                                        lambda N: column(N)[:-2]))
-            if estimate < eps:
-                return value
-            if nterms >= Z1_MAX_TERMS:
-                raise ArithmeticError("z = 1: error estimate %.1e at %d terms" % (estimate, nterms))
-            nterms *= 2
+                size += u
+                term *= (a_ + n) * (b_ + n) / ((c_ + n) * (n + 1)) * z_
+                if at_one:
+                    u *= (n + A) * (n + B) / ((n + C) * (n + 1))
+                n += 1
+            rounding = (n + m) * abs(P) * size * mpmath.mpf(10) ** (1 - work)
+            if rounding < eps / 2:
+                return P * total
+        work += math.ceil(mpmath.log10(rounding / eps)) + 1
 
 
 def gauss_summation_defect(a, b, c, digits=50):
     """Distance between the series value at z = 1 and the classical gamma
-    quotient (the two routes are independent: extrapolated partial sums
-    against the gamma function)."""
+    quotient.  The left side calls no gamma function: it is hyp2f1's rational
+    prefactor times the directly summed series at the shifted c."""
     with mp.workdps(digits + 15):
         a, b, c = _to_mpc(a), _to_mpc(b), _to_mpc(c)
-        lhs = hyp2f1(a, b, c, 1, digits)
-        rhs = mpmath.gamma(c) * mpmath.gamma(c - a - b) / (
-            mpmath.gamma(c - a) * mpmath.gamma(c - b))
-        return float(mpmath.fabs(lhs - rhs))
+        rhs = mpmath.gammaprod([c, c - a - b], [c - a, c - b])
+        return float(mpmath.fabs(hyp2f1(a, b, c, 1, digits) - rhs))
 
 
 def euler_transformation_defect(a, b, c, z, digits=50):
+    """Distance between F(a, b; c; z) and (1 - z)^(c - a - b) F(c - a, c - b; c; z)."""
     with mp.workdps(digits + 15):
         a, b, c, z = _to_mpc(a), _to_mpc(b), _to_mpc(c), _to_mpc(z)
         lhs = hyp2f1(a, b, c, z, digits)

@@ -59,16 +59,26 @@ def named(node):
     return out
 
 
+def defined_names(stmt):
+    """The names a top-level statement defines: a function, a class, or the
+    names an assignment binds (module constants)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def dead_definitions(sources):
-    """Top-level functions and classes of the package that no statement
-    other than their own definition names.  sources: {posix path relative
-    to the repository root: source}."""
+    """Top-level functions, classes and assigned names of the package that
+    no statement other than their own definition names.  sources: {posix
+    path relative to the repository root: source}."""
     defined, mentions = [], []
     for path, source in sources.items():
         for stmt in ast.parse(source).body:
-            if path.startswith("src/") and isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((path, stmt.name, stmt))
+            if path.startswith("src/"):
+                defined.extend((path, name, stmt) for name in defined_names(stmt))
             mentions.append((stmt, named(stmt)))
     return sorted((path, name) for path, name, own in defined
                   if not any(name in names for stmt, names in mentions if stmt is not own))
@@ -82,7 +92,8 @@ def test_every_package_definition_is_named_elsewhere():
 def test_the_scan_sees_a_dead_definition():
     sources = {
         "src/m.py": "def used():\n    pass\n\ndef dead():\n    return dead()\n\n"
-                    "def bound():\n    pass\n\nclass Alias:\n    pass\n",
-        "tests/t.py": "from m import used, Alias as A\nfix(m, 'm.bound')\n",
+                    "def bound():\n    pass\n\nclass Alias:\n    pass\n\n"
+                    "CAP = 8\nDEAD_CAP: int = 9\nLOW, HIGH = 1, 2\n",
+        "tests/t.py": "from m import used, Alias as A\nfix(m, 'm.bound', m.CAP, HIGH)\n",
     }
-    assert dead_definitions(sources) == [("src/m.py", "dead")]
+    assert dead_definitions(sources) == [("src/m.py", "DEAD_CAP"), ("src/m.py", "LOW"), ("src/m.py", "dead")]

@@ -295,11 +295,23 @@ COMPLEX_ABC = (mpmath.mpc("0.3", "0.2"), mpmath.mpc("0.1", "-0.4"), mpmath.mpc("
     # s = 1/5: the Euler-Maclaurin tail was 3e-16 off here
     pytest.param(F(1, 10), F(1, 5), F(1, 2), 1, 40, id="s=1/5"),
     pytest.param(*COMPLEX_ABC, 1, 40, id="complex"),
-    pytest.param(2, 3, 6, 1, 40, id="s=1"),  # 800 terms are not enough (see the cap test below)
+    pytest.param(2, 3, 6, 1, 40, id="s=1"),
     pytest.param(F(1, 2), F(1, 2), F(21, 20), 1, 40, id="s=1/20"),
     pytest.param(F(-13, 10), F(1, 5), F(-1, 2), 1, 40, id="Re-c<0"),
     pytest.param(F(1, 10), F(1, 5), F(11, 10), F(3, 10), 40, id="z=3/10"),
     pytest.param(*COMPLEX_ABC, F(3, 10), 100, id="z=3/10,complex,100"),
+    # each case below failed at the last fit-based z = 1 route or stop rule
+    pytest.param(*COMPLEX_ABC, F(7, 10), 40, id="z=7/10,complex"),  # 1.8 times over
+    pytest.param(F(1, 10), F(1, 5), F(11, 10), F(7, 10), 100, id="z=7/10,100"),
+    pytest.param(F(1, 2), F(1, 3), F(5, 4), F(99, 100), 40, id="z=99/100"),  # 97 times over
+    pytest.param(2, 3, 6, 1, 100, id="s=1,100"),  # raised at its term cap
+    pytest.param(F(1, 10), F(1, 5), F(1, 2), 1, 100, id="s=1/5,100"),
+    # a terminating sum, 1.5e-41 off and no raise
+    pytest.param(mpmath.mpc(40, 3), -45, F(3, 2), 1, 40, id="terminating"),
+    pytest.param(30, mpmath.mpc(0, 30), 31, 1, 40, id="imaginary-b"),
+    # |F| = 6e31: the contract stays absolute, the working digits grow
+    pytest.param(60, 50, 111, 1, 40, id="large-F"),
+    pytest.param(60, 50, 111, 1, 100, id="large-F,100"),
 ])
 def test_hyp2f1_at_one_keeps_its_contract(a, b, c, z, digits):
     """The absolute error is below 10^-(digits + 10): at z = 1 against the
@@ -310,12 +322,6 @@ def test_hyp2f1_at_one_keeps_its_contract(a, b, c, z, digits):
                 for x in (a, b, c, F(z))]
         exact = gamma_quotient(*args[:3]) if z == 1 else mpmath.hyp2f1(*args)
         assert abs(hyp2f1(a, b, c, z, digits) - exact) < mpmath.mpf(10) ** -(digits + 10)
-
-
-def test_hyp2f1_at_one_raises_past_its_term_cap(monkeypatch):
-    monkeypatch.setattr(hypcx, "Z1_MAX_TERMS", 800)
-    with pytest.raises(ArithmeticError):
-        hyp2f1(2, 3, 6, 1, 40)
 
 
 def test_gauss_summation():
