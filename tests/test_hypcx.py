@@ -304,11 +304,14 @@ COMPLEX_ABC = (mpmath.mpc("0.3", "0.2"), mpmath.mpc("0.1", "-0.4"), mpmath.mpc("
     pytest.param(*COMPLEX_ABC, F(7, 10), 40, id="z=7/10,complex"),  # 1.8 times over
     pytest.param(F(1, 10), F(1, 5), F(11, 10), F(7, 10), 100, id="z=7/10,100"),
     pytest.param(F(1, 2), F(1, 3), F(5, 4), F(99, 100), 40, id="z=99/100"),  # 97 times over
+    pytest.param(F(1, 2), F(1, 3), F(5, 4), F(99, 100), 100, id="z=99/100,100"),
     pytest.param(2, 3, 6, 1, 100, id="s=1,100"),  # raised at its term cap
     pytest.param(F(1, 10), F(1, 5), F(1, 2), 1, 100, id="s=1/5,100"),
     # a terminating sum, 1.5e-41 off and no raise
     pytest.param(mpmath.mpc(40, 3), -45, F(3, 2), 1, 40, id="terminating"),
+    pytest.param(mpmath.mpc(40, 3), -45, F(3, 2), 1, 100, id="terminating,100"),
     pytest.param(30, mpmath.mpc(0, 30), 31, 1, 40, id="imaginary-b"),
+    pytest.param(30, mpmath.mpc(0, 30), 31, 1, 100, id="imaginary-b,100"),
     # |F| = 6e31: the contract stays absolute, the working digits grow
     pytest.param(60, 50, 111, 1, 40, id="large-F"),
     pytest.param(60, 50, 111, 1, 100, id="large-F,100"),
