@@ -5,13 +5,13 @@ classical hypergeometric series, and the numeric identity suite.
 The fundamental solution of d/dz G = (e0/z + e1/(z-1)) G with
 G z^(-e0) -> 1 as z -> 0+ is carried as G = h(z) exp(log z * e0) where every
 coefficient of h is an ordinary power series in z with rapidly computable
-coefficients.  One pair of solutions, G_01(z) and G_10(z) = G_01(1 - z)(e1, e0)
-from one engine (_solutions), gives both complex objects: G_10(z)^(-1) G_01(z)
-is the multiple zeta value generating series, constant in z, and at 1/2 both
-factors converge geometrically (the half-point convolution scheme), so no
-limit process is needed; each solution at (X0, -Y0) gives a Kummer row of the
-hypergeometric equation.  kz_series keeps per (digits, z) only the highest
-weight computed, and no engine outlives its call.
+coefficients.  G_10(z)^(-1) G_01(z), with G_10(z) = G_01(1 - z)(e1, e0), is
+the multiple zeta value generating series phi_KZ, constant in z; at 1/2 both
+factors are one Horner pass of a geometric series (_solutions).  As the
+connection matrix of the Kummer solutions, G_01 = G_10 phi_KZ (Drinfeld
+1990), it gives solution_matrix_at G_10(z) = G_01(z) phi_KZ^(-1), and each
+solution at (X0, -Y0) a Kummer row of the hypergeometric equation.  kz_series
+keeps per (digits, z) only the highest weight computed; no engine outlives its call.
 """
 
 from __future__ import annotations
@@ -44,11 +44,10 @@ def _to_mpc(x, ctx=mp):
 
 
 def series_terms(z, digits):
-    """Terms of the z-expansion that the solutions at z and at 1 - z need:
-    with r = max(z, 1 - z), r^(T+1) < 10^(-(digits + 12)).  One engine of
-    this size therefore serves both base points."""
-    r = float(max(z, 1 - z))
-    return int((digits + 12) * math.log(10) / -math.log(r)) + 20
+    """Terms T of the z-expansion that the solution at the one point z
+    needs: z^(T+1) < 10^(-(digits + 12)).  The pair at z and 1 - z needs
+    series_terms(max(z, 1 - z))."""
+    return int((digits + 12) * math.log(10) / -math.log(float(z))) + 20
 
 
 class MPLEngine:
@@ -61,8 +60,8 @@ class MPLEngine:
     floor per term, so horner(word, z) 2^-prec is within
     2^L (2^-prec + z^(T+1)) / (1 - z) of h_word(z), T = nterms, before
     h_coefficient rounds to digits + 10 digits or a series to 2^-B.  With
-    nterms = series_terms(z, digits) the absolute error is below
-    2^(L+1) 10^(-(digits + 10)) / (1 - z)."""
+    nterms >= series_terms(z, digits), which sizes the one point z, the
+    absolute error is below 2^(L+1) 10^(-(digits + 10)) / (1 - z)."""
 
     GUARD_BITS = 32
 
@@ -115,8 +114,9 @@ def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
     complex coefficient ring.  A given engine must have at least the digits
     asked for and series_terms(z, digits) terms, which its precision
     contract at z needs.  The engine's Horner integers (scale 2^prec) are
-    rounded once to the ring's 2^-B.  log z is the integer of the word (1,)
-    at 1 - z, as in G_10, so the linear terms of G_10^(-1) G_01 cancel."""
+    rounded once to the ring's 2^-B.  log z (e0's exponent) and h_(e1) =
+    log(1 - z) are logarithms rounded to nearest at 2^-prec, so G_01(z) and
+    G_01(1 - z)(e1, e0) share them: G_10^(-1) G_01 has linear terms 0 exactly."""
     z = Fraction(z)
     if not (0 < z < 1):
         raise ValueError("z must lie in (0, 1)")
@@ -127,25 +127,29 @@ def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
     elif engine.nterms < nterms or engine.digits < digits:
         raise ValueError("MPL engine has %d terms at %d digits; z = %s at %d digits needs %d"
                          % (engine.nterms, engine.digits, z, digits, nterms))
-    den = 1 << engine.prec
-    h = {w: engine.horner(w, z) for w in W.all_words(weight)}  # zeros drop in the rounding
-    log_z = NCSeries._stored(ring, 1, {(0,): engine.horner((1,), 1 - z)}, den)
+    den, ctx = 1 << engine.prec, ring.mp
+    with ctx.workprec(engine.prec + 16):  # rounded to nearest at 2^-prec
+        log_z, log_rest = (int(ctx.nint(ctx.log(ctx.mpf(x.numerator) / x.denominator) * den))
+                           for x in (z, 1 - z))
+    h = {w: log_rest if w == (1,) else engine.horner(w, z) for w in W.all_words(weight)}
+    log_z = NCSeries._stored(ring, 1, {(0,): log_z}, den)
     return NCSeries._stored(ring, weight, h, den) * log_z.truncate(weight).exp()
 
 
 def _solutions(z, weight, digits):
-    """G_01(z) and G_10(z) = G_01(1 - z)(e1, e0) from one engine, which
-    series_terms sizes for both base points."""
-    eng = MPLEngine(digits, series_terms(z, digits))
-    return (fundamental_solution(z, weight, digits, eng),
-            fundamental_solution(1 - z, weight, digits, eng).swap_letters())
+    """G_01(z) and G_10(z) = G_01(1 - z)(e1, e0) from one engine of
+    series_terms(max(z, 1 - z)) terms; at z = 1/2 one Horner pass serves both."""
+    eng = MPLEngine(digits, series_terms(max(z, 1 - z), digits))
+    g01 = fundamental_solution(z, weight, digits, eng)
+    g10 = g01 if z == 1 - z else fundamental_solution(1 - z, weight, digits, eng)
+    return g01, g10.swap_letters()
 
 
 def kz_residual_defect(z, weight, digits, step):
     """Finite-difference defect of the differential equation at a point; the
     defect decreases quadratically in the step until precision is hit."""
-    # series_terms grows with max(z, 1 - z), so the end points bound it
-    eng = MPLEngine(digits, max(series_terms(z - step, digits), series_terms(z + step, digits)))
+    # series_terms grows with z, so z + step bounds it
+    eng = MPLEngine(digits, series_terms(z + step, digits))
     gm = fundamental_solution(z - step, weight, digits, eng)
     gp = fundamental_solution(z + step, weight, digits, eng)
     g = fundamental_solution(z, weight, digits, eng)
@@ -231,11 +235,12 @@ def mzv_direct(index, nterms=3000):
         raise ValueError("nterms=%d gives too few sample points for depth %d" % (nterms, depth))
     # inner[j] is the partial sum over the first j entries of the index
     inner = [1 << 128] + [0] * depth
-    partial = {}
+    partial = dict.fromkeys(points)
     for n in range(1, nterms + 1):
         for j in range(depth, 0, -1):
             inner[j] += inner[j - 1] // n ** index[j - 1]
-        partial[n] = inner[depth]
+        if n in partial:
+            partial[n] = inner[depth]
     with mp.workdps(30):
         rows = [[1] + [mp.log(N) ** j / mp.mpf(N) ** i for i in range(1, 4) for j in range(depth)]
                 for N in points]
@@ -403,8 +408,13 @@ def solution_matrix_at(a, b, c, z, weight, digits=50):
     -Y0 t, t the first variable of MatSeries' keys, and an entry is its
     value at t = 1.  When the entry moduli of X0 and of Y0 each sum to at
     most 1, the walk contract (``rings``) puts each degree within 2^-B, so
-    only the truncation at the weight costs digits."""
-    g01, g10 = _solutions(z, weight, digits)
+    only the truncation at the weight costs digits.  Only G_01(z) is summed,
+    to series_terms(z) terms; G_10(z) = G_01(z) S(phi), S the antipode and phi
+    = kz_series(weight, digits).phi (cached), by G_01 = G_10 phi.  By the
+    ``rings`` product contract its coefficients are within u + d_01 |S(phi)|
+    + d_phi |G_01| of the exact product, d the errors of the stored factors."""
+    g01 = fundamental_solution(z, weight, digits)
+    g10 = g01 * kz_series(weight, digits).phi.antipode()
     ring = g01.ring
     a, b, c = (_to_mpc(x, ring.mp) for x in (a, b, c))
     p, q = 1 - c, a + b + 1 - c

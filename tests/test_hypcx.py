@@ -169,13 +169,49 @@ def test_mpl_engine_polylog_and_log_power_oracles(z):
             assert abs(log_power - mp.log(1 - zz) ** k / mp.factorial(k)) < bound, k
 
 
-def test_series_terms_serve_both_base_points():
-    # the pair of solutions at z evaluates G_01 at 1 - z with the engine
-    # sized by series_terms(z): it must match a far longer one there
-    assert series_terms(F(3, 10), 40) == series_terms(F(7, 10), 40)
-    sized = fundamental_solution(F(7, 10), 8, 40, MPLEngine(40, series_terms(F(3, 10), 40)))
-    long = fundamental_solution(F(7, 10), 8, 40, MPLEngine(40, 600))
+def test_series_terms_size_the_point_and_the_pair():
+    # series_terms(z) sizes G_01 at z alone: it must match a far longer
+    # engine there, though 1 - z = 7/10 needs more terms
+    assert series_terms(F(3, 10), 40) < series_terms(F(7, 10), 40)
+    sized = fundamental_solution(F(3, 10), 8, 40, MPLEngine(40, series_terms(F(3, 10), 40)))
+    long = fundamental_solution(F(3, 10), 8, 40, MPLEngine(40, 600))
     assert max_coeff(sized - long) < 1e-38
+    # the pair's engine, sized for max(z, 1 - z), serves G_10 at 1 - z
+    _, g10 = hypcx._solutions(F(3, 10), 8, 40)
+    long = fundamental_solution(F(7, 10), 8, 40, MPLEngine(40, 600)).swap_letters()
+    assert max_coeff(g10 - long) < 1e-38
+
+
+def test_connection_relation_gives_the_10_solution():
+    # G_01 = G_10 phi_KZ (Drinfeld), the route of solution_matrix_at, against
+    # the G_10 that _solutions evaluates at 1 - z
+    g01, g10 = hypcx._solutions(F(3, 10), 8, 40)
+    assert max_coeff(g01 * kz_series(8, 40).phi.antipode() - g10) < 1e-45
+
+
+def test_one_mpl_pass_per_point(monkeypatch):
+    sizes, calls = [], []
+
+    class Recorded(MPLEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sizes.append(self.nterms)
+
+        def horner(self, word, z):
+            calls.append((word, z))
+            return super().horner(word, z)
+
+    monkeypatch.setattr(hypcx, "MPLEngine", Recorded)
+    monkeypatch.setattr(hypcx, "_PHI_CACHE", {})
+    kz_series(5, 33)  # phi cached, as after a solve
+    sizes.clear()
+    # one engine, sized for z = 3/10 alone: G_10 comes from G_01 and phi
+    solution_matrix_at.__wrapped__(F(1, 10), F(1, 5), F(23, 20), F(3, 10), 5, 33)
+    assert sizes == [series_terms(F(3, 10), 33)] and sizes[0] < series_terms(F(7, 10), 33)
+    # at z = 1 - z, one Horner evaluation per word; h_(e1) is log(1 - z)
+    calls.clear()
+    hypcx._solutions(F(1, 2), 6, 33)
+    assert sorted(calls) == [(w, F(1, 2)) for w in sorted(W.all_words(6)) if w != (1,)]
 
 
 def test_no_engine_outlives_its_call(monkeypatch):
