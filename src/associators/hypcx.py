@@ -5,13 +5,14 @@ classical hypergeometric series, and the numeric identity suite.
 The fundamental solution of d/dz G = (e0/z + e1/(z-1)) G with
 G z^(-e0) -> 1 as z -> 0+ is carried as G = h(z) exp(log z * e0) where every
 coefficient of h is an ordinary power series in z with rapidly computable
-coefficients.  G_10(z)^(-1) G_01(z), with G_10(z) = G_01(1 - z)(e1, e0), is
-the multiple zeta value generating series phi_KZ, constant in z; at 1/2 both
-factors are one Horner pass of a geometric series (_solutions).  As the
-connection matrix of the Kummer solutions, G_01 = G_10 phi_KZ (Drinfeld
-1990), it gives solution_matrix_at G_10(z) = G_01(z) phi_KZ^(-1), and each
-solution at (X0, -Y0) a Kummer row of the hypergeometric equation.  kz_series
-keeps per (digits, z) only the highest weight computed; no engine outlives its call.
+coefficients.  Each point has its own engine, sized for that point alone.
+G_10(z)^(-1) G_01(z), with G_10(z) = G_01(1 - z)(e1, e0), is the multiple
+zeta value generating series phi_KZ, constant in z; at 1/2 one Horner pass
+serves both factors.  As the connection matrix of the Kummer solutions, G_01
+= G_10 phi_KZ (Drinfeld 1990), it gives solution_matrix_at G_10(z) = G_01(z)
+phi_KZ^(-1), and each solution at (X0, -Y0) a Kummer row of the
+hypergeometric equation.  kz_series keeps per (digits, z) only the highest
+weight computed; no engine outlives its call.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ def _to_mpc(x, ctx=mp):
 
 def series_terms(z, digits):
     """Terms T of the z-expansion that the solution at the one point z
-    needs: z^(T+1) < 10^(-(digits + 12)).  The pair at z and 1 - z needs
-    series_terms(max(z, 1 - z))."""
+    needs: z^(T+1) < 10^(-(digits + 12))."""
     return int((digits + 12) * math.log(10) / -math.log(float(z))) + 20
 
 
@@ -61,13 +61,13 @@ class MPLEngine:
     2^L (2^-prec + z^(T+1)) / (1 - z) of h_word(z), T = nterms, before
     h_coefficient rounds to digits + 10 digits or a series to 2^-B.  With
     nterms >= series_terms(z, digits), which sizes the one point z, the
-    absolute error is below 2^(L+1) 10^(-(digits + 10)) / (1 - z)."""
+    absolute error is below 2^(L+1) 10^(-(digits + 10)) / (1 - z).  Both
+    arguments are required: the caller sizes the engine for its point."""
 
     GUARD_BITS = 32
 
-    def __init__(self, digits=50, nterms=None):
-        self.digits = digits
-        self.nterms = nterms if nterms is not None else series_terms(Fraction(1, 2), digits)
+    def __init__(self, digits, nterms):
+        self.digits, self.nterms = digits, nterms
         self.prec = math.ceil((digits + 10) * math.log2(10)) + self.GUARD_BITS
         self._memo = {}
 
@@ -109,24 +109,18 @@ class MPLEngine:
         return complex_field(self.digits).mp.mpf((self.horner(word, z), -self.prec))
 
 
-def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
+def fundamental_solution(z, weight, digits=50):
     """G_01 at a real point z in (0, 1), as a group-like series over the
-    complex coefficient ring.  A given engine must have at least the digits
-    asked for and series_terms(z, digits) terms, which its precision
-    contract at z needs.  The engine's Horner integers (scale 2^prec) are
-    rounded once to the ring's 2^-B.  log z (e0's exponent) and h_(e1) =
-    log(1 - z) are logarithms rounded to nearest at 2^-prec, so G_01(z) and
-    G_01(1 - z)(e1, e0) share them: G_10^(-1) G_01 has linear terms 0 exactly."""
+    complex coefficient ring, from an engine of its own with
+    series_terms(z, digits) terms, built once z is checked.  The engine's
+    Horner integers (scale 2^prec) are rounded once to the ring's 2^-B.
+    log z (e0's exponent) and h_(e1) = log(1 - z) are logarithms rounded to
+    nearest at 2^-prec, so G_01(z) and G_01(1 - z)(e1, e0) share them:
+    G_10^(-1) G_01 has linear terms 0 exactly."""
     z = Fraction(z)
     if not (0 < z < 1):
         raise ValueError("z must lie in (0, 1)")
-    ring = complex_field(digits)
-    nterms = series_terms(z, digits)
-    if engine is None:
-        engine = MPLEngine(digits, nterms)
-    elif engine.nterms < nterms or engine.digits < digits:
-        raise ValueError("MPL engine has %d terms at %d digits; z = %s at %d digits needs %d"
-                         % (engine.nterms, engine.digits, z, digits, nterms))
+    ring, engine = complex_field(digits), MPLEngine(digits, series_terms(z, digits))
     den, ctx = 1 << engine.prec, ring.mp
     with ctx.workprec(engine.prec + 16):  # rounded to nearest at 2^-prec
         log_z, log_rest = (int(ctx.nint(ctx.log(ctx.mpf(x.numerator) / x.denominator) * den))
@@ -136,23 +130,10 @@ def fundamental_solution(z, weight, digits=50, engine: MPLEngine = None):
     return NCSeries._stored(ring, weight, h, den) * log_z.truncate(weight).exp()
 
 
-def _solutions(z, weight, digits):
-    """G_01(z) and G_10(z) = G_01(1 - z)(e1, e0) from one engine of
-    series_terms(max(z, 1 - z)) terms; at z = 1/2 one Horner pass serves both."""
-    eng = MPLEngine(digits, series_terms(max(z, 1 - z), digits))
-    g01 = fundamental_solution(z, weight, digits, eng)
-    g10 = g01 if z == 1 - z else fundamental_solution(1 - z, weight, digits, eng)
-    return g01, g10.swap_letters()
-
-
 def kz_residual_defect(z, weight, digits, step):
     """Finite-difference defect of the differential equation at a point; the
     defect decreases quadratically in the step until precision is hit."""
-    # series_terms grows with z, so z + step bounds it
-    eng = MPLEngine(digits, series_terms(z + step, digits))
-    gm = fundamental_solution(z - step, weight, digits, eng)
-    gp = fundamental_solution(z + step, weight, digits, eng)
-    g = fundamental_solution(z, weight, digits, eng)
+    gm, g, gp = (fundamental_solution(x, weight, digits) for x in (z - step, z, z + step))
     ring = g.ring
     deriv = (gp - gm).scale(1 / (2 * _to_mpc(step, ring.mp)))
     e0 = NCSeries.letter(ring, weight, 0)
@@ -178,7 +159,8 @@ def kz_series(weight, digits=50, z=Fraction(1, 2)):
     z = Fraction(z)
     got = _PHI_CACHE.get((digits, z))
     if got is None or got.truncation < weight:
-        g01, g10 = _solutions(z, weight, digits)
+        g01 = fundamental_solution(z, weight, digits)
+        g10 = (g01 if z == 1 - z else fundamental_solution(1 - z, weight, digits)).swap_letters()
         ring = g01.ring
         phi = g10.antipode() * g01  # G_10 is group-like, so this is its inverse
         got = AssociatorCandidate(mu=ring.mp.mpc(0, 2) * ring.mp.pi, phi=phi, truncation=weight)

@@ -138,12 +138,13 @@ def ohno_zagier_exponential(phi: NCSeries) -> CSeries:
 
 class GammaMatrix:
     """The 2x2 matrix attached to a gamma series: a unimodular matrix m over
-    the (a, b, p) series ring."""
+    the (a, b, p) series ring.  det_is_one compares the det defect with the
+    ring's noise floor, as varphi_equals_gamma_matrix compares entries."""
 
     def __init__(self, m: MatSeries, det_defect: float):
         self.m = m
         self.det_defect = det_defect
-        self.det_is_one = det_defect == 0.0
+        self.det_is_one = det_defect <= m.ring.noise_floor
 
 
 def _ratios(gamma: GammaSeries, truncation: int):

@@ -1,15 +1,19 @@
 """The traced benchmark run (perfbench/run.py --trace 1) wraps package names
 that perfbench/layers.py lists; a name that is deleted or moved breaks it.
-This installs those wrappers in memory and takes them out again; it writes
-no file."""
+This installs those wrappers in memory and takes them out again, and runs
+each workload of perfbench/workloads.py once against the package, so that a
+changed call site or gate fails here; it writes no file."""
 
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import layers  # noqa: E402
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 from associators import associator, pentagon  # noqa: E402
 
 
@@ -47,3 +51,13 @@ def test_solver_probes_count_the_lyndon_systems():
         associator.solve_unitary(5, pentagon.P5Quotient(5), tiebreak="lex", even=False)
     assert t.counters["associator.linsolve_cols"] == 11
     assert t.counters["associator.nullspace_dim"] == 2
+
+
+@pytest.mark.parametrize("name, attempted", [
+    ("exact_pentagon5", 23), ("kz_numeric8", 130), ("matrix_suite8", 12)])
+def test_each_workload_passes_its_checks(name, attempted):
+    workload = workloads.WORKLOADS[name]
+    checks = workloads.Checks()
+    workload.run(workload.setup(7, workload.default_size), workloads.Clock(), checks)
+    assert checks.failed == []
+    assert len(checks.items) == attempted

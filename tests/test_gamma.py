@@ -54,6 +54,8 @@ def test_gamma_layer_keeps_the_complex_ring_digits():
     c = kz_series(8, 40)
     report, _, gm = varphi_equals_gamma_matrix(c)
     assert report["max_entry_difference"] < 1e-45 and gm.det_defect < 1e-45
+    # det_is_one holds up to the ring's noise floor, the rule of report["equal"]
+    assert report["equal"] and gm.det_is_one and report["det_is_one"]
     assert gamma_of_associator(c).reflection_defect(c.mu) < 1e-45
 
 

@@ -88,8 +88,11 @@ def test_mzv_direct_needs_enough_sample_points():
         mzv_direct((1, 2), 6)
 
 
-def test_kz_series_quadratic_and_linear_terms():
-    cand = kz_series(4, 40)
+@pytest.mark.parametrize("z", [F(1, 2), F(3, 10), F(3, 4)], ids=["z=1/2", "z=3/10", "z=3/4"])
+def test_kz_series_quadratic_and_linear_terms(z):
+    # the engines at z and at 1 - z round log z and log(1 - z) alike, so the
+    # linear terms of G_10^(-1) G_01 cancel exactly at every point
+    cand = kz_series(4, 40, z=z)
     with mp.workdps(50):
         assert abs(cand.phi.coeff((0,)) ) == 0
         assert abs(cand.phi.coeff((1,)) ) == 0
@@ -146,7 +149,7 @@ def test_fundamental_solution_normalisation():
 
 
 def test_mpl_engine_log_series():
-    eng = MPLEngine(30)
+    eng = MPLEngine(30, series_terms(F(1, 2), 30))
     cs = eng.coeff_series((1,))
     with mp.workdps(40):
         for n in (1, 2, 5):
@@ -169,23 +172,23 @@ def test_mpl_engine_polylog_and_log_power_oracles(z):
             assert abs(log_power - mp.log(1 - zz) ** k / mp.factorial(k)) < bound, k
 
 
-def test_series_terms_size_the_point_and_the_pair():
-    # series_terms(z) sizes G_01 at z alone: it must match a far longer
-    # engine there, though 1 - z = 7/10 needs more terms
-    assert series_terms(F(3, 10), 40) < series_terms(F(7, 10), 40)
-    sized = fundamental_solution(F(3, 10), 8, 40, MPLEngine(40, series_terms(F(3, 10), 40)))
-    long = fundamental_solution(F(3, 10), 8, 40, MPLEngine(40, 600))
-    assert max_coeff(sized - long) < 1e-38
-    # the pair's engine, sized for max(z, 1 - z), serves G_10 at 1 - z
-    _, g10 = hypcx._solutions(F(3, 10), 8, 40)
-    long = fundamental_solution(F(7, 10), 8, 40, MPLEngine(40, 600)).swap_letters()
-    assert max_coeff(g10 - long) < 1e-38
+def test_series_terms_size_the_point(monkeypatch):
+    # series_terms(z) sizes G_01 at z alone: at 3/10 and at 7/10, which
+    # needs more terms, it must match a far longer engine
+    assert series_terms(F(3, 10), 40) < series_terms(F(7, 10), 40) < 600
+    for z in (F(3, 10), F(7, 10)):
+        sized = fundamental_solution(z, 8, 40)
+        with monkeypatch.context() as m:
+            m.setattr(hypcx, "series_terms", lambda z, digits: 600)
+            long = fundamental_solution(z, 8, 40)
+        assert max_coeff(sized - long) < 1e-38
 
 
 def test_connection_relation_gives_the_10_solution():
     # G_01 = G_10 phi_KZ (Drinfeld), the route of solution_matrix_at, against
-    # the G_10 that _solutions evaluates at 1 - z
-    g01, g10 = hypcx._solutions(F(3, 10), 8, 40)
+    # G_10 evaluated at 1 - z
+    g01 = fundamental_solution(F(3, 10), 8, 40)
+    g10 = fundamental_solution(F(7, 10), 8, 40).swap_letters()
     assert max_coeff(g01 * kz_series(8, 40).phi.antipode() - g10) < 1e-45
 
 
@@ -208,9 +211,12 @@ def test_one_mpl_pass_per_point(monkeypatch):
     # one engine, sized for z = 3/10 alone: G_10 comes from G_01 and phi
     solution_matrix_at.__wrapped__(F(1, 10), F(1, 5), F(23, 20), F(3, 10), 5, 33)
     assert sizes == [series_terms(F(3, 10), 33)] and sizes[0] < series_terms(F(7, 10), 33)
-    # at z = 1 - z, one Horner evaluation per word; h_(e1) is log(1 - z)
+    # at z = 1 - z, one engine and one Horner evaluation per word; h_(e1)
+    # is log(1 - z)
+    sizes.clear()
     calls.clear()
-    hypcx._solutions(F(1, 2), 6, 33)
+    kz_series(6, 33)
+    assert sizes == [series_terms(F(1, 2), 33)]
     assert sorted(calls) == [(w, F(1, 2)) for w in sorted(W.all_words(6)) if w != (1,)]
 
 
@@ -242,14 +248,15 @@ def test_kz_series_keeps_the_highest_weight_per_digits_and_point(monkeypatch):
     assert list(cache) == [(27, F(1, 2))] and cache[27, F(1, 2)].truncation == 6
 
 
-def test_fundamental_solution_rejects_a_short_engine():
-    # MPLEngine(30) is sized for z = 1/2; z = 7/10 needs more terms
-    assert MPLEngine(30).nterms < series_terms(F(7, 10), 30)
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: kz_series(3, 20, z=0), id="kz_series,z=0"),
+    pytest.param(lambda: kz_series(3, 20, z=1), id="kz_series,z=1"),
+    pytest.param(lambda: kz_residual_defect(F(1, 2), 3, 20, F(1, 2)), id="residual,z-step=0"),
+])
+def test_points_outside_the_interval_raise_value_error(call):
+    # the point is checked before any engine is sized from it
     with pytest.raises(ValueError):
-        fundamental_solution(F(7, 10), 4, 30, MPLEngine(30))
-    # nor may an engine work at fewer digits than asked for
-    with pytest.raises(ValueError):
-        fundamental_solution(F(1, 2), 4, 50, MPLEngine(20, 400))
+        call()
 
 
 def test_kz_residual_decreases_quadratically():
@@ -393,8 +400,9 @@ def _mul2(m, n):
 def solution_matrices_word_by_word(a, b, c, z, weight, digits):
     """The oracle of solution_matrix_at: sum over the words w of G_01 and
     G_10 of (G | w) times the product of X0 and -Y0 along w, on plain
-    ring numbers, then the column mixes."""
-    g01, g10 = hypcx._solutions(z, weight, digits)
+    ring numbers, then the column mixes.  G_10 is evaluated at 1 - z."""
+    g01 = fundamental_solution(z, weight, digits)
+    g10 = fundamental_solution(1 - z, weight, digits).swap_letters()
     ring = g01.ring
     zero, one = ring.zero, ring.one
     a, b, c = (ring.from_fraction(x) for x in (a, b, c))
