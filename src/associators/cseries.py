@@ -50,21 +50,20 @@ class CSeries(graded.Series):
         return a, b, p, a + b + p
 
     @graded.product
-    def __mul__(x, y, n):
-        out = {}
-        right = [(m, sum(m), c) for m, c in y.items()]
+    def __mul__(x, y, n, out):
+        right = {}
+        for m, c in y.items():
+            right.setdefault(sum(m), []).append((m, c))
         for ma, ca in x.items():
-            da = sum(ma)
-            if da > n:
-                continue
-            for mb, db, cb in right:
-                if da + db > n:
+            room = n - sum(ma)
+            for db, items in right.items():
+                if db > room:
                     continue
-                k = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2])
-                v = ca * cb
-                s = out.get(k)
-                out[k] = v if s is None else s + v
-        return out
+                for mb, cb in items:
+                    k = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2])
+                    v = ca * cb
+                    s = out.get(k)
+                    out[k] = v if s is None else s + v
 
     def pow(self, k):
         if k < 0:

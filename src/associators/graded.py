@@ -154,8 +154,9 @@ class Series:
 
     def add_into(self, other):
         """self + other, summed into the dict of self unless other truncates
-        lower: only for a series nothing else holds, such as a walk's node.
-        Both sides are brought to the lcm of their denominators."""
+        lower: only for a series nothing else holds, such as a power sum's
+        accumulator.  Both sides are brought to the lcm of their
+        denominators."""
         n = self._common(other)
         out = self if n == self.truncation else self.truncate(n)
         if other.truncation > n:
@@ -185,6 +186,14 @@ class Series:
     def __sub__(self, other):
         return self + (-other)
 
+    def action(self, m):
+        """(x, n, out) -> out += m numerators * x to degree n, for a
+        numerator dict x and a dict out: left multiplication by this series
+        over denominator/m, as NCSeries.substitute's walk takes it."""
+        nums = self.numerators if m == 1 else {k: c * m for k, c in self.numerators.items()}
+        loop = type(self).__mul__.loop
+        return lambda x, n, out: loop(nums, x, n, out)
+
     def scale(self, c):
         """Multiply by a ring number, an int or a Fraction."""
         ring = self.ring
@@ -196,13 +205,19 @@ class Series:
 
 
 def product(loop):
-    """A subclass's __mul__ from its coefficient loop: loop(x, y, n) sums the
-    coefficient products of the numerator dicts x and y into each key of
-    degree <= n; the denominators multiply."""
+    """A subclass's __mul__ from its coefficient loop: loop(x, y, n, out)
+    sums the coefficient products of the numerator dicts x and y into out,
+    at each key of degree <= n.  Each loop groups y's terms by degree (and
+    MatSeries' by row too), so that no pair above n is visited.  __mul__
+    passes a new dict, drops its zeros and multiplies the denominators; it
+    keeps the loop as __mul__.loop for NCSeries.substitute's walk, which
+    sums into its own dicts."""
     def __mul__(self, other):
-        n = self._common(other)
-        out = {k: c for k, c in loop(self.numerators, other.numerators, n).items() if c}
-        return self._stored(self.ring, n, out, self.denominator * other.denominator)
+        n, out = self._common(other), {}
+        loop(self.numerators, other.numerators, n, out)
+        return self._stored(self.ring, n, {k: c for k, c in out.items() if c},
+                            self.denominator * other.denominator)
+    __mul__.loop = loop
     return __mul__
 
 

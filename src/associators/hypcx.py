@@ -305,13 +305,18 @@ def hyp2f1(a, b, c, z, digits=50):
     Gauss's proof (Andrews, Askey and Roy, Special Functions, 1999, 2.2): m
     shifts c -> c + 1 leave the series at c + m times the rational prefactor
     P = prod_(k<m) (c-a+k)(c-b+k) / ((c+k)(c-a-b+k)), where m = max(0,
-    ceil(|a| + |b| - Re c)) + ceil((digits + 12) / log10(2e)).  With A = |a|,
-    B = |b|, C = Re c + m, sigma = C - A - B > 0, |t_n| <= u_n, the term of
-    the real series at (A, B; C); telescoping (n + C - 1) u_n bounds the rest
-    by (n + C - 1) u_n / kappa_n, kappa_n = min(sigma, (sigma n + C - 1 - AB)
-    / (n + 1)) > 0.  |z| < 1: P = 1, C = Re c; once |t_n| < eps/2 and n + C
-    > 0, later term ratios are at most rho = |z| max(1, (n + A) / (n + 1))
-    max(1, (n + B) / (n + C)); for rho < 1 the rest is below |t_n| / (1 - rho).
+    ceil(|a| + |b| - Re c)) + ceil((digits + 12) / log10(2e)), raised if
+    need be so that Re c + m >= sqrt(2 |a| |b| (digits + 12)): a large
+    |a||b| against c + m makes the terms grow before they fall slowly, and
+    the root balances the m factors of P against the terms (near the
+    cheapest total in a sweep of |a||b| from 25 to 10^4 at 40 and 100
+    digits).  With A = |a|, B = |b|, C = Re c + m, sigma = C - A - B > 0,
+    |t_n| <= u_n, the term of the real series at (A, B; C); telescoping
+    (n + C - 1) u_n bounds the rest by (n + C - 1) u_n / kappa_n, kappa_n =
+    min(sigma, (sigma n + C - 1 - AB) / (n + 1)) > 0.  |z| < 1: P = 1, C =
+    Re c; once |t_n| < eps/2 and n + C > 0, later term ratios are at most
+    rho = |z| max(1, (n + A) / (n + 1)) max(1, (n + B) / (n + C)); for rho <
+    1 the rest is below |t_n| / (1 - rho).
 
     Rounding, to first order: a term and P carry relative errors below 2 n
     and 2 m times 10^-w at w working digits, so N terms err by at most
@@ -326,7 +331,8 @@ def hyp2f1(a, b, c, z, digits=50):
                 raise ValueError("c must not be a non-positive integer")
             s_, A, B, at_one = c_ - a_ - b_, abs(a_), abs(b_), z_ == 1
             if at_one and s_.real > 0:
-                m = max(0, math.ceil(A + B - c_.real)) + math.ceil((digits + 12) / math.log10(2 * math.e))
+                m = max(max(0, math.ceil(A + B - c_.real)) + math.ceil((digits + 12) / math.log10(2 * math.e)),
+                        math.ceil(math.sqrt(2 * A * B * (digits + 12)) - c_.real))
                 P = mpmath.fprod((c_ - a_ + k) * (c_ - b_ + k) / ((c_ + k) * (s_ + k)) for k in range(m))
                 c_ += m
                 sigma = c_.real - A - B
@@ -388,10 +394,9 @@ def solution_matrix_at(a, b, c, z, weight, digits=50):
     Y0 = [[0, 0], [a, a + b + 1 - c]].  Cached: hg11_defect and
     kummer_row_defects ask for the same 01 matrix.  The walk takes X0 t and
     -Y0 t, t the first variable of MatSeries' keys, and an entry is its
-    value at t = 1.  When the entry moduli of X0 and of Y0 each sum to at
-    most 1, the walk contract (``rings``) puts each degree within 2^-B, so
-    only the truncation at the weight costs digits.  Only G_01(z) is summed,
-    to series_terms(z) terms; G_10(z) = G_01(z) S(phi), S the antipode and phi
+    value at t = 1.  The walk contract (``rings``) puts each degree within
+    2^-B of the exact walk, so only the truncation at the weight costs
+    digits.  Only G_01(z) is summed, to series_terms(z) terms; G_10(z) = G_01(z) S(phi), S the antipode and phi
     = kz_series(weight, digits).phi (cached), by G_01 = G_10 phi.  By the
     ``rings`` product contract its coefficients are within u + d_01 |S(phi)|
     + d_phi |G_01| of the exact product, d the errors of the stored factors."""

@@ -1,9 +1,11 @@
 """2x2 matrices over the (a, b, p) series.  MatSeries holds one as a
 single graded series: what NCSeries.substitute and graded's exp and log act
-on, one dict and one contraction loop per product (graded.product on the
-stored numerators); its 1 has two keys, so its inverse is the adjugate over
-the determinant.  Mat2 multiplies four CSeries: the matrix of the tests'
-word-by-word oracle, and the mat2 method that perfbench times."""
+on.  Its product is one contraction loop over the stored numerators, which
+sums into the dict it is given (graded.product: a new one per __mul__, a
+node's own in the walk) and reads the right factor by row and degree; its 1
+has two keys, so its inverse is the adjugate over the determinant.  Mat2
+multiplies four CSeries: the matrix of the tests' word-by-word oracle, and
+the mat2 method that perfbench times."""
 
 from __future__ import annotations
 
@@ -82,23 +84,21 @@ class MatSeries(graded.Series):
         return MatSeries.of(c * self[1, 1], c * -self[0, 1], c * -self[1, 0], c * self[0, 0])
 
     @graded.product
-    def __mul__(x, y, n):
-        # entry (i, j) of x against entry (j, k) of y
-        rows, out = ([], []), {}
+    def __mul__(x, y, n, out):
+        # entry (i, j) of x against entry (j, k) of y, y's terms by row and degree
+        rows = ({}, {})
         for (j, k, a, b, p), c in y.items():
-            rows[j].append((k, a, b, p, a + b + p, c))
+            rows[j].setdefault(a + b + p, []).append((k, a, b, p, c))
         for (i, j, a, b, p), ca in x.items():
-            da = a + b + p
-            if da > n:
-                continue
-            for k, a2, b2, p2, db, cb in rows[j]:
-                if da + db > n:
+            room = n - a - b - p
+            for db, items in rows[j].items():
+                if db > room:
                     continue
-                key = (i, k, a + a2, b + b2, p + p2)
-                v = ca * cb
-                s = out.get(key)
-                out[key] = v if s is None else s + v
-        return out
+                for k, a2, b2, p2, cb in items:
+                    key = (i, k, a + a2, b + b2, p + p2)
+                    v = ca * cb
+                    s = out.get(key)
+                    out[key] = v if s is None else s + v
 
 
 def mat_exp_graded(m: MatSeries) -> MatSeries:

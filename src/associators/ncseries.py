@@ -13,6 +13,8 @@ letters 0, 1, 2 of U(F_3) and on the two base letters 3, 4.
 
 from __future__ import annotations
 
+from math import lcm
+
 from . import graded
 from . import words as W
 from .graded import max_coeff
@@ -31,24 +33,20 @@ class NCSeries(graded.Series):
     # -- multiplicative structure ---------------------------------------------
 
     @graded.product
-    def __mul__(x, y, n):
+    def __mul__(x, y, n, out):
         by_len_r = {}
         for w, c in y.items():
             by_len_r.setdefault(len(w), []).append((w, c))
-        out = {}
         for wa, ca in x.items():
-            la = len(wa)
-            if la > n:
-                continue
+            room = n - len(wa)
             for lb, items in by_len_r.items():
-                if la + lb > n:
+                if lb > room:
                     continue
                 for wb, cb in items:
                     k = wa + wb
                     v = ca * cb
                     s = out.get(k)
                     out[k] = v if s is None else s + v
-        return out
 
     exp = graded.exp
     log = graded.log
@@ -80,46 +78,60 @@ class NCSeries(graded.Series):
     # -- substitution -----------------------------------------------------------
 
     def substitute(self, image0, image1, one=None):
-        """f(image0, image1) . one, for images with * against a series:
-        series (MatSeries for 2x2 matrices over the (a, b, p) series) and
-        strand generators.  ``one`` is the series the images act on from
-        the left, by default image0.one_like().
+        """f(image0, image1) . one, for images with an action (Series.action,
+        P5Element.action): series (MatSeries for 2x2 matrices over the
+        (a, b, p) series) and strand generators.  ``one`` is the series the
+        images act on from the left, by default image0.one_like().
 
-        A left Horner walk of the word trie to degree n, the smaller of this
-        truncation and that of ``one``: the node of a prefix of length s and
-        coefficient c returns V_s = c one + image0 child_0 + image1 child_1 to
-        degree n - s, each child lifted from degree n - s - 1.  The lift needs
-        images without a degree-0 part, so a series image with a constant
-        term is rejected.
+        A left Horner walk of the word trie to degree n, the smallest
+        truncation of this series, ``one`` and the series images: the node
+        of a prefix of length s and coefficient c has the value V_s = c one
+        + image0 child_0 + image1 child_1 to degree n - s.  The images need
+        no degree-0 part, so a series image with a constant term is
+        rejected.
 
-        The walk takes the stored numerators as its node coefficients and
-        scales once by 1/denominator; the images carry their denominators
-        through the products, and a node sums its children into its own dict
-        (add_into).
+        The walk runs on numerators alone.  With D the lcm of the images'
+        denominators and I_0, I_1 their numerators over D, a node sums
+        W_s = c D^(n-s) one + I_0 W_(s+1,0) + I_1 W_(s+1,1), c and one as
+        stored, into a dict of its own, so that V_s = W_s / (D^(n-s)
+        den(one) den(f)).  Only the root makes a series: W_0 over D^n
+        den(one) den(f), reduced once by the ring (lowest terms over QQ; one
+        rounding to 2^-B over the complex ring).
         """
         images = (image0, image1)
-        if any(isinstance(im, graded.Series) and im.min_degree() < 1 for im in images):
+        series = [im for im in images if isinstance(im, graded.Series)]
+        if any(im.min_degree() < 1 for im in series):
             raise ValueError("letter image has a nonzero constant term; "
                              "substitute logarithms of group elements instead")
         one = image0.one_like() if one is None else one
-        n = min(self.truncation, one.truncation)
-        ones = [one.truncate(n - s) for s in range(n + 1)]
+        if self.ring is not one.ring:
+            raise graded.RingMismatch("series over %s, one over %s" % (self.ring.name, one.ring.name))
+        n = min([self.truncation, one.truncation] + [one._common(im) for im in series])
+        d = lcm(*(im.denominator for im in images))
+        acts = [im.action(d // im.denominator) for im in images]
+        ones = [[(k, c) for k, c in one.numerators.items() if one.degree(k) <= n - s]
+                for s in range(n + 1)]
 
         def walk(terms, s):
-            # terms: the suffixes after one prefix of length s
-            out = ones[s].scale(terms.get(W.EMPTY_WORD, 0))
+            # W_s from the suffixes after one prefix of length s
+            c = terms.get(W.EMPTY_WORD)
+            if c:
+                c *= d ** (n - s)
+                out = {k: v * c for k, v in ones[s]}
+            else:
+                out = {}
             if s < n:
                 children = ({}, {})
                 for w, c in terms.items():
                     if w:
                         children[w[0]][w[1:]] = c
-                for im, child in zip(images, children):
+                for act, child in zip(acts, children):
                     if child:
-                        out = out.add_into(im * walk(child, s + 1).truncate(n - s))
+                        act(walk(child, s + 1), n - s, out)
             return out
 
-        out = walk(self.numerators, 0)
-        return out if self.denominator == 1 else out.scale(self.ring.one / self.denominator)
+        nums = {k: c for k, c in walk(self.numerators, 0).items() if c}
+        return one._stored(one.ring, n, nums, d ** n * one.denominator * self.denominator)
 
     # -- structure tests ----------------------------------------------------------
 

@@ -123,13 +123,15 @@ class P5Quotient:
         """mono . 1 as a tuple of (fibre word, int) pairs."""
         return tuple(self.reduce_vector({mono: 1}).items())
 
-    def reduce_vector(self, vec):
-        """The vector {word: coefficient} applied to 1.  A word is a head,
+    def reduce_vector(self, vec, out=None):
+        """The vector {word: coefficient} applied to 1, summed into out (a
+        new dict by default), with no zero kept.  A word is a head,
         through its last base letter g, and a tail of fibre letters; g acts
         on the tail by Leibniz, which leaves a shorter head.  The words of
         one head are taken together, longest heads first, so that each head
         acts once on the sum of the tails that reach it."""
         levels = [{} for _ in range(max(map(len, vec), default=0) + 1)]
+        levels[0][()] = {} if out is None else out
 
         def group(w):
             """The tails of w's head, and w's tail."""
@@ -146,25 +148,34 @@ class P5Quotient:
                 for u, c in tails.items():
                     for x, s in _leibniz(head[-1], u):
                         _add(into, prefix + x, s * c)
-        return levels[0].get((), {})
+        return levels[0][()]
 
 
 class P5Element:
     """A combination sum c_g g of the five generators, acting on U(F_3); its
-    coefficients are ints, so a product keeps the series' denominator."""
+    coefficients are ints, over the denominator 1."""
 
     __slots__ = ("quotient", "combo")
+
+    denominator = 1
 
     def __init__(self, quotient, combo):
         self.quotient = quotient
         self.combo = combo
 
+    def action(self, m):
+        """(x, n, out) -> out += m self . x for a numerator dict x on the
+        fibre letters: the words (g,) + u of x's words u, applied to 1 by
+        reduce_vector into out.  The degree goes up by one, so n is not read."""
+        combo, reduce = {g: c * m for g, c in self.combo.items()}, self.quotient.reduce_vector
+        return lambda x, n, out: reduce({(g,) + u: c * a for g, c in combo.items()
+                                         for u, a in x.items()}, out)
+
     def __mul__(self, y):
-        """The action on a series y on the fibre letters: the words (g,) + u
-        of y's words u applied to 1.  The degree goes up by one."""
-        vec = {(g,) + u: c * a for g, c in self.combo.items() for u, a in y.numerators.items()}
-        return NCSeries._stored(y.ring, y.truncation + 1, self.quotient.reduce_vector(vec),
-                                y.denominator)
+        """The action on a series y on the fibre letters, to degree one higher."""
+        out = {}
+        self.action(1)(y.numerators, None, out)
+        return NCSeries._stored(y.ring, y.truncation + 1, out, y.denominator)
 
 
 def strand_generator(quotient, i, j):

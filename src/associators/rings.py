@@ -24,8 +24,9 @@ the coefficient moduli of f:
   an operand off by d moves it by at most d |other operand|;
 * ``exp(x)`` with |x| <= 1 at truncation n is within 2n u of the exact exp
   of the stored x (n products and n scales by a rounded 1/k!);
-* ``NCSeries.substitute``, numeric 2x2 images too, walks at 2^B times the
-  values and rounds at the end: with |image| <= 1 and n < B - 4, within u.
+* ``NCSeries.substitute``, numeric 2x2 images too, sums its walk exactly
+  on the stored numerators and rounds once, at the root: within u of the
+  exact walk of the stored inputs, whatever their size.
 
 ``value`` then rounds to ``mp``'s digits + 10 digits.  A number enters the
 ring through the adapter or ``ring.mp`` (``ring.mp.mpc``, ``ring.mp.log``),

@@ -2,13 +2,13 @@
 shared core, associativity, distributivity, the unit) and of
 NCSeries.substitute into series, into MatSeries (2x2 matrices over CSeries
 as one series) and into strand generators, against a word-by-word
-evaluation; the matrix oracle multiplies Mat2 over CSeries.  MatSeries
-against Mat2 over CSeries, with its determinant and inverse.  Products over
-QQ against a naive Fraction double loop, in lowest terms and with
-Fraction coefficients in every QQ result, and the walk's inputs (their
-stored form too) unchanged by its in-place sums.  Letters and variables at
-truncation 0, and inexact numbers refused by QQ.  Every comparison is
-exact."""
+evaluation (one series made per walk, one ring per walk); the matrix
+oracle multiplies Mat2 over CSeries.  MatSeries against Mat2 over CSeries,
+with its determinant and inverse.  Products over QQ against a naive
+Fraction double loop, in lowest terms and with Fraction coefficients in
+every QQ result, and the walk's inputs (their stored form too) unchanged
+by its in-place sums.  Letters and variables at truncation 0, and inexact
+numbers refused by QQ.  Every comparison is exact."""
 
 import operator
 import random
@@ -24,9 +24,10 @@ from associators.cseries import CSeries, subst_reindex
 from associators.graded import RingMismatch, Series
 from associators.mat2 import Mat2, MatSeries
 from associators.matspec import ThetaMap, ev_at, ev_xy, gamma_matrix_plus, xy_matrices
-from associators.ncseries import NCSeries
+from associators.ncseries import NCSeries, lie_element
 from associators.pentagon import P5Quotient, strand_generator
 from associators.rings import QQ, complex_field
+from associators.words import lie_basis
 from test_graded import COEFFS, TRUNCATIONS, c_series, nc_series
 
 
@@ -149,6 +150,17 @@ def test_matrix_series_across_rings_raise():
                 MatSeries.of(*entries)
 
 
+def test_walk_across_rings_raises():
+    # a QQ denominator has no fixed-point form over 2^B, so the walk takes one ring
+    f = NCSeries(QQ, 3, {(0, 1): Fraction(1, 3)})
+    cc = complex_field(20)
+    x, y = xy_matrices(cc, 3)
+    with pytest.raises(RingMismatch):
+        f.substitute(x, y)
+    with pytest.raises(RingMismatch):
+        f.substitute(*xy_matrices(QQ, 3), one=NCSeries.one(QQ, 3))
+
+
 @st.composite
 def images(draw, n):
     """A MatSeries at truncation n with parts of degree 1..3."""
@@ -243,8 +255,24 @@ def strand_images(rng, n):
             rational_series(rng, n, (0, 1, 2), (0, 1, 2), 6))
 
 
+def unequal_images(rng, n, one_truncation):
+    """Letter images over unequal denominators, which the walk brings to
+    their lcm, and a one at a truncation of its own."""
+    a, b = (rational_series(rng, n, (0, 1), (1, 2), 3).scale(Fraction(1, den)) for den in (5, 8))
+    return a, b, rational_series(rng, one_truncation, (0, 1), (0, 1, 2), 5)
+
+
+def one_above(rng, n):
+    return unequal_images(rng, n, n + 2)
+
+
+def one_below(rng, n):
+    return unequal_images(rng, n, n - 2)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("kind, n", [(nc_images, 6), (matrix_images, 5), (strand_images, 4)])
+@pytest.mark.parametrize("kind, n", [(nc_images, 6), (matrix_images, 5), (strand_images, 4),
+                                     (one_above, 6), (one_below, 6)])
 def test_exact_walk_is_the_word_by_word_sum(kind, n, seed):
     rng = random.Random(seed)
     f = rational_series(rng, n, (0, 1), range(n + 1), 30)
@@ -252,6 +280,8 @@ def test_exact_walk_is_the_word_by_word_sum(kind, n, seed):
     # the walk has denominators to clear: in the series and in a series image or one
     assert f.denominator > 1
     assert lcm(*(x.denominator for x in (a, b, one) if isinstance(x, Series))) > 1
+    if kind in (one_above, one_below):
+        assert a.denominator != b.denominator and one.truncation != n
     got = f.substitute(a, b, one=one)
     if isinstance(got, MatSeries):
         assert same_matrix(got, matrix_word_by_word(f, a, b, one))
@@ -259,6 +289,34 @@ def test_exact_walk_is_the_word_by_word_sum(kind, n, seed):
         assert same(got, word_by_word(f, a, b, one))
     # the ints of the walk never leave it
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def commutator_grouplike(rng, n):
+    """exp of a Lie series with a coefficient on every Lyndon word of degree
+    2..n."""
+    coords = {lw: Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+              for d in range(2, n + 1) for lw, _ in lie_basis(d)}
+    return lie_element(QQ, n, coords).exp()
+
+
+@pytest.mark.parametrize("kind, n", [("matrices", 8), ("letters", 8), ("strands", 5)])
+def test_a_walk_makes_one_series(kind, n, monkeypatch):
+    # the nodes sum numerator dicts: only the root is stored as a series
+    rng = random.Random(7)
+    f = commutator_grouplike(rng, n)
+    if kind == "matrices":
+        x, y = xy_matrices(QQ, n)
+        a, b, one = x, -y, None
+    elif kind == "letters":
+        a, b, one = nc_images(rng, n)
+    else:
+        a, b, one = strand_images(rng, n)
+    made, stored = [], Series.__dict__["_stored"].__func__
+    monkeypatch.setattr(Series, "_stored",
+                        classmethod(lambda cls, *args: made.append(cls) or stored(cls, *args)))
+    got = f.substitute(a, b, one=one)
+    monkeypatch.undo()
+    assert made == [type(got)] and got.truncation == n and got.terms
 
 
 

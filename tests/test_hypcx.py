@@ -358,16 +358,40 @@ COMPLEX_ABC = (mpmath.mpc("0.3", "0.2"), mpmath.mpc("0.1", "-0.4"), mpmath.mpc("
     # |F| = 6e31: the contract stays absolute, the working digits grow
     pytest.param(60, 50, 111, 1, 40, id="large-F"),
     pytest.param(60, 50, 111, 1, 100, id="large-F,100"),
+    pytest.param(30, mpmath.mpc(0, 30), 31, 1, 200, id="imaginary-b,200"),
+    pytest.param(60, 50, 111, 1, 200, id="large-F,200"),
 ])
 def test_hyp2f1_at_one_keeps_its_contract(a, b, c, z, digits):
     """The absolute error is below 10^-(digits + 10): at z = 1 against the
     gamma quotient, at |z| < 1 against mpmath's own hyp2f1, both at 160
-    digits."""
-    with mp.workdps(160):
+    digits, or at digits + 80 above 80."""
+    with mp.workdps(max(160, digits + 80)):
         args = [mpmath.mpf(x.numerator) / x.denominator if isinstance(x, F) else mpmath.mpc(x)
                 for x in (a, b, c, F(z))]
         exact = gamma_quotient(*args[:3]) if z == 1 else mpmath.hyp2f1(*args)
         assert abs(hyp2f1(a, b, c, z, digits) - exact) < mpmath.mpf(10) ** -(digits + 10)
+
+
+@pytest.mark.parametrize("a, b, c, shifts", [
+    (60, 50, 111, 448),  # 71 from |a| + |b| alone, then 3674 terms
+    (mpmath.mpc(0, 60), mpmath.mpc(0, 50), 5, 554),  # 176, then about 1900 terms
+    (F(3, 20), F(3, 20), F(59, 50), 71),  # kz_numeric8's largest |a||b|: unchanged
+    (2, 3, 6, 71),
+])
+def test_hyp2f1_at_one_shifts_c_by_the_product_of_a_and_b(a, b, c, shifts, monkeypatch):
+    """m, the number of factors of P, also grows with |a||b|: Re c + m
+    reaches sqrt(2 |a| |b| (digits + 12)), where the terms no longer grow
+    for long before they fall."""
+    seen, fprod = [], mpmath.fprod
+
+    def spy(factors):
+        factors = list(factors)
+        seen.append(len(factors))
+        return fprod(factors)
+
+    monkeypatch.setattr(mpmath, "fprod", spy)
+    hyp2f1(a, b, c, 1, 40)
+    assert seen[0] == shifts
 
 
 def test_gauss_summation():
