@@ -3,16 +3,17 @@ fundamental solution, the generating series of multiple zeta values, the
 classical hypergeometric series, and the numeric identity suite.
 
 The fundamental solution of d/dz G = (e0/z + e1/(z-1)) G with
-G z^(-e0) -> 1 as z -> 0+ is carried as G = h(z) exp(log z * e0) where every
-coefficient of h is an ordinary power series in z with rapidly computable
-coefficients.  Each point has its own engine, sized for that point alone.
-G_10(z)^(-1) G_01(z), with G_10(z) = G_01(1 - z)(e1, e0), is the multiple
-zeta value generating series phi_KZ, constant in z; at 1/2 one Horner pass
-serves both factors.  As the connection matrix of the Kummer solutions, G_01
-= G_10 phi_KZ (Drinfeld 1990), it gives solution_matrix_at G_10(z) = G_01(z)
-phi_KZ^(-1), and each solution at (X0, -Y0) a Kummer row of the
-hypergeometric equation.  kz_series keeps per (digits, z) only the highest
-weight computed; no engine outlives its call.
+G z^(-e0) -> 1 as z -> 0+ is G_01.  Its coefficient on a word ending in e1
+is a power series in z, which the MPL engine sums along one path of words;
+the shuffle with (G_01|e0) = log z gives the words ending in e0.  Each point
+has its own engine, sized for that point alone.  G_10(z)^(-1) G_01(z), with
+G_10(z) = G_01(1 - z)(e1, e0), is the multiple zeta value generating series
+phi_KZ, constant in z; at 1/2 one Horner pass serves both factors.  As the
+connection matrix of the Kummer solutions, G_01 = G_10 phi_KZ (Drinfeld
+1990), it gives solution_matrix_at G_10(z) = G_01(z) phi_KZ^(-1), and each
+solution at (X0, -Y0) a Kummer row of the hypergeometric equation.
+kz_series keeps per (digits, z) only the highest weight computed; no engine
+outlives its call.
 """
 
 from __future__ import annotations
@@ -51,18 +52,23 @@ def series_terms(z, digits):
 
 
 class MPLEngine:
-    """Power-series coefficients (in z) of the analytic factor h of the
-    fundamental solution, per word, as integers scaled by 2^prec.
+    """Power-series coefficients (in z) of G_01 on the empty word and on
+    words ending in e1, as integers scaled by 2^prec.  The derivative on such
+    a word w is G_01 on w[1:], which ends in e1 too, over z (w[0] = e0) or z
+    - 1 (w[0] = e1).
 
     Precision contract: for a word of length L, the exact coefficients obey
     |c_n| <= 2^L, and each stored one is within 2^(L - prec) of its exact
     value (each recursion step adds one floor division).  Horner adds one
     floor per term, so horner(word, z) 2^-prec is within
-    2^L (2^-prec + z^(T+1)) / (1 - z) of h_word(z), T = nterms, before
-    h_coefficient rounds to digits + 10 digits or a series to 2^-B.  With
-    nterms >= series_terms(z, digits), which sizes the one point z, the
-    absolute error is below 2^(L+1) 10^(-(digits + 10)) / (1 - z).  Both
-    arguments are required: the caller sizes the engine for its point."""
+    2^L (2^-prec + z^(T+1)) / (1 - z) of G_01's coefficient at z, T =
+    nterms.  With nterms >= series_terms(z, digits), which sizes the one
+    point z, the absolute error is below 2^(L+1) 10^(-(digits + 10)) / (1 -
+    z).  Both arguments are required: the caller sizes the engine for its
+    point.
+
+    walk drops each word's list on its way back up, so during a walk the
+    memo is the current path: at most weight + 1 lists."""
 
     GUARD_BITS = 32
 
@@ -72,30 +78,41 @@ class MPLEngine:
         self._memo = {}
 
     def coeff_series(self, word):
-        """Coefficients c_0..c_T of the z-expansion of the h-coefficient of
-        the given word, each scaled by 2^prec and floored to an integer."""
+        """Coefficients c_0..c_T of the z-expansion of G_01 on a word that is
+        empty or ends in e1, each scaled by 2^prec and floored to an integer."""
         got = self._memo.get(word)
         if got is not None:
             return got
         T = self.nterms
-        if word == ():
+        if not word:
             cs = [1 << self.prec] + [0] * T
-        elif word == (0,):
-            cs = [0] * (T + 1)
+        elif word[-1] == W.E0:
+            raise ValueError("the engine serves words ending in e1, not %r" % (word,))
         else:
-            # a holds the coefficients of z^0..z^(T-1) in the derivative h'
+            # a holds the coefficients of z^0..z^(T-1) in the derivative
             if word[0] == W.E0:
                 a = self.coeff_series(word[1:])[1:]
             else:
                 a = [-x for x in accumulate(self.coeff_series(word[1:])[:T])]
-            if word[-1] == W.E0:
-                a = [x - y for x, y in zip(a, self.coeff_series(word[:-1])[1:])]
             cs = [0] + [x // n for n, x in enumerate(a, 1)]
         self._memo[word] = cs
         return cs
 
+    def walk(self, weight):
+        """The words of length 1..weight that end in e1, depth first by
+        prepending letters, each with its list in the memo."""
+        def visit(word):
+            if len(word) <= weight:
+                self.coeff_series(word)
+                yield word
+                for letter in (W.E0, W.E1):
+                    yield from visit((letter,) + word)
+                del self._memo[word]
+
+        return visit((W.E1,))
+
     def horner(self, word, z):
-        """The h-coefficient of the word at a rational z in (0, 1) as an
+        """G_01's coefficient on the word at a rational z in (0, 1) as an
         integer scaled by 2^prec, by Horner evaluation on the integers."""
         z = Fraction(z)
         p, q = z.numerator, z.denominator
@@ -105,18 +122,32 @@ class MPLEngine:
         return acc
 
     def h_coefficient(self, word, z):
-        """horner(word, z) as a number of the complex ring."""
+        """G_01's coefficient on a word ending in e1 at z, horner(word, z), as
+        a real number at the complex ring's precision."""
         return complex_field(self.digits).mp.mpf((self.horner(word, z), -self.prec))
 
 
 def fundamental_solution(z, weight, digits=50):
     """G_01 at a real point z in (0, 1), as a group-like series over the
     complex coefficient ring, from an engine of its own with
-    series_terms(z, digits) terms, built once z is checked.  The engine's
-    Horner integers (scale 2^prec) are rounded once to the ring's 2^-B.
-    log z (e0's exponent) and h_(e1) = log(1 - z) are logarithms rounded to
-    nearest at 2^-prec, so G_01(z) and G_01(1 - z)(e1, e0) share them:
-    G_10^(-1) G_01 has linear terms 0 exactly."""
+    series_terms(z, digits) terms, built once z is checked.  Coefficients
+    are integers at scale 2^prec, rounded once to the ring's 2^-B.  log z =
+    (G|e0) and log(1 - z) = (G|e1) are rounded to nearest at 2^-prec, so
+    G_01(z) and G_01(1 - z)(e1, e0) share them: G_10^(-1) G_01 has linear
+    terms 0 exactly.  Other words ending in e1 are the engine's horner.  A
+    word w = v e0^k, v empty or ending in e1, follows by increasing k from
+    the shuffle with e0, G being group-like (Le and Murakami, Nagoya Math. J.
+    142, 1996): with u = v e0^(k-1), each step rounded once at 2^-prec,
+        k (G|w) = (G|u) log z - sum_(i < |v|) (G|u[:i] e0 u[i:]).
+
+    Bound.  Let L = weight, l = |log z|, X = 1 + l + L and d_0 = 2^(L+1)
+    10^(-(digits + 10)) / (1 - z), the engine's bound.  Every coefficient of
+    a word with k trailing e0s is within d_0 X^k / k! of G_01's, before the
+    final rounding adds 2^-(B+1).  By induction on k: the step's error is at
+    most ((l + L) d_(k-1) + r) / k, r = (|G|u| + k) 2^-prec, and |G|u| <=
+    2^L e^(l/2) / (1 - z), since G_01 z^(-e0) has power-series coefficients
+    of modulus at most 2^L on every word of length L, so r <= d_0 <= d_0
+    X^(k-1) / (k-1)! for z > e^-44."""
     z = Fraction(z)
     if not (0 < z < 1):
         raise ValueError("z must lie in (0, 1)")
@@ -125,9 +156,15 @@ def fundamental_solution(z, weight, digits=50):
     with ctx.workprec(engine.prec + 16):  # rounded to nearest at 2^-prec
         log_z, log_rest = (int(ctx.nint(ctx.log(ctx.mpf(x.numerator) / x.denominator) * den))
                            for x in (z, 1 - z))
-    h = {w: log_rest if w == (1,) else engine.horner(w, z) for w in W.all_words(weight)}
-    log_z = NCSeries._stored(ring, 1, {(0,): log_z}, den)
-    return NCSeries._stored(ring, weight, h, den) * log_z.truncate(weight).exp()
+    g = {(): den} | {w: log_rest if w == (1,) else engine.horner(w, z) for w in engine.walk(weight)}
+    tails = list(g)  # the words u = v e0^(k-1), here for k = 1
+    for k in range(1, weight + 1):
+        tails = [u for u in tails if len(u) < weight]
+        for u in tails:  # G|u e0 = ((G|u) log z - rest) / k, rest over i < |v|
+            rest = sum(g[u[:i] + (W.E0,) + u[i:]] for i in range(len(u) - k + 1))
+            g[u + (W.E0,)] = (2 * (g[u] * log_z - rest * den) + k * den) // (2 * k * den)
+        tails = [u + (W.E0,) for u in tails]
+    return NCSeries._stored(ring, weight, g, den)
 
 
 def kz_residual_defect(z, weight, digits, step):

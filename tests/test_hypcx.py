@@ -211,13 +211,63 @@ def test_one_mpl_pass_per_point(monkeypatch):
     # one engine, sized for z = 3/10 alone: G_10 comes from G_01 and phi
     solution_matrix_at.__wrapped__(F(1, 10), F(1, 5), F(23, 20), F(3, 10), 5, 33)
     assert sizes == [series_terms(F(3, 10), 33)] and sizes[0] < series_terms(F(7, 10), 33)
-    # at z = 1 - z, one engine and one Horner evaluation per word; h_(e1)
-    # is log(1 - z)
+    # at z = 1 - z, one engine and one Horner evaluation per word ending in
+    # e1 but (1,), whose coefficient is log(1 - z); none for a word ending
+    # in e0, which the shuffle with e0 gives
     sizes.clear()
     calls.clear()
     kz_series(6, 33)
     assert sizes == [series_terms(F(1, 2), 33)]
-    assert sorted(calls) == [(w, F(1, 2)) for w in sorted(W.all_words(6)) if w != (1,)]
+    assert sorted(calls) == [(w, F(1, 2)) for w in sorted(W.all_words(6))
+                             if w and w[-1] == W.E1 and w != (1,)]
+
+
+def test_mpl_engine_keeps_one_path(monkeypatch):
+    # the engine holds the lists of the current path of its walk only: the
+    # empty word and at most one word of each length, never 2^(w+1) - 1
+    peak = []
+
+    class Recorded(MPLEngine):
+        def coeff_series(self, word):
+            got = super().coeff_series(word)
+            peak.append(len(self._memo))
+            return got
+
+    monkeypatch.setattr(hypcx, "MPLEngine", Recorded)
+    monkeypatch.setattr(hypcx, "_PHI_CACHE", {})
+    kz_series(8, 33)
+    assert 8 < max(peak) <= 8 + 1
+    with pytest.raises(ValueError):
+        MPLEngine(33, 50).coeff_series((1, 0))
+    with pytest.raises(ValueError):
+        MPLEngine(33, 50).coeff_series((0,))
+
+
+@pytest.mark.parametrize("z", [F(3, 10), F(1, 2), F(7, 10)])
+def test_fundamental_solution_keeps_its_bound_on_every_word(z):
+    # against the same call at 80 digits, on the stored numerators exactly,
+    # including every word ending in e0 (the shuffle fill); the bound is
+    # fundamental_solution's: d_0 X^k / k! for k trailing e0s, plus the
+    # final rounding to 2^-B, for each of the two calls
+    weight, digits = 10, 40
+    lo, hi = fundamental_solution(z, weight, digits), fundamental_solution(z, weight, 80)
+    ell = -math.log(z)
+    X = 1 + ell + weight
+
+    def bound(dg, k, B):
+        d0 = F(2 ** (weight + 1)) / 10 ** (dg + 10) / (1 - z)
+        return d0 * F(X) ** k / math.factorial(k) + F(1, 2 ** (B + 1))
+
+    B_lo, B_hi = (g.denominator.bit_length() - 1 for g in (lo, hi))
+    worst = 0
+    for w in W.all_words(weight):
+        k = next((i for i, x in enumerate(reversed(w)) if x != W.E0), len(w))  # trailing e0s
+        err = abs(F(lo.numerators.get(w, 0), lo.denominator) - F(hi.numerators.get(w, 0), hi.denominator))
+        assert err <= bound(digits, k, B_lo) + bound(80, k, B_hi), w
+        worst = max(worst, err)
+    # the bound is loose: the final rounding to 2^-B dominates the error
+    assert worst < F(1, 10 ** 50)
+    assert lo.is_grouplike(1e-45)
 
 
 def test_no_engine_outlives_its_call(monkeypatch):
