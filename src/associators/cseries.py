@@ -1,9 +1,10 @@
 """Truncated commutative power series in the three variables (a, b, p).
 
-A series is a graded.Series keyed by exponent triples of degree their sum;
-``graded.py`` owns the storage rules, the linear structure and
-exp/log/inverse.  This module adds the product, the variables, the
-substitution of the variables and exact division.
+A series is a graded.Series keyed by exponent triples of degree their sum,
+which peel one factor of their first variable present; ``graded.py`` owns
+the storage rules, the linear structure, exp/log/inverse and the walk that
+substitutes forms for the variables.  This module adds the product, the
+variables, the checks of ``subst`` on its forms and exact division.
 
 The third variable is p; the combination q = a + b + p is derived and is
 never stored.  Boundary conversions from a (a, b, c) parametrisation use
@@ -35,6 +36,11 @@ class CSeries(graded.Series):
     UNIT = (0, 0, 0)
     degree = staticmethod(sum)
 
+    @staticmethod
+    def peel(m):
+        i = 0 if m[0] else 1 if m[1] else 2
+        return i, m[:i] + (m[i] - 1,) + m[i + 1:]
+
     @classmethod
     def variable(cls, ring, truncation, name):
         i = VAR_NAMES.index(name)
@@ -65,14 +71,6 @@ class CSeries(graded.Series):
                     s = out.get(k)
                     out[k] = v if s is None else s + v
 
-    def pow(self, k):
-        if k < 0:
-            raise ValueError("negative power %d of a series" % k)
-        out = CSeries.one(self.ring, self.truncation)
-        for _ in range(k):
-            out = out * self
-        return out
-
     exp = graded.exp
     log = graded.log
     inverse = graded.inverse
@@ -81,9 +79,8 @@ class CSeries(graded.Series):
 
     def subst(self, image_a, image_b, image_p):
         """Endomorphism sending the variables to degree-1 forms (validated:
-        no constant term, degree <= 1), so the grading is preserved.  The sum
-        reads this series' stored numerators and is scaled once by
-        1/denominator at the end."""
+        no constant term, degree <= 1), so the grading is preserved: the
+        walk of ``graded.substitute`` at the three forms."""
         for im in (image_a, image_b, image_p):
             if not isinstance(im, CSeries):
                 raise TypeError("images must be CSeries")
@@ -91,22 +88,7 @@ class CSeries(graded.Series):
                 raise ValueError("image form has a constant term")
             if any(sum(m) > 1 for m in im.terms):
                 raise ValueError("image form has degree > 1")
-        images, n = (image_a, image_b, image_p), self.truncation
-        memo = {CSeries.UNIT: CSeries.one(self.ring, n)}
-
-        def image(m):
-            # the image of m with one factor of its first variable fewer,
-            # times that variable's form
-            got = memo.get(m)
-            if got is None:
-                i = next(k for k, e in enumerate(m) if e)
-                got = memo[m] = image(m[:i] + (m[i] - 1,) + m[i + 1:]) * images[i]
-            return got
-
-        acc = CSeries.zero(self.ring, n)
-        for m, c in self.numerators.items():
-            acc = acc.add_into(image(m).scale(c))
-        return acc if self.denominator == 1 else acc.scale(self.ring.one / self.denominator)
+        return graded.substitute(self, image_a, image_b, image_p)
 
     # -- exact division ---------------------------------------------------------------
 

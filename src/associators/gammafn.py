@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .cseries import CSeries
-from .graded import max_coeff
+from .graded import max_coeff, substitute
 from .rings import QQ
 
 # -- Bernoulli numbers -----------------------------------------------------------
@@ -99,9 +99,8 @@ class GammaSeries:
         return GammaSeries(self.log_at_form(CSeries.variable(self.ring, self.order, "a").scale(mu)))
 
     def log_at_form(self, form: CSeries) -> CSeries:
-        """log Gamma composed with a degree-1 form in (a, b, p)."""
-        zero = CSeries.zero(form.ring, form.truncation)
-        return self.log.subst(form, zero, zero)
+        """log Gamma at a degree-1 form in (a, b, p): the walk of the log at it."""
+        return substitute(self.log, form)
 
     def ratio(self, s: CSeries, t: CSeries, u: CSeries, v: CSeries) -> CSeries:
         """Gamma(s) Gamma(t) / (Gamma(u) Gamma(v)) as a CSeries."""

@@ -1,6 +1,6 @@
 """The graded-series core of the package: the storage rules of a truncated
-sparse series, its product step, and truncated exp, log and inverse for
-every graded algebra.
+sparse series, its product step, and the one walk that evaluates a series
+at images, for substitution and truncated exp, log and inverse.
 
 A Series is a sparse map key -> coefficient together with a truncation
 degree N; arithmetic is exact modulo keys of degree > N, no stored
@@ -13,11 +13,13 @@ coefficient loop to ``product``: NCSeries (words, degree len), CSeries
 (exponent triples, degree sum) and MatSeries (entry and exponent triple,
 degree of the triple; its 1 has two keys).
 
-exp, log and inverse only need +, -, *, scale(Fraction), one_like(),
-min_degree() and a .truncation (inverse also needs constant_term() and
-.ring).  Products beyond the truncation vanish, so a power series in x of
-positive minimal degree v stops after truncation // v terms.  NCSeries and
-CSeries bind these functions as their methods; MatSeries (2x2 matrices
+``substitute`` walks the trie of a series' keys, each peeled into its first
+letter and the rest (a word gives up its first letter, a monomial one factor
+of its first variable present), on numerator dicts and rounds once, at the
+root.  exp, log and inverse are that walk for the one-letter series sum c_k
+t^k (Powers) at x: Horner's rule.  A power of x beyond the truncation
+vanishes, so x of minimal degree v takes truncation // v + 1 terms.
+NCSeries and CSeries bind them as their methods; MatSeries (2x2 matrices
 over CSeries) uses exp and log, but its 1 has two keys, so MatSeries.inverse
 is the adjugate over the determinant, not inverse.
 """
@@ -66,6 +68,7 @@ class Series:
 
     UNIT = None          # the key of 1
     degree = None        # key -> degree, a staticmethod
+    peel = None          # key -> (first letter, rest), a staticmethod; see substitute
 
     def __init__(self, ring, truncation, terms=None):
         split, deg = ring.split, self.degree
@@ -154,9 +157,8 @@ class Series:
 
     def add_into(self, other):
         """self + other, summed into the dict of self unless other truncates
-        lower: only for a series nothing else holds, such as a power sum's
-        accumulator.  Both sides are brought to the lcm of their
-        denominators."""
+        lower: only for a series nothing else holds, such as log's new -1.
+        Both sides are brought to the lcm of their denominators."""
         n = self._common(other)
         out = self if n == self.truncation else self.truncate(n)
         if other.truncation > n:
@@ -189,7 +191,7 @@ class Series:
     def action(self, m):
         """(x, n, out) -> out += m numerators * x to degree n, for a
         numerator dict x and a dict out: left multiplication by this series
-        over denominator/m, as NCSeries.substitute's walk takes it."""
+        over denominator/m, as the walk of ``substitute`` takes it."""
         nums = self.numerators if m == 1 else {k: c * m for k, c in self.numerators.items()}
         loop = type(self).__mul__.loop
         return lambda x, n, out: loop(nums, x, n, out)
@@ -210,7 +212,7 @@ def product(loop):
     at each key of degree <= n.  Each loop groups y's terms by degree (and
     MatSeries' by row too), so that no pair above n is visited.  __mul__
     passes a new dict, drops its zeros and multiplies the denominators; it
-    keeps the loop as __mul__.loop for NCSeries.substitute's walk, which
+    keeps the loop as __mul__.loop for the walk of ``substitute``, which
     sums into its own dicts."""
     def __mul__(self, other):
         n, out = self._common(other), {}
@@ -227,33 +229,102 @@ def max_coeff(f: Series) -> float:
     return max(map(abs, f.numerators.values()), default=0) / f.denominator
 
 
-def power_sum(x, coeff):
-    """The sum over k >= 1 of coeff(k) x^k, for x of positive minimal degree."""
-    pw = x.one_like()
-    acc = pw.scale(0)
-    for k in range(1, x.truncation // x.min_degree() + 1):
-        pw = pw * x
-        acc = acc.add_into(pw.scale(coeff(k)))
-    return acc
+def substitute(f, *images, one=None):
+    """f(images) . one, for images with an action (Series.action,
+    P5Element.action), one per letter of f's keys: series (MatSeries for
+    2x2 matrices over the (a, b, p) series) and strand generators.  ``one``
+    is the series the images act on from the left, by default
+    images[0].one_like().
+
+    A left Horner walk of the trie of f's keys, each peeled by f.peel into
+    its first letter and the rest, to degree n, the smallest truncation of
+    f, ``one`` and the series images: the node of a prefix of length s and
+    coefficient c has the value V_s = c one + sum_i image_i child_i to
+    degree n - s.  The images need no degree-0 part, so a series image with
+    a constant term is rejected.
+
+    The walk runs on numerators alone.  With D the lcm of the images'
+    denominators and I_i their numerators over D, a node sums W_s = c
+    D^(n-s) one + sum_i I_i W_(s+1,i), c and one as stored, into a dict of
+    its own, so that V_s = W_s / (D^(n-s) den(one) den(f)).  Only the root
+    makes a series: W_0 over D^n den(one) den(f), reduced once by the ring
+    (lowest terms over QQ; one rounding to 2^-B over the complex ring).
+    """
+    series = [im for im in images if isinstance(im, Series)]
+    if any(im.min_degree() < 1 for im in series):
+        raise ValueError("letter image has a nonzero constant term; "
+                         "substitute logarithms of group elements instead")
+    one = images[0].one_like() if one is None else one
+    if f.ring is not one.ring:
+        raise RingMismatch("series over %s, one over %s" % (f.ring.name, one.ring.name))
+    n = min([f.truncation, one.truncation] + [one._common(im) for im in series])
+    d = lcm(*(im.denominator for im in images))
+    acts = [im.action(d // im.denominator) for im in images]
+    ones = [[(k, c) for k, c in one.numerators.items() if one.degree(k) <= n - s]
+            for s in range(n + 1)]
+    unit, peel = f.UNIT, f.peel
+
+    def walk(terms, s):
+        # W_s from the rests after one prefix of length s
+        c = terms.get(unit)
+        if c:
+            c *= d ** (n - s)
+            out = {k: v * c for k, v in ones[s]}
+        else:
+            out = {}
+        if s < n:
+            children = [{} for _ in images]
+            for k, c in terms.items():
+                if k != unit:
+                    i, rest = peel(k)
+                    children[i][rest] = c
+            for act, child in zip(acts, children):
+                if child:
+                    act(walk(child, s + 1), n - s, out)
+        return out
+
+    nums = {k: c for k, c in walk(f.numerators, 0).items() if c}
+    return one._stored(one.ring, n, nums, d ** n * one.denominator * f.denominator)
+
+
+class Powers(Series):
+    """sum c_k t^k in one letter t: the key k, of degree k, peels to (0, k - 1)."""
+
+    __slots__ = ()
+    UNIT = 0
+    degree = staticmethod(int)
+    peel = staticmethod(lambda k: (0, k - 1))
+
+
+def horner(x, coeff, one=None):
+    """sum_k coeff(k) x^k . one over k <= n // v, for x of truncation n and
+    minimal degree v >= 1 (higher powers vanish): the walk of the one-letter
+    series at x, that is Horner's rule."""
+    n = x.truncation
+    return substitute(Powers(x.ring, n, {k: coeff(k) for k in range(n // x.min_degree() + 1)}),
+                      x, one=one)
 
 
 def exp(x):
     if x.min_degree() < 1:
         raise ValueError("exp requires zero constant term")
-    return x.one_like() + power_sum(x, lambda k: Fraction(1, factorial(k)))
+    return horner(x, lambda k: Fraction(1, factorial(k)))
 
 
 def log(x):
-    g = x - x.one_like()
+    minus_one = type(x)(x.ring, x.truncation, dict.fromkeys(x.one_like().numerators, -x.ring.one))
+    g = minus_one.add_into(x)
     if g.min_degree() < 1:
         raise ValueError("log requires constant term 1")
-    return power_sum(g, lambda k: Fraction((-1) ** (k + 1), k))
+    return horner(g, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
 def inverse(x):
-    """Inverse of an element whose constant term is a unit of its ring."""
+    """Inverse of an element whose constant term c is a unit of its ring:
+    c^-1 sum_k g^k, g = 1 - x/c without the stored constant term of x/c, so
+    that no rounding residue is left."""
     c0inv = x.ring.one / x.constant_term()
     y = x.scale(c0inv)
-    # subtract the stored constant term, so no rounding residue is left
-    g = y.truncate(0).truncate(y.truncation) - y
-    return (y.one_like() + power_sum(g, lambda k: 1)).scale(c0inv)
+    g = y._stored(y.ring, y.truncation, {k: -c for k, c in y.numerators.items() if k != y.UNIT},
+                  y.denominator)
+    return horner(g, lambda k: 1, one=x.one_like().scale(c0inv))

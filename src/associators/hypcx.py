@@ -197,9 +197,11 @@ def kz_series(weight, digits=50, z=Fraction(1, 2)):
     got = _PHI_CACHE.get((digits, z))
     if got is None or got.truncation < weight:
         g01 = fundamental_solution(z, weight, digits)
-        g10 = (g01 if z == 1 - z else fundamental_solution(1 - z, weight, digits)).swap_letters()
+        g = g01 if z == 1 - z else fundamental_solution(1 - z, weight, digits)
+        # G_10 = g(e1, e0) is group-like: (G_10^(-1) | w) = (-1)^|w| (g | dual w)
         ring = g01.ring
-        phi = g10.antipode() * g01  # G_10 is group-like, so this is its inverse
+        phi = NCSeries._stored(ring, weight, {W.dual_word(w): -c if len(w) % 2 else c
+                                              for w, c in g.numerators.items()}, g.denominator) * g01
         got = AssociatorCandidate(mu=ring.mp.mpc(0, 2) * ring.mp.pi, phi=phi, truncation=weight)
         _PHI_CACHE[digits, z] = got
     # coefficients of words of length <= weight do not depend on the

@@ -67,21 +67,18 @@ def ev_xy(f: NCSeries) -> MatSeries:
 # -- per-word closed forms of the evaluation entries ----------------------------
 
 
-def _stats(w):
-    return W.weight(w), W.depth(w), W.height(w)
-
-
-def _entry_form(pre, dp, dq, p, q, abq, k, n, s):
-    """pre p^(k-n-s+dp) q^(n-s+dq) abq^(s-1): an entry of a word of weight k,
-    depth n and height s at (X, -Y), up to the sign (-1)^n."""
-    return pre * p.pow(k - n - s + dp) * q.pow(n - s + dq) * abq.pow(s - 1)
+def _exponents(w):
+    """(k - n - s, n - s, s - 1) for the weight k, depth n and height s of a
+    word: the exponents of (p, q, ab + pq) in its entries at (X, -Y)."""
+    k, n, s = W.weight(w), W.depth(w), W.height(w)
+    return k - n - s, n - s, s - 1
 
 
 def word_entry_closed_form(ring, truncation, w, entry):
     """Closed form of a single entry of the evaluation of a word at (X, -Y),
     as a polynomial in (ab, p, q, ab+pq) determined by (weight, depth,
-    height); entries (1,1), (1,2) and (2,1) are covered, with the
-    prefactors ab, b and a and the p or q shift of their row.
+    height); entries (1,1), (1,2) and (2,1) are covered, with the sign
+    (-1)^depth, the prefactors ab, b and a and the p or q shift of their row.
 
     Row 1 is supported on words starting with e0, column 1 on words ending
     with e1.
@@ -95,24 +92,24 @@ def word_entry_closed_form(ring, truncation, w, entry):
         raise ValueError("closed form available for entries (0,0), (0,1), (1,0) only")
     if (entry[0] == 0 and w[0] != W.E0) or (entry[1] == 0 and w[-1] != W.E1):
         return CSeries.zero(ring, truncation)
-    k, n, s = _stats(w)
-    return _entry_form(*forms[entry], p, q, a * b + p * q, k, n, s).scale(Fraction(-1) ** n)
+    (i, j, l), (pre, dp, dq) = _exponents(w), forms[entry]
+    mono = CSeries(ring, truncation, {(i + dp, j + dq, l): (-1) ** W.depth(w)})
+    return graded.substitute(mono, p, q, a * b + p * q, one=pre)  # pre p^i q^j (ab+pq)^l
 
 
 def _stats_sum(f: NCSeries, ab, p, q, abq) -> CSeries:
-    """f's constant term plus the sum over (weight k, depth n, height s) of
-    g(k, n, s) _entry_form(ab, 0, 0, p, q, abq, k, n, s), where g(k, n, s) sums
-    the zeta values of f over the words from e0 to e1 with those statistics
-    (the admissible indices of weight k, depth n and height s)."""
+    """f's constant term plus ab times the sum over the words w from e0 to
+    e1 of (f | w)'s zeta value p^i q^j abq^l, (i, j, l) = _exponents(w): the
+    zeta values summed per exponent (per weight, depth and height, the
+    admissible indices), then one walk at (p, q, abq) with ab as its one."""
     groups = {}
     for w in f.terms:
         if w and w[0] == W.E0 and w[-1] == W.E1:
-            key = _stats(w)
-            groups[key] = groups.get(key, f.ring.zero) + W.zeta_value(f, W.index_from_word(w))
-    acc = CSeries.one(f.ring, ab.truncation).scale(f.constant_term())
-    for (k, n, s), g0 in sorted(groups.items()):
-        acc = acc + _entry_form(ab, 0, 0, p, q, abq, k, n, s).scale(g0)
-    return acc
+            e = _exponents(w)
+            groups[e] = groups.get(e, f.ring.zero) + W.zeta_value(f, W.index_from_word(w))
+    n = ab.truncation
+    return CSeries.one(f.ring, n).scale(f.constant_term()) + graded.substitute(
+        CSeries(f.ring, n, groups), p, q, abq, one=ab)
 
 
 def ohno_zagier_sum(phi: NCSeries) -> CSeries:

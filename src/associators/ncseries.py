@@ -1,9 +1,10 @@
 """Truncated noncommutative power series in the two letters e0, e1.
 
 A series is a graded.Series keyed by words (tuples of letters) of degree
-their length; ``graded.py`` owns the storage rules, the linear structure
-and exp/log/inverse.  This module adds the concatenation product, the
-antipode, the substitution of the letters, the letter maps and the Lie and
+their length, which peel their first letter; ``graded.py`` owns the
+storage rules, the linear structure, exp/log/inverse and the walk that
+substitutes images for the letters (``substitute``).  This module adds the
+concatenation product, the antipode, the letter maps and the Lie and
 group-like predicates.
 
 The arithmetic does not depend on the alphabet: a word is any tuple of
@@ -12,8 +13,6 @@ letters 0, 1, 2 of U(F_3) and on the two base letters 3, 4.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from . import graded
 from . import words as W
@@ -25,6 +24,7 @@ class NCSeries(graded.Series):
 
     UNIT = W.EMPTY_WORD
     degree = staticmethod(len)
+    peel = staticmethod(lambda w: (w[0], w[1:]))
 
     @classmethod
     def letter(cls, ring, truncation, letter):
@@ -51,12 +51,14 @@ class NCSeries(graded.Series):
     exp = graded.exp
     log = graded.log
     inverse = graded.inverse
+    substitute = graded.substitute
 
     def antipode(self):
         """(S g | w) = (-1)^|w| (g | reversed w): the inverse of a group-like
         g, at no product's cost.  Not the inverse of other series: 1 + e0 e1
         has inverse 1 - e0 e1 + ... and antipode 1 + e1 e0."""
-        return self.negate_letters().apply_word_map(lambda w: w[::-1])
+        return NCSeries._stored(self.ring, self.truncation, {
+            w[::-1]: -c if len(w) % 2 else c for w, c in self.numerators.items()}, self.denominator)
 
     # -- letter-level maps -----------------------------------------------------
 
@@ -74,64 +76,6 @@ class NCSeries(graded.Series):
         """f(-e0, -e1): scale each word by (-1)^weight."""
         nums = {w: -c if len(w) % 2 else c for w, c in self.numerators.items()}
         return NCSeries._stored(self.ring, self.truncation, nums, self.denominator)
-
-    # -- substitution -----------------------------------------------------------
-
-    def substitute(self, image0, image1, one=None):
-        """f(image0, image1) . one, for images with an action (Series.action,
-        P5Element.action): series (MatSeries for 2x2 matrices over the
-        (a, b, p) series) and strand generators.  ``one`` is the series the
-        images act on from the left, by default image0.one_like().
-
-        A left Horner walk of the word trie to degree n, the smallest
-        truncation of this series, ``one`` and the series images: the node
-        of a prefix of length s and coefficient c has the value V_s = c one
-        + image0 child_0 + image1 child_1 to degree n - s.  The images need
-        no degree-0 part, so a series image with a constant term is
-        rejected.
-
-        The walk runs on numerators alone.  With D the lcm of the images'
-        denominators and I_0, I_1 their numerators over D, a node sums
-        W_s = c D^(n-s) one + I_0 W_(s+1,0) + I_1 W_(s+1,1), c and one as
-        stored, into a dict of its own, so that V_s = W_s / (D^(n-s)
-        den(one) den(f)).  Only the root makes a series: W_0 over D^n
-        den(one) den(f), reduced once by the ring (lowest terms over QQ; one
-        rounding to 2^-B over the complex ring).
-        """
-        images = (image0, image1)
-        series = [im for im in images if isinstance(im, graded.Series)]
-        if any(im.min_degree() < 1 for im in series):
-            raise ValueError("letter image has a nonzero constant term; "
-                             "substitute logarithms of group elements instead")
-        one = image0.one_like() if one is None else one
-        if self.ring is not one.ring:
-            raise graded.RingMismatch("series over %s, one over %s" % (self.ring.name, one.ring.name))
-        n = min([self.truncation, one.truncation] + [one._common(im) for im in series])
-        d = lcm(*(im.denominator for im in images))
-        acts = [im.action(d // im.denominator) for im in images]
-        ones = [[(k, c) for k, c in one.numerators.items() if one.degree(k) <= n - s]
-                for s in range(n + 1)]
-
-        def walk(terms, s):
-            # W_s from the suffixes after one prefix of length s
-            c = terms.get(W.EMPTY_WORD)
-            if c:
-                c *= d ** (n - s)
-                out = {k: v * c for k, v in ones[s]}
-            else:
-                out = {}
-            if s < n:
-                children = ({}, {})
-                for w, c in terms.items():
-                    if w:
-                        children[w[0]][w[1:]] = c
-                for act, child in zip(acts, children):
-                    if child:
-                        act(walk(child, s + 1), n - s, out)
-            return out
-
-        nums = {k: c for k, c in walk(self.numerators, 0).items() if c}
-        return one._stored(one.ring, n, nums, d ** n * one.denominator * self.denominator)
 
     # -- structure tests ----------------------------------------------------------
 

@@ -22,11 +22,15 @@ the coefficient moduli of f:
 * a sum is exact;
 * a product is within u of the exact product of the stored operands, and
   an operand off by d moves it by at most d |other operand|;
-* ``exp(x)`` with |x| <= 1 at truncation n is within 2n u of the exact exp
-  of the stored x (n products and n scales by a rounded 1/k!);
-* ``NCSeries.substitute``, numeric 2x2 images too, sums its walk exactly
-  on the stored numerators and rounds once, at the root: within u of the
-  exact walk of the stored inputs, whatever their size.
+* the walk (``graded.substitute``; numeric 2x2 images too) sums exactly on
+  the stored numerators and rounds once, at the root: within u of the
+  exact walk of the stored inputs, whatever their size;
+* exp, log and inverse walk sum c_k t^k at x (x - 1 for log, 1 - y/c for
+  inverse(y), c its constant term), each real c_k rounded to c'_k: within
+  u + sum |c'_k - c_k| |x|^k <= u + (u/2) sum_(k>=1) |x|^k of the exact
+  series at the stored x (|.| is submultiplicative), under (n/2 + 1) u for
+  |x| <= 1 at truncation n.  inverse's c_k = 1 are exact: it rounds at the
+  root and in forming y/c, which is exact when c = 1.
 
 ``value`` then rounds to ``mp``'s digits + 10 digits.  A number enters the
 ring through the adapter or ``ring.mp`` (``ring.mp.mpc``, ``ring.mp.log``),

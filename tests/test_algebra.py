@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from associators.cseries import CSeries, subst_reindex
 from associators.graded import RingMismatch, Series
-from associators.mat2 import Mat2, MatSeries
+from associators.mat2 import Mat2, MatSeries, mat_exp_graded
 from associators.matspec import ThetaMap, ev_at, ev_xy, gamma_matrix_plus, xy_matrices
 from associators.ncseries import NCSeries, lie_element
 from associators.pentagon import P5Quotient, strand_generator
@@ -299,22 +299,26 @@ def commutator_grouplike(rng, n):
     return lie_element(QQ, n, coords).exp()
 
 
-@pytest.mark.parametrize("kind, n", [("matrices", 8), ("letters", 8), ("strands", 5)])
+@pytest.mark.parametrize("kind, n", [("matrices", 8), ("letters", 8), ("strands", 5),
+                                     ("exp", 8), ("log", 8), ("matrix exp", 8)])
 def test_a_walk_makes_one_series(kind, n, monkeypatch):
-    # the nodes sum numerator dicts: only the root is stored as a series
+    # the nodes sum numerator dicts: only the root is stored as a series;
+    # exp and log are one walk each, with no series per power
     rng = random.Random(7)
     f = commutator_grouplike(rng, n)
-    if kind == "matrices":
-        x, y = xy_matrices(QQ, n)
-        a, b, one = x, -y, None
-    elif kind == "letters":
+    x, y = xy_matrices(QQ, n)
+    a, b, one = x, -y, None
+    if kind == "letters":
         a, b, one = nc_images(rng, n)
-    else:
+    elif kind == "strands":
         a, b, one = strand_images(rng, n)
+    g, m = f.log(), x - y
+    calls = {"exp": g.exp, "log": f.log, "matrix exp": lambda: mat_exp_graded(m)}
+    call = calls.get(kind, lambda: f.substitute(a, b, one=one))
     made, stored = [], Series.__dict__["_stored"].__func__
     monkeypatch.setattr(Series, "_stored",
                         classmethod(lambda cls, *args: made.append(cls) or stored(cls, *args)))
-    got = f.substitute(a, b, one=one)
+    got = call()
     monkeypatch.undo()
     assert made == [type(got)] and got.truncation == n and got.terms
 

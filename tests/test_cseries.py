@@ -80,14 +80,6 @@ def test_subst_respects_multiplication():
         assert subst_reindex(f * g) == subst_reindex(f) * subst_reindex(g)
 
 
-def test_pow_takes_no_negative_exponent():
-    # a closed form p^(k - n - s) with k - n - s = -1 is a bug, not 1
-    a, _, _, _ = CSeries.gens(QQ, 4)
-    assert a.pow(0) == CSeries.one(QQ, 4) and a.pow(3) == a * a * a
-    with pytest.raises(ValueError):
-        a.pow(-1)
-
-
 def test_reindex_is_an_involution_fixing_q():
     rng = random.Random(10)
     f = random_cseries(rng, 5)

@@ -1,10 +1,13 @@
 """Property tests of the graded-series core (exp, log, inverse) on every
 algebra that uses it: NCSeries, CSeries and MatSeries (2x2 matrices over
-CSeries), all over QQ, so every comparison is exact; inverse over the
-complex ring; and the antipode of NCSeries against inverse."""
+CSeries), all over QQ, so every comparison is exact; Horner's rule against
+the power loop it replaced; inverse over the complex ring; and the antipode
+of NCSeries against inverse."""
 
 import operator
+import random
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
@@ -106,6 +109,44 @@ def test_error_paths(x, c):
             (x.one_like().scale(c) + x).log()
     with pytest.raises(ZeroDivisionError):
         x.inverse()
+
+
+def power_loop(x, coeff):
+    """sum_{k >= 1} coeff(k) x^k with one product and one scale per power:
+    the loop that exp, log and inverse ran before Horner's rule."""
+    pw = x.one_like()
+    acc = pw.scale(0)
+    for k in range(1, x.truncation // x.min_degree() + 1):
+        pw = pw * x
+        acc = acc + pw.scale(coeff(k))
+    return acc
+
+
+def seeded(rng, kind, n):
+    """A series of the kind without constant term, with denominators."""
+    def terms(keys):
+        return {k: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5))) for k in rng.sample(keys, 6)}
+    monos = [(i, j, d - i - j) for d in range(1, n + 1) for i in range(d + 1) for j in range(d + 1 - i)]
+    if kind == "words":
+        return NCSeries(QQ, n, terms([w for d in range(1, n + 1) for w in W.words_of_weight(d)]))
+    if kind == "monomials":
+        return CSeries(QQ, n, terms(monos))
+    return MatSeries.of(*(CSeries(QQ, n, terms(monos)) for _ in range(4)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["words", "monomials", "matrices"])
+def test_horner_matches_the_power_loop(kind, seed):
+    rng = random.Random(seed)
+    x = seeded(rng, kind, 5)
+    assert x.denominator > 1
+    one = x.one_like()
+    assert exp(x) == one + power_loop(x, lambda k: Fraction(1, factorial(k)))
+    assert log(one + x) == power_loop(x, lambda k: Fraction((-1) ** (k + 1), k))
+    # a unit constant c: c^-1 sum_k (1 - y/c)^k; MatSeries' own inverse is the adjugate
+    c = Fraction(rng.choice((-3, 2, 5)), rng.choice((2, 3, 7)))
+    y = one.scale(c) + x
+    assert y.inverse() == (one + power_loop(one - y.scale(1 / c), lambda k: 1)).scale(1 / c)
 
 
 def test_exp_of_a_degree_two_argument():

@@ -41,15 +41,18 @@ SCANNED = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rg
 
 
 def named(node):
-    """The names a syntax tree mentions: identifiers, attributes, imported
-    names and the dotted parts of string constants (the benchmark's tracer
-    binds package functions by name)."""
+    """The names a syntax tree mentions: identifiers, attributes, keyword
+    arguments (a dataclass field set by its constructor), imported names and
+    the dotted parts of string constants (the benchmark's tracer binds
+    package functions by name)."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
+        elif isinstance(sub, ast.keyword) and sub.arg:
+            out.add(sub.arg)
         elif isinstance(sub, ast.alias):
             out.update(sub.name.split("."))
             if sub.asname:
@@ -60,8 +63,9 @@ def named(node):
 
 
 def defined_names(stmt):
-    """The names a top-level statement defines: a function, a class, or the
-    names an assignment binds (module constants)."""
+    """The names a statement of a module or a class body defines: a
+    function, a class, or the names an assignment binds (constants, and
+    methods bound to module functions)."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [stmt.name]
     if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -70,18 +74,32 @@ def defined_names(stmt):
     return []
 
 
+def parts(stmt):
+    """(owners, names) for the parts of a top-level statement: a class is
+    its header and one part per statement of its body, owned by the class
+    and by that statement."""
+    if not isinstance(stmt, ast.ClassDef):
+        return [((stmt,), named(stmt))]
+    head = set().union(*map(named, stmt.bases + stmt.keywords + stmt.decorator_list))
+    return [((stmt,), head)] + [((stmt, member), named(member)) for member in stmt.body]
+
+
 def dead_definitions(sources):
-    """Top-level functions, classes and assigned names of the package that
-    no statement other than their own definition names.  sources: {posix
-    path relative to the repository root: source}."""
+    """Top-level functions, classes and assigned names of the package, and
+    the methods and class attributes of its classes (dunders aside), that
+    no part of a module other than their own definition names.  sources:
+    {posix path relative to the repository root: source}."""
     defined, mentions = [], []
     for path, source in sources.items():
         for stmt in ast.parse(source).body:
             if path.startswith("src/"):
-                defined.extend((path, name, stmt) for name in defined_names(stmt))
-            mentions.append((stmt, named(stmt)))
+                members = stmt.body if isinstance(stmt, ast.ClassDef) else []
+                defined.extend((path, name, own) for own in [stmt] + members
+                               for name in defined_names(own)
+                               if own is stmt or not (name.startswith("__") and name.endswith("__")))
+            mentions.extend(parts(stmt))
     return sorted((path, name) for path, name, own in defined
-                  if not any(name in names for stmt, names in mentions if stmt is not own))
+                  if not any(name in names for owners, names in mentions if own not in owners))
 
 
 def test_every_package_definition_is_named_elsewhere():
@@ -93,7 +111,12 @@ def test_the_scan_sees_a_dead_definition():
     sources = {
         "src/m.py": "def used():\n    pass\n\ndef dead():\n    return dead()\n\n"
                     "def bound():\n    pass\n\nclass Alias:\n    pass\n\n"
-                    "CAP = 8\nDEAD_CAP: int = 9\nLOW, HIGH = 1, 2\n",
-        "tests/t.py": "from m import used, Alias as A\nfix(m, 'm.bound', m.CAP, HIGH)\n",
+                    "CAP = 8\nDEAD_CAP: int = 9\nLOW, HIGH = 1, 2\n\n"
+                    "class Walk:\n    __slots__ = ()\n    UNIT = 0\n    peel = used\n\n"
+                    "    def __mul__(self, other):\n        return self.step()\n\n"
+                    "    def step(self):\n        return self\n\n"
+                    "    def orphan(self):\n        return self.orphan()\n",
+        "tests/t.py": "from m import used, Alias as A\nfix(m, 'm.bound', m.CAP, HIGH, Walk(UNIT=0))\n",
     }
-    assert dead_definitions(sources) == [("src/m.py", "DEAD_CAP"), ("src/m.py", "LOW"), ("src/m.py", "dead")]
+    assert dead_definitions(sources) == [("src/m.py", "DEAD_CAP"), ("src/m.py", "LOW"), ("src/m.py", "dead"),
+                                         ("src/m.py", "orphan"), ("src/m.py", "peel")]

@@ -28,6 +28,7 @@ from associators.hypcx import (
     shuffle_words,
     solution_matrix_at,
 )
+from test_ncseries import numerator_digest
 
 
 def test_mzv_pi_oracles():
@@ -296,6 +297,15 @@ def test_kz_series_keeps_the_highest_weight_per_digits_and_point(monkeypatch):
     assert three.truncation == 3 and three.phi == cache[27, F(1, 2)].phi.truncate(3)
     kz_series(6, 27)
     assert list(cache) == [(27, F(1, 2))] and cache[27, F(1, 2)].truncation == 6
+
+
+def test_kz_series_keeps_its_bits(monkeypatch):
+    # G_10^(-1) is one signed word map of G_01(1 - z): w -> dual w, sign
+    # (-1)^|w|; these are the bits of the letter swap, the sign and the
+    # reversal it replaced
+    monkeypatch.setattr(hypcx, "_PHI_CACHE", {})
+    assert numerator_digest(kz_series(8, 40).phi) == "5b80557fb43a6919"
+    assert numerator_digest(kz_series(12, 40).phi) == "98c86ef8eac4994d"
 
 
 @pytest.mark.parametrize("call", [

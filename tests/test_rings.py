@@ -145,10 +145,24 @@ def test_sum_and_product_keep_the_contract(f, g):
     assert ulps(f * g, twin(f) * twin(g)) < 1
 
 
+def horner_bound(x, coeff):
+    """The contract of the walk of sum c_k t^k at x, in units of u: 1 for
+    its one rounding, plus |c'_k - c_k| |x|^k per power, c'_k = coeff(k)
+    rounded to the nearest multiple of u and |x| the sum of the coefficient
+    moduli of the stored x."""
+    size, unit = sum(math.hypot(*parts(x, k)) for k in x.numerators), 1 << CC40.bits
+    return 1 + sum(float(abs(round(coeff(k) * unit) - coeff(k) * unit)) * size ** k
+                   for k in range(1, N + 1))
+
+
 @settings(max_examples=6)
 @given(unit_series())
 def test_exp_keeps_the_contract(x):
-    assert ulps(x.exp(), twin(x).exp()) < 2 * N
+    # exp, log and inverse: one walk each, at x, at (1 + x) - 1 and at 1 - (1 - x)
+    one = x.one_like()
+    assert ulps(x.exp(), twin(x).exp()) < horner_bound(x, lambda k: F(1, math.factorial(k)))
+    assert ulps((one + x).log(), twin(one + x).log()) < horner_bound(x, lambda k: F((-1) ** (k + 1), k))
+    assert ulps((one - x).inverse(), twin(one - x).inverse()) < horner_bound(x, lambda k: 1) == 1
 
 
 @settings(max_examples=6)
