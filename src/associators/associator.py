@@ -176,10 +176,7 @@ def solve_fraction_system(columns, rhs):
 
 @dataclass
 class SolveReport:
-    tiebreak: str
-    even: bool
     nullspace_dims: dict
-    degree_notes: dict
 
 
 def _lyndon_rows(d):
@@ -235,7 +232,6 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
 
     coords = {(0, 1): Fraction(1, 24)}  # quadratic term: (phi|e0e1) = 1/24
     nullspace_dims = {}
-    notes = {}
 
     memo = {}  # lie_image's sub-brackets, shared by the degrees
     for d in range(2, n + 1):
@@ -252,7 +248,6 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
                 raise InconsistentSystem(
                     "pentagon residual does not vanish at degree %d with no "
                     "free coefficients; this falsifies existence at truncation" % d)
-            notes[d] = "forced zero" if d != 2 else "quadratic term fixed"
             continue
         basis = W.lie_basis(d)
         rows = _lyndon_rows(d)
@@ -266,13 +261,10 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
         for (lw, _), c in zip(basis, pick):
             if c:
                 coords[lw] = c
-        notes[d] = "solved (%d unknowns, nullspace %d)" % (len(basis), len(nullspace))
 
     phi = lie_element(QQ, n, coords).exp()
     cand = AssociatorCandidate(mu=QQ.one, phi=phi, truncation=n)
-    report = SolveReport(tiebreak=tiebreak, even=even,
-                         nullspace_dims=nullspace_dims, degree_notes=notes)
-    return cand, report
+    return cand, SolveReport(nullspace_dims=nullspace_dims)
 
 
 # -- torsor action ------------------------------------------------------------------------
@@ -342,7 +334,7 @@ def gt_from_pair(c1: AssociatorCandidate, c2: AssociatorCandidate) -> GTElement:
     series, scale = NCSeries.one(ring, n), mu_inv
     for d in range(1, n + 1):
         part = (target - series.substitute(*images)).homogeneous_part(d)
-        series = series.add_into(NCSeries(ring, n, part).scale(scale))
+        series = series + NCSeries(ring, n, part).scale(scale)
         scale = scale * mu_inv
     if max_coeff(series.substitute(*images) - target) > ring.noise_floor:
         raise InconsistentSystem("substitution inversion failed; inputs are not "

@@ -86,7 +86,7 @@ class CSeries(graded.Series):
                 raise TypeError("images must be CSeries")
             if im.constant_term():
                 raise ValueError("image form has a constant term")
-            if any(sum(m) > 1 for m in im.terms):
+            if any(sum(m) > 1 for m in im.numerators):
                 raise ValueError("image form has degree > 1")
         return graded.substitute(self, image_a, image_b, image_p)
 

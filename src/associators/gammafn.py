@@ -19,37 +19,19 @@ from .rings import QQ
 # -- Bernoulli numbers -----------------------------------------------------------
 
 
-class BernoulliTable:
-    """Exact B_0 .. B_max_index with the von Staudt-Clausen denominator check
-    applied on construction."""
-
-    def __init__(self, max_index):
-        self.values = _bernoulli_list(max_index)
-        self._check_von_staudt_clausen()
-
-    def __getitem__(self, n):
-        return self.values[n]
-
-    def _check_von_staudt_clausen(self):
-        for n in range(2, len(self.values), 2):
-            # the product of the primes p with (p - 1) | n
-            expect = prod(p for p in range(2, n + 2)
-                          if n % (p - 1) == 0 and all(p % r for r in range(2, p)))
-            if self.values[n].denominator != expect:
-                raise AssertionError(
-                    "Bernoulli denominator check failed at n=%d: %s vs %d"
-                    % (n, self.values[n].denominator, expect)
-                )
-
-
-def _bernoulli_list(m):
-    # B_m = -1/(m+1) * sum_{j<m} C(m+1, j) B_j
+def bernoulli_numbers(m):
+    """Exact B_0 .. B_m, by B_n = -1/(n+1) sum_{j<n} C(n+1, j) B_j, with
+    the von Staudt-Clausen check of each even denominator."""
     out = [Fraction(1)]
     for n in range(1, m + 1):
-        s = Fraction(0)
-        for j in range(n):
-            s += comb(n + 1, j) * out[j]
-        out.append(-s / (n + 1))
+        out.append(-sum(comb(n + 1, j) * out[j] for j in range(n)) / (n + 1))
+    for n in range(2, m + 1, 2):
+        # the product of the primes p with (p - 1) | n
+        expect = prod(p for p in range(2, n + 2)
+                      if n % (p - 1) == 0 and all(p % r for r in range(2, p)))
+        if out[n].denominator != expect:
+            raise AssertionError("Bernoulli denominator check failed at n=%d: %s vs %d"
+                                 % (n, out[n].denominator, expect))
     return out
 
 
@@ -137,7 +119,7 @@ def gamma_even_bernoulli_report(order):
     -1/24 instead of -1/48).  Returns a dict with both verdicts so the
     discrepancy is recorded rather than silently resolved.
     """
-    table = BernoulliTable(2 * (order // 2) + 2)
+    bernoulli = bernoulli_numbers(2 * (order // 2) + 2)
     closed = gamma_even(order)
 
     def build(with_2n_factor):
@@ -146,7 +128,7 @@ def gamma_even_bernoulli_report(order):
             den = 2 * factorial(2 * n)
             if with_2n_factor:
                 den *= 2 * n
-            coeffs[2 * n] = -table[2 * n] / den
+            coeffs[2 * n] = -bernoulli[2 * n] / den
         return coeffs
 
     corrected = build(True)

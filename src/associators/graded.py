@@ -6,12 +6,12 @@ A Series is a sparse map key -> coefficient together with a truncation
 degree N; arithmetic is exact modulo keys of degree > N, no stored
 coefficient is zero and no stored key lies above N.  Coefficients live in
 any ring adapter from ``rings.py``, stored as numerators over one
-denominator in the form the ring owns (see Series).  Series are immutable by
-convention: no operation but add_into mutates its operands.  A subclass
-names the key of 1 (UNIT) and the degree of a key, and hands its
-coefficient loop to ``product``: NCSeries (words, degree len), CSeries
-(exponent triples, degree sum) and MatSeries (entry and exponent triple,
-degree of the triple; its 1 has two keys).
+denominator in the form the ring owns (see Series).  Series are values: no
+operation writes into a stored form.  A subclass names the key of 1 (UNIT)
+and the degree of a key, and hands its coefficient loop to ``product``:
+NCSeries (words, degree len), CSeries (exponent triples, degree sum) and
+MatSeries (entry and exponent triple, degree of the triple; its 1 has two
+keys).
 
 ``substitute`` walks the trie of a series' keys, each peeled into its first
 letter and the rest (a word gives up its first letter, a monomial one factor
@@ -26,31 +26,12 @@ is the adjugate over the determinant, not inverse.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, lcm
 
 
 class RingMismatch(TypeError):
     pass
-
-
-class Terms(Mapping):
-    """A series' terms, key -> ring number: a read-only view of its stored form."""
-
-    __slots__ = ("s",)
-
-    def __init__(self, s):
-        self.s = s
-
-    def __getitem__(self, key):
-        return self.s.ring.value(self.s.numerators[key], self.s.denominator)
-
-    def __iter__(self):
-        return iter(self.s.numerators)
-
-    def __len__(self):
-        return len(self.s.numerators)
 
 
 class Series:
@@ -62,7 +43,11 @@ class Series:
     ``denominator``.  The constructor clears key -> ring number once (the
     ring's split); terms, coeff, constant_term and homogeneous_part give
     ring numbers.  Reduction is the ring's (_stored calls ring.reduce): QQ
-    gives lowest terms but after a sum, the complex ring rounds to 2^-B."""
+    gives lowest terms, the complex ring rounds to 2^-B.
+
+    No operation writes into a stored form, so a result may share the
+    numerators of an operand (truncate at n >= the truncation does); _stored
+    and the constructor own the dict they store."""
 
     __slots__ = ("ring", "truncation", "numerators", "denominator")
 
@@ -90,7 +75,9 @@ class Series:
 
     @property
     def terms(self):
-        return Terms(self)
+        """A new dict key -> ring number."""
+        value, den = self.ring.value, self.denominator
+        return {k: value(c, den) for k, c in self.numerators.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -112,16 +99,19 @@ class Series:
         if self.degree(key) > self.truncation:
             raise ValueError("key %r of degree %d beyond truncation %d"
                              % (key, self.degree(key), self.truncation))
-        return self.terms.get(key, self.ring.zero)
+        c = self.numerators.get(key)
+        return self.ring.zero if c is None else self.ring.value(c, self.denominator)
 
     def constant_term(self):
-        return self.terms.get(self.UNIT, self.ring.zero)
+        c = self.numerators.get(self.UNIT)
+        return self.ring.zero if c is None else self.ring.value(c, self.denominator)
 
     def truncate(self, n):
-        """A new series: below the truncation the keys of degree <= n, else
-        a copy lifted to n."""
+        """Below the truncation the keys of degree <= n, else the same
+        numerators lifted to n."""
         deg, nums = self.degree, self.numerators
-        nums = {k: c for k, c in nums.items() if deg(k) <= n} if n < self.truncation else dict(nums)
+        if n < self.truncation:
+            nums = {k: c for k, c in nums.items() if deg(k) <= n}
         return self._stored(self.ring, n, nums, self.denominator)
 
     def homogeneous_part(self, d):
@@ -152,34 +142,25 @@ class Series:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):
-        return self._stored(self.ring, self.truncation, dict(self.numerators),
-                            self.denominator).add_into(other)
-
-    def add_into(self, other):
-        """self + other, summed into the dict of self unless other truncates
-        lower: only for a series nothing else holds, such as log's new -1.
-        Both sides are brought to the lcm of their denominators."""
+        """self + other in a new dict at the lower truncation, over the lcm
+        of the denominators; only an operand that truncates higher is
+        filtered by degree."""
         n = self._common(other)
-        out = self if n == self.truncation else self.truncate(n)
-        if other.truncation > n:
-            other = other.truncate(n)
-        d = out.denominator
-        den = lcm(d, other.denominator)
-        if den != d:
-            out.numerators = {k: c * (den // d) for k, c in out.numerators.items()}
-            out.denominator = den
-        m = den // other.denominator
-        nums = out.numerators
-        for k, c in other.numerators.items():
-            if m != 1:
-                c *= m
-            s = nums.get(k)
+        den = lcm(self.denominator, other.denominator)
+        ma, mb = den // self.denominator, den // other.denominator
+        a, b = [x.numerators.items() if x.truncation == n else
+                [(k, c) for k, c in x.numerators.items() if x.degree(k) <= n] for x in (self, other)]
+        out = dict(a) if ma == 1 else {k: c * ma for k, c in a}
+        for k, c in b:
+            if mb != 1:
+                c *= mb
+            s = out.get(k)
             s = c if s is None else s + c
             if s:
-                nums[k] = s
+                out[k] = s
             else:
-                nums.pop(k, None)
-        return out
+                del out[k]
+        return self._stored(self.ring, n, out, den)
 
     def __neg__(self):
         return self._stored(self.ring, self.truncation,
@@ -312,8 +293,7 @@ def exp(x):
 
 
 def log(x):
-    minus_one = type(x)(x.ring, x.truncation, dict.fromkeys(x.one_like().numerators, -x.ring.one))
-    g = minus_one.add_into(x)
+    g = x + type(x)(x.ring, x.truncation, dict.fromkeys(x.one_like().numerators, -x.ring.one))
     if g.min_degree() < 1:
         raise ValueError("log requires constant term 1")
     return horner(g, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)

@@ -103,7 +103,7 @@ def _stats_sum(f: NCSeries, ab, p, q, abq) -> CSeries:
     zeta values summed per exponent (per weight, depth and height, the
     admissible indices), then one walk at (p, q, abq) with ab as its one."""
     groups = {}
-    for w in f.terms:
+    for w in f.numerators:
         if w and w[0] == W.E0 and w[-1] == W.E1:
             e = _exponents(w)
             groups[e] = groups.get(e, f.ring.zero) + W.zeta_value(f, W.index_from_word(w))

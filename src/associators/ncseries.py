@@ -117,9 +117,11 @@ def lie_element(ring, truncation, coords):
 
 def free_group_word(ring, truncation, word_pairs) -> NCSeries:
     """The group-like series prod exp(k e_gen) of a free-group word
-    [(gen, k), ...], gen "x0" or "x1" standing for e0 or e1."""
+    [(gen, k), ...], gen "x0" or "x1" standing for e0 or e1 and k an integer."""
     acc = NCSeries.one(ring, truncation)
     for gen, k in word_pairs:
+        if gen not in ("x0", "x1") or k != int(k):
+            raise ValueError("not x0 or x1 to an integer power: %r" % ((gen, k),))
         letter = NCSeries.letter(ring, truncation, W.E0 if gen == "x0" else W.E1)
         acc = acc * letter.scale(int(k)).exp()
     return acc

@@ -5,8 +5,8 @@ import pytest
 from associators.associator import AssociatorCandidate, gt_from_pair
 from associators.cseries import CSeries
 from associators.gammafn import (
-    BernoulliTable,
     GammaSeries,
+    bernoulli_numbers,
     gamma_even,
     gamma_even_bernoulli_report,
     gamma_from_kappa,
@@ -21,7 +21,7 @@ from test_ncseries import qq_digest
 
 
 def test_bernoulli_values_and_denominators():
-    t = BernoulliTable(12)
+    t = bernoulli_numbers(12)
     assert t[0] == 1
     assert t[1] == Fraction(-1, 2)
     assert t[2] == Fraction(1, 6)

@@ -120,3 +120,75 @@ def test_the_scan_sees_a_dead_definition():
     }
     assert dead_definitions(sources) == [("src/m.py", "DEAD_CAP"), ("src/m.py", "LOW"), ("src/m.py", "dead"),
                                          ("src/m.py", "orphan"), ("src/m.py", "peel")]
+
+
+# -- series are values ----------------------------------------------------------
+
+OWNERS = {("graded", "Series", "__init__"), ("graded", "Series", "_stored")}
+MUTATORS = {"update", "pop", "setdefault", "clear", "popitem"}
+
+
+def flat(targets):
+    for t in targets:
+        if isinstance(t, (ast.Tuple, ast.List)):
+            yield from flat(t.elts)
+        elif isinstance(t, ast.Starred):
+            yield from flat([t.value])
+        else:
+            yield t
+
+
+def stored_form_writes(source, module):
+    """(line, scope) of each write into a series' stored form: an assignment
+    to .numerators or .denominator outside graded.Series.__init__ and
+    _stored, which make one; a subscript assignment or del on
+    .numerators[...]; a call of a dict mutator on .numerators.  A syntactic
+    scan: it cannot see a write through an alias (nums = f.numerators;
+    nums[k] = c)."""
+    def numerators(node):
+        return isinstance(node, ast.Attribute) and node.attr == "numerators"
+
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for t in flat(targets):
+            if (isinstance(t, ast.Attribute) and t.attr in ("numerators", "denominator")
+                    and scope not in OWNERS) or (isinstance(t, ast.Subscript) and numerators(t.value)):
+                out.append((node.lineno, ".".join(scope)))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS and numerators(node.func.value)):
+            out.append((node.lineno, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), (module,))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "associators").glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_write_into_a_stored_form(path):
+    assert stored_form_writes(path.read_text(), path.stem) == []
+
+
+def test_the_scan_sees_a_write_into_a_stored_form():
+    source = ("class Series:\n"
+              "    def __init__(self):\n        self.numerators, self.denominator = {}, 1\n"
+              "    def _stored(x):\n        x.numerators = {}\n"
+              "    def add_into(self, f):\n        self.denominator = 2\n        self.numerators[()] = 1\n"
+              "def edit(f, k):\n    f.numerators.update(f.numerators)\n    del f.numerators[k]\n"
+              "    f.numerators.pop(k)\n    f.numerators[k] += 1\n    f.numerators.get(k)\n"
+              "    nums = f.numerators\n    nums[k] = 1\n")
+    assert stored_form_writes(source, "graded") == [
+        (7, "graded.Series.add_into"), (8, "graded.Series.add_into"), (10, "graded.edit"),
+        (11, "graded.edit"), (12, "graded.edit"), (13, "graded.edit")]
+    # only in the graded module do Series.__init__ and _stored make a stored form
+    assert stored_form_writes(source, "ncseries")[:3] == [
+        (3, "ncseries.Series.__init__"), (3, "ncseries.Series.__init__"), (5, "ncseries.Series._stored")]

@@ -3,6 +3,8 @@ import random
 
 from fractions import Fraction
 
+import pytest
+
 from associators import words as W
 from associators.graded import max_coeff
 from associators.ncseries import NCSeries, bracket, free_group_word, lie_element
@@ -98,8 +100,6 @@ def test_substitute_rejects_images_with_constant_term():
     f = NCSeries.one(QQ, 3)
     a = NCSeries.one(QQ, 3)
     b = NCSeries.letter(QQ, 3, 1)
-    import pytest
-
     with pytest.raises(ValueError):
         f.substitute(a, b)
 
@@ -220,3 +220,11 @@ def test_lie_element_and_free_group_word_keep_their_complex_bits():
     assert distance_to_rationals(g, free_group_word(QQ, 6, word)) < 1e-45
     assert numerator_digest(f, f.exp(), g) == "fba6c4e3604eb230"
     assert mpc_digest(*(v for pair in back for v in pair)) == "e9ccc60fbca8f371"
+
+
+@pytest.mark.parametrize("pair", [("x_0", 1), ("e1", 1), ("x0", Fraction(1, 2)), ("x1", 0.5)])
+def test_free_group_word_rejects_what_is_no_letter_power(pair):
+    # a generator other than x0 once read as x1, a fractional power as its int part
+    with pytest.raises(ValueError):
+        free_group_word(QQ, 3, [("x0", 1), pair])
+    assert free_group_word(QQ, 3, [("x1", Fraction(2))]) == free_group_word(QQ, 3, [("x1", 2)])
