@@ -77,7 +77,7 @@ def three_cycle_defect(phi: NCSeries, mu) -> float:
     return max_coeff(prod - NCSeries.one(ring, n))
 
 
-def check_associator(cand: AssociatorCandidate, quotient: P5Quotient = None,
+def check_associator(cand: AssociatorCandidate, quotient: P5Quotient,
                      tol: float = 0.0, pentagon_degree: int = None) -> dict:
     """Per-axiom report.  The derived 2- and 3-cycle relations are verified,
     not assumed.  For inexact rings a tolerance applies; for QQ every check
@@ -91,13 +91,12 @@ def check_associator(cand: AssociatorCandidate, quotient: P5Quotient = None,
     report["quadratic"] = abs(quad) <= tol
     report["commutator_grouplike"] = phi.is_commutator_grouplike(tol)
     report["even"] = phi.is_even(tol)
-    if quotient is not None:
-        deg = min(cand.truncation, quotient.truncation)
-        if pentagon_degree is not None:
-            deg = min(deg, pentagon_degree)
-        res = pentagon_residual(phi.truncate(deg), quotient)
-        report["pentagon"] = max_coeff(res) <= tol
-        report["pentagon_degree"] = deg
+    deg = min(cand.truncation, quotient.truncation)
+    if pentagon_degree is not None:
+        deg = min(deg, pentagon_degree)
+    res = pentagon_residual(phi.truncate(deg), quotient)
+    report["pentagon"] = max_coeff(res) <= tol
+    report["pentagon_degree"] = deg
     report["two_cycle"] = two_cycle_defect(phi) <= tol
     report["three_cycle"] = three_cycle_defect(phi, mu) <= tol
     return report

@@ -47,7 +47,9 @@ class Series:
 
     No operation writes into a stored form, so a result may share the
     numerators of an operand (truncate at n >= the truncation does); _stored
-    and the constructor own the dict they store."""
+    and the constructor own the dict they store.  Two series are equal when
+    their truncations and their coefficients are: a series known to fewer
+    degrees equals none known to more."""
 
     __slots__ = ("ring", "truncation", "numerators", "denominator")
 
@@ -131,7 +133,7 @@ class Series:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return not (self - other).numerators
+        return not (self - other).numerators and self.truncation == other.truncation
 
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda kv: (self.degree(kv[0]), kv[0]))[:8]

@@ -14,10 +14,11 @@ over the commutative series ring in (a, b, p).  The module hosts:
   against the evaluation of an associator;
 - the evaluation homomorphism theta: x0 -> e^X, x1 -> M^(-1) e^(-Y) M for
   the even gamma matrix M, on series and on free-group words;
-- the six solution matrices.  Each is g(u, w) for one row (u, C, v) of a
-  table over X, Y, M and the (einf, e1) evaluation N of the associator:
+- the six solution matrices, of which theta is the first (01).  Each is
+  g(u, w) for the row (u, C, v) of its base point 0, 1 or infinity, over X,
+  Y, M and the (einf, e1) evaluation N of the associator:
   w = C v C^(-1) for the stars 01, 10 and inf1, and
-  w = log(e^(-u/2) C e^v C^(-1) e^(-u/2)) for 1inf, inf0 and 0inf;
+  w = log(e^(-u/2) C e^(-v) C^(-1) e^(-u/2)) for 0inf, 1inf and inf0;
 - the transformation and weighted-sum identities for arbitrary group-like
   series, the appendix entry relations, and the formal Gauss summation
   identity.
@@ -127,7 +128,8 @@ def ohno_zagier_exponential(phi: NCSeries) -> CSeries:
     """exp sum_{n>=2} zeta_phi(n)/n {p^n + q^n - (a+p)^n - (b+p)^n}, i.e. the
     gamma ratio at (-p, -q; -p-a, -p-b)."""
     gamma = gamma_of_associator(AssociatorCandidate(phi.ring.one, phi, phi.truncation))
-    return _ratios(gamma, phi.truncation)[0]
+    a, b, p, q = CSeries.gens(phi.ring, phi.truncation)
+    return gamma.ratio(-p, -q, -p - a, -p - b)
 
 
 # -- gamma-ratio matrix ----------------------------------------------------------
@@ -135,13 +137,14 @@ def ohno_zagier_exponential(phi: NCSeries) -> CSeries:
 
 class GammaMatrix:
     """The 2x2 matrix attached to a gamma series: a unimodular matrix m over
-    the (a, b, p) series ring.  det_is_one compares the det defect with the
-    ring's noise floor, as varphi_equals_gamma_matrix compares entries."""
+    the (a, b, p) series ring.  det_defect is the largest coefficient of
+    det m - 1; det_is_one compares it with the ring's noise floor, as
+    varphi_equals_gamma_matrix compares entries."""
 
-    def __init__(self, m: MatSeries, det_defect: float):
+    def __init__(self, m: MatSeries):
         self.m = m
-        self.det_defect = det_defect
-        self.det_is_one = det_defect <= m.ring.noise_floor
+        self.det_defect = max_coeff(m.det() - CSeries.one(m.ring, m.truncation))
+        self.det_is_one = self.det_defect <= m.ring.noise_floor
 
 
 def _ratios(gamma: GammaSeries, truncation: int):
@@ -158,9 +161,10 @@ def gamma_ratio_matrix(gamma: GammaSeries, truncation: int) -> GammaMatrix:
     Off-diagonal entries go through the brace forms whose divisibility by p
     and q is exactly what the unimodularity argument promises.  The (2,2)
     entry is produced from det = 1 (which only needs gamma up to the
-    truncation order); when two extra orders of gamma are available, the
-    explicit pq-division route is computed as well and cross-checked.  The
-    ratios are then computed once, two orders higher, and truncated.
+    truncation order); over QQ, when two extra orders of gamma are
+    available, the explicit pq-division route is computed as well and
+    cross-checked.  The ratios are then computed once, two orders higher,
+    and truncated.
     """
     ring, n = gamma.ring, truncation
     if gamma.order < n:
@@ -179,8 +183,6 @@ def gamma_ratio_matrix(gamma: GammaSeries, truncation: int) -> GammaMatrix:
     m22 = (CSeries.one(ring, n) + m12 * m21) * m11.inverse()
     m = MatSeries.of(m11, m12, m21, m22)
 
-    det_defect = max_coeff(m.det() - CSeries.one(ring, n))
-
     if cross_check:
         main, top, low, diag = ratios
         a2, b2, p2, q2 = CSeries.gens(ring, n + 2)
@@ -189,7 +191,7 @@ def gamma_ratio_matrix(gamma: GammaSeries, truncation: int) -> GammaMatrix:
         if not (alt22 == m22.truncate(alt22.truncation)):
             raise AssertionError("the two (2,2) entry routes disagree")
 
-    return GammaMatrix(m, det_defect)
+    return GammaMatrix(m)
 
 
 def gamma_matrix_plus(truncation: int, ring=QQ) -> GammaMatrix:
@@ -227,27 +229,25 @@ def varphi_equals_gamma_matrix(cand: AssociatorCandidate):
 
 
 class ThetaMap:
-    """x0 -> e^X, x1 -> M^(-1) e^(-Y) M for the even unitary gamma matrix;
-    the (1,1) entry of the image of a group element is the formal
-    hypergeometric series.  X, Y, M, M^(-1), the letter images and the
-    identity are MatSeries."""
+    """The "01" solution: x0 -> e^X, x1 -> M^(-1) e^(-Y) M for the even
+    unitary gamma matrix M; the (1,1) entry of the image of a group element
+    is the formal hypergeometric series.  Holds X, Y, M, M^(-1) and the log
+    image of x1, M^(-1) (-Y) M, as MatSeries."""
 
     def __init__(self, truncation, ring=QQ, gamma_matrix=None):
-        self.truncation = truncation
-        self.ring = ring
         gm = gamma_matrix if gamma_matrix is not None else gamma_matrix_plus(truncation, ring)
+        if gm.m.truncation != truncation or gm.m.ring is not ring:
+            raise ValueError("the gamma matrix has another truncation or ring than the map")
         self.m_plus, self.m_inv = gm.m, gm.m.inverse()
         self.x, self.y = xy_matrices(ring, truncation)
-        self.identity = MatSeries.one(ring, truncation)
-        self.log_image0 = self.x
         self.log_image1 = (self.m_inv * (-self.y)) * self.m_plus
 
     def __call__(self, element) -> MatSeries:
         """Image of a group-like series in the exponential picture, or of a
         free-group word [(generator, exponent), ...]."""
         if not isinstance(element, NCSeries):
-            element = free_group_word(self.ring, self.truncation, element)
-        return element.substitute(self.log_image0, self.log_image1, one=self.identity)
+            element = free_group_word(self.x.ring, self.x.truncation, element)
+        return element.substitute(self.x, self.log_image1)
 
     def formal_2f1(self, element) -> CSeries:
         return self(element)[0, 0]
@@ -273,65 +273,58 @@ def n_plus_matrix(phi: NCSeries) -> MatSeries:
     return ev_at(phi, y - x, -y)
 
 
-def cocycle_image(g: NCSeries, star: str, theta: ThetaMap = None,
-                  n_plus: MatSeries = None) -> MatSeries:
-    """Image of the cocycle stand-in g under the closed-form evaluation for
-    one of the six solutions; multiplicative in g.
-
-    The image is g(u, w) for the star's row (u, C, v), over X, Y, the even
-    gamma matrix M and n_plus = N: w = C v C^(-1) for 01, 10 and inf1, and
-    w = log(e^(-u/2) C e^v C^(-1) e^(-u/2)) for 1inf, inf0 and 0inf."""
-    if theta is None:
-        theta = ThetaMap(g.truncation, g.ring)
-    x, y = theta.x, theta.y
-    # each C as the pair (C, C^(-1))
-    m = (theta.m_plus, theta.m_inv)
-    m_inv, n_inv = m[::-1], None
+def _row(star, theta, n_plus):
+    """(u, C, C^(-1), v, K) of a star.  The stars pair up by base point, one
+    row (u, C, v) per pair: 01, 0inf at 0 with (X, M^(-1), -Y); 10, 1inf at
+    1 with (-Y, M, X); inf1, inf0 at infinity with (Y - X, N^(-1), -Y).  K is
+    the star's constant column mix times its clearing monomial, b at 0 and
+    infinity, bq at 1, so that its entries are polynomials."""
+    x, y, m, m_inv = theta.x, theta.y, theta.m_plus, theta.m_inv
+    a, b, p, q = CSeries.gens(x.ring, x.truncation)
+    zero = CSeries.zero(x.ring, x.truncation)
+    if star in ("01", "0inf"):
+        return x, m_inv, m, -y, MatSeries.of(b, b, zero, p)
+    if star in ("10", "1inf"):
+        q22 = q * q - q if star == "10" else q - q * q
+        return -y, m, m_inv, x, MatSeries.of(b * q, zero, -(a * b), q22)
     if star in ("inf1", "inf0"):
         if n_plus is None:
             raise ValueError("stars inf1, inf0 need the n_plus matrix")
-        n_inv = (n_plus.inverse(), n_plus)
-    rows = {"01": (x, m_inv, -y), "10": (-y, m, x), "inf1": (y - x, n_inv, -y),
-            "1inf": (-y, m, -x), "inf0": (y - x, n_inv, y), "0inf": (x, m_inv, y)}
-    if star not in rows:
-        raise ValueError("unknown star %r" % star)
-    u, (c, c_inv), v = rows[star]
-    if star in ("01", "10", "inf1"):
-        w = (c * v) * c_inv
-    else:
-        half = mat_exp_graded(u.scale(Fraction(-1, 2)))
-        w = mat_log_graded(half * c * mat_exp_graded(v) * c_inv * half)
-    return g.substitute(u, w, one=theta.identity)
-
-
-def column_mix_cleared(ring, truncation, star):
-    """The constant column-mix matrix of a star, multiplied by its clearing
-    monomial so all entries are polynomial; returns (matrix, clearing)."""
-    a, b, p, q = CSeries.gens(ring, truncation)
-    zero = CSeries.zero(ring, truncation)
-    one = CSeries.one(ring, truncation)
-    if star in ("01", "0inf"):
-        return MatSeries.of(b, b, zero, p), "b"
-    if star == "10":
-        return MatSeries.of(b * q, zero, -(a * b), q * (q - one)), "bq"
-    if star == "1inf":
-        return MatSeries.of(b * q, zero, -(a * b), q * (one - q)), "bq"
-    if star in ("inf1", "inf0"):
-        return MatSeries.of(b, b, -a, -b), "b"
+        return y - x, n_plus.inverse(), n_plus, -y, MatSeries.of(b, b, -a, -b)
     raise ValueError("unknown star %r" % star)
 
 
-def v_matrix(g: NCSeries, star: str, theta: ThetaMap = None, n_plus: MatSeries = None):
+def cocycle_image(g: NCSeries, star: str, theta: ThetaMap,
+                  n_plus: MatSeries = None) -> MatSeries:
+    """Image of the cocycle stand-in g under the closed-form evaluation for
+    one of the six solutions; multiplicative in g.  n_plus = N is needed for
+    inf1 and inf0.
+
+    The image is g(u, w) for the star's row (u, C, v): w = C v C^(-1) at the
+    near stars 01 (theta's log image of x1), 10 and inf1, and
+    w = log(e^(-u/2) C e^(-v) C^(-1) e^(-u/2)) at the far stars 0inf, 1inf
+    and inf0."""
+    u, c, c_inv, v, _ = _row(star, theta, n_plus)
+    if star == "01":
+        w = theta.log_image1
+    elif star in ("10", "inf1"):
+        w = (c * v) * c_inv
+    else:
+        half = mat_exp_graded(u.scale(Fraction(-1, 2)))
+        w = mat_log_graded(half * c * mat_exp_graded(-v) * c_inv * half)
+    return g.substitute(u, w)
+
+
+def v_matrix(g: NCSeries, star: str, theta: ThetaMap, n_plus: MatSeries = None) -> MatSeries:
     """One of the six solution matrices, built from the closed forms that are
-    free of any associator choice, multiplied by the cleared column-mix
-    matrix.  Returns (cleared matrix, clearing monomial).
+    free of any associator choice: the cocycle image times the star's
+    constant column mix, cleared by b at the base points 0 and infinity
+    (01, 0inf, inf1, inf0) and by bq at 1 (10, 1inf).
 
     g is the group-like stand-in for the relevant cocycle, in the
     exponential picture.
     """
-    gm = cocycle_image(g, star, theta=theta, n_plus=n_plus)
-    k, clearing = column_mix_cleared(g.ring, g.truncation, star)
-    return gm * k, clearing
+    return cocycle_image(g, star, theta, n_plus) * _row(star, theta, n_plus)[4]
 
 
 # -- transformation identities for arbitrary group-like series ------------------------
@@ -355,8 +348,8 @@ def transformation_identities(g: NCSeries) -> dict:
     out = {}
 
     # identity "inf1": [g(Y-X, -Y) (1, -a/b)^T]_1 = e^(c0 a) iota([g(X,-Y)]_11)
-    h = ev_at(g, y - x, -y)
-    gmat = ev_at(g, x, -y)
+    h = n_plus_matrix(g)
+    gmat = ev_xy(g)
     lhs = b * h[0, 0] - a * h[0, 1]
     rhs = b * (a.scale(c0).exp() * subst_reindex(gmat[0, 0]))
     out["inf1"] = max_coeff(lhs - rhs)
@@ -377,7 +370,7 @@ def transformation_identities(g: NCSeries) -> dict:
     return out
 
 
-def swap_invariance_defect(g: NCSeries, theta: ThetaMap = None) -> float:
+def swap_invariance_defect(g: NCSeries, theta: ThetaMap) -> float:
     """a <-> b invariance of the (1,1) entry of the "1inf" solution matrix,
     the core of the transformation theorem.
 
@@ -387,9 +380,7 @@ def swap_invariance_defect(g: NCSeries, theta: ThetaMap = None) -> float:
     function structure of the first row); it is asserted here on the
     assembled solution matrix where the gamma ratios participate.
     """
-    v, clearing = v_matrix(g, "1inf", theta=theta)
-    assert clearing == "bq"
-    w = v[0, 0]
+    w = v_matrix(g, "1inf", theta=theta)[0, 0]
     a, b, _, _ = CSeries.gens(g.ring, g.truncation)
     return max_coeff(a * w - b * subst_swap_ab(w))
 
@@ -402,7 +393,7 @@ def _subst_euler(f: CSeries) -> CSeries:
     return f.subst(b + p, a + p, -p)
 
 
-def formal_euler_identity(f: NCSeries, theta: ThetaMap = None) -> float:
+def formal_euler_identity(f: NCSeries, theta: ThetaMap) -> float:
     """The formal Euler transformation on the "10" solution matrix.
 
     With W the bq-cleared (1,1) entry and T the Euler parameter change, the
@@ -410,9 +401,7 @@ def formal_euler_identity(f: NCSeries, theta: ThetaMap = None) -> float:
     the e1 coefficient of the cocycle stand-in (the abelianised cocycle
     datum standing in for the Kummer exponent).  Returns the defect.
     """
-    v, clearing = v_matrix(f, "10", theta=theta)
-    assert clearing == "bq"
-    w = v[0, 0]
+    w = v_matrix(f, "10", theta=theta)[0, 0]
     rho = f.coeff((1,))
     a, b, p, _ = CSeries.gens(f.ring, f.truncation)
     lhs = (a + p) * w
@@ -429,12 +418,11 @@ def weighted_sum_identities(g: NCSeries) -> dict:
          aggregation (ab and ab+pq exchanged, p -> -p) with the e^(c0 p)
          prefactor (g group-like).
     """
-    n, ring = g.truncation, g.ring
-    x, y = xy_matrices(ring, n)
-    gmat = ev_at(g, x, -y)
+    n = g.truncation
+    gmat = ev_xy(g)
     out = {"entry11_vs_stats": max_coeff(gmat[0, 0] - ohno_zagier_sum(g))}
 
-    a, b, p, q = CSeries.gens(ring, n)
+    a, b, p, q = CSeries.gens(g.ring, n)
     lhs = gmat[0, 0] + p * gmat[0, 1].divide_exact("b")
     rhs = p.scale(g.coeff((0,))).exp() * _stats_sum(g, a * b + p * q, -p, q, a * b)
     out["row_reflection"] = max_coeff(lhs.truncate(n - 1) - rhs.truncate(n - 1))
@@ -450,9 +438,8 @@ def appendix_entry_relations(phi: NCSeries) -> dict:
     (einf, e1) evaluation independent of the choice of even unitary
     associator.  All checks are b-cleared and exact."""
     n = phi.truncation
-    x, y = xy_matrices(phi.ring, n)
-    gmat = ev_at(phi, x, -y)       # P-side
-    hmat = ev_at(phi, y - x, -y)   # Q-side
+    gmat = ev_xy(phi)          # P-side
+    hmat = n_plus_matrix(phi)  # Q-side
     a, b, p, _ = CSeries.gens(phi.ring, n)
 
     g12_over_b = gmat[0, 1].divide_exact("b")

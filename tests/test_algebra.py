@@ -245,8 +245,8 @@ def nc_images(rng, n):
 def matrix_images(rng, n):
     theta = ThetaMap(n)
     half = CSeries.one(QQ, n).scale(Fraction(1, 2))
-    return (theta.log_image0, theta.log_image1,
-            theta.identity + MatSeries.of(half, half, half, half))
+    return (theta.x, theta.log_image1,
+            MatSeries.one(QQ, n) + MatSeries.of(half, half, half, half))
 
 
 def strand_images(rng, n):
@@ -438,6 +438,7 @@ def test_walk_leaves_its_inputs_untouched(ring):
     assert snapshot(g, x, minus_y) == before
     if ring is QQ:
         theta = ThetaMap(n)
-        before = snapshot(g, theta.log_image0, theta.log_image1, theta.identity)
+        one = MatSeries.one(QQ, n)
+        before = snapshot(g, theta.x, theta.log_image1, one)
         theta(g)
-        assert snapshot(g, theta.log_image0, theta.log_image1, theta.identity) == before
+        assert snapshot(g, theta.x, theta.log_image1, one) == before

@@ -111,6 +111,16 @@ def test_error_paths(x, c):
         x.inverse()
 
 
+def test_series_of_different_truncations_are_unequal():
+    # a series known to fewer degrees equals none known to more, so an ==
+    # oracle fails a result that is short of the degrees it promises
+    a2, a6 = CSeries.variable(QQ, 2, "a"), CSeries.variable(QQ, 6, "a")
+    assert a2 != a6 + a6 * a6 * a6 * a6 * a6 and a2 != a6
+    assert a2 == a6.truncate(2)
+    for x in (NCSeries.letter(QQ, 3, 0), MatSeries.one(QQ, 3)):
+        assert x != x.truncate(2) and x.truncate(2) == x.truncate(2)
+
+
 def power_loop(x, coeff):
     """sum_{k >= 1} coeff(k) x^k with one product and one scale per power:
     the loop that exp, log and inverse ran before Horner's rule."""

@@ -13,6 +13,7 @@ from associators.matspec import (
     ThetaMap,
     V_STARS,
     appendix_entry_relations,
+    cocycle_image,
     ev_at,
     ev_xy,
     first_entry_mismatch,
@@ -31,7 +32,7 @@ from associators.matspec import (
     xy_matrices,
 )
 from associators.ncseries import NCSeries, bracket, lie_element
-from associators.rings import QQ
+from associators.rings import QQ, complex_field
 from associators.words import zeta_value
 
 
@@ -200,6 +201,21 @@ def test_theta_unit_and_x0(even_candidate):
     assert theta.formal_2f1(NCSeries.one(QQ, 4)) == CSeries.one(QQ, 4)
 
 
+def test_theta_is_the_01_solution():
+    theta = ThetaMap(4)
+    g = random_grouplike(random.Random(5), 4)
+    assert cocycle_image(g, "01", theta=theta) == theta(g)
+
+
+def test_theta_rejects_a_gamma_matrix_of_another_truncation_or_ring():
+    with pytest.raises(ValueError):
+        ThetaMap(8, gamma_matrix=gamma_matrix_plus(4))
+    with pytest.raises(ValueError):
+        ThetaMap(4, complex_field(20), gamma_matrix=gamma_matrix_plus(4))
+    theta = ThetaMap(4, gamma_matrix=gamma_matrix_plus(4))
+    assert theta.x.truncation == theta.log_image1.truncation == 4
+
+
 def test_theta_factors_through_comp_fake(even_candidate):
     from associators.associator import comp_fake
 
@@ -231,20 +247,16 @@ def test_v_matrices_identity_cocycle(even_candidate):
     npl = n_plus_matrix(even_candidate.phi.truncate(4))
     one = NCSeries.one(QQ, 4)
     a, b, p, q = CSeries.gens(QQ, 4)
-    v01, clearing = v_matrix(one, "01", theta=theta, n_plus=npl)
-    assert clearing == "b"
+    v01 = v_matrix(one, "01", theta=theta, n_plus=npl)
     assert v01[0, 0] == b and v01[0, 1] == b
     assert v01[1, 0] == CSeries.zero(QQ, 4) and v01[1, 1] == p
 
-    v10, clearing = v_matrix(one, "10", theta=theta, n_plus=npl)
-    assert clearing == "bq"
+    v10 = v_matrix(one, "10", theta=theta, n_plus=npl)
     assert v10[0, 0] == b * q
     assert v10[1, 0] == -(a * b)
 
 
 def test_v_matrix_homomorphism_in_g(even_candidate):
-    from associators.matspec import cocycle_image
-
     rng = random.Random(66)
     theta = ThetaMap(4)
     npl = n_plus_matrix(even_candidate.phi.truncate(4))
@@ -257,8 +269,8 @@ def test_v_matrix_homomorphism_in_g(even_candidate):
             raw2 = cocycle_image(g2, star, theta=theta, n_plus=npl)
             assert first_entry_mismatch(raw_prod, raw1 * raw2) is None
             # and the column-mixed matrix inherits it: V(g1 g2) = G(g1) V(g2)
-            v_prod, _ = v_matrix(g1 * g2, star, theta=theta, n_plus=npl)
-            v2, _ = v_matrix(g2, star, theta=theta, n_plus=npl)
+            v_prod = v_matrix(g1 * g2, star, theta=theta, n_plus=npl)
+            v2 = v_matrix(g2, star, theta=theta, n_plus=npl)
             assert first_entry_mismatch(v_prod, raw1 * v2) is None
 
 
@@ -283,8 +295,6 @@ def test_cocycle_image_values_at_truncation_4(even_candidate):
     g = random_grouplike(random.Random(7), 4)
     theta = ThetaMap(4)
     npl = n_plus_matrix(even_candidate.phi.truncate(4))
-    from associators.matspec import cocycle_image
-
     got = {star: matrix_digest(cocycle_image(g, star, theta=theta, n_plus=npl))
            for star in V_STARS}
     assert got == COCYCLE_DIGESTS_4
@@ -326,7 +336,7 @@ def test_v_matrix_values_at_truncation_4(even_candidate):
     g = random_grouplike(random.Random(7), 4)
     theta = ThetaMap(4)
     npl = n_plus_matrix(even_candidate.phi.truncate(4))
-    got = {star: matrix_digest(v_matrix(g, star, theta=theta, n_plus=npl)[0]) for star in V_STARS}
+    got = {star: matrix_digest(v_matrix(g, star, theta=theta, n_plus=npl)) for star in V_STARS}
     assert got == V_MATRIX_DIGESTS_4
 
 
@@ -376,8 +386,7 @@ def test_formal_euler_transformation_random_grouplike():
     from associators.cseries import max_cseries_coeff as mcc
     from associators.matspec import _subst_euler
 
-    v, _ = v_matrix(f, "10", theta=theta)
-    w = v[0, 0]
+    w = v_matrix(f, "10", theta=theta)[0, 0]
     a = CS.variable(QQ, 5, "a")
     b = CS.variable(QQ, 5, "b")
     p = CS.variable(QQ, 5, "p")
