@@ -1,6 +1,7 @@
 """The complex-analytic side: multiple polylogarithm coefficients of the
 fundamental solution, the generating series of multiple zeta values, the
-classical hypergeometric series, and the numeric identity suite.
+classical hypergeometric series, summed in fixed point on Gaussian
+integers, and the numeric identity suite.
 
 The fundamental solution of d/dz G = (e0/z + e1/(z-1)) G with
 G z^(-e0) -> 1 as z -> 0+ is G_01.  Its coefficient on a word ending in e1
@@ -19,12 +20,14 @@ outlives its call.
 from __future__ import annotations
 
 import math
+from math import isqrt
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp, to_rational
 
 from . import words as W
 from .associator import AssociatorCandidate
@@ -333,81 +336,170 @@ def regularized_table(base_values, max_weight):
 # -- the classical hypergeometric series ------------------------------------------------
 
 
+def _dyadic(v):
+    """The mpmath real v = (sign, man, exp, bc) as an exact Fraction."""
+    if not v[1] and v[3]:
+        raise ValueError("an infinity or nan is no hypergeometric argument")
+    return Fraction(*to_rational(v))
+
+
+def _gaussian_rational(x):
+    """x as two Fractions (re, im), exactly: an int, Fraction, float or
+    complex, or an mpmath number through its dyadic tuples."""
+    if hasattr(x, "_mpc_"):
+        return tuple(map(_dyadic, x._mpc_))
+    if hasattr(x, "_mpf_"):
+        return _dyadic(x._mpf_), Fraction(0)
+    if isinstance(x, complex):
+        return Fraction(x.real), Fraction(x.imag)
+    return Fraction(x), Fraction(0)
+
+
+def _abs_up(re, im):
+    """An upper bound of |re + i im| as a Fraction: exact on the axes, else
+    the square root rounded up at 2^-64 over the denominator of the square."""
+    if not (re and im):
+        return abs(re + im)
+    sq = re * re + im * im
+    return Fraction(isqrt((sq.numerator * sq.denominator) << 128) + 1, sq.denominator << 64)
+
+
+def _gauss_prefactor(alpha, beta, gamma, den, m, bits):
+    """Gauss's prefactor P = prod_(k<m) (c-a+k)(c-b+k) / ((c+k)(c-a-b+k)) at
+    scale 2^bits, alpha, beta and gamma the Gaussian integers (re, im) den a,
+    den b and den c.  Each factor f_k is g_k conj(h_k) / |h_k|^2 on Gaussian
+    integers, applied with one floor per part; returns P and a bound on its
+    error in units of 2^-bits, e_(k+1) = e_k |f_k| + 2, |f_k| rounded up at
+    2^-32 from the exact |g_k|^2 / |h_k|^2."""
+    (ar, ai), (br, bi), (cr, ci) = alpha, beta, gamma
+    pr, pi, err = 1 << bits, 0, 0
+    for k in range(m):
+        kd = k * den
+        xr, xi, yr, yi = cr - ar + kd, ci - ai, cr - br + kd, ci - bi
+        gr, gi = xr * yr - xi * yi, xr * yi + xi * yr
+        xr, xi, yr, yi = cr + kd, ci, cr - ar - br + kd, ci - ai - bi
+        hr, hi = xr * yr - xi * yi, xr * yi + xi * yr
+        h2 = hr * hr + hi * hi
+        fr, fi = gr * hr + gi * hi, gi * hr - gr * hi
+        pr, pi = (pr * fr - pi * fi) // h2, (pr * fi + pi * fr) // h2
+        err = -(-err * (isqrt(((gr * gr + gi * gi) << 64) // h2) + 1) >> 32) + 2
+    return (pr, pi), err
+
+
 def hyp2f1(a, b, c, z, digits=50):
     """The Gauss series F(a, b; c; z) = sum_n t_n, t_n = (a)_n (b)_n z^n /
     ((c)_n n!), for |z| < 1 and for z = 1 with Re(c - a - b) > 0; c must not
     be a non-positive integer.  Contract: the absolute error is below
     eps = 10^-(digits + 10), half for truncation and half for rounding.
 
-    One term loop sums P times the series; it stops at a zero term or once
-    |P| times a proven bound on the rest from n is below eps/2.  z = 1, by
-    Gauss's proof (Andrews, Askey and Roy, Special Functions, 1999, 2.2): m
-    shifts c -> c + 1 leave the series at c + m times the rational prefactor
-    P = prod_(k<m) (c-a+k)(c-b+k) / ((c+k)(c-a-b+k)), where m = max(0,
-    ceil(|a| + |b| - Re c)) + ceil((digits + 12) / log10(2e)), raised if
-    need be so that Re c + m >= sqrt(2 |a| |b| (digits + 12)): a large
+    One term loop sums the series; P times it is the value.  The loop stops
+    at an exact zero term or once |P| times a proven bound on the rest from
+    n is below eps/2.  z = 1, by Gauss's proof (Andrews, Askey and Roy,
+    Special Functions, 1999, 2.2): m shifts c -> c + 1 leave the series at
+    c + m times the prefactor P = prod_(k<m) (c-a+k)(c-b+k) / ((c+k)(c-a-b+k)),
+    where m = max(0, ceil(A + B - Re c)) + ceil((digits + 12) / log10(2e)),
+    raised if need be so that Re c + m >= sqrt(2 A B (digits + 12)): a large
     |a||b| against c + m makes the terms grow before they fall slowly, and
     the root balances the m factors of P against the terms (near the
     cheapest total in a sweep of |a||b| from 25 to 10^4 at 40 and 100
-    digits).  With A = |a|, B = |b|, C = Re c + m, sigma = C - A - B > 0,
-    |t_n| <= u_n, the term of the real series at (A, B; C); telescoping
-    (n + C - 1) u_n bounds the rest by (n + C - 1) u_n / kappa_n, kappa_n =
-    min(sigma, (sigma n + C - 1 - AB) / (n + 1)) > 0.  |z| < 1: P = 1, C =
-    Re c; once |t_n| < eps/2 and n + C > 0, later term ratios are at most
-    rho = |z| max(1, (n + A) / (n + 1)) max(1, (n + B) / (n + C)); for rho <
-    1 the rest is below |t_n| / (1 - rho).
+    digits).  Here A >= |a| and B >= |b| are rationals (_abs_up), and the
+    bounds below take A and B rounded up and C <= Re c + m rounded down at
+    2^-32.  With sigma = C - A - B > 0, |t_n| <= u_n, the term of the real
+    series at (A, B; C); telescoping (n + C - 1) u_n bounds the rest by (n +
+    C - 1) u_n / kappa_n, kappa_n = min(sigma, (sigma n + C - 1 - AB) / (n +
+    1)) > 0.  |z| < 1: P = 1, C <= Re c; once |t_n| < eps/2 and n + C > 0,
+    later term ratios are at most rho = |z| max(1, (n + A) / (n + 1)) max(1,
+    (n + B) / (n + C)); for rho < 1 the rest is below |t_n| / (1 - rho).
 
-    Rounding, to first order: a term and P carry relative errors below 2 n
-    and 2 m times 10^-w at w working digits, so N terms err by at most
-    (N + m) |P| U 10^(1 - w), U the sum of u_n (z = 1) or |t_n|; w starts at
-    digits + 20 and the loop reruns at more until that is below eps/2."""
-    eps = mpmath.mpf(10) ** -(digits + 10)
-    work = digits + 20
+    Rounding.  a, b, c and z enter exactly, as Gaussian rationals (an mpmath
+    number by its dyadic tuples); no mpmath arithmetic runs.  The terms are
+    Gaussian integers at scale 2^W: the ratio t_(n+1) / t_n is a Gaussian
+    integer N_n (times conj(c + n)) over a positive int D_n, and T_(n+1) =
+    floor(T_n N_n / D_n) in each part, so T_n is within delta_n units of 2^W
+    t_n, delta_0 = 0, delta_(n+1) = ceil(rho_n delta_n) + 2, with rho_n >=
+    |t_(n+1) / t_n| the ratio u_(n+1) / u_n at z = 1, and at |z| < 1 (n +
+    A)(n + B) |z| / ((n + 1) L_n), L_n = max(|n + Re c|, |Im c|) <= |c + n|.
+    P is formed the same way, one floor per factor and part, within delta_P
+    units (_gauss_prefactor).  The sums are exact, and P times the sum S~,
+    rounded down once to 2^-W, is within (delta_P |S~| + |P| sum_n delta_n)
+    2^-2W + 2^(1-W) of P times the summed terms.  W starts at the bits of
+    digits + 20 digits, and the loop reruns at more bits until that bound is
+    below eps/2.  The mpc returned holds every bit of the fixed-point
+    result, so its precision follows |F| and the contract stays absolute."""
+    (ar, ai), (br, bi), (cr, ci), (zr, zi) = map(_gaussian_rational, (a, b, c, z))
+    if not ci and cr <= 0 and cr.denominator == 1:
+        raise ValueError("c must not be a non-positive integer")
+    A, B, at_one = _abs_up(ar, ai), _abs_up(br, bi), zr == 1 and not zi
+    if at_one and cr - ar - br > 0:
+        m = max(max(0, math.ceil(A + B - cr)) + math.ceil((digits + 12) / math.log10(2 * math.e)),
+                math.ceil(math.sqrt(2 * A * B * (digits + 12)) - cr))
+    elif zr * zr + zi * zi < 1:
+        m = 0
+    else:
+        raise ValueError("need |z| < 1, or z = 1 with Re(c - a - b) > 0")
+    den = math.lcm(*(x.denominator for x in (ar, ai, br, bi, cr, ci)))
+    zden = math.lcm(zr.denominator, zi.denominator)
+    alpha, beta, gamma = ((int(x * den), int(y * den)) for x, y in ((ar, ai), (br, bi), (cr, ci)))
+    zeta_r, zeta_i = int(zr * zden), int(zi * zden)
+    Q = 1 << 32  # the bounds' A, B and |z| rounded up at 2^-32, C = Re c + m rounded down
+    a_up, b_up, z_up = (math.ceil(x * Q) for x in (A, B, _abs_up(zr, zi)))
+    c_lo = math.floor((cr + m) * Q)
+    sigma = c_lo - a_up - b_up
+    # L_n = max(|n + Re c|, |Im c|) times crd cid, for |z| < 1
+    crn, crd, cin, cid = cr.numerator, cr.denominator, abs(ci.numerator), ci.denominator
+    gr, gi = gamma[0] + m * den, gamma[1]
+    two_over_eps = 2 * 10 ** (digits + 10)
+    bits = math.ceil((digits + 20) * math.log2(10))
     while True:
-        with mp.workdps(work):
-            a_, b_, c_, z_ = (_to_mpc(x) for x in (a, b, c, z))
-            if mpmath.isint(c_.real) and c_.imag == 0 and c_.real <= 0:
-                raise ValueError("c must not be a non-positive integer")
-            s_, A, B, at_one = c_ - a_ - b_, abs(a_), abs(b_), z_ == 1
-            if at_one and s_.real > 0:
-                m = max(max(0, math.ceil(A + B - c_.real)) + math.ceil((digits + 12) / math.log10(2 * math.e)),
-                        math.ceil(math.sqrt(2 * A * B * (digits + 12)) - c_.real))
-                P = mpmath.fprod((c_ - a_ + k) * (c_ - b_ + k) / ((c_ + k) * (s_ + k)) for k in range(m))
-                c_ += m
-                sigma = c_.real - A - B
-            elif abs(z_) < 1:
-                m, P = 0, mpmath.mpc(1)
+        (pr, pi), dp = _gauss_prefactor(alpha, beta, gamma, den, m, bits) if at_one else ((1 << bits, 0), 0)
+        one, p_up = 1 << bits, abs(pr) + abs(pi) + dp  # |P| < p_up 2^-bits
+        # past errs_cap the rounding bound fails: stop the pass, rerun at more bits
+        errs_cap = one * one // (two_over_eps * p_up)
+        tr, ti, sr, si, pu, err, errs, n = one, 0, 0, 0, p_up << bits, 0, 0, 0
+        while errs <= errs_cap:
+            nq = n * Q
+            if at_one:  # pu: p_up u_n at scale 2^(2 bits), rounded up
+                kappa = min(sigma * Q * (n + 1), sigma * nq + c_lo * Q - Q * Q - a_up * b_up)
+                if kappa > 0 and two_over_eps * Q * pu * (nq + c_lo - Q) * (n + 1) < kappa << 2 * bits:
+                    break
             else:
-                raise ValueError("need |z| < 1, or z = 1 with Re(c - a - b) > 0")
-            C, scale = c_.real, 2 * abs(P)  # the rest, times scale, must fall below eps
-            total, term, u, size, n = mpmath.mpc(0), mpmath.mpc(1), mpmath.mpf(1), 0, 0
-            while term:
-                if at_one:
-                    kappa = min(sigma, (sigma * n + C - 1 - A * B) / (n + 1))
-                    if kappa > 0 and scale * (n + C - 1) * u < kappa * eps:
+                u = abs(tr) + abs(ti) + err
+                if two_over_eps * u < one and nq + c_lo > 0:
+                    rho_den = Q * Q * (n + 1) * (nq + c_lo)
+                    rho = z_up * max(Q * (n + 1), nq + a_up) * max(nq + c_lo, nq + b_up)
+                    if two_over_eps * u * rho_den < (rho_den - rho) * one:
                         break
-                else:
-                    u = abs(term)
-                    if scale * u < eps and n + C > 0:
-                        rho = abs(z_) * max(1, (n + A) / (n + 1)) * max(1, (n + B) / (n + C))
-                        if scale * u < (1 - rho) * eps:
-                            break
-                total += term
-                size += u
-                term *= (a_ + n) * (b_ + n) / ((c_ + n) * (n + 1)) * z_
-                if at_one:
-                    u *= (n + A) * (n + B) / ((n + C) * (n + 1))
-                n += 1
-            rounding = (n + m) * abs(P) * size * mpmath.mpf(10) ** (1 - work)
-            if rounding < eps / 2:
-                return P * total
-        work += math.ceil(mpmath.log10(rounding / eps)) + 1
+            sr, si, errs = sr + tr, si + ti, errs + err
+            # the ratio (a + n)(b + n) z / ((c + n)(n + 1)) as (nr + i ni) / dn
+            xr, yr = alpha[0] + n * den, beta[0] + n * den
+            nr, ni = xr * yr - alpha[1] * beta[1], xr * beta[1] + alpha[1] * yr
+            nr, ni = nr * zeta_r - ni * zeta_i, nr * zeta_i + ni * zeta_r
+            if not (nr or ni):
+                break  # the series terminates
+            xr = gr + n * den
+            nr, ni = nr * xr + ni * gi, ni * xr - nr * gi
+            dn = (xr * xr + gi * gi) * den * zden * (n + 1)
+            tr, ti = (tr * nr - ti * ni) // dn, (tr * ni + ti * nr) // dn
+            if at_one:
+                rho, rho_den = (nq + a_up) * (nq + b_up), (nq + c_lo) * (n + 1) * Q
+                pu = -(-pu * rho // rho_den)
+            else:
+                rho = z_up * (nq + a_up) * (nq + b_up) * crd * cid
+                rho_den = Q ** 3 * (n + 1) * max(abs(n * crd + crn) * cid, cin * crd)
+            err = -(-err * rho // rho_den) + 2
+            n += 1
+        rounding = two_over_eps * (dp * (abs(sr) + abs(si)) + p_up * errs + 2 * one)
+        if rounding <= one * one:
+            fr, fi = (pr * sr - pi * si) >> bits, (pr * si + pi * sr) >> bits
+            return mp.make_mpc((from_man_exp(fr, -bits), from_man_exp(fi, -bits)))
+        bits = max(bits + 1, rounding.bit_length() - bits + 2)
 
 
 def gauss_summation_defect(a, b, c, digits=50):
     """Distance between the series value at z = 1 and the classical gamma
-    quotient.  The left side calls no gamma function: it is hyp2f1's rational
-    prefactor times the directly summed series at the shifted c."""
+    quotient.  The left side calls no gamma function: it is hyp2f1's
+    prefactor P, formed in fixed point with one floor per factor, times the
+    directly summed series at the shifted c."""
     with mp.workdps(digits + 15):
         a, b, c = _to_mpc(a), _to_mpc(b), _to_mpc(c)
         rhs = mpmath.gammaprod([c, c - a - b], [c - a, c - b])

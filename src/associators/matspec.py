@@ -156,22 +156,30 @@ def _ratios(gamma: GammaSeries, truncation: int):
 
 
 def gamma_ratio_matrix(gamma: GammaSeries, truncation: int) -> GammaMatrix:
-    """Assemble the associated 2x2 matrix from a gamma series.
-
-    Off-diagonal entries go through the brace forms whose divisibility by p
-    and q is exactly what the unimodularity argument promises.  The (2,2)
-    entry is produced from det = 1 (which only needs gamma up to the
-    truncation order); over QQ, when two extra orders of gamma are
-    available, the explicit pq-division route is computed as well and
-    cross-checked.  The ratios are then computed once, two orders higher,
-    and truncated.
-    """
+    """Assemble the associated 2x2 matrix from a gamma series.  Over QQ,
+    when two extra orders of gamma are available, the ratios are computed
+    once, two orders higher, for the cross-check of _matrix_of_ratios."""
     ring, n = gamma.ring, truncation
     if gamma.order < n:
         raise ValueError("gamma series order %d too small for truncation %d"
                          % (gamma.order, n))
     cross_check = ring.exact and gamma.order >= n + 2
-    ratios = _ratios(gamma, n + 2 if cross_check else n)
+    return _matrix_of_ratios(_ratios(gamma, n + 2 if cross_check else n), n)
+
+
+def _matrix_of_ratios(ratios, truncation: int) -> GammaMatrix:
+    """The 2x2 matrix at the truncation from the four gamma ratios of
+    _ratios, given at that truncation or above.
+
+    Off-diagonal entries go through the brace forms whose divisibility by p
+    and q is exactly what the unimodularity argument promises.  The (2,2)
+    entry is produced from det = 1 (which only needs gamma up to the
+    truncation order); over QQ, when the ratios are given at two orders
+    more, the explicit pq-division route is computed as well and
+    cross-checked.
+    """
+    ring, n = ratios[0].ring, truncation
+    cross_check = ring.exact and ratios[0].truncation == n + 2
     r_main, r_top, r_low = (r.truncate(n) for r in ratios[:3])
     a, b, p, q = CSeries.gens(ring, n)
 
@@ -487,7 +495,8 @@ def formal_gauss_identity(gt: GTElement, truncation: int):
     if gsig.order < n:
         raise ValueError("GT element of truncation %d too short for truncation %d"
                          % (gsig.order, n))
-    r_main, r_top, r_low, r_diag = _ratios(gamma_even(n_int + 2, ring), n_int)
+    ratios = _ratios(gamma_even(n_int + 2, ring), n_int)
+    r_main, r_top, r_low, r_diag = ratios
     s_main, _, s_low, _ = _ratios(gsig, n_int)
     a, b, p, q = CSeries.gens(ring, n_int)
 
@@ -495,7 +504,8 @@ def formal_gauss_identity(gt: GTElement, truncation: int):
     term2 = ((a * b + p * q) * r_diag - (a * b) * r_low).divide_exact("pq") * r_main * s_main
     rhs = (term1 + term2).truncate(n)
 
-    theta = ThetaMap(n, ring)
+    # M+ of the same ratios: ThetaMap would build them again
+    theta = ThetaMap(n, ring, gamma_matrix=_matrix_of_ratios(ratios, n))
     lhs = theta.formal_2f1(gt.series)
 
     printed_form_divisible = True

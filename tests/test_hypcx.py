@@ -28,6 +28,7 @@ from associators.hypcx import (
     shuffle_words,
     solution_matrix_at,
 )
+from associators.rings import complex_field
 from test_ncseries import numerator_digest
 
 
@@ -392,6 +393,7 @@ def gamma_quotient(a, b, c):
 
 
 COMPLEX_ABC = (mpmath.mpc("0.3", "0.2"), mpmath.mpc("0.1", "-0.4"), mpmath.mpc("1.2", "0.1"))
+KUMMER_Z = 1 - complex_field(40).from_fraction(F(3, 10))  # 7/10 as a 168-bit dyadic
 
 
 @pytest.mark.parametrize("a, b, c, z, digits", [
@@ -420,6 +422,19 @@ COMPLEX_ABC = (mpmath.mpc("0.3", "0.2"), mpmath.mpc("0.1", "-0.4"), mpmath.mpc("
     pytest.param(60, 50, 111, 1, 100, id="large-F,100"),
     pytest.param(30, mpmath.mpc(0, 30), 31, 1, 200, id="imaginary-b,200"),
     pytest.param(60, 50, 111, 1, 200, id="large-F,200"),
+    # complex z off the real segment, and 1 - z as the Kummer rows pass it
+    pytest.param(*COMPLEX_ABC, mpmath.mpc("0.3", "0.4"), 40, id="z=0.3+0.4i"),
+    pytest.param(*COMPLEX_ABC, mpmath.mpc("0.3", "0.4"), 100, id="z=0.3+0.4i,100"),
+    pytest.param(*COMPLEX_ABC, KUMMER_Z, 40, id="z=1-3/10,ring"),
+    pytest.param(*COMPLEX_ABC, KUMMER_Z, 100, id="z=1-3/10,ring,100"),
+    pytest.param(-5, F(1, 3), F(5, 4), F(9, 10), 40, id="terminating,z=9/10"),
+    pytest.param(-5, F(1, 3), F(5, 4), F(9, 10), 100, id="terminating,z=9/10,100"),
+    # the terms grow to 1.3e9 before they fall, and F is 6.5e10; c - a - b
+    # is not an integer, where mpmath's own value would take seconds
+    pytest.param(30, 30, F(121, 2), F(9, 10), 40, id="growing,z=9/10"),
+    pytest.param(30, 30, F(121, 2), F(9, 10), 100, id="growing,z=9/10,100"),
+    pytest.param(*COMPLEX_ABC, 0, 40, id="z=0"),
+    pytest.param(*COMPLEX_ABC, 0, 100, id="z=0,100"),
 ])
 def test_hyp2f1_at_one_keeps_its_contract(a, b, c, z, digits):
     """The absolute error is below 10^-(digits + 10): at z = 1 against the
@@ -427,7 +442,7 @@ def test_hyp2f1_at_one_keeps_its_contract(a, b, c, z, digits):
     digits, or at digits + 80 above 80."""
     with mp.workdps(max(160, digits + 80)):
         args = [mpmath.mpf(x.numerator) / x.denominator if isinstance(x, F) else mpmath.mpc(x)
-                for x in (a, b, c, F(z))]
+                for x in (a, b, c, z)]
         exact = gamma_quotient(*args[:3]) if z == 1 else mpmath.hyp2f1(*args)
         assert abs(hyp2f1(a, b, c, z, digits) - exact) < mpmath.mpf(10) ** -(digits + 10)
 
@@ -441,17 +456,66 @@ def test_hyp2f1_at_one_keeps_its_contract(a, b, c, z, digits):
 def test_hyp2f1_at_one_shifts_c_by_the_product_of_a_and_b(a, b, c, shifts, monkeypatch):
     """m, the number of factors of P, also grows with |a||b|: Re c + m
     reaches sqrt(2 |a| |b| (digits + 12)), where the terms no longer grow
-    for long before they fall."""
-    seen, fprod = [], mpmath.fprod
+    for long before they fall.  Seen as the m that P is formed with."""
+    seen, prefactor = [], hypcx._gauss_prefactor
 
-    def spy(factors):
-        factors = list(factors)
-        seen.append(len(factors))
-        return fprod(factors)
+    def spy(alpha, beta, gamma, den, m, bits):
+        seen.append(m)
+        return prefactor(alpha, beta, gamma, den, m, bits)
 
-    monkeypatch.setattr(mpmath, "fprod", spy)
+    monkeypatch.setattr(hypcx, "_gauss_prefactor", spy)
     hyp2f1(a, b, c, 1, 40)
     assert seen[0] == shifts
+
+
+@pytest.mark.parametrize("z", [F(7, 10), 1])
+@pytest.mark.parametrize("digits", [40, 100])
+def test_hyp2f1_takes_mpc_and_fraction_parameters_alike(z, digits):
+    """(a, b, c) as Fractions and as 160-digit mpc numbers, which differ
+    by about 10^-160: each value keeps the contract, so they agree within
+    twice its bound."""
+    abc = (F(1, 10), F(1, 5), F(23, 20))
+    with mp.workdps(160):
+        as_mpc = [mpmath.mpc(x.numerator) / x.denominator for x in abc]
+        exact = gamma_quotient(*as_mpc) if z == 1 else mpmath.hyp2f1(*as_mpc, mpmath.mpf(7) / 10)
+        eps = mpmath.mpf(10) ** -(digits + 10)
+        by_mpc, by_fraction = hyp2f1(*as_mpc, z, digits), hyp2f1(*abc, z, digits)
+        assert abs(by_mpc - exact) < eps
+        assert abs(by_mpc - by_fraction) < 2 * eps
+
+
+def test_hyp2f1_reads_its_inputs_exactly():
+    """A float, a complex, an mpf and a Fraction of one value give the same
+    bits; z = 0 gives exactly 1; an infinity is refused."""
+    by_fraction = hyp2f1(F(1, 2), F(1, 4), F(3, 2), F(3, 4), 40)
+    assert hyp2f1(0.5, complex(0.25, 0), mpmath.mpf(1.5), mpmath.mpc(0.75), 40) == by_fraction
+    assert all(hyp2f1(*COMPLEX_ABC, 0, digits) == 1 for digits in (40, 100))
+    with pytest.raises(ValueError):
+        hyp2f1(mpmath.inf, 1, 2, F(1, 2), 40)
+
+
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__", "__abs__")
+
+
+def test_hyp2f1_sums_on_integers(monkeypatch):
+    """No term of the sum goes through mpmath: one call makes as many
+    mpmath operations at z = 3/10 and 40 digits as at z = 99/100 and 100
+    digits, with over a hundred times the terms."""
+    ops = []
+    for cls in (mpmath.ctx_mp_python._mpf, mpmath.ctx_mp_python._mpc):
+        for name in ARITHMETIC:
+            def spy(*args, method=getattr(cls, name)):
+                ops.append(method)
+                return method(*args)
+
+            monkeypatch.setattr(cls, name, spy)
+    counts = []
+    for z, digits in ((F(3, 10), 40), (F(99, 100), 100)):
+        del ops[:]
+        hyp2f1(*COMPLEX_ABC, z, digits)
+        counts.append(len(ops))
+    assert counts[0] == counts[1] <= 4
 
 
 def test_gauss_summation():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from associators import matspec
 from associators import words as W
 from associators.associator import GTElement, gt_from_pair
 from associators.cseries import CSeries, ExactDivisionError, max_cseries_coeff
@@ -442,6 +443,21 @@ def test_formal_gauss_oracle_values(even_candidate, skew_candidate):
     oracle = formal_gauss_oracle(gt_from_pair(even_candidate, skew_candidate), 5)
     text = repr(sorted((k, str(c)) for k, c in oracle.terms.items()))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "b13c19119b921af2"
+
+
+def test_formal_gauss_builds_the_even_ratios_once(even_candidate, skew_candidate, monkeypatch):
+    """The identity's ThetaMap takes M+ from the identity's own even gamma
+    ratios: one _ratios call for them, one for the element's, both at n + 2."""
+    calls, ratios = [], matspec._ratios
+
+    def spy(gamma, truncation):
+        calls.append(truncation)
+        return ratios(gamma, truncation)
+
+    monkeypatch.setattr(matspec, "_ratios", spy)
+    rep, _, _ = formal_gauss_identity(gt_from_pair(even_candidate, skew_candidate), 5)
+    assert rep["defect"] == 0.0
+    assert calls == [7, 7]
 
 
 def test_formal_gauss_degree2_slice(even_candidate, skew_candidate):
