@@ -499,19 +499,20 @@ def gauss_summation_defect(a, b, c, digits=50):
     """Distance between the series value at z = 1 and the classical gamma
     quotient.  The left side calls no gamma function: it is hyp2f1's
     prefactor P, formed in fixed point with one floor per factor, times the
-    directly summed series at the shifted c."""
+    directly summed series at the shifted c.  hyp2f1 reads a, b and c
+    exactly; only the gamma quotient rounds them, at digits + 15."""
     with mp.workdps(digits + 15):
-        a, b, c = _to_mpc(a), _to_mpc(b), _to_mpc(c)
-        rhs = mpmath.gammaprod([c, c - a - b], [c - a, c - b])
+        rhs = mpmath.gammaprod([_to_mpc(c), _to_mpc(c - a - b)], [_to_mpc(c - a), _to_mpc(c - b)])
         return float(mpmath.fabs(hyp2f1(a, b, c, 1, digits) - rhs))
 
 
 def euler_transformation_defect(a, b, c, z, digits=50):
-    """Distance between F(a, b; c; z) and (1 - z)^(c - a - b) F(c - a, c - b; c; z)."""
+    """Distance between F(a, b; c; z) and (1 - z)^(c - a - b) F(c - a, c - b; c; z).
+    Both series read their parameters exactly, c - a and c - b formed in the
+    parameters' own type; only the power rounds, at digits + 15."""
     with mp.workdps(digits + 15):
-        a, b, c, z = _to_mpc(a), _to_mpc(b), _to_mpc(c), _to_mpc(z)
         lhs = hyp2f1(a, b, c, z, digits)
-        rhs = mpmath.power(1 - z, c - a - b) * hyp2f1(c - a, c - b, c, z, digits)
+        rhs = mpmath.power(_to_mpc(1 - z), _to_mpc(c - a - b)) * hyp2f1(c - a, c - b, c, z, digits)
         return float(mpmath.fabs(lhs - rhs))
 
 

@@ -23,6 +23,11 @@ over the commutative series ring in (a, b, p).  The module hosts:
   series, the appendix entry relations, and the formal Gauss summation
   identity.
 
+An identity that reads only row 0, where the hypergeometric function and
+its companion sit, takes first_row: e0^T f(m0, m1) = (f^rev(m0^T, m1^T)
+E00)^T, a walk of one column.  ev_at, cocycle_image, v_matrix and theta
+give whole matrices.
+
 Every function works at the truncation of the series it is given.
 
 All statements with denominators are handled through cleared forms and
@@ -57,6 +62,20 @@ def xy_matrices(ring, truncation):
 def ev_at(f: NCSeries, m0: MatSeries, m1: MatSeries) -> MatSeries:
     """f at a pair of matrices."""
     return f.substitute(m0, m1)
+
+
+def first_row(f: NCSeries, m0: MatSeries, m1: MatSeries) -> MatSeries:
+    """Row 0 of f(m0, m1), row 1 zero, by a walk that carries one column.
+    The entries commute, so (I_w1 ... I_wL)^T = I_wL^T ... I_w1^T, and
+
+        e0^T f(m0, m1) = (f^rev(m0^T, m1^T) E00)^T,
+
+    f^rev being f with every word reversed and E00 the matrix unit at (0, 0):
+    the walk's one, so that every node holds column 0 only.  Over QQ row 0
+    equals ev_at's; over the complex ring it is one walk, as ev_at is."""
+    e00 = MatSeries(m0.ring, m0.truncation, {(0, 0, 0, 0, 0): m0.ring.one})
+    rev = f.apply_word_map(lambda w: w[::-1])
+    return rev.substitute(m0.transpose(), m1.transpose(), one=e00).transpose()
 
 
 def ev_xy(f: NCSeries) -> MatSeries:
@@ -147,12 +166,12 @@ class GammaMatrix:
         self.det_is_one = self.det_defect <= m.ring.noise_floor
 
 
-def _ratios(gamma: GammaSeries, truncation: int):
-    """The four gamma ratios (main, top, low, diag) at (-p, -q; -p-a, -p-b),
-    (p, -q; -a, -b), (-p, q; a, b) and (p, q; p+a, p+b)."""
+def _ratios(gamma: GammaSeries, truncation: int, pick=(0, 1, 2, 3)):
+    """The gamma ratios of pick among (main, top, low, diag), at (-p, -q;
+    -p-a, -p-b), (p, -q; -a, -b), (-p, q; a, b) and (p, q; p+a, p+b)."""
     a, b, p, q = CSeries.gens(gamma.ring, truncation)
-    return (gamma.ratio(-p, -q, -p - a, -p - b), gamma.ratio(p, -q, -a, -b),
-            gamma.ratio(-p, q, a, b), gamma.ratio(p, q, p + a, p + b))
+    args = ((-p, -q, -p - a, -p - b), (p, -q, -a, -b), (-p, q, a, b), (p, q, p + a, p + b))
+    return tuple(gamma.ratio(*args[i]) for i in pick)
 
 
 def gamma_ratio_matrix(gamma: GammaSeries, truncation: int) -> GammaMatrix:
@@ -250,15 +269,19 @@ class ThetaMap:
         self.x, self.y = xy_matrices(ring, truncation)
         self.log_image1 = (self.m_inv * (-self.y)) * self.m_plus
 
+    def _series(self, element) -> NCSeries:
+        if isinstance(element, NCSeries):
+            return element
+        return free_group_word(self.x.ring, self.x.truncation, element)
+
     def __call__(self, element) -> MatSeries:
         """Image of a group-like series in the exponential picture, or of a
         free-group word [(generator, exponent), ...]."""
-        if not isinstance(element, NCSeries):
-            element = free_group_word(self.x.ring, self.x.truncation, element)
-        return element.substitute(self.x, self.log_image1)
+        return self._series(element).substitute(self.x, self.log_image1)
 
     def formal_2f1(self, element) -> CSeries:
-        return self(element)[0, 0]
+        """The (1,1) entry of the image, by the first-row walk."""
+        return first_row(self._series(element), self.x, self.log_image1)[0, 0]
 
 
 # -- matrix logarithm for the non-conjugation closed forms ---------------------------
@@ -281,7 +304,7 @@ def n_plus_matrix(phi: NCSeries) -> MatSeries:
     return ev_at(phi, y - x, -y)
 
 
-def _row(star, theta, n_plus):
+def _row(star, theta, n_plus=None):
     """(u, C, C^(-1), v, K) of a star.  The stars pair up by base point, one
     row (u, C, v) per pair: 01, 0inf at 0 with (X, M^(-1), -Y); 10, 1inf at
     1 with (-Y, M, X); inf1, inf0 at infinity with (Y - X, N^(-1), -Y).  K is
@@ -302,25 +325,26 @@ def _row(star, theta, n_plus):
     raise ValueError("unknown star %r" % star)
 
 
-def cocycle_image(g: NCSeries, star: str, theta: ThetaMap,
-                  n_plus: MatSeries = None) -> MatSeries:
-    """Image of the cocycle stand-in g under the closed-form evaluation for
-    one of the six solutions; multiplicative in g.  n_plus = N is needed for
-    inf1 and inf0.
-
-    The image is g(u, w) for the star's row (u, C, v): w = C v C^(-1) at the
-    near stars 01 (theta's log image of x1), 10 and inf1, and
+def _star_images(star, theta, n_plus=None):
+    """The letter images (u, w) of a star's row (u, C, v): w = C v C^(-1) at
+    the near stars 01 (theta's log image of x1), 10 and inf1, and
     w = log(e^(-u/2) C e^(-v) C^(-1) e^(-u/2)) at the far stars 0inf, 1inf
     and inf0."""
     u, c, c_inv, v, _ = _row(star, theta, n_plus)
     if star == "01":
-        w = theta.log_image1
-    elif star in ("10", "inf1"):
-        w = (c * v) * c_inv
-    else:
-        half = mat_exp_graded(u.scale(Fraction(-1, 2)))
-        w = mat_log_graded(half * c * mat_exp_graded(-v) * c_inv * half)
-    return g.substitute(u, w)
+        return u, theta.log_image1
+    if star in ("10", "inf1"):
+        return u, (c * v) * c_inv
+    half = mat_exp_graded(u.scale(Fraction(-1, 2)))
+    return u, mat_log_graded(half * c * mat_exp_graded(-v) * c_inv * half)
+
+
+def cocycle_image(g: NCSeries, star: str, theta: ThetaMap,
+                  n_plus: MatSeries = None) -> MatSeries:
+    """Image of the cocycle stand-in g under the closed-form evaluation for
+    one of the six solutions, g at the star's images (_star_images);
+    multiplicative in g.  n_plus = N is needed for inf1 and inf0."""
+    return g.substitute(*_star_images(star, theta, n_plus))
 
 
 def v_matrix(g: NCSeries, star: str, theta: ThetaMap, n_plus: MatSeries = None) -> MatSeries:
@@ -356,8 +380,8 @@ def transformation_identities(g: NCSeries) -> dict:
     out = {}
 
     # identity "inf1": [g(Y-X, -Y) (1, -a/b)^T]_1 = e^(c0 a) iota([g(X,-Y)]_11)
-    h = n_plus_matrix(g)
-    gmat = ev_xy(g)
+    h = first_row(g, y - x, -y)
+    gmat = first_row(g, x, -y)
     lhs = b * h[0, 0] - a * h[0, 1]
     rhs = b * (a.scale(c0).exp() * subst_reindex(gmat[0, 0]))
     out["inf1"] = max_coeff(lhs - rhs)
@@ -369,8 +393,8 @@ def transformation_identities(g: NCSeries) -> dict:
     out["1inf"] = max_coeff(lhs2 - rhs2)
 
     # identity "inf0": g at (Y-X, X) against g at (X, Y-X), prefactor e^((c0-c1) a)
-    h3 = ev_at(g, y - x, x)
-    g3 = ev_at(g, x, y - x)
+    h3 = first_row(g, y - x, x)
+    g3 = first_row(g, x, y - x)
     lhs3 = b * h3[0, 0] - a * h3[0, 1]
     rhs3 = b * (a.scale(c0 - c1).exp() * subst_reindex(g3[0, 0]))
     out["inf0"] = max_coeff(lhs3 - rhs3)
@@ -385,10 +409,10 @@ def swap_invariance_defect(g: NCSeries, theta: ThetaMap) -> float:
     The cleared entry W carries one factor b from the clearing, so the
     invariance of W/(bq) reads a W = b sw(W).  The property holds for any
     group-like stand-in (indeed word by word, which is the generating-
-    function structure of the first row); it is asserted here on the
-    assembled solution matrix where the gamma ratios participate.
+    function structure of the first row); it is asserted here on the first
+    row of the assembled solution matrix, where the gamma ratios participate.
     """
-    w = v_matrix(g, "1inf", theta=theta)[0, 0]
+    w = (first_row(g, *_star_images("1inf", theta)) * _row("1inf", theta)[4])[0, 0]
     a, b, _, _ = CSeries.gens(g.ring, g.truncation)
     return max_coeff(a * w - b * subst_swap_ab(w))
 
@@ -409,7 +433,7 @@ def formal_euler_identity(f: NCSeries, theta: ThetaMap) -> float:
     the e1 coefficient of the cocycle stand-in (the abelianised cocycle
     datum standing in for the Kummer exponent).  Returns the defect.
     """
-    w = v_matrix(f, "10", theta=theta)[0, 0]
+    w = (first_row(f, *_star_images("10", theta)) * _row("10", theta)[4])[0, 0]
     rho = f.coeff((1,))
     a, b, p, _ = CSeries.gens(f.ring, f.truncation)
     lhs = (a + p) * w
@@ -427,7 +451,8 @@ def weighted_sum_identities(g: NCSeries) -> dict:
          prefactor (g group-like).
     """
     n = g.truncation
-    gmat = ev_xy(g)
+    x, y = xy_matrices(g.ring, n)
+    gmat = first_row(g, x, -y)
     out = {"entry11_vs_stats": max_coeff(gmat[0, 0] - ohno_zagier_sum(g))}
 
     a, b, p, q = CSeries.gens(g.ring, n)
@@ -497,7 +522,7 @@ def formal_gauss_identity(gt: GTElement, truncation: int):
                          % (gsig.order, n))
     ratios = _ratios(gamma_even(n_int + 2, ring), n_int)
     r_main, r_top, r_low, r_diag = ratios
-    s_main, _, s_low, _ = _ratios(gsig, n_int)
+    s_main, s_low = _ratios(gsig, n_int, (0, 2))
     a, b, p, q = CSeries.gens(ring, n_int)
 
     term1 = (a * b) * (r_main - r_top).divide_exact("pq") * r_low * s_low

@@ -12,6 +12,8 @@ from associators import hypcx, matspec, pentagon, rings, words
 from associators.associator import AssociatorCandidate, GTElement, gt_from_pair, solve_unitary
 from associators.cseries import CSeries
 from associators.gammafn import GammaSeries, gamma_even
+from associators.graded import RingMismatch
+from associators.mat2 import MatSeries
 from associators.ncseries import NCSeries
 from associators.rings import QQ
 
@@ -60,6 +62,13 @@ CHECKS = {
     "cocycle_image: inf1 without n_plus":
         (lambda: matspec.cocycle_image(ONE2, "inf1", matspec.ThetaMap(2)), ValueError,
          "need the n_plus"),
+    "first_row: images over two rings":
+        (lambda: matspec.first_row(ONE2, matspec.xy_matrices(QQ, 2)[0],
+                                   matspec.xy_matrices(rings.complex_field(20), 2)[1]),
+         RingMismatch, "coefficient rings differ"),
+    "first_row: an image with a constant term":
+        (lambda: matspec.first_row(ONE2, MatSeries.one(QQ, 2), matspec.xy_matrices(QQ, 2)[1]),
+         ValueError, "nonzero constant term"),
     "formal_gauss_identity: GT element too short":
         (lambda: matspec.formal_gauss_identity(GTElement.identity(QQ, 2), 4), ValueError,
          "too short"),

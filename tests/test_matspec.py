@@ -18,6 +18,7 @@ from associators.matspec import (
     ev_at,
     ev_xy,
     first_entry_mismatch,
+    first_row,
     formal_gauss_identity,
     formal_gauss_oracle,
     gamma_matrix_plus,
@@ -32,6 +33,8 @@ from associators.matspec import (
     word_entry_closed_form,
     xy_matrices,
 )
+from associators.graded import max_coeff
+from associators.mat2 import MatSeries
 from associators.ncseries import NCSeries, bracket, lie_element
 from associators.rings import QQ, complex_field
 from associators.words import zeta_value
@@ -318,6 +321,52 @@ def test_ev_at_values_at_truncation_6():
     assert got == EV_AT_DIGESTS_6
 
 
+def row_zero(m):
+    """Row 0 of m over a zero row 1."""
+    zero = CSeries.zero(m.ring, m.truncation)
+    return MatSeries.of(m[0, 0], m[0, 1], zero, zero)
+
+
+def not_reversal_symmetric(n):
+    """1 + e0 e1 + 2 e0 e0 e1: its reversal is another series."""
+    return NCSeries(QQ, n, {(): 1, (0, 1): 1, (0, 0, 1): 2})
+
+
+@pytest.mark.parametrize("series", ["grouplike", "not_reversal_symmetric"])
+def test_first_row_is_row_zero_of_the_full_walk(series):
+    # the four linear pairs of the identity functions and the images of
+    # the stars 10 and 1inf, each exactly
+    n = 5
+    f = (random_grouplike(random.Random(8), n, start=2) if series == "grouplike"
+         else not_reversal_symmetric(n))
+    x, y = xy_matrices(QQ, n)
+    theta = ThetaMap(n)
+    pairs = [(x, -y), (y - x, -y), (y - x, x), (x, y - x),
+             matspec._star_images("10", theta), matspec._star_images("1inf", theta)]
+    for m0, m1 in pairs:
+        assert first_row(f, m0, m1) == row_zero(ev_at(f, m0, m1))
+
+
+def test_first_row_over_the_complex_ring_keeps_the_walk_contract():
+    # each walk is within u = 2^-B of the exact walk of the same stored inputs
+    n, ring = 5, complex_field(40)
+    for f in (random_grouplike(random.Random(8), n, start=2), not_reversal_symmetric(n)):
+        f = NCSeries(ring, n, f.terms)
+        x, y = xy_matrices(ring, n)
+        row = first_row(f, x, -y)
+        assert not row[1, 0].numerators and not row[1, 1].numerators
+        assert max_coeff(row - row_zero(ev_at(f, x, -y))) <= 2 * 2.0 ** -ring.bits
+
+
+def test_transpose_is_an_involution_and_reverses_products():
+    x, y = xy_matrices(QQ, 4)
+    m1 = ev_at(random_grouplike(random.Random(8), 4), x, -y)
+    m2 = gamma_matrix_plus(4).m
+    assert x.transpose() != x and x.transpose()[1, 0] == x[0, 1]
+    assert m1.transpose().transpose() == m1
+    assert (m1 * m2).transpose() == m2.transpose() * m1.transpose()
+
+
 def test_theta_map_values_at_truncation_6():
     g = random_grouplike(random.Random(9), 6)
     assert matrix_digest(ThetaMap(6)(g)) == "206c305ab20034cf"
@@ -447,17 +496,24 @@ def test_formal_gauss_oracle_values(even_candidate, skew_candidate):
 
 def test_formal_gauss_builds_the_even_ratios_once(even_candidate, skew_candidate, monkeypatch):
     """The identity's ThetaMap takes M+ from the identity's own even gamma
-    ratios: one _ratios call for them, one for the element's, both at n + 2."""
-    calls, ratios = [], matspec._ratios
+    ratios: one _ratios call for the four of them, one for the element's
+    main and low ratios, both at n + 2; six gamma ratios in all."""
+    calls, ratios, formed, ratio = [], matspec._ratios, [], GammaSeries.ratio
 
-    def spy(gamma, truncation):
-        calls.append(truncation)
-        return ratios(gamma, truncation)
+    def spy(gamma, truncation, *pick):
+        calls.append((truncation,) + pick)
+        return ratios(gamma, truncation, *pick)
+
+    def ratio_spy(gamma, *forms):
+        formed.append(gamma)
+        return ratio(gamma, *forms)
 
     monkeypatch.setattr(matspec, "_ratios", spy)
+    monkeypatch.setattr(GammaSeries, "ratio", ratio_spy)
     rep, _, _ = formal_gauss_identity(gt_from_pair(even_candidate, skew_candidate), 5)
     assert rep["defect"] == 0.0
-    assert calls == [7, 7]
+    assert calls == [(7,), (7, (0, 2))]
+    assert len(formed) == 6
 
 
 def test_formal_gauss_degree2_slice(even_candidate, skew_candidate):
