@@ -34,7 +34,7 @@ from .associator import AssociatorCandidate
 from .gammafn import gamma_of_associator
 from .mat2 import MatSeries
 from .ncseries import NCSeries, max_coeff
-from .rings import complex_field
+from .rings import complex_field, gaussian
 
 
 def _to_mpc(x, ctx=mp):
@@ -201,10 +201,9 @@ def kz_series(weight, digits=50, z=Fraction(1, 2)):
     if got is None or got.truncation < weight:
         g01 = fundamental_solution(z, weight, digits)
         g = g01 if z == 1 - z else fundamental_solution(1 - z, weight, digits)
-        # G_10 = g(e1, e0) is group-like: (G_10^(-1) | w) = (-1)^|w| (g | dual w)
+        # G_10 = g(e1, e0) is group-like: its antipode is its inverse
+        phi = g.swap_letters().antipode() * g01
         ring = g01.ring
-        phi = NCSeries._stored(ring, weight, {W.dual_word(w): -c if len(w) % 2 else c
-                                              for w, c in g.numerators.items()}, g.denominator) * g01
         got = AssociatorCandidate(mu=ring.mp.mpc(0, 2) * ring.mp.pi, phi=phi, truncation=weight)
         _PHI_CACHE[digits, z] = got
     # coefficients of words of length <= weight do not depend on the
@@ -364,26 +363,25 @@ def _abs_up(re, im):
     return Fraction(isqrt((sq.numerator * sq.denominator) << 128) + 1, sq.denominator << 64)
 
 
+def _step(t, err, x, d):
+    """t x / d, each part floored, t a Gaussian integer within err units of
+    its exact value, x one too and d a positive int: the result and its
+    error, ceil(err (abs(x) + 1) / d) + 2 units.  abs(x) + 1 bounds |x|, and
+    a floor per part costs under sqrt 2 units."""
+    return t * x // d, -(-err * (abs(x) + 1) // d) + 2
+
+
 def _gauss_prefactor(alpha, beta, gamma, den, m, bits):
     """Gauss's prefactor P = prod_(k<m) (c-a+k)(c-b+k) / ((c+k)(c-a-b+k)) at
-    scale 2^bits, alpha, beta and gamma the Gaussian integers (re, im) den a,
-    den b and den c.  Each factor f_k is g_k conj(h_k) / |h_k|^2 on Gaussian
-    integers, applied with one floor per part; returns P and a bound on its
-    error in units of 2^-bits, e_(k+1) = e_k |f_k| + 2, |f_k| rounded up at
-    2^-32 from the exact |g_k|^2 / |h_k|^2."""
-    (ar, ai), (br, bi), (cr, ci) = alpha, beta, gamma
-    pr, pi, err = 1 << bits, 0, 0
+    scale 2^bits, alpha, beta and gamma the Gaussian integers den a, den b
+    and den c.  Each factor g_k / h_k is the step (_step) by g_k conj(h_k)
+    over |h_k|^2; returns P and its error delta_P in units of 2^-bits."""
+    p, err = 1 << bits, 0
     for k in range(m):
-        kd = k * den
-        xr, xi, yr, yi = cr - ar + kd, ci - ai, cr - br + kd, ci - bi
-        gr, gi = xr * yr - xi * yi, xr * yi + xi * yr
-        xr, xi, yr, yi = cr + kd, ci, cr - ar - br + kd, ci - ai - bi
-        hr, hi = xr * yr - xi * yi, xr * yi + xi * yr
-        h2 = hr * hr + hi * hi
-        fr, fi = gr * hr + gi * hi, gi * hr - gr * hi
-        pr, pi = (pr * fr - pi * fi) // h2, (pr * fi + pi * fr) // h2
-        err = -(-err * (isqrt(((gr * gr + gi * gi) << 64) // h2) + 1) >> 32) + 2
-    return (pr, pi), err
+        c = gamma + k * den
+        h = c * (c - alpha - beta)
+        p, err = _step(p, err, (c - alpha) * (c - beta) * h.conjugate(), h * h.conjugate())
+    return p, err
 
 
 def hyp2f1(a, b, c, z, digits=50):
@@ -392,11 +390,11 @@ def hyp2f1(a, b, c, z, digits=50):
     be a non-positive integer.  Contract: the absolute error is below
     eps = 10^-(digits + 10), half for truncation and half for rounding.
 
-    One term loop sums the series; P times it is the value.  The loop stops
-    at an exact zero term or once |P| times a proven bound on the rest from
-    n is below eps/2.  z = 1, by Gauss's proof (Andrews, Askey and Roy,
-    Special Functions, 1999, 2.2): m shifts c -> c + 1 leave the series at
-    c + m times the prefactor P = prod_(k<m) (c-a+k)(c-b+k) / ((c+k)(c-a-b+k)),
+    One term loop sums the series, its first term the prefactor P.  The loop
+    stops at an exact zero term or once a proven bound on the rest from n is
+    below eps/2.  z = 1, by Gauss's proof (Andrews, Askey and Roy, Special
+    Functions, 1999, 2.2): m shifts c -> c + 1 leave the series at c + m
+    times the prefactor P = prod_(k<m) (c-a+k)(c-b+k) / ((c+k)(c-a-b+k)),
     where m = max(0, ceil(A + B - Re c)) + ceil((digits + 12) / log10(2e)),
     raised if need be so that Re c + m >= sqrt(2 A B (digits + 12)): a large
     |a||b| against c + m makes the terms grow before they fall slowly, and
@@ -405,27 +403,27 @@ def hyp2f1(a, b, c, z, digits=50):
     digits).  Here A >= |a| and B >= |b| are rationals (_abs_up), and the
     bounds below take A and B rounded up and C <= Re c + m rounded down at
     2^-32.  With sigma = C - A - B > 0, |t_n| <= u_n, the term of the real
-    series at (A, B; C); telescoping (n + C - 1) u_n bounds the rest by (n +
-    C - 1) u_n / kappa_n, kappa_n = min(sigma, (sigma n + C - 1 - AB) / (n +
-    1)) > 0.  |z| < 1: P = 1, C <= Re c; once |t_n| < eps/2 and n + C > 0,
-    later term ratios are at most rho = |z| max(1, (n + A) / (n + 1)) max(1,
-    (n + B) / (n + C)); for rho < 1 the rest is below |t_n| / (1 - rho).
+    series at (A, B; C); telescoping (n + C - 1) u_n bounds the rest by |P|
+    (n + C - 1) u_n / kappa_n, kappa_n = min(sigma, (sigma n + C - 1 - AB) /
+    (n + 1)) > 0.  |z| < 1: P = 1, C <= Re c; once |t_n| < eps/2 and n + C
+    > 0, later term ratios are at most rho = |z| max(1, (n + A) / (n + 1))
+    max(1, (n + B) / (n + C)); for rho < 1 the rest is below |t_n| / (1 -
+    rho).
 
     Rounding.  a, b, c and z enter exactly, as Gaussian rationals (an mpmath
     number by its dyadic tuples); no mpmath arithmetic runs.  The terms are
-    Gaussian integers at scale 2^W: the ratio t_(n+1) / t_n is a Gaussian
-    integer N_n (times conj(c + n)) over a positive int D_n, and T_(n+1) =
-    floor(T_n N_n / D_n) in each part, so T_n is within delta_n units of 2^W
-    t_n, delta_0 = 0, delta_(n+1) = ceil(rho_n delta_n) + 2, with rho_n >=
-    |t_(n+1) / t_n| the ratio u_(n+1) / u_n at z = 1, and at |z| < 1 (n +
-    A)(n + B) |z| / ((n + 1) L_n), L_n = max(|n + Re c|, |Im c|) <= |c + n|.
-    P is formed the same way, one floor per factor and part, within delta_P
-    units (_gauss_prefactor).  The sums are exact, and P times the sum S~,
-    rounded down once to 2^-W, is within (delta_P |S~| + |P| sum_n delta_n)
-    2^-2W + 2^(1-W) of P times the summed terms.  W starts at the bits of
-    digits + 20 digits, and the loop reruns at more bits until that bound is
-    below eps/2.  The mpc returned holds every bit of the fixed-point
-    result, so its precision follows |F| and the contract stays absolute."""
+    Gaussian integers (``rings.Gaussian``, a plain int on the real line) at
+    scale 2^W, T_0 = P: with alpha, beta, gamma = den (a, b, c), zeta = zden
+    z and g = gamma + (m + n) den, T_(n+1) = T_n N // D, N = (alpha + n
+    den)(beta + n den) zeta conj(g), D = |g|^2 den zden (n + 1), each part
+    floored.  Every factor, here and in P, takes one error step (_step), so
+    T_n is within delta_n units of 2^W P t_n, delta_0 = delta_P, and the
+    exact sum S of the terms is within sum_n delta_n 2^-W of their exact
+    sum: no product of two fixed-point numbers follows.  W starts at the
+    bits of digits + 20 digits; a pass whose sum_n delta_n 2^-W exceeds
+    eps/2 reruns at the bits of 2 sum_n delta_n / eps, plus 1.  The mpc
+    returned is S 2^-W, every bit of it, so its precision follows |F| and
+    the contract stays absolute."""
     (ar, ai), (br, bi), (cr, ci), (zr, zi) = map(_gaussian_rational, (a, b, c, z))
     if not ci and cr <= 0 and cr.denominator == 1:
         raise ValueError("c must not be a non-positive integer")
@@ -439,68 +437,52 @@ def hyp2f1(a, b, c, z, digits=50):
         raise ValueError("need |z| < 1, or z = 1 with Re(c - a - b) > 0")
     den = math.lcm(*(x.denominator for x in (ar, ai, br, bi, cr, ci)))
     zden = math.lcm(zr.denominator, zi.denominator)
-    alpha, beta, gamma = ((int(x * den), int(y * den)) for x, y in ((ar, ai), (br, bi), (cr, ci)))
-    zeta_r, zeta_i = int(zr * zden), int(zi * zden)
+    alpha, beta, gamma = (gaussian(int(x * den), int(y * den)) for x, y in ((ar, ai), (br, bi), (cr, ci)))
+    zeta = gaussian(int(zr * zden), int(zi * zden))
     Q = 1 << 32  # the bounds' A, B and |z| rounded up at 2^-32, C = Re c + m rounded down
     a_up, b_up, z_up = (math.ceil(x * Q) for x in (A, B, _abs_up(zr, zi)))
     c_lo = math.floor((cr + m) * Q)
     sigma = c_lo - a_up - b_up
-    # L_n = max(|n + Re c|, |Im c|) times crd cid, for |z| < 1
-    crn, crd, cin, cid = cr.numerator, cr.denominator, abs(ci.numerator), ci.denominator
-    gr, gi = gamma[0] + m * den, gamma[1]
     two_over_eps = 2 * 10 ** (digits + 10)
     bits = math.ceil((digits + 20) * math.log2(10))
     while True:
-        (pr, pi), dp = _gauss_prefactor(alpha, beta, gamma, den, m, bits) if at_one else ((1 << bits, 0), 0)
-        one, p_up = 1 << bits, abs(pr) + abs(pi) + dp  # |P| < p_up 2^-bits
-        # past errs_cap the rounding bound fails: stop the pass, rerun at more bits
-        errs_cap = one * one // (two_over_eps * p_up)
-        tr, ti, sr, si, pu, err, errs, n = one, 0, 0, 0, p_up << bits, 0, 0, 0
-        while errs <= errs_cap:
+        t, err = _gauss_prefactor(alpha, beta, gamma, den, m, bits) if at_one else (1 << bits, 0)
+        one, s, errs, n = 1 << bits, 0, 0, 0
+        pu = (abs(t) + 1 + err) << bits  # |P| u_n at scale 2^(2 bits), rounded up, at z = 1
+        while two_over_eps * errs <= one:  # else the rounding bound fails: rerun at more bits
             nq = n * Q
-            if at_one:  # pu: p_up u_n at scale 2^(2 bits), rounded up
+            if at_one:
                 kappa = min(sigma * Q * (n + 1), sigma * nq + c_lo * Q - Q * Q - a_up * b_up)
                 if kappa > 0 and two_over_eps * Q * pu * (nq + c_lo - Q) * (n + 1) < kappa << 2 * bits:
                     break
             else:
-                u = abs(tr) + abs(ti) + err
+                u = abs(t) + 1 + err
                 if two_over_eps * u < one and nq + c_lo > 0:
                     rho_den = Q * Q * (n + 1) * (nq + c_lo)
                     rho = z_up * max(Q * (n + 1), nq + a_up) * max(nq + c_lo, nq + b_up)
                     if two_over_eps * u * rho_den < (rho_den - rho) * one:
                         break
-            sr, si, errs = sr + tr, si + ti, errs + err
-            # the ratio (a + n)(b + n) z / ((c + n)(n + 1)) as (nr + i ni) / dn
-            xr, yr = alpha[0] + n * den, beta[0] + n * den
-            nr, ni = xr * yr - alpha[1] * beta[1], xr * beta[1] + alpha[1] * yr
-            nr, ni = nr * zeta_r - ni * zeta_i, nr * zeta_i + ni * zeta_r
-            if not (nr or ni):
+            s, errs = s + t, errs + err
+            x = (alpha + n * den) * (beta + n * den) * zeta
+            if not x:
                 break  # the series terminates
-            xr = gr + n * den
-            nr, ni = nr * xr + ni * gi, ni * xr - nr * gi
-            dn = (xr * xr + gi * gi) * den * zden * (n + 1)
-            tr, ti = (tr * nr - ti * ni) // dn, (tr * ni + ti * nr) // dn
+            g = gamma + (m + n) * den
+            t, err = _step(t, err, x * g.conjugate(), g * g.conjugate() * den * zden * (n + 1))
             if at_one:
-                rho, rho_den = (nq + a_up) * (nq + b_up), (nq + c_lo) * (n + 1) * Q
-                pu = -(-pu * rho // rho_den)
-            else:
-                rho = z_up * (nq + a_up) * (nq + b_up) * crd * cid
-                rho_den = Q ** 3 * (n + 1) * max(abs(n * crd + crn) * cid, cin * crd)
-            err = -(-err * rho // rho_den) + 2
+                pu = -(-pu * (nq + a_up) * (nq + b_up) // ((nq + c_lo) * (n + 1) * Q))
             n += 1
-        rounding = two_over_eps * (dp * (abs(sr) + abs(si)) + p_up * errs + 2 * one)
-        if rounding <= one * one:
-            fr, fi = (pr * sr - pi * si) >> bits, (pr * si + pi * sr) >> bits
-            return mp.make_mpc((from_man_exp(fr, -bits), from_man_exp(fi, -bits)))
-        bits = max(bits + 1, rounding.bit_length() - bits + 2)
+        if two_over_eps * errs <= one:
+            return mp.make_mpc((from_man_exp(s.real, -bits), from_man_exp(s.imag, -bits)))
+        bits = (two_over_eps * errs).bit_length() + 1
 
 
 def gauss_summation_defect(a, b, c, digits=50):
     """Distance between the series value at z = 1 and the classical gamma
     quotient.  The left side calls no gamma function: it is hyp2f1's
-    prefactor P, formed in fixed point with one floor per factor, times the
-    directly summed series at the shifted c.  hyp2f1 reads a, b and c
-    exactly; only the gamma quotient rounds them, at digits + 15."""
+    directly summed series at the shifted c, whose first term is the
+    prefactor P, formed in fixed point with one floor per factor and part.
+    hyp2f1 reads a, b and c exactly; only the gamma quotient rounds them, at
+    digits + 15."""
     with mp.workdps(digits + 15):
         rhs = mpmath.gammaprod([_to_mpc(c), _to_mpc(c - a - b)], [_to_mpc(c - a), _to_mpc(c - b)])
         return float(mpmath.fabs(hyp2f1(a, b, c, 1, digits) - rhs))
@@ -560,18 +542,17 @@ def hg11_defect(a, b, c, z, weight, digits=50):
 def kummer_row_defects(a, b, c, z, weight, digits=50):
     """First-row identities of the 01 and 10 solution matrices against
     hypergeometric values (four scalar checks); the 01 left one is
-    hg11_defect."""
+    hg11_defect.  The series read their parameters exactly, formed in the
+    parameters' own type; only the powers read ring numbers."""
     v01, v10 = solution_matrix_at(a, b, c, z, weight, digits)
     ctx = complex_field(digits).mp
     a_, b_, c_, z_ = (_to_mpc(x, ctx) for x in (a, b, c, z))
     out = {}
     out["01_left"] = hg11_defect(a, b, c, z, weight, digits)
-    rhs = ctx.power(z_, 1 - c_) * hyp2f1(b_ + 1 - c_, a_ + 1 - c_, 2 - c_, z, digits)
+    rhs = ctx.power(z_, 1 - c_) * hyp2f1(b + 1 - c, a + 1 - c, 2 - c, z, digits)
     out["01_right"] = float(mpmath.fabs(v01[0, 1] - rhs))
-    out["10_left"] = float(mpmath.fabs(
-        v10[0, 0] - hyp2f1(a_, b_, a_ + b_ + 1 - c_, 1 - z_, digits)))
-    rhs = ctx.power(1 - z_, c_ - a_ - b_) * hyp2f1(
-        c_ - a_, c_ - b_, c_ - a_ - b_ + 1, 1 - z_, digits)
+    out["10_left"] = float(mpmath.fabs(v10[0, 0] - hyp2f1(a, b, a + b + 1 - c, 1 - z, digits)))
+    rhs = ctx.power(1 - z_, c_ - a_ - b_) * hyp2f1(c - a, c - b, c - a - b + 1, 1 - z, digits)
     out["10_right"] = float(mpmath.fabs(v10[0, 1] - rhs))
     return out
 

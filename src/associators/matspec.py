@@ -145,10 +145,9 @@ def ohno_zagier_sum(phi: NCSeries) -> CSeries:
 
 def ohno_zagier_exponential(phi: NCSeries) -> CSeries:
     """exp sum_{n>=2} zeta_phi(n)/n {p^n + q^n - (a+p)^n - (b+p)^n}, i.e. the
-    gamma ratio at (-p, -q; -p-a, -p-b)."""
+    main gamma ratio of _ratios, at (-p, -q; -p-a, -p-b)."""
     gamma = gamma_of_associator(AssociatorCandidate(phi.ring.one, phi, phi.truncation))
-    a, b, p, q = CSeries.gens(phi.ring, phi.truncation)
-    return gamma.ratio(-p, -q, -p - a, -p - b)
+    return _ratios(gamma, phi.truncation, (0,))[0]
 
 
 # -- gamma-ratio matrix ----------------------------------------------------------

@@ -7,7 +7,9 @@ form: ``split`` and ``value`` take a number to and from it, ``reduce``
 normalises it.  ``QQ`` stores Fractions as ints in lowest terms;
 ``ComplexField(digits)`` stores complex numbers in fixed point, as
 Gaussian-integer numerators over 2^B, B = ``bits`` = ``mp.prec`` + 8
-guard bits, and hands out numbers of its own mpmath context ``mp``.
+guard bits, and hands out numbers of its own mpmath context ``mp``.  A
+Gaussian integer is an int on the real line and a ``Gaussian`` off it; the
+series numerators and ``hypcx.hyp2f1``'s fixed-point sum share the type.
 
 A number or numerator is zero exactly when it is false (``if c``): the
 arithmetic prunes nothing by tolerance, which would corrupt results;
@@ -45,7 +47,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 import mpmath
-from mpmath.libmp import fzero, from_man_exp
+from mpmath.libmp import from_man_exp
 
 
 class RationalField:
@@ -74,36 +76,51 @@ class RationalField:
 
 
 class Gaussian:
-    """re + im i, im != 0: a complex numerator off the real line.  A real
-    numerator is a plain int, so a real series multiplies on ints."""
+    """real + imag i, imag != 0: a complex numerator off the real line.  A
+    real numerator is a plain int, so a real series multiplies on ints.  The
+    two share int's complex protocol: real, imag, conjugate(), + - * with
+    each other, // by a positive int (each part floored) and abs, here the
+    modulus floored."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re, im):
-        self.re, self.im = re, im
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
 
     def __add__(self, other):
         if isinstance(other, int):
-            return Gaussian(self.re + other, self.im)
-        return gaussian(self.re + other.re, self.im + other.im)
+            return Gaussian(self.real + other, self.imag)
+        return gaussian(self.real + other.real, self.imag + other.imag)
+
+    def __sub__(self, other):
+        return gaussian(self.real - other.real, self.imag - other.imag)
+
+    def __rsub__(self, other):
+        return gaussian(other.real - self.real, other.imag - self.imag)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return gaussian(self.re * other, self.im * other)
-        return gaussian(self.re * other.re - self.im * other.im,
-                        self.re * other.im + self.im * other.re)
+            return gaussian(self.real * other, self.imag * other)
+        return gaussian(self.real * other.real - self.imag * other.imag,
+                        self.real * other.imag + self.imag * other.real)
 
     __radd__, __rmul__ = __add__, __mul__
 
+    def __floordiv__(self, d):
+        return gaussian(self.real // d, self.imag // d)
+
     def __neg__(self):
-        return Gaussian(-self.re, -self.im)
+        return Gaussian(-self.real, -self.imag)
+
+    def conjugate(self):
+        return Gaussian(self.real, -self.imag)
 
     def __abs__(self):
-        return isqrt(self.re * self.re + self.im * self.im)  # the modulus, floored
+        return isqrt(self.real * self.real + self.imag * self.imag)
 
 
-def gaussian(re, im):
-    return Gaussian(re, im) if im else re
+def gaussian(real, imag):
+    return Gaussian(real, imag) if imag else real
 
 
 def _fixed(v, bits):
@@ -153,10 +170,8 @@ class ComplexField:
 
     def value(self, num, den):
         exp, (prec, rnd) = 1 - den.bit_length(), self.mp._prec_rounding
-        if isinstance(num, int):
-            return self.mp.make_mpc((from_man_exp(num, exp, prec, rnd), fzero))
-        return self.mp.make_mpc((from_man_exp(num.re, exp, prec, rnd),
-                                 from_man_exp(num.im, exp, prec, rnd)))
+        return self.mp.make_mpc((from_man_exp(num.real, exp, prec, rnd),
+                                 from_man_exp(num.imag, exp, prec, rnd)))
 
     def reduce(self, numerators, den):
         """numerators / den, den a power of 2: up to 2^B as they are (2^B
@@ -167,7 +182,7 @@ class ComplexField:
         half, out = 1 << (shift - 1), {}
         for k, c in numerators.items():
             c = ((c + half) >> shift if isinstance(c, int)
-                 else gaussian((c.re + half) >> shift, (c.im + half) >> shift))
+                 else gaussian((c.real + half) >> shift, (c.imag + half) >> shift))
             if c:
                 out[k] = c
         return out, den >> shift

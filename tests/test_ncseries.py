@@ -173,10 +173,9 @@ def mpc_digest(*vectors):
 
 
 def numerator_digest(*series):
-    """sha256 of the denominator and of the stored numerators, as (re, im)
+    """sha256 of the denominator and of the stored numerators, as (real, imag)
     int pairs, of series over the complex ring."""
-    text = ";".join("%d %r" % (f.denominator, sorted((k, getattr(c, "re", c), getattr(c, "im", 0))
-                                                      for k, c in f.numerators.items()))
+    text = ";".join("%d %r" % (f.denominator, sorted((k, c.real, c.imag) for k, c in f.numerators.items()))
                     for f in series)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 

@@ -3,6 +3,8 @@ ring's mpmath context, so results do not depend on the global mp.dps, and
 the package's numeric boundaries hand out numbers of that context."""
 
 import math
+import operator
+import random
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from associators.graded import max_coeff
 from associators.hypcx import fundamental_solution, kz_series, mzv, solution_matrix_at
 from associators.mat2 import MatSeries
 from associators.ncseries import NCSeries
-from associators.rings import QQ, complex_field
+from associators.rings import QQ, Gaussian, complex_field, gaussian
 
 
 def _digest(series):
@@ -71,6 +73,29 @@ def test_nothing_is_pruned_by_tolerance():
     assert coords == {(0, 1): tiny} and rem == {(1, 0): tiny / 2}
 
 
+def test_gaussian_integers_share_the_complex_protocol_of_int():
+    """A Gaussian integer is an int on the real line and a Gaussian off it.
+    Both read real, imag and conjugate() alike, mix in + - * as exact
+    complex numbers do, floor each part under // by a positive int, and
+    floor the modulus in abs."""
+    rng = random.Random(7)
+    values = ([gaussian(rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(30)]
+              + [rng.randint(-60, 60) for _ in range(10)])
+    assert {type(x) for x in values} == {int, Gaussian}
+    for x in values:
+        assert isinstance(x, int) == (x.imag == 0)
+        assert (x.conjugate().real, x.conjugate().imag) == (x.real, -x.imag)
+        d = rng.randint(1, 9)
+        assert ((x // d).real, (x // d).imag) == (x.real // d, x.imag // d)
+        assert abs(x) ** 2 <= x.real ** 2 + x.imag ** 2 < (abs(x) + 1) ** 2
+        for y in values[::3]:
+            for op in (operator.add, operator.sub, operator.mul):
+                got = op(x, y)
+                assert complex(got.real, got.imag) == op(complex(x.real, x.imag), complex(y.real, y.imag))
+                assert isinstance(got, int) == (got.imag == 0)
+    assert all(type(gaussian(k, 0)) is int for k in (-3, 0, 5))
+
+
 # -- the precision contract of the fixed-point ring ----------------------------
 
 CC40, CC80 = complex_field(40), complex_field(80)
@@ -112,14 +137,14 @@ def unit_matrix(draw):
 
 def parts(f, key):
     c = f.numerators.get(key, 0)
-    return F(getattr(c, "re", c), f.denominator), F(getattr(c, "im", 0), f.denominator)
+    return F(c.real, f.denominator), F(c.imag, f.denominator)
 
 
 def twin(f):
     """f's stored values over CC80, exactly: CC40's numerators fit its bits."""
     e = 1 - f.denominator.bit_length()
     return type(f)(CC80, f.truncation, {
-        k: CC80.mp.mpc(*(CC80.mp.mpf((x, e)) for x in (getattr(c, "re", c), getattr(c, "im", 0))))
+        k: CC80.mp.mpc(*(CC80.mp.mpf((x, e)) for x in (c.real, c.imag)))
         for k, c in f.numerators.items()})
 
 
