@@ -9,18 +9,18 @@ is a power series in z, which the MPL engine sums along one path of words;
 the shuffle with (G_01|e0) = log z gives the words ending in e0.  Each point
 has its own engine, sized for that point alone.  G_10(z)^(-1) G_01(z), with
 G_10(z) = G_01(1 - z)(e1, e0), is the multiple zeta value generating series
-phi_KZ, constant in z; at 1/2 one Horner pass serves both factors.  As the
-connection matrix of the Kummer solutions, G_01 = G_10 phi_KZ (Drinfeld
-1990), it gives solution_matrix_at G_10(z) = G_01(z) phi_KZ^(-1), and each
-solution at (X0, -Y0) a Kummer row of the hypergeometric equation.
-kz_series keeps per (digits, z) only the highest weight computed; no engine
+phi_KZ, constant in z; kz_series takes it at z = 1/2, where one solution
+gives both factors.  As the connection matrix of the Kummer solutions, G_01
+= G_10 phi_KZ (Drinfeld 1990), it gives solution_matrix_at G_10(z) = G_01(z)
+phi_KZ^(-1), and each solution at (X0, -Y0) a Kummer row of the
+hypergeometric equation.
+kz_series keeps per digits only the highest weight computed; no engine
 outlives its call.
 """
 
 from __future__ import annotations
 
 import math
-from math import isqrt
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -186,26 +186,21 @@ def kz_residual_defect(z, weight, digits, step):
 # -- the multiple zeta value generating series --------------------------------------
 
 
-_PHI_CACHE = {}  # (digits, z) -> the candidate of the highest weight computed
+_PHI_CACHE = {}  # digits -> the candidate of the highest weight computed
 
 
-def kz_series(weight, digits=50, z=Fraction(1, 2)):
-    """The MZV generating series with mu = 2 pi i, computed as
-    G_10(z)^(-1) G_01(z); the value is independent of z, which the tests
-    exercise.  Returns an AssociatorCandidate over the complex ring.
-
-    z is taken as a Fraction so that the two solutions are evaluated at
-    exactly complementary points."""
-    z = Fraction(z)
-    got = _PHI_CACHE.get((digits, z))
+def kz_series(weight, digits=50):
+    """The MZV generating series with mu = 2 pi i, phi_KZ = G_10^(-1) G_01 at
+    z = 1/2, where G_10 = G_01(1/2)(e1, e0): one fundamental solution gives
+    both factors, so the linear terms cancel exactly.  Returns an
+    AssociatorCandidate over the complex ring."""
+    got = _PHI_CACHE.get(digits)
     if got is None or got.truncation < weight:
-        g01 = fundamental_solution(z, weight, digits)
-        g = g01 if z == 1 - z else fundamental_solution(1 - z, weight, digits)
-        # G_10 = g(e1, e0) is group-like: its antipode is its inverse
-        phi = g.swap_letters().antipode() * g01
-        ring = g01.ring
-        got = AssociatorCandidate(mu=ring.mp.mpc(0, 2) * ring.mp.pi, phi=phi, truncation=weight)
-        _PHI_CACHE[digits, z] = got
+        g = fundamental_solution(Fraction(1, 2), weight, digits)
+        # G_10 is group-like: its antipode is its inverse
+        phi = g.swap_letters().antipode() * g
+        got = AssociatorCandidate(mu=g.ring.mp.mpc(0, 2) * g.ring.mp.pi, phi=phi, truncation=weight)
+        _PHI_CACHE[digits] = got
     # coefficients of words of length <= weight do not depend on the
     # truncation, so the cached series answers every lower weight
     return AssociatorCandidate(mu=got.mu, phi=got.phi.truncate(weight), truncation=weight)
@@ -335,32 +330,21 @@ def regularized_table(base_values, max_weight):
 # -- the classical hypergeometric series ------------------------------------------------
 
 
-def _dyadic(v):
-    """The mpmath real v = (sign, man, exp, bc) as an exact Fraction."""
-    if not v[1] and v[3]:
+def _rational(v):
+    """A real part as an exact Fraction: an mpmath real by its dyadic tuple."""
+    if not hasattr(v, "_mpf_"):
+        return Fraction(v)
+    if not v._mpf_[1] and v._mpf_[3]:
         raise ValueError("an infinity or nan is no hypergeometric argument")
-    return Fraction(*to_rational(v))
+    return Fraction(*to_rational(v._mpf_))
 
 
-def _gaussian_rational(x):
-    """x as two Fractions (re, im), exactly: an int, Fraction, float or
-    complex, or an mpmath number through its dyadic tuples."""
-    if hasattr(x, "_mpc_"):
-        return tuple(map(_dyadic, x._mpc_))
-    if hasattr(x, "_mpf_"):
-        return _dyadic(x._mpf_), Fraction(0)
-    if isinstance(x, complex):
-        return Fraction(x.real), Fraction(x.imag)
-    return Fraction(x), Fraction(0)
-
-
-def _abs_up(re, im):
-    """An upper bound of |re + i im| as a Fraction: exact on the axes, else
-    the square root rounded up at 2^-64 over the denominator of the square."""
-    if not (re and im):
-        return abs(re + im)
-    sq = re * re + im * im
-    return Fraction(isqrt((sq.numerator * sq.denominator) << 128) + 1, sq.denominator << 64)
+def _gaussian_integers(*xs):
+    """xs read exactly, an int, Fraction, float, complex or mpmath number,
+    over their least common denominator d: d and the Gaussian integers d x."""
+    parts = [(_rational(x.real), _rational(x.imag)) for x in xs]
+    d = math.lcm(*(y.denominator for p in parts for y in p))
+    return d, [gaussian(int(re * d), int(im * d)) for re, im in parts]
 
 
 def _step(t, err, x, d):
@@ -400,23 +384,27 @@ def hyp2f1(a, b, c, z, digits=50):
     |a||b| against c + m makes the terms grow before they fall slowly, and
     the root balances the m factors of P against the terms (near the
     cheapest total in a sweep of |a||b| from 25 to 10^4 at 40 and 100
-    digits).  Here A >= |a| and B >= |b| are rationals (_abs_up), and the
-    bounds below take A and B rounded up and C <= Re c + m rounded down at
-    2^-32.  With sigma = C - A - B > 0, |t_n| <= u_n, the term of the real
-    series at (A, B; C); telescoping (n + C - 1) u_n bounds the rest by |P|
-    (n + C - 1) u_n / kappa_n, kappa_n = min(sigma, (sigma n + C - 1 - AB) /
-    (n + 1)) > 0.  |z| < 1: P = 1, C <= Re c; once |t_n| < eps/2 and n + C
-    > 0, later term ratios are at most rho = |z| max(1, (n + A) / (n + 1))
-    max(1, (n + B) / (n + C)); for rho < 1 the rest is below |t_n| / (1 -
-    rho).
+    digits).  Every test and bound reads the Gaussian integers alpha, beta,
+    gamma = den (a, b, c) and zeta = zden z (see Rounding): c is a
+    non-positive integer when gamma is real, gamma <= 0 and den | gamma; z =
+    1 when zeta = zden; |z| < 1 when |zeta|^2 < zden^2.  With Q = 2^32, A >=
+    |a| is ceil(Q abs(alpha) / den) / Q, abs(alpha) exact on the real line
+    and the floored modulus plus 1 off it; B >= |b| and the bound on |z|
+    likewise, and C <= Re c + m is rounded down at 1/Q.  With sigma = C - A
+    - B > 0, |t_n| <= u_n, the term of the real series at (A, B; C);
+    telescoping (n + C - 1) u_n bounds the rest by |P| (n + C - 1) u_n /
+    kappa_n, kappa_n = min(sigma, (sigma n + C - 1 - AB) / (n + 1)) > 0.
+    |z| < 1: P = 1, C <= Re c; once |t_n| < eps/2 and n + C > 0, later term
+    ratios are at most rho = |z| max(1, (n + A) / (n + 1)) max(1, (n + B) /
+    (n + C)); for rho < 1 the rest is below |t_n| / (1 - rho).
 
-    Rounding.  a, b, c and z enter exactly, as Gaussian rationals (an mpmath
-    number by its dyadic tuples); no mpmath arithmetic runs.  The terms are
-    Gaussian integers (``rings.Gaussian``, a plain int on the real line) at
-    scale 2^W, T_0 = P: with alpha, beta, gamma = den (a, b, c), zeta = zden
-    z and g = gamma + (m + n) den, T_(n+1) = T_n N // D, N = (alpha + n
-    den)(beta + n den) zeta conj(g), D = |g|^2 den zden (n + 1), each part
-    floored.  Every factor, here and in P, takes one error step (_step), so
+    Rounding.  a, b, c and z enter exactly (_gaussian_integers; an mpmath
+    number by its dyadic tuples), den and zden their least common
+    denominators; no mpmath arithmetic runs.  The terms are Gaussian
+    integers (``rings.Gaussian``, a plain int on the real line) at scale
+    2^W, T_0 = P: with g = gamma + (m + n) den, T_(n+1) = T_n N // D, N =
+    (alpha + n den)(beta + n den) zeta conj(g), D = |g|^2 den zden (n + 1),
+    each part floored.  Every factor, here and in P, takes one error step (_step), so
     T_n is within delta_n units of 2^W P t_n, delta_0 = delta_P, and the
     exact sum S of the terms is within sum_n delta_n 2^-W of their exact
     sum: no product of two fixed-point numbers follows.  W starts at the
@@ -424,24 +412,23 @@ def hyp2f1(a, b, c, z, digits=50):
     eps/2 reruns at the bits of 2 sum_n delta_n / eps, plus 1.  The mpc
     returned is S 2^-W, every bit of it, so its precision follows |F| and
     the contract stays absolute."""
-    (ar, ai), (br, bi), (cr, ci), (zr, zi) = map(_gaussian_rational, (a, b, c, z))
-    if not ci and cr <= 0 and cr.denominator == 1:
+    den, (alpha, beta, gamma) = _gaussian_integers(a, b, c)
+    zden, (zeta,) = _gaussian_integers(z)
+    if not gamma.imag and gamma <= 0 and not gamma % den:
         raise ValueError("c must not be a non-positive integer")
-    A, B, at_one = _abs_up(ar, ai), _abs_up(br, bi), zr == 1 and not zi
-    if at_one and cr - ar - br > 0:
-        m = max(max(0, math.ceil(A + B - cr)) + math.ceil((digits + 12) / math.log10(2 * math.e)),
-                math.ceil(math.sqrt(2 * A * B * (digits + 12)) - cr))
-    elif zr * zr + zi * zi < 1:
+    Q = 1 << 32  # Q A, Q B and Q |z| rounded up, Q C = Q (Re c + m) rounded down
+    a_up, b_up, z_up = (-(-(abs(x * Q) + bool(x.imag)) // d)
+                        for x, d in ((alpha, den), (beta, den), (zeta, zden)))
+    at_one = zeta == zden
+    if at_one and gamma.real - alpha.real - beta.real > 0:
+        m = max(max(0, -((gamma.real * Q - (a_up + b_up) * den) // (Q * den)))
+                + math.ceil((digits + 12) / math.log10(2 * math.e)),
+                math.ceil(math.sqrt(2 * a_up * b_up * (digits + 12)) / Q - gamma.real / den))
+    elif zeta * zeta.conjugate() < zden * zden:
         m = 0
     else:
         raise ValueError("need |z| < 1, or z = 1 with Re(c - a - b) > 0")
-    den = math.lcm(*(x.denominator for x in (ar, ai, br, bi, cr, ci)))
-    zden = math.lcm(zr.denominator, zi.denominator)
-    alpha, beta, gamma = (gaussian(int(x * den), int(y * den)) for x, y in ((ar, ai), (br, bi), (cr, ci)))
-    zeta = gaussian(int(zr * zden), int(zi * zden))
-    Q = 1 << 32  # the bounds' A, B and |z| rounded up at 2^-32, C = Re c + m rounded down
-    a_up, b_up, z_up = (math.ceil(x * Q) for x in (A, B, _abs_up(zr, zi)))
-    c_lo = math.floor((cr + m) * Q)
+    c_lo = (gamma.real + m * den) * Q // den
     sigma = c_lo - a_up - b_up
     two_over_eps = 2 * 10 ** (digits + 10)
     bits = math.ceil((digits + 20) * math.log2(10))

@@ -81,26 +81,22 @@ class NCSeries(graded.Series):
 
     def lie_defect(self):
         """Largest residual coefficient of log(self) outside the free Lie
-        algebra, as a float (0.0 for exact Lie logs)."""
+        algebra, as a float (0.0 for exact Lie logs): each degree of the
+        log's stored numerators, ints or Gaussian integers, in Lyndon
+        coordinates, the residual read as max_coeff reads a series."""
         g = self.log()
-        worst = 0.0
-        for d in range(1, self.truncation + 1):
-            part = g.homogeneous_part(d)
-            if not part:
-                continue
-            _, rem = W.lie_coordinates(part, d)
-            for c in rem.values():
-                worst = max(worst, float(abs(c)))
-        return worst
+        parts = {}
+        for w, c in g.numerators.items():
+            if w:
+                parts.setdefault(len(w), {})[w] = c
+        return max((abs(c) for d, part in parts.items()
+                    for c in W.lie_coordinates(part, d)[1].values()), default=0) / g.denominator
 
     def is_grouplike(self, tol=0.0):
         return self.constant_term() == self.ring.one and self.lie_defect() <= tol
 
-    def linear_part_size(self):
-        return float(max(abs(self.coeff((0,))), abs(self.coeff((1,)))))
-
     def is_commutator_grouplike(self, tol=0.0):
-        return self.is_grouplike(tol) and self.linear_part_size() <= tol
+        return self.is_grouplike(tol) and max(abs(self.coeff((0,))), abs(self.coeff((1,)))) <= tol
 
     def is_even(self, tol=0.0):
         return max_coeff(self - self.negate_letters()) <= tol

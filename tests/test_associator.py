@@ -392,6 +392,19 @@ def test_antipode_inverts_the_candidates(even_candidate, skew_candidate):
     assert max_coeff(phi.antipode() - phi.inverse()) < 1e-45
 
 
+def test_lie_defect_reads_the_stored_numerators(even_candidate, skew_candidate):
+    # the residual is read on the log's stored numerators: ring numbers,
+    # rounded at digits + 10, would read 7.7e-49 on phi_KZ's
+    for cand in (even_candidate, skew_candidate):
+        assert cand.phi.lie_defect() == 0.0
+    phi = kz_series(8, 40).phi
+    assert phi.lie_defect() < 1e-50
+    log = phi.log()
+    tiny = log.ring.from_fraction(Fraction(1, 10 ** 30))
+    bump = NCSeries(log.ring, 8, {(0, 0, 1, 0, 1, 1): tiny})
+    assert (log + bump).exp().lie_defect() >= 1e-31
+
+
 def test_torsor_maps_over_the_complex_ring():
     # at 40 digits the maps run at working precision and their self-checks
     # accept roundoff below the ring's noise floor, not above it

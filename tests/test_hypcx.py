@@ -90,16 +90,26 @@ def test_mzv_direct_needs_enough_sample_points():
         mzv_direct((1, 2), 6)
 
 
+def phi_at(z, weight, digits):
+    """G_10(z)^(-1) G_01(z), G_10(z) = G_01(1 - z)(e1, e0) group-like: the
+    MZV generating series from the base point z, which kz_series fixes at 1/2."""
+    g10 = fundamental_solution(1 - z, weight, digits).swap_letters()
+    return g10.antipode() * fundamental_solution(z, weight, digits)
+
+
 @pytest.mark.parametrize("z", [F(1, 2), F(3, 10), F(3, 4)], ids=["z=1/2", "z=3/10", "z=3/4"])
 def test_kz_series_quadratic_and_linear_terms(z):
     # the engines at z and at 1 - z round log z and log(1 - z) alike, so the
     # linear terms of G_10^(-1) G_01 cancel exactly at every point
-    cand = kz_series(4, 40, z=z)
+    cand = kz_series(4, 40)
+    phi = phi_at(z, 4, 40)
+    if z == F(1, 2):
+        assert phi == cand.phi
     with mp.workdps(50):
-        assert abs(cand.phi.coeff((0,)) ) == 0
-        assert abs(cand.phi.coeff((1,)) ) == 0
+        assert abs(phi.coeff((0,)) ) == 0
+        assert abs(phi.coeff((1,)) ) == 0
         target = cand.mu ** 2 / 24
-        assert abs(cand.phi.coeff((0, 1)) - target) < 1e-38
+        assert abs(phi.coeff((0, 1)) - target) < 1e-38
         assert abs(target + mp.pi ** 2 / 6) < 1e-45
 
 
@@ -137,8 +147,7 @@ def test_exact_solver_degree_four_matches_kz(even_candidate):
 def test_kz_series_independent_of_base_point():
     base = kz_series(4, 35)
     for z in (F(3, 10), F(3, 4)):
-        other = kz_series(4, 35, z=z)
-        assert max_coeff(other.phi.truncate(4) - base.phi.truncate(4)) < 1e-30
+        assert max_coeff(phi_at(z, 4, 35) - base.phi) < 1e-30
 
 
 def test_fundamental_solution_normalisation():
@@ -289,15 +298,15 @@ def test_no_engine_outlives_its_call(monkeypatch):
     assert [ref() for ref in engines] == [None, None]
 
 
-def test_kz_series_keeps_the_highest_weight_per_digits_and_point(monkeypatch):
+def test_kz_series_keeps_the_highest_weight_per_digits(monkeypatch):
     cache = {}
     monkeypatch.setattr(hypcx, "_PHI_CACHE", cache)
     kz_series(5, 27)
     three = kz_series(3, 27)
-    assert list(cache) == [(27, F(1, 2))] and cache[27, F(1, 2)].truncation == 5
-    assert three.truncation == 3 and three.phi == cache[27, F(1, 2)].phi.truncate(3)
+    assert list(cache) == [27] and cache[27].truncation == 5
+    assert three.truncation == 3 and three.phi == cache[27].phi.truncate(3)
     kz_series(6, 27)
-    assert list(cache) == [(27, F(1, 2))] and cache[27, F(1, 2)].truncation == 6
+    assert list(cache) == [27] and cache[27].truncation == 6
 
 
 def test_kz_series_keeps_its_bits(monkeypatch):
@@ -310,8 +319,8 @@ def test_kz_series_keeps_its_bits(monkeypatch):
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: kz_series(3, 20, z=0), id="kz_series,z=0"),
-    pytest.param(lambda: kz_series(3, 20, z=1), id="kz_series,z=1"),
+    pytest.param(lambda: fundamental_solution(0, 3, 20), id="fundamental_solution,z=0"),
+    pytest.param(lambda: fundamental_solution(1, 3, 20), id="fundamental_solution,z=1"),
     pytest.param(lambda: kz_residual_defect(F(1, 2), 3, 20, F(1, 2)), id="residual,z-step=0"),
 ])
 def test_points_outside_the_interval_raise_value_error(call):
@@ -435,6 +444,9 @@ KUMMER_Z = 1 - complex_field(40).from_fraction(F(3, 10))  # 7/10 as a 168-bit dy
     pytest.param(30, 30, F(121, 2), F(9, 10), 100, id="growing,z=9/10,100"),
     pytest.param(*COMPLEX_ABC, 0, 40, id="z=0"),
     pytest.param(*COMPLEX_ABC, 0, 100, id="z=0,100"),
+    # c next to a pole: a non-integer real c, and c off the real line
+    pytest.param(F(1, 10), F(1, 5), F(-5, 2), F(3, 10), 40, id="c=-5/2"),
+    pytest.param(F(1, 10), F(1, 5), mpmath.mpc(-3, 0.1), F(3, 10), 40, id="c=-3+i/10"),
 ])
 def test_hyp2f1_at_one_keeps_its_contract(a, b, c, z, digits):
     """The absolute error is below 10^-(digits + 10): at z = 1 against the
@@ -452,6 +464,10 @@ def test_hyp2f1_at_one_keeps_its_contract(a, b, c, z, digits):
     (mpmath.mpc(0, 60), mpmath.mpc(0, 50), 5, 554),  # 176, then about 1900 terms
     (F(3, 20), F(3, 20), F(59, 50), 71),  # kz_numeric8's largest |a||b|: unchanged
     (2, 3, 6, 71),
+    # |a| + |b| - Re c is 2 and 0 exactly, so m reads the rounding of A and
+    # B: up by the ceiling of 2^32 |a| on the real line, by the + 1 off it
+    (F(-7, 3), F(2, 3), 1, 74),
+    (mpmath.mpc(0.375, 0.5), F(3, 8), 1, 72),
 ])
 def test_hyp2f1_at_one_shifts_c_by_the_product_of_a_and_b(a, b, c, shifts, monkeypatch):
     """m, the number of factors of P, also grows with |a||b|: Re c + m
@@ -484,12 +500,28 @@ def test_hyp2f1_takes_mpc_and_fraction_parameters_alike(z, digits):
         assert abs(by_mpc - by_fraction) < 2 * eps
 
 
+@pytest.mark.parametrize("a, c, z", [
+    pytest.param(F(1, 10), -3, F(3, 10), id="c=-3"),
+    pytest.param(F(1, 10), F(-6, 2), F(3, 10), id="c=-6/2"),
+    pytest.param(F(1, 10), mpmath.mpc(-3), F(3, 10), id="c=mpc(-3)"),
+    # a polynomial in z, whose sum would end: |z| = 1 off z = 1 still raises
+    pytest.param(-2, F(11, 10), mpmath.mpc(0, 1), id="z=i"),
+])
+def test_hyp2f1_refuses_a_pole_of_c_and_z_on_the_unit_circle(a, c, z):
+    with pytest.raises(ValueError):
+        hyp2f1(a, F(1, 5), c, z, 40)
+
+
 def test_hyp2f1_reads_its_inputs_exactly():
     """A float, a complex, an mpf and a Fraction of one value give the same
-    bits; z = 0 gives exactly 1; an infinity is refused."""
+    bits; z = 0 gives exactly 1, and z = 1 as an mpc is z = 1; an infinity
+    is refused."""
     by_fraction = hyp2f1(F(1, 2), F(1, 4), F(3, 2), F(3, 4), 40)
     assert hyp2f1(0.5, complex(0.25, 0), mpmath.mpf(1.5), mpmath.mpc(0.75), 40) == by_fraction
     assert all(hyp2f1(*COMPLEX_ABC, 0, digits) == 1 for digits in (40, 100))
+    # outside the z = 1 path, |z| < 1 would raise
+    abc = (F(1, 10), F(1, 5), F(1, 2))
+    assert hyp2f1(*abc, mpmath.mpc(1), 40) == hyp2f1(*abc, 1, 40)
     with pytest.raises(ValueError):
         hyp2f1(mpmath.inf, 1, 2, F(1, 2), 40)
 
