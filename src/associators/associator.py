@@ -175,7 +175,14 @@ def solve_fraction_system(columns, rhs):
 
 @dataclass
 class SolveReport:
+    """Per solved degree d: the dimension of the nullspace, the numbers of
+    Lyndon rows and of columns (the Lie basis) of the system, and the
+    nullspace basis as {lyndon_word: coefficient} dicts, each a Lie element
+    whose addition to log phi at degree d leaves the pentagon intact there."""
     nullspace_dims: dict
+    rows: dict
+    columns: dict
+    nullspaces: dict
 
 
 def _lyndon_rows(d):
@@ -230,7 +237,7 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
         raise ValueError("unknown tiebreak policy %r" % tiebreak)
 
     coords = {(0, 1): Fraction(1, 24)}  # quadratic term: (phi|e0e1) = 1/24
-    nullspace_dims = {}
+    report = SolveReport({}, {}, {}, {})
 
     memo = {}  # lie_image's sub-brackets, shared by the degrees
     for d in range(2, n + 1):
@@ -253,7 +260,9 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
         columns = [_pentagon_column(lw, rows, quotient, memo) for lw, _ in basis]
         rhs = {m: -c for m, c in b.items() if m in rows}
         particular, nullspace = solve_fraction_system(columns, rhs)
-        nullspace_dims[d] = len(nullspace)
+        report.nullspace_dims[d] = len(nullspace)
+        report.rows[d], report.columns[d] = len(rows), len(columns)
+        report.nullspaces[d] = [{lw: c for (lw, _), c in zip(basis, vec) if c} for vec in nullspace]
         pick = list(particular)
         if tiebreak == "lex" and nullspace:
             pick = [x + y for x, y in zip(pick, nullspace[0])]
@@ -263,7 +272,7 @@ def solve_unitary(n: int, quotient: P5Quotient, tiebreak: str = "zero",
 
     phi = lie_element(QQ, n, coords).exp()
     cand = AssociatorCandidate(mu=QQ.one, phi=phi, truncation=n)
-    return cand, SolveReport(nullspace_dims=nullspace_dims)
+    return cand, report
 
 
 # -- torsor action ------------------------------------------------------------------------

@@ -215,7 +215,8 @@ def max_coeff(f: Series) -> float:
 def substitute(f, *images, one=None):
     """f(images) . one, for images with an action (Series.action,
     P5Element.action), one per letter of f's keys: series (MatSeries for
-    2x2 matrices over the (a, b, p) series) and strand generators.  ``one``
+    2x2 matrices over the (a, b, p) series) and strand generators (the
+    pentagon's derivation kernel on a node's fibre vector).  ``one``
     is the series the images act on from the left, by default
     images[0].one_like().
 
@@ -229,9 +230,10 @@ def substitute(f, *images, one=None):
     The walk runs on numerators alone.  With D the lcm of the images'
     denominators and I_i their numerators over D, a node sums W_s = c
     D^(n-s) one + sum_i I_i W_(s+1,i), c and one as stored, into a dict of
-    its own, so that V_s = W_s / (D^(n-s) den(one) den(f)).  Only the root
-    makes a series: W_0 over D^n den(one) den(f), reduced once by the ring
-    (lowest terms over QQ; one rounding to 2^-B over the complex ring).
+    its own, zeros kept, so that V_s = W_s / (D^(n-s) den(one) den(f)).
+    Only the root makes a series: W_0 over D^n den(one) den(f), its zeros
+    dropped and reduced once by the ring (lowest terms over QQ; one rounding
+    to 2^-B over the complex ring).
     """
     series = [im for im in images if isinstance(im, Series)]
     if any(im.min_degree() < 1 for im in series):

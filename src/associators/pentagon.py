@@ -21,7 +21,9 @@ elements are NCSeries on those letters: a fibre letter acts by left
 multiplication, a base letter g by the derivation f -> [g, f] extended by
 the Leibniz rule, so that it sends 1 to 0 (GT acts on F_3 the same way,
 Ihara, ICM 1990).  This is U(P_5) modulo the left ideal of the base
-letters, and a word acts on 1 by peeling its rightmost base letter.
+letters, and a word acts on 1 by peeling its rightmost base letter.  One
+kernel, _derive, applies a base letter to a vector of fibre words; the walk
+(P5Element.action) and the solver's brackets (reduce_vector) act by it.
 
 The pentagon asks that g = phi_345 phi_512 phi_234 phi_451 phi_123 be 1.
 A group-like g factors as g = g_F g_B with g_F in exp(F_3) and g_B in
@@ -72,25 +74,28 @@ PAIR_EXPANSION = {
 # [t23, t15] = 0, [t23, t25] = [t25, t35], [t23, t35] = [t35, t25]
 BRACKET = {(3, 0): (0, 1), (3, 1): (1, 0), (4, 1): (1, 2), (4, 2): (2, 1)}
 
-
-def _leibniz(g, u):
-    """[g, u] for a base letter g and a fibre word u, as (word, sign) pairs:
-    g acts on each letter of u in turn by BRACKET."""
-    for p, x in enumerate(u):
-        xy = BRACKET.get((g, x))
-        if xy is not None:
-            left, right = u[:p], u[p + 1:]
-            yield left + xy + right, 1
-            yield left + xy[::-1] + right, -1
+# the words (xy, yx) of [g, f] = [x, y], by base letter g and fibre letter f
+DERIVATIONS = {g: [(xy, xy[::-1]) if xy else None
+                   for xy in (BRACKET.get((g, f)) for f in range(NFIBRE))] for g in (3, 4)}
 
 
-def _add(vec, w, c):
-    """vec[w] += c, keeping no zero coefficient."""
-    s = vec.get(w, 0) + c
-    if s:
-        vec[w] = s
-    else:
-        vec.pop(w, None)
+def _derive(g, x, c, out, prefix=()):
+    """out[prefix + w] += c (g . x)[w] for a base letter g and a dict x of
+    fibre words, g acting on each letter in turn (Leibniz).  Zeros of x are
+    skipped; out may hold zeros, and gains those of cancelled terms."""
+    table = DERIVATIONS[g]
+    for u, a in x.items():
+        if not a:
+            continue
+        a *= c
+        for p, f in enumerate(u):
+            pairs = table[f]
+            if pairs:
+                left, right = prefix + u[:p], u[p + 1:]
+                w = left + pairs[0] + right
+                out[w] = out.get(w, 0) + a
+                w = left + pairs[1] + right
+                out[w] = out.get(w, 0) - a
 
 
 def pair(i, j):
@@ -123,15 +128,16 @@ class P5Quotient:
         """mono . 1 as a tuple of (fibre word, int) pairs."""
         return tuple(self.reduce_vector({mono: 1}).items())
 
-    def reduce_vector(self, vec, out=None):
-        """The vector {word: coefficient} applied to 1, summed into out (a
-        new dict by default), with no zero kept.  A word is a head,
-        through its last base letter g, and a tail of fibre letters; g acts
-        on the tail by Leibniz, which leaves a shorter head.  The words of
-        one head are taken together, longest heads first, so that each head
-        acts once on the sum of the tails that reach it."""
+    def reduce_vector(self, vec):
+        """The vector {word: coefficient} applied to 1, as a new dict with no
+        zero kept.  A word is a head, through its last base letter g, and a
+        tail of fibre letters.  One _derive call lets g act on all the tails
+        of its head; each result, behind the fibre letters that end the rest
+        of the head, is a tail of a shorter head.  The heads are taken
+        longest first, so that every head acts once on the sum of the tails
+        that reach it, and words whose heads share a prefix share the work
+        of that prefix.  Zeros are dropped once, at the end."""
         levels = [{} for _ in range(max(map(len, vec), default=0) + 1)]
-        levels[0][()] = {} if out is None else out
 
         def group(w):
             """The tails of w's head, and w's tail."""
@@ -141,14 +147,12 @@ class P5Quotient:
             return levels[i].setdefault(w[:i], {}), w[i:]
 
         for w, c in vec.items():
-            _add(*group(w), c)
+            tails, u = group(w)
+            tails[u] = tails.get(u, 0) + c
         for level in levels[:0:-1]:
             for head, tails in level.items():
-                into, prefix = group(head[:-1])
-                for u, c in tails.items():
-                    for x, s in _leibniz(head[-1], u):
-                        _add(into, prefix + x, s * c)
-        return levels[0][()]
+                _derive(head[-1], tails, 1, *group(head[:-1]))
+        return {w: c for w, c in levels[0].get((), {}).items() if c}
 
 
 class P5Element:
@@ -164,18 +168,27 @@ class P5Element:
         self.combo = combo
 
     def action(self, m):
-        """(x, n, out) -> out += m self . x for a numerator dict x on the
-        fibre letters: the words (g,) + u of x's words u, applied to 1 by
-        reduce_vector into out.  The degree goes up by one, so n is not read."""
-        combo, reduce = {g: c * m for g, c in self.combo.items()}, self.quotient.reduce_vector
-        return lambda x, n, out: reduce({(g,) + u: c * a for g, c in combo.items()
-                                         for u, a in x.items()}, out)
+        """(x, n, out) -> out += m self . x for a fibre vector x (all that the
+        walk of NCSeries.substitute hands it), zeros kept: a fibre generator
+        prepends its letter, a base one acts by _derive.  n is not read."""
+        combo = [(g, c * m) for g, c in self.combo.items()]
+
+        def act(x, n, out):
+            for g, c in combo:
+                if g >= NFIBRE:
+                    _derive(g, x, c, out)
+                    continue
+                for u, a in x.items():
+                    w = (g,) + u
+                    out[w] = out.get(w, 0) + c * a
+        return act
 
     def __mul__(self, y):
         """The action on a series y on the fibre letters, to degree one higher."""
         out = {}
         self.action(1)(y.numerators, None, out)
-        return NCSeries._stored(y.ring, y.truncation + 1, out, y.denominator)
+        return NCSeries._stored(y.ring, y.truncation + 1, {w: c for w, c in out.items() if c},
+                                y.denominator)
 
 
 def strand_generator(quotient, i, j):
@@ -232,11 +245,12 @@ def p5_bracket(x, y, quotient):
     for b, f, sign in ((b1, f2, 1), (b2, f1, -1)):
         for wb, cb in b.items():
             for wf, cf in f.items():
-                _add(act, wb + wf, sign * cb * cf)
+                w = wb + wf
+                act[w] = act.get(w, 0) + sign * cb * cf
     fibre = W.commutator(f1, f2)
     for w, c in quotient.reduce_vector(act).items():
-        _add(fibre, w, c)
-    return fibre, W.commutator(b1, b2)
+        fibre[w] = fibre.get(w, 0) + c
+    return {w: c for w, c in fibre.items() if c}, W.commutator(b1, b2)
 
 
 def lie_image(lw, i, j, k, quotient, memo):

@@ -157,14 +157,14 @@ def lie_basis(degree: int):
 
     The expansion of each basis element is unitriangular: coefficient 1 on
     the Lyndon word itself and support only on lexicographically larger
-    words.  This is asserted at build time; the coordinate extraction below
-    relies on it.
+    words.  This is checked at build time, under python -O too; the
+    coordinate extraction below relies on it.
     """
     basis = []
     for lw in sorted(lyndon_words(degree)):
         exp = lyndon_bracket_words(lw)
-        assert exp.get(lw) == 1, (lw, exp)
-        assert all(word >= lw for word in exp), (lw, exp)
+        if exp.get(lw) != 1 or any(word < lw for word in exp):
+            raise AssertionError("Lyndon element of %r is not unitriangular: %r" % (lw, exp))
         basis.append((lw, exp))
     return basis
 

@@ -134,6 +134,28 @@ def test_grt1_dimensions_through_degree_8():
     assert rep.nullspace_dims == {3: 1, 4: 0, 5: 1, 6: 0, 7: 1, 8: 1}
 
 
+def test_solve_report_reads_each_system():
+    # the non-even degree-5 solve: its columns are the Lie basis on two
+    # letters, its rows the Lyndon words on three letters and on two
+    q = P5Quotient(5)
+    cand, rep = solve_unitary(5, q, tiebreak="zero", even=False)
+    assert rep.columns == {3: 2, 4: 3, 5: 6}
+    assert rep.rows == {3: 8 + 2, 4: 18 + 3, 5: 48 + 6}
+    assert rep.nullspace_dims == {3: 1, 4: 0, 5: 1}
+    assert all(len(rep.nullspaces[d]) == dim for d, dim in rep.nullspace_dims.items())
+    # a nullspace vector moves log phi at its degree along the solutions; a
+    # random vector does not
+    rng = random.Random(43)
+    for d, vectors in rep.nullspaces.items():
+        log_phi = cand.phi.truncate(d).log()
+        assert not pentagon_residual(log_phi.exp(), q).terms
+        for v in vectors:
+            assert v and all(len(lw) == d for lw in v)
+            assert not pentagon_residual((log_phi + lie_element(QQ, d, v)).exp(), q).terms
+        kick = {lw: Fraction(rng.randint(1, 5), rng.choice([1, 2, 3])) for lw, _ in W.lie_basis(d)}
+        assert pentagon_residual((log_phi + lie_element(QQ, d, kick)).exp(), q).terms
+
+
 # -- the Lie-algebra solver against the fibre-module one ------------------------
 
 

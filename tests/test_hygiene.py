@@ -35,6 +35,26 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(source) == [(2, "os"), (3, "t")]
 
 
+# -- checks that python -O keeps ------------------------------------------------
+
+def assert_statements(source):
+    """Lines of the assert statements of a module: python -O strips them, so
+    a check the package relies on raises instead."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_assert_statement_in_the_package(path):
+    assert assert_statements(path.read_text()) == []
+
+
+def test_the_scan_sees_an_assert_statement():
+    source = ("def f(x):\n    assert x, 'x'\n    if not x:\n        raise AssertionError('x')\n"
+              "    return [y for y in x if (lambda: 0)()]\n\nassert f\n")
+    assert assert_statements(source) == [2, 7]
+
+
 # -- dead definitions -----------------------------------------------------------
 
 SCANNED = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))

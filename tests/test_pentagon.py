@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from associators import words as W
@@ -19,6 +19,7 @@ from associators.pentagon import (
     embed,
     pair,
     pentagon_residual,
+    strand_generator,
 )
 from associators.rings import QQ
 from test_associator import random_grouplike
@@ -377,6 +378,54 @@ def test_embed_is_an_action(q4, inputs):
     # f(t_ij, t_jk) g(t_ij, t_jk) . y = f(t_ij, t_jk) . (g(t_ij, t_jk) . y)
     n, ijk, f, g, y = inputs
     assert embed(f * g, q4, *ijk, y=y) == embed(f, q4, *ijk, y=embed(g, q4, *ijk, y=y))
+
+
+@st.composite
+def fibre_vectors(draw, n):
+    """A series on the fibre letters in which a drawn word may come with a
+    partner at the same coefficient, one letter swapped for a neighbour:
+    t12 sends t15 + t25 to 0 and t23 sends t25 + t35 to 0, so the terms the
+    pair contributes through that letter cancel."""
+    words = [w for d in range(n + 1) for w in itertools.product(range(NFIBRE), repeat=d)]
+    terms = {}
+    for w, c in draw(st.lists(st.tuples(st.sampled_from(words), COEFFS), max_size=6)):
+        partners = [w]
+        if w and draw(st.booleans()):
+            p = draw(st.integers(0, len(w) - 1))
+            f = draw(st.sampled_from([f for f in range(NFIBRE) if abs(f - w[p]) == 1]))
+            partners.append(w[:p] + (f,) + w[p + 1:])
+        for u in partners:
+            terms[u] = terms.get(u, 0) + c
+    return NCSeries(QQ, n, terms)
+
+
+@st.composite
+def strand_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    f = NCSeries(QQ, n, {**draw(sparse_series(n, 2)).terms, (): 1})
+    return n, draw(st.sampled_from(sorted(PAIR_EXPANSION))), draw(fibre_vectors(n)), f
+
+
+def cancelling(n, ij, terms):
+    f = NCSeries(QQ, n, {(): 1, (0,): 1, (0, 1): Fraction(1, 2), (1, 0): -1})
+    return n, ij, NCSeries(QQ, n, terms), f
+
+
+@settings(max_examples=60)
+@given(strand_inputs())
+@example(cancelling(2, (1, 2), {(0, 1): 1, (1, 0): 1}))  # t12 . (t15 t25 + t25 t15): two words cancel
+@example(cancelling(3, (2, 3), {(1, 1): 1}))             # t23 . t25^2: t25 t35 t25 cancels
+def test_strand_generators_act_as_the_reference(inputs):
+    # t_ij . y is the reference product t_ij y read on the fibre words; no
+    # numerator it stores is zero, nor any that embed and the residual store
+    n, ij, y, f = inputs
+    q = P5Quotient(n + 1)
+    got = strand_generator(q, *ij) * y
+    ref = RefP5.t(n + 1, *ij) * RefP5(n + 1, y.terms)
+    assert got.terms == {w: c for w, c in ref.terms.items() if all(g < NFIBRE for g in w)}
+    assert got.truncation == n + 1 and all(got.numerators.values())
+    for series in [embed(f, q, *ijk, y=y) for ijk in PENTAGON_POSITIONS] + [pentagon_residual(f, q)]:
+        assert all(series.numerators.values())
 
 
 @settings(max_examples=40)

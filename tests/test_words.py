@@ -2,6 +2,8 @@ import random
 
 from fractions import Fraction
 
+import pytest
+
 from associators import words as W
 
 
@@ -64,3 +66,18 @@ def test_non_lie_vector_has_residual():
     vec = {(0, 1): Fraction(1)}
     _, rem = W.lie_coordinates(vec, 2)
     assert rem
+
+
+@pytest.mark.parametrize("broken", [
+    lambda w: {w: 2},                    # not 1 on the Lyndon word itself
+    lambda w: {w: 1, (0,) * len(w): 1},  # support below the Lyndon word
+])
+def test_lie_basis_refuses_a_broken_triangle(monkeypatch, broken):
+    # the check is a raise, not an assert statement, so python -O keeps it
+    monkeypatch.setattr(W, "lyndon_bracket_words", broken)
+    W.lie_basis.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="not unitriangular"):
+            W.lie_basis(3)
+    finally:
+        W.lie_basis.cache_clear()
