@@ -19,11 +19,20 @@ from .pentagon import NFIBRE, P5Quotient, PENTAGON_POSITIONS, lie_image, pentago
 from .rings import QQ
 
 
+def _same_truncation(series, truncation):
+    # truncate would lift a shorter series, inventing zero coefficients
+    if series.truncation != truncation:
+        raise ValueError("truncation %d differs from the series' %d" % (truncation, series.truncation))
+
+
 @dataclass
 class AssociatorCandidate:
     mu: object
     phi: NCSeries
     truncation: int
+
+    def __post_init__(self):
+        _same_truncation(self.phi, self.truncation)
 
     @property
     def ring(self):
@@ -35,6 +44,9 @@ class GTElement:
     lam: object
     series: NCSeries  # f(e^(e0), e^(e1)) as a group-like series
     truncation: int
+
+    def __post_init__(self):
+        _same_truncation(self.series, self.truncation)
 
     @property
     def ring(self):

@@ -136,9 +136,8 @@ max_cseries_coeff = graded.max_coeff
 
 
 def subst_swap_ab(f: CSeries) -> CSeries:
-    """The a <-> b swap (fixes p and q)."""
-    a, b, p, _ = CSeries.gens(f.ring, f.truncation)
-    return f.subst(b, a, p)
+    """The a <-> b swap (fixes p and q): f(b, a, p), a relabelling."""
+    return f.relabel(lambda m: (m[1], m[0], m[2]))
 
 
 def subst_reindex(f: CSeries) -> CSeries:

@@ -92,8 +92,7 @@ class GammaSeries:
 
     def reflection_defect(self, mu):
         """Largest coefficient of Gamma(t) Gamma(-t) (e^(mu t/2)-e^(-mu t/2))/(mu t) - 1."""
-        a = CSeries.variable(self.ring, self.order, "a")
-        both = (self.log + self.log_at_form(-a)).exp() * _sinh_quotient(self.ring, self.order, mu)
+        both = (self.log + self.log.reflect()).exp() * _sinh_quotient(self.ring, self.order, mu)
         return max_coeff(both - both.one_like())
 
 

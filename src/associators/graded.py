@@ -21,7 +21,9 @@ t^k (Powers) at x: Horner's rule.  A power of x beyond the truncation
 vanishes, so x of minimal degree v takes truncation // v + 1 terms.
 NCSeries and CSeries bind them as their methods; MatSeries (2x2 matrices
 over CSeries) uses exp and log, but its 1 has two keys, so MatSeries.inverse
-is the adjugate over the determinant, not inverse.
+is the adjugate over the determinant, not inverse.  Symmetries that move
+or sign stored numerators need no walk: ``relabel`` (an injective,
+degree-preserving key map) and ``reflect`` (f(-x)).
 """
 
 from __future__ import annotations
@@ -170,6 +172,16 @@ class Series:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def relabel(self, f):
+        """Each key k moved to f(k), f injective and degree-preserving."""
+        nums = {f(k): c for k, c in self.numerators.items()}
+        return self._stored(self.ring, self.truncation, nums, self.denominator)
+
+    def reflect(self):
+        """f(-x): each numerator times (-1)^degree."""
+        nums = {k: -c if self.degree(k) % 2 else c for k, c in self.numerators.items()}
+        return self._stored(self.ring, self.truncation, nums, self.denominator)
 
     def action(self, m):
         """(x, n, out) -> out += m numerators * x to degree n, for a

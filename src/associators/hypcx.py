@@ -237,10 +237,10 @@ def mzv_direct(index, nterms=3000):
     nterms] against {1} and {log^j N / N^i : 1 <= i <= 3, j < depth}, one
     unknown per point, and returns the constant term.
 
-    Precision contract (30 working digits): the error is below
-    16 * log(nterms)^(depth-1) / nterms^4, e.g. 4e-11 at depth 1 and
-    nterms = 800.  Measured on every admissible index of weight <= 7 with
-    100 <= nterms <= 4000, the worst error is half of that.  Raises
+    Measured bound, not a proven one (30 working digits): on every
+    admissible index of weight <= 7 with 100 <= nterms <= 4000, the error
+    is at most half of 16 * log(nterms)^(depth-1) / nterms^4 (e.g. 4e-11
+    at depth 1 and nterms = 800); above weight 7 it is unmeasured.  Raises
     ValueError when nterms is too small to give 1 + 3 * depth distinct
     sample points.  The partial sums are ints at scale 2^128, one floor per term."""
     index = tuple(int(k) for k in index)
@@ -358,14 +358,15 @@ def _step(t, err, x, d):
 def _gauss_prefactor(alpha, beta, gamma, den, m, bits):
     """Gauss's prefactor P = prod_(k<m) (c-a+k)(c-b+k) / ((c+k)(c-a-b+k)) at
     scale 2^bits, alpha, beta and gamma the Gaussian integers den a, den b
-    and den c.  Each factor g_k / h_k is the step (_step) by g_k conj(h_k)
-    over |h_k|^2; returns P and its error delta_P in units of 2^-bits."""
-    p, err = 1 << bits, 0
+    and den c: 2^bits prod g_k conj(h_k) over prod |h_k|^2, g_k / h_k the
+    k-th factor over den^2, formed exactly and floored once; returns P and
+    its error delta_P = 2 units of 2^-bits (a floor per part, under sqrt 2)."""
+    num, d = 1 << bits, 1
     for k in range(m):
         c = gamma + k * den
         h = c * (c - alpha - beta)
-        p, err = _step(p, err, (c - alpha) * (c - beta) * h.conjugate(), h * h.conjugate())
-    return p, err
+        num, d = num * (c - alpha) * (c - beta) * h.conjugate(), d * (h * h.conjugate())
+    return num // d, 2
 
 
 def hyp2f1(a, b, c, z, digits=50):
@@ -404,10 +405,10 @@ def hyp2f1(a, b, c, z, digits=50):
     integers (``rings.Gaussian``, a plain int on the real line) at scale
     2^W, T_0 = P: with g = gamma + (m + n) den, T_(n+1) = T_n N // D, N =
     (alpha + n den)(beta + n den) zeta conj(g), D = |g|^2 den zden (n + 1),
-    each part floored.  Every factor, here and in P, takes one error step (_step), so
-    T_n is within delta_n units of 2^W P t_n, delta_0 = delta_P, and the
-    exact sum S of the terms is within sum_n delta_n 2^-W of their exact
-    sum: no product of two fixed-point numbers follows.  W starts at the
+    each part floored.  Every term factor takes one error step (_step) and
+    P one floor, so T_n is within delta_n units of 2^W P t_n, delta_0 =
+    delta_P, and the exact sum S of the terms is within sum_n delta_n 2^-W
+    of their exact sum: no product of two fixed-point numbers follows.  W starts at the
     bits of digits + 20 digits; a pass whose sum_n delta_n 2^-W exceeds
     eps/2 reruns at the bits of 2 sum_n delta_n / eps, plus 1.  The mpc
     returned is S 2^-W, every bit of it, so its precision follows |F| and
@@ -467,7 +468,7 @@ def gauss_summation_defect(a, b, c, digits=50):
     """Distance between the series value at z = 1 and the classical gamma
     quotient.  The left side calls no gamma function: it is hyp2f1's
     directly summed series at the shifted c, whose first term is the
-    prefactor P, formed in fixed point with one floor per factor and part.
+    prefactor P, formed exactly and floored once per part.
     hyp2f1 reads a, b and c exactly; only the gamma quotient rounds them, at
     digits + 15."""
     with mp.workdps(digits + 15):

@@ -76,8 +76,7 @@ class MatSeries(graded.Series):
         return CSeries._stored(self.ring, self.truncation, nums, self.denominator)
 
     def transpose(self):
-        return MatSeries._stored(self.ring, self.truncation, {
-            (k[1], k[0]) + k[2:]: c for k, c in self.numerators.items()}, self.denominator)
+        return self.relabel(lambda k: (k[1], k[0]) + k[2:])
 
     def det(self) -> CSeries:
         return self[0, 0] * self[1, 1] - self[0, 1] * self[1, 0]

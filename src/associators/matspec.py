@@ -74,7 +74,7 @@ def first_row(f: NCSeries, m0: MatSeries, m1: MatSeries) -> MatSeries:
     the walk's one, so that every node holds column 0 only.  Over QQ row 0
     equals ev_at's; over the complex ring it is one walk, as ev_at is."""
     e00 = MatSeries(m0.ring, m0.truncation, {(0, 0, 0, 0, 0): m0.ring.one})
-    rev = f.apply_word_map(lambda w: w[::-1])
+    rev = f.relabel(lambda w: w[::-1])
     return rev.substitute(m0.transpose(), m1.transpose(), one=e00).transpose()
 
 
@@ -147,7 +147,7 @@ def ohno_zagier_exponential(phi: NCSeries) -> CSeries:
     """exp sum_{n>=2} zeta_phi(n)/n {p^n + q^n - (a+p)^n - (b+p)^n}, i.e. the
     main gamma ratio of _ratios, at (-p, -q; -p-a, -p-b)."""
     gamma = gamma_of_associator(AssociatorCandidate(phi.ring.one, phi, phi.truncation))
-    return _ratios(gamma, phi.truncation, (0,))[0]
+    return _ratios(gamma, phi.truncation)[0]
 
 
 # -- gamma-ratio matrix ----------------------------------------------------------
@@ -165,12 +165,13 @@ class GammaMatrix:
         self.det_is_one = self.det_defect <= m.ring.noise_floor
 
 
-def _ratios(gamma: GammaSeries, truncation: int, pick=(0, 1, 2, 3)):
-    """The gamma ratios of pick among (main, top, low, diag), at (-p, -q;
-    -p-a, -p-b), (p, -q; -a, -b), (-p, q; a, b) and (p, q; p+a, p+b)."""
+def _ratios(gamma: GammaSeries, truncation: int):
+    """The gamma ratios (main, top, low, diag), at (-p, -q; -p-a, -p-b),
+    (p, -q; -a, -b), (-p, q; a, b) and (p, q; p+a, p+b).  The sign map
+    (a, b, p) -> -(a, b, p), q -> -q, sends diag to main and low to top."""
     a, b, p, q = CSeries.gens(gamma.ring, truncation)
-    args = ((-p, -q, -p - a, -p - b), (p, -q, -a, -b), (-p, q, a, b), (p, q, p + a, p + b))
-    return tuple(gamma.ratio(*args[i]) for i in pick)
+    low, diag = gamma.ratio(-p, q, a, b), gamma.ratio(p, q, p + a, p + b)
+    return diag.reflect(), low.reflect(), low, diag
 
 
 def gamma_ratio_matrix(gamma: GammaSeries, truncation: int) -> GammaMatrix:
@@ -521,7 +522,7 @@ def formal_gauss_identity(gt: GTElement, truncation: int):
                          % (gsig.order, n))
     ratios = _ratios(gamma_even(n_int + 2, ring), n_int)
     r_main, r_top, r_low, r_diag = ratios
-    s_main, s_low = _ratios(gsig, n_int, (0, 2))
+    s_main, _, s_low, _ = _ratios(gsig, n_int)
     a, b, p, q = CSeries.gens(ring, n_int)
 
     term1 = (a * b) * (r_main - r_top).divide_exact("pq") * r_low * s_low

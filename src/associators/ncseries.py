@@ -57,25 +57,11 @@ class NCSeries(graded.Series):
         """(S g | w) = (-1)^|w| (g | reversed w): the inverse of a group-like
         g, at no product's cost.  Not the inverse of other series: 1 + e0 e1
         has inverse 1 - e0 e1 + ... and antipode 1 + e1 e0."""
-        return NCSeries._stored(self.ring, self.truncation, {
-            w[::-1]: -c if len(w) % 2 else c for w, c in self.numerators.items()}, self.denominator)
-
-    # -- letter-level maps -----------------------------------------------------
-
-    def apply_word_map(self, f):
-        """Push the series through an injective, length-preserving word map
-        (letter swaps, reversal); coefficients are untouched."""
-        return NCSeries._stored(self.ring, self.truncation,
-                                {f(w): c for w, c in self.numerators.items()}, self.denominator)
+        return self.reflect().relabel(lambda w: w[::-1])
 
     def swap_letters(self):
         """f(e1, e0)."""
-        return self.apply_word_map(W.swap_letters)
-
-    def negate_letters(self):
-        """f(-e0, -e1): scale each word by (-1)^weight."""
-        nums = {w: -c if len(w) % 2 else c for w, c in self.numerators.items()}
-        return NCSeries._stored(self.ring, self.truncation, nums, self.denominator)
+        return self.relabel(W.swap_letters)
 
     # -- structure tests ----------------------------------------------------------
 
@@ -99,7 +85,7 @@ class NCSeries(graded.Series):
         return self.is_grouplike(tol) and max(abs(self.coeff((0,))), abs(self.coeff((1,)))) <= tol
 
     def is_even(self, tol=0.0):
-        return max_coeff(self - self.negate_letters()) <= tol
+        return max_coeff(self - self.reflect()) <= tol
 
 
 def lie_element(ring, truncation, coords):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from associators import words as W
-from associators.cseries import CSeries
+from associators.cseries import CSeries, subst_swap_ab
 from associators.graded import max_coeff
 from associators.mat2 import MatSeries, mat_exp_graded
 from associators.matspec import mat_log_graded
@@ -159,6 +159,22 @@ def test_horner_matches_the_power_loop(kind, seed):
     assert y.inverse() == (one + power_loop(one - y.scale(1 / c), lambda k: 1)).scale(1 / c)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_key_maps_are_the_walk_at_their_images(seed):
+    """reflect is f(-x) and the a <-> b relabel f(b, a, p), as the walk
+    gives them; on a matrix, entry by entry."""
+    rng = random.Random(seed)
+    f, g, m = (seeded(rng, kind, 5) for kind in ("words", "monomials", "matrices"))
+    e0, e1 = NCSeries.letter(QQ, 5, 0), NCSeries.letter(QQ, 5, 1)
+    a, b, p, _ = CSeries.gens(QQ, 5)
+    assert f.reflect() != f and g.reflect() != g and m.reflect() != m
+    assert f.reflect() == f.substitute(-e0, -e1)
+    assert g.reflect() == g.subst(-a, -b, -p)
+    assert subst_swap_ab(g) == g.subst(b, a, p)
+    for ij in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        assert m.reflect()[ij] == m[ij].subst(-a, -b, -p)
+
+
 def test_exp_of_a_degree_two_argument():
     # the powers of a^2 vanish beyond a^4 at truncation 5
     a = CSeries.variable(QQ, 5, "a")
@@ -199,7 +215,7 @@ def same_kind_pairs(draw):
 OPERATIONS = (lambda x, y: x.truncate(x.truncation - 1), lambda x, y: x.truncate(x.truncation + 1),
               operator.add, operator.sub, operator.mul,
               lambda x, y: x.scale(1), lambda x, y: x.scale(Fraction(-2, 3)))
-LETTER_MAPS = (lambda x, y: x.apply_word_map(W.swap_letters), lambda x, y: x.negate_letters())
+LETTER_MAPS = (lambda x, y: x.relabel(W.swap_letters), lambda x, y: x.reflect())
 
 
 @settings(max_examples=30)

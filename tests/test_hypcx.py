@@ -80,7 +80,7 @@ def test_mzv_direct_sum_cross_check():
     with mp.workdps(30):
         assert abs(mzv_direct((3,), 4000) - mzv((3,), 30)) < 1e-6
         assert abs(mzv_direct((2, 3), 600) - mzv((2, 3), 30)) < 1e-5
-        # the precision contract of mzv_direct at depth 2
+        # the measured error bound of mzv_direct at depth 2
         contract = 16 * math.log(3000) / 3000 ** 4
         assert abs(mzv_direct((1, 2), 3000) - mzv((1, 2), 30)) < contract
 

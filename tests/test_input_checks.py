@@ -34,6 +34,13 @@ CHECKS = {
     "solve_unitary: unknown tiebreak":
         (lambda: solve_unitary(3, pentagon.P5Quotient(3), tiebreak="max"), ValueError,
          "unknown tiebreak"),
+    "AssociatorCandidate: truncation above the series'":
+        (lambda: AssociatorCandidate(Fraction(1), ONE2, 3), ValueError,
+         "truncation 3 differs from the series' 2"),
+    "GTElement: truncation above the series'":
+        (lambda: GTElement(Fraction(1), ONE2, 3), ValueError, "truncation 3 differs from the series' 2"),
+    "GTElement: truncation below the series'":
+        (lambda: GTElement(Fraction(1), ONE3, 2), ValueError, "truncation 2 differs from the series' 3"),
     "gt_from_pair: unequal mu":
         (lambda: gt_from_pair(candidate(1), candidate(2)), ValueError, "equal mu"),
     "CSeries.subst: image no CSeries":

@@ -9,7 +9,8 @@ from associators import matspec
 from associators import words as W
 from associators.associator import GTElement, gt_from_pair
 from associators.cseries import CSeries, ExactDivisionError, max_cseries_coeff
-from associators.gammafn import gamma_even, GammaSeries
+from associators.gammafn import gamma_even, gamma_of_associator, GammaSeries
+from associators.hypcx import kz_series
 from associators.matspec import (
     ThetaMap,
     V_STARS,
@@ -496,13 +497,14 @@ def test_formal_gauss_oracle_values(even_candidate, skew_candidate):
 
 def test_formal_gauss_builds_the_even_ratios_once(even_candidate, skew_candidate, monkeypatch):
     """The identity's ThetaMap takes M+ from the identity's own even gamma
-    ratios: one _ratios call for the four of them, one for the element's
-    main and low ratios, both at n + 2; six gamma ratios in all."""
+    ratios: one _ratios call for the four of them, one for the element's,
+    both at n + 2.  Each call forms low and diag and reflects them into
+    main and top: four gamma ratios in all."""
     calls, ratios, formed, ratio = [], matspec._ratios, [], GammaSeries.ratio
 
-    def spy(gamma, truncation, *pick):
-        calls.append((truncation,) + pick)
-        return ratios(gamma, truncation, *pick)
+    def spy(gamma, truncation):
+        calls.append((truncation,))
+        return ratios(gamma, truncation)
 
     def ratio_spy(gamma, *forms):
         formed.append(gamma)
@@ -512,8 +514,27 @@ def test_formal_gauss_builds_the_even_ratios_once(even_candidate, skew_candidate
     monkeypatch.setattr(GammaSeries, "ratio", ratio_spy)
     rep, _, _ = formal_gauss_identity(gt_from_pair(even_candidate, skew_candidate), 5)
     assert rep["defect"] == 0.0
-    assert calls == [(7,), (7, (0, 2))]
-    assert len(formed) == 6
+    assert calls == [(7,), (7,)]
+    assert len(formed) == 4
+
+
+@pytest.mark.parametrize("source, n", [("even", 5), ("even", 8), ("random", 5), ("random", 8),
+                                       ("kz", 8)])
+def test_ratios_are_the_gamma_ratios_at_their_arguments(source, n):
+    """main and top are reflections of diag and low; each of the four still
+    equals GammaSeries.ratio at its own arguments, over QQ and over the
+    complex ring (the gamma series of the KZ associator at 40 digits)."""
+    if source == "kz":
+        gamma = gamma_of_associator(kz_series(n, 40))
+    elif source == "even":
+        gamma = gamma_even(n)
+    else:
+        rng = random.Random(n)
+        gamma = GammaSeries(CSeries(QQ, n, {(k, 0, 0): Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                                            for k in range(1, n + 1)}))
+    a, b, p, q = CSeries.gens(gamma.ring, n)
+    args = ((-p, -q, -p - a, -p - b), (p, -q, -a, -b), (-p, q, a, b), (p, q, p + a, p + b))
+    assert matspec._ratios(gamma, n) == tuple(gamma.ratio(*xs) for xs in args)
 
 
 def test_formal_gauss_degree2_slice(even_candidate, skew_candidate):

@@ -159,7 +159,7 @@ def test_letter_maps():
     rng = random.Random(31)
     f = random_series(rng, 5)
     assert f.swap_letters().swap_letters() == f
-    assert f.negate_letters().negate_letters() == f
+    assert f.reflect().reflect() == f
     # swap_letters agrees with substitution by the letters in swapped order
     e0 = NCSeries.letter(QQ, 5, 0)
     e1 = NCSeries.letter(QQ, 5, 1)

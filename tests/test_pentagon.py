@@ -348,7 +348,7 @@ def test_base_face_is_the_two_cycle(q5):
     for n in (3, 4, 5):
         phi = random_grouplike(rng, n, start=2)
         cycle = phi.swap_letters() * phi - NCSeries.one(QQ, n)
-        expect = cycle.apply_word_map(lambda w: tuple(3 + g for g in w))
+        expect = cycle.relabel(lambda w: tuple(3 + g for g in w))
         res = pentagon_residual(phi, q5)
         base = {w: c for w, c in res.terms.items() if w[0] >= NFIBRE}
         assert base == expect.terms
