@@ -4,15 +4,20 @@ A series is a graded.Series keyed by exponent triples of degree their sum,
 which peel one factor of their first variable present; ``graded.py`` owns
 the storage rules, the linear structure, exp/log/inverse and the walk that
 substitutes forms for the variables.  This module adds the product, the
-variables, the checks of ``subst`` on its forms and exact division.
+variables, the checks of ``subst`` on its forms, the shears and exact
+division.
 
 The third variable is p; the combination q = a + b + p is derived and is
 never stored.  Boundary conversions from a (a, b, c) parametrisation use
-p = 1 - c.  Exact division by q is performed in a temporary coordinate
-system where q replaces p as the third variable.
+p = 1 - c.  The parameter changes of the 2x2 layer are integer unimodular
+maps of (a, b, p), so they are key maps: a relabel and shears, with no
+walk.  Exact division by q shears p to p - a - b, which reads the third
+variable as q, divides by it and shears back.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from . import graded
 
@@ -80,7 +85,9 @@ class CSeries(graded.Series):
     def subst(self, image_a, image_b, image_p):
         """Endomorphism sending the variables to degree-1 forms (validated:
         no constant term, degree <= 1), so the grading is preserved: the
-        walk of ``graded.substitute`` at the three forms."""
+        walk of ``graded.substitute`` at the three forms.  This is the
+        general route; the key maps (``relabel``, ``reflect``, ``shear``)
+        are the cheap special cases, and it is their oracle."""
         for im in (image_a, image_b, image_p):
             if not isinstance(im, CSeries):
                 raise TypeError("images must be CSeries")
@@ -90,19 +97,44 @@ class CSeries(graded.Series):
                 raise ValueError("image form has degree > 1")
         return graded.substitute(self, image_a, image_b, image_p)
 
+    def shear(self, i, j, c):
+        """x_i -> x_i + c x_j for variables i != j and an int c: each stored
+        monomial expanded by the binomial theorem, over the same denominator
+        (the map is unimodular, so the numerators stay in lowest terms)."""
+        if i == j or not {i, j} <= {0, 1, 2}:
+            raise ValueError("a shear takes two distinct variables 0, 1, 2")
+        if not isinstance(c, int):
+            raise ValueError("a shear's coefficient is an int, not %s" % type(c).__name__)
+        rows = [[comb(e, t) * c ** t for t in range(e + 1)] for e in range(self.truncation + 1)]
+        out = {}
+        for m, v in self.numerators.items():
+            k = list(m)
+            for w in rows[m[i]]:
+                key = tuple(k)
+                s = out.get(key)
+                out[key] = v * w if s is None else s + v * w
+                k[i] -= 1
+                k[j] += 1
+        return CSeries._stored(self.ring, self.truncation, {k: v for k, v in out.items() if v},
+                               self.denominator)
+
     # -- exact division ---------------------------------------------------------------
 
     def _divide_var(self, i, form_name):
+        """Each monomial's exponent i lowered by one; a monomial without x_i
+        above the noise floor raises, the least by (degree, monomial)."""
         noise = self.ring.noise_floor * self.denominator
-        out = {}
+        out, bad = {}, []
         for m, c in self.numerators.items():
             if m[i] == 0:
-                if noise > 0.0 and abs(c) <= noise:
-                    continue
-                raise ExactDivisionError(form_name, m)
+                if not noise or abs(c) > noise:
+                    bad.append(m)
+                continue
             k = list(m)
             k[i] -= 1
             out[tuple(k)] = c
+        if bad:
+            raise ExactDivisionError(form_name, min(bad, key=lambda m: (sum(m), m)))
         return CSeries._stored(self.ring, self.truncation - 1, out, self.denominator)
 
     def divide_exact(self, form):
@@ -120,11 +152,9 @@ class CSeries(graded.Series):
         if form in VAR_NAMES:
             return self._divide_var(VAR_NAMES.index(form), form)
         if form == "q":
-            # p = (third) - a - b, with the third slot reread as q, and back
-            a, b, t, _ = CSeries.gens(self.ring, self.truncation)
-            g = self.subst(a, b, t - a - b)._divide_var(2, "q")
-            a, b, _, q = CSeries.gens(self.ring, g.truncation)
-            return g.subst(a, b, q)
+            # p -> p - a - b reads the third variable as q; divide, and back
+            g = self.shear(2, 0, -1).shear(2, 1, -1)._divide_var(2, "q")
+            return g.shear(2, 0, 1).shear(2, 1, 1)
         raise ValueError("unknown form %r" % form)
 
 
@@ -145,7 +175,7 @@ def subst_reindex(f: CSeries) -> CSeries:
 
     In (a, b, c) coordinates this is a -> a, b -> a + 1 - c, c - 1 -> a - b;
     both parameter changes used by the transformation identities reduce to
-    this one map in (a, b, p) coordinates.
+    this one map in (a, b, p) coordinates: f(a, a + p, b - a) is the b <-> p
+    swap, then b -> b - a and p -> p + a.
     """
-    a, b, p, _ = CSeries.gens(f.ring, f.truncation)
-    return f.subst(a, a + p, b - a)
+    return f.relabel(lambda m: (m[0], m[2], m[1])).shear(1, 0, -1).shear(2, 0, 1)

@@ -77,8 +77,15 @@ class GammaSeries:
         return GammaSeries(self.log + other.log)
 
     def scale_argument(self, mu):
-        """Gamma(mu * t)."""
-        return GammaSeries(self.log_at_form(CSeries.variable(self.ring, self.order, "a").scale(mu)))
+        """Gamma(mu * t): the log's numerator at a^k times mu^k, one
+        rounding over the complex ring; no walk."""
+        log, n = self.log, self.order
+        c, d = self.ring.split(mu)
+        w = [d ** n]  # w[k] = c^k d^(n - k)
+        for _ in range(n):
+            w.append(w[-1] // d * c)
+        nums = {m: v * w[m[0]] for m, v in log.numerators.items()} if c else {}
+        return GammaSeries(CSeries._stored(self.ring, n, nums, log.denominator * d ** n))
 
     def log_at_form(self, form: CSeries) -> CSeries:
         """log Gamma at a degree-1 form in (a, b, p): the walk of the log at it."""

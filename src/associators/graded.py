@@ -21,9 +21,10 @@ t^k (Powers) at x: Horner's rule.  A power of x beyond the truncation
 vanishes, so x of minimal degree v takes truncation // v + 1 terms.
 NCSeries and CSeries bind them as their methods; MatSeries (2x2 matrices
 over CSeries) uses exp and log, but its 1 has two keys, so MatSeries.inverse
-is the adjugate over the determinant, not inverse.  Symmetries that move
-or sign stored numerators need no walk: ``relabel`` (an injective,
-degree-preserving key map) and ``reflect`` (f(-x)).
+is the adjugate over the determinant, not inverse.  Maps that move, sign
+or recombine stored numerators need no walk: ``relabel`` (an injective,
+degree-preserving key map), ``reflect`` (f(-x)) and ``CSeries.shear`` (x_i
+-> x_i + c x_j, c an int, by the binomial theorem).
 """
 
 from __future__ import annotations

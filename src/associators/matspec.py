@@ -420,9 +420,11 @@ def swap_invariance_defect(g: NCSeries, theta: ThetaMap) -> float:
 def _subst_euler(f: CSeries) -> CSeries:
     """(a, b, p) -> (b+p, a+p, -p): the parameter change of the Euler
     transformation (primed parameters (a', b') -> (c'-a', c'-b'), c' = q
-    fixed)."""
-    a, b, p, _ = CSeries.gens(f.ring, f.truncation)
-    return f.subst(b + p, a + p, -p)
+    fixed): f(b, a, -p) in one pass over the stored numerators, then
+    a -> a + p and b -> b + p."""
+    nums = {(m[1], m[0], m[2]): -c if m[2] % 2 else c for m, c in f.numerators.items()}
+    g = CSeries._stored(f.ring, f.truncation, nums, f.denominator)
+    return g.shear(0, 2, 1).shear(1, 2, 1)
 
 
 def formal_euler_identity(f: NCSeries, theta: ThetaMap) -> float:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from associators import graded
 from associators.cseries import (
     CSeries,
     ExactDivisionError,
@@ -12,6 +13,7 @@ from associators.cseries import (
     subst_swap_ab,
 )
 from associators.graded import max_coeff
+from associators.matspec import _subst_euler
 from associators.rings import QQ, complex_field
 from test_ncseries import numerator_digest
 
@@ -26,6 +28,17 @@ def random_cseries(rng, n, unit_constant=True):
     if unit_constant:
         terms[(0, 0, 0)] = Fraction(1)
     return CSeries(QQ, n, terms)
+
+
+def complex_cseries(rng, n, unit_constant=True):
+    """A seeded QQ series times Gaussian-integer units, over complex_field(40)."""
+    ring = complex_field(40)
+    f = random_cseries(rng, n, unit_constant)
+    return CSeries(ring, n, {m: ring.from_fraction(c) * ring.mp.mpc(1, rng.randint(-3, 3))
+                             for m, c in f.terms.items()})
+
+
+RANDOM_SERIES = {"QQ": random_cseries, "CC40": complex_cseries}
 
 
 def test_geometric_inverse():
@@ -130,12 +143,8 @@ def test_subst_values_on_random_series():
 
 def test_divide_exact_by_q_over_the_complex_ring():
     # the complex ring takes the rounded path; its bits are pinned by the stored numerators
-    ring = complex_field(40)
-    rng = random.Random(21)
-    f = random_cseries(rng, 6)
-    f = CSeries(ring, 6, {m: ring.from_fraction(c) * ring.mp.mpc(1, rng.randint(-3, 3))
-                          for m, c in f.terms.items()})
-    _, _, _, q = CSeries.gens(ring, 6)
+    f = complex_cseries(random.Random(21), 6)
+    _, _, _, q = CSeries.gens(f.ring, 6)
     g = (f * q).divide_exact("q")
     assert g.truncation == 5 and max_coeff(g - f.truncate(5)) < 1e-45
     assert numerator_digest(g) == "0ddb9546ffce5821"
@@ -160,3 +169,68 @@ def test_subst_clears_denominators_exactly():
         assert got == expect and got.truncation == 6
         # the ints of the walk never leave it
         assert all(type(c) is Fraction for c in got.terms.values())
+
+
+# -- the key maps against the walk --------------------------------------------------
+
+SHEARS = [(i, j, c) for i in range(3) for j in range(3) if i != j for c in (-2, -1, 3)]
+
+
+@pytest.mark.parametrize("ring", sorted(RANDOM_SERIES))
+def test_shear_is_the_walk_at_its_form(ring):
+    rng = random.Random(23)
+    for i, j, c in SHEARS:
+        f, g = (RANDOM_SERIES[ring](rng, 6, unit_constant=False) for _ in range(2))
+        forms = list(CSeries.gens(f.ring, 6)[:3])
+        forms[i] = forms[i] + forms[j].scale(c)
+        got = f.shear(i, j, c)
+        walk = f.subst(*forms)
+        assert got == walk
+        assert numerator_digest(got) == numerator_digest(walk)
+        assert got.shear(i, j, -c) == f
+        # a complex product rounds once, before or after the exact shear
+        defect = max_coeff((f * g).shear(i, j, c) - got * g.shear(i, j, c))
+        assert defect == 0 if f.ring.exact else defect < 1e-45
+
+
+@pytest.mark.parametrize("ring", sorted(RANDOM_SERIES))
+def test_parameter_maps_are_the_walk_at_their_forms(ring):
+    rng = random.Random(24)
+    for _ in range(5):
+        f = RANDOM_SERIES[ring](rng, 6)
+        a, b, p, _ = CSeries.gens(f.ring, 6)
+        for got, walk in [(subst_reindex(f), f.subst(a, a + p, b - a)),
+                          (_subst_euler(f), f.subst(b + p, a + p, -p))]:
+            assert got == walk
+            assert numerator_digest(got) == numerator_digest(walk)
+
+
+def test_parameter_maps_and_division_by_q_run_no_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("graded.substitute called")
+
+    rng = random.Random(25)
+    f = random_cseries(rng, 5)
+    a, b, p, q = CSeries.gens(QQ, 5)
+    monkeypatch.setattr(graded, "substitute", no_walk)
+    with pytest.raises(AssertionError):
+        f.subst(a, b, p)
+    assert subst_reindex(subst_reindex(f)) == f
+    assert _subst_euler(_subst_euler(f)) == f
+    assert (f * q).divide_exact("q") == f.truncate(4)
+    assert (f * p * q).divide_exact("pq") == f.truncate(3)
+
+
+def test_division_reports_the_least_offending_monomial():
+    # the remainder a (a + b)^2 mod q offends at a^3, a^2 b and a b^2: the least is a b^2
+    a, b, p, q = CSeries.gens(QQ, 4)
+    with pytest.raises(ExactDivisionError) as err:
+        (a * b * q + p * p * a).divide_exact("q")
+    assert err.value.monomial == (1, 2, 0)
+    # by degree first, then by exponent triple
+    with pytest.raises(ExactDivisionError) as err:
+        (b * b + a * a * a + a).divide_exact("p")
+    assert err.value.monomial == (1, 0, 0)
+    with pytest.raises(ExactDivisionError) as err:
+        (a * a * b + b * b + a * b).divide_exact("p")
+    assert err.value.monomial == (0, 2, 0)

@@ -13,10 +13,11 @@ from associators.gammafn import (
     gamma_of_associator,
     gamma_of_gt,
 )
+from associators.graded import max_coeff
 from associators.hypcx import kz_series
 from associators.matspec import varphi_equals_gamma_matrix
 from associators.ncseries import NCSeries
-from associators.rings import QQ
+from associators.rings import QQ, complex_field
 from test_ncseries import qq_digest
 
 
@@ -95,6 +96,21 @@ def test_gamma_composition_law(even_candidate, skew_candidate):
     rhs = gamma_of_gt(f).scale_argument(even_candidate.mu).multiply(
         gamma_of_associator(even_candidate))
     assert lhs.log_coeffs == rhs.log_coeffs
+
+
+@pytest.mark.parametrize("mu", [2, Fraction(-1, 3)], ids=["two", "minus_one_third"])
+def test_scale_argument_is_the_log_at_mu_t(mu):
+    g = gamma_from_kappa(QQ, 8, {m: Fraction((-1) ** m * m, m + 2) for m in range(2, 9)})
+    for h in (g, gamma_even(8)):
+        assert h.scale_argument(mu).log == h.log_at_form(CSeries.variable(QQ, 8, "a").scale(mu))
+
+
+def test_scale_argument_over_the_complex_ring():
+    ring = complex_field(40)
+    g = gamma_even(8, ring)
+    mu = 2 * ring.mp.pi * ring.mp.mpc(0, 1)
+    walk = g.log_at_form(CSeries.variable(ring, 8, "a").scale(mu))
+    assert max_coeff(g.scale_argument(mu).log - walk) < 1e-45
 
 
 def test_gt_gamma_quadratic_consistency(even_candidate, skew_candidate):

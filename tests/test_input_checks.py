@@ -49,6 +49,10 @@ CHECKS = {
         (lambda: A.subst(CSeries.one(QQ, 2) + A, B, P), ValueError, "constant term"),
     "CSeries.subst: image of degree 2":
         (lambda: A.subst(A * B, B, P), ValueError, "degree > 1"),
+    "CSeries.shear: one variable twice":
+        (lambda: A.shear(1, 1, 2), ValueError, "two distinct variables"),
+    "CSeries.shear: a Fraction coefficient":
+        (lambda: A.shear(0, 1, Fraction(1, 2)), ValueError, "coefficient is an int, not Fraction"),
     "CSeries.divide_exact: unknown form":
         (lambda: A.divide_exact("c"), ValueError, "unknown form"),
     "GammaSeries.multiply: another order":
