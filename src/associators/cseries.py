@@ -3,9 +3,9 @@
 A series is a graded.Series keyed by exponent triples of degree their sum,
 which peel one factor of their first variable present; ``graded.py`` owns
 the storage rules, the linear structure, exp/log/inverse and the walk that
-substitutes forms for the variables.  This module adds the product, the
-variables, the checks of ``subst`` on its forms, the shears and exact
-division.
+substitutes forms for the variables.  This module adds the product
+(``graded.keyed_loop`` with the exponent-sum join), the variables, the
+checks of ``subst`` on its forms, the shears and exact division.
 
 The third variable is p; the combination q = a + b + p is derived and is
 never stored.  Boundary conversions from a (a, b, c) parametrisation use
@@ -29,7 +29,6 @@ class ExactDivisionError(ArithmeticError):
     the offending monomial, which is the actual content of the failure."""
 
     def __init__(self, form, monomial):
-        self.form = form
         self.monomial = monomial
         super().__init__("series not divisible by %s (offending monomial a^%d b^%d %s^%d)"
                          % (form, monomial[0], monomial[1], form if form == "q" else "p", monomial[2]))
@@ -60,21 +59,8 @@ class CSeries(graded.Series):
         p = cls.variable(ring, truncation, "p")
         return a, b, p, a + b + p
 
-    @graded.product
-    def __mul__(x, y, n, out):
-        right = {}
-        for m, c in y.items():
-            right.setdefault(sum(m), []).append((m, c))
-        for ma, ca in x.items():
-            room = n - sum(ma)
-            for db, items in right.items():
-                if db > room:
-                    continue
-                for mb, cb in items:
-                    k = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2])
-                    v = ca * cb
-                    s = out.get(k)
-                    out[k] = v if s is None else s + v
+    __mul__ = graded.product(graded.keyed_loop(
+        sum, lambda m, k: (m[0] + k[0], m[1] + k[1], m[2] + k[2])))
 
     exp = graded.exp
     log = graded.log

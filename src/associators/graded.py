@@ -9,9 +9,12 @@ any ring adapter from ``rings.py``, stored as numerators over one
 denominator in the form the ring owns (see Series).  Series are values: no
 operation writes into a stored form.  A subclass names the key of 1 (UNIT)
 and the degree of a key, and hands its coefficient loop to ``product``:
-NCSeries (words, degree len), CSeries (exponent triples, degree sum) and
-MatSeries (entry and exponent triple, degree of the triple; its 1 has two
-keys).
+NCSeries (words, degree len) and CSeries (exponent triples, degree sum)
+``keyed_loop`` with their keys' join; MatSeries (entry and exponent triple,
+degree of the triple; its 1 has two keys) a row contraction, 10-30% faster
+on dense products than a join.  P5Element.action (one letter prepended to
+each child, which the keyed loop would regroup per call) and
+words.commutator (xy and yx from one product per pair) keep their loops.
 
 ``substitute`` walks the trie of a series' keys, each peeled into its first
 letter and the rest (a word gives up its first letter, a monomial one factor
@@ -202,14 +205,35 @@ class Series:
                             self.denominator * d)
 
 
+def keyed_loop(degree, join):
+    """loop(x, y, n, out): out[join(ka, kb)] += ca cb, zeros kept, for ka: ca
+    in x and kb: cb in y of degree(ka) + degree(kb) <= n (n may be math.inf);
+    y is grouped by degree, so that no pair above n is visited."""
+    def loop(x, y, n, out):
+        by_degree = {}
+        for k, c in y.items():
+            by_degree.setdefault(degree(k), []).append((k, c))
+        for ka, ca in x.items():
+            room = n - degree(ka)
+            for d, items in by_degree.items():
+                if d > room:
+                    continue
+                for kb, cb in items:
+                    k = join(ka, kb)
+                    v = ca * cb
+                    s = out.get(k)
+                    out[k] = v if s is None else s + v
+    return loop
+
+
 def product(loop):
     """A subclass's __mul__ from its coefficient loop: loop(x, y, n, out)
     sums the coefficient products of the numerator dicts x and y into out,
-    at each key of degree <= n.  Each loop groups y's terms by degree (and
-    MatSeries' by row too), so that no pair above n is visited.  __mul__
-    passes a new dict, drops its zeros and multiplies the denominators; it
-    keeps the loop as __mul__.loop for the walk of ``substitute``, which
-    sums into its own dicts."""
+    at each key of degree <= n: ``keyed_loop``, or MatSeries' row
+    contraction (see the module docstring).  __mul__ passes a new dict,
+    drops its zeros and multiplies the denominators; it keeps the loop as
+    __mul__.loop for the walk of ``substitute`` and for p5_bracket, which
+    sum into their own dicts."""
     def __mul__(self, other):
         n, out = self._common(other), {}
         loop(self.numerators, other.numerators, n, out)

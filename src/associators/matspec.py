@@ -177,13 +177,13 @@ def _ratios(gamma: GammaSeries, truncation: int):
 def gamma_ratio_matrix(gamma: GammaSeries, truncation: int) -> GammaMatrix:
     """Assemble the associated 2x2 matrix from a gamma series.  Over QQ,
     when two extra orders of gamma are available, the ratios are computed
-    once, two orders higher, for the cross-check of _matrix_of_ratios."""
-    ring, n = gamma.ring, truncation
+    once, two orders higher, which _matrix_of_ratios cross-checks."""
+    n = truncation
     if gamma.order < n:
         raise ValueError("gamma series order %d too small for truncation %d"
                          % (gamma.order, n))
-    cross_check = ring.exact and gamma.order >= n + 2
-    return _matrix_of_ratios(_ratios(gamma, n + 2 if cross_check else n), n)
+    extra = 2 if gamma.ring.exact and gamma.order >= n + 2 else 0
+    return _matrix_of_ratios(_ratios(gamma, n + extra), n)
 
 
 def _matrix_of_ratios(ratios, truncation: int) -> GammaMatrix:
@@ -327,13 +327,11 @@ def _row(star, theta, n_plus=None):
 
 def _star_images(star, theta, n_plus=None):
     """The letter images (u, w) of a star's row (u, C, v): w = C v C^(-1) at
-    the near stars 01 (theta's log image of x1), 10 and inf1, and
+    the near stars 01 (theta's log image of x1, formed alike), 10 and inf1, and
     w = log(e^(-u/2) C e^(-v) C^(-1) e^(-u/2)) at the far stars 0inf, 1inf
     and inf0."""
     u, c, c_inv, v, _ = _row(star, theta, n_plus)
-    if star == "01":
-        return u, theta.log_image1
-    if star in ("10", "inf1"):
+    if star in ("01", "10", "inf1"):
         return u, (c * v) * c_inv
     half = mat_exp_graded(u.scale(Fraction(-1, 2)))
     return u, mat_log_graded(half * c * mat_exp_graded(-v) * c_inv * half)
@@ -522,7 +520,7 @@ def formal_gauss_identity(gt: GTElement, truncation: int):
     if gsig.order < n:
         raise ValueError("GT element of truncation %d too short for truncation %d"
                          % (gsig.order, n))
-    ratios = _ratios(gamma_even(n_int + 2, ring), n_int)
+    ratios = _ratios(gamma_even(n_int, ring), n_int)
     r_main, r_top, r_low, r_diag = ratios
     s_main, _, s_low, _ = _ratios(gsig, n_int)
     a, b, p, q = CSeries.gens(ring, n_int)

@@ -4,8 +4,8 @@ A series is a graded.Series keyed by words (tuples of letters) of degree
 their length, which peel their first letter; ``graded.py`` owns the
 storage rules, the linear structure, exp/log/inverse and the walk that
 substitutes images for the letters (``substitute``).  This module adds the
-concatenation product, the antipode, the letter maps and the Lie and
-group-like predicates.
+concatenation product (``graded.keyed_loop`` with the join operator.add),
+the antipode, the letter maps and the Lie and group-like predicates.
 
 The arithmetic does not depend on the alphabet: a word is any tuple of
 letters.  The pentagon (``pentagon.py``) uses series on the three fibre
@@ -13,6 +13,8 @@ letters 0, 1, 2 of U(F_3) and on the two base letters 3, 4.
 """
 
 from __future__ import annotations
+
+import operator
 
 from . import graded
 from . import words as W
@@ -32,21 +34,7 @@ class NCSeries(graded.Series):
 
     # -- multiplicative structure ---------------------------------------------
 
-    @graded.product
-    def __mul__(x, y, n, out):
-        by_len_r = {}
-        for w, c in y.items():
-            by_len_r.setdefault(len(w), []).append((w, c))
-        for wa, ca in x.items():
-            room = n - len(wa)
-            for lb, items in by_len_r.items():
-                if lb > room:
-                    continue
-                for wb, cb in items:
-                    k = wa + wb
-                    v = ca * cb
-                    s = out.get(k)
-                    out[k] = v if s is None else s + v
+    __mul__ = graded.product(graded.keyed_loop(len, operator.add))
 
     exp = graded.exp
     log = graded.log

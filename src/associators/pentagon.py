@@ -49,6 +49,8 @@ where b.f is the action of U(F_2) on F_3 by the derivations of BRACKET.
 
 from __future__ import annotations
 
+import math
+
 from . import words as W
 from .ncseries import NCSeries
 
@@ -159,12 +161,11 @@ class P5Element:
     """A combination sum c_g g of the five generators, acting on U(F_3); its
     coefficients are ints, over the denominator 1."""
 
-    __slots__ = ("quotient", "combo")
+    __slots__ = ("combo",)
 
     denominator = 1
 
-    def __init__(self, quotient, combo):
-        self.quotient = quotient
+    def __init__(self, combo):
         self.combo = combo
 
     def action(self, m):
@@ -191,9 +192,9 @@ class P5Element:
                                 y.denominator)
 
 
-def strand_generator(quotient, i, j):
+def strand_generator(i, j):
     """The class of t_ij."""
-    return P5Element(quotient, PAIR_EXPANSION[pair(i, j)])
+    return P5Element(PAIR_EXPANSION[pair(i, j)])
 
 
 def embed(f, quotient, i, j, k, y=None):
@@ -204,7 +205,7 @@ def embed(f, quotient, i, j, k, y=None):
                          % (f.truncation, quotient.truncation))
     if y is None:
         y = NCSeries.one(f.ring, f.truncation)
-    return f.substitute(strand_generator(quotient, i, j), strand_generator(quotient, j, k), one=y)
+    return f.substitute(strand_generator(i, j), strand_generator(j, k), one=y)
 
 
 def base_image(f, i, j, k):
@@ -239,14 +240,12 @@ def pentagon_residual(f, quotient):
 
 def p5_bracket(x, y, quotient):
     """[(f1, b1), (f2, b2)] = ([f1, f2] + b1.f2 - b2.f1, [b1, b2]), where
-    b.f is the word vector b f applied to 1."""
+    b.f is the word vector b f applied to 1; b1 f2 - b2 f1 is NCSeries'
+    keyed loop (join operator.add) at no truncation."""
     (f1, b1), (f2, b2) = x, y
-    act = {}
-    for b, f, sign in ((b1, f2, 1), (b2, f1, -1)):
-        for wb, cb in b.items():
-            for wf, cf in f.items():
-                w = wb + wf
-                act[w] = act.get(w, 0) + sign * cb * cf
+    act, times = {}, NCSeries.__mul__.loop
+    times(b1, f2, math.inf, act)
+    times({w: -c for w, c in b2.items()}, f1, math.inf, act)
     fibre = W.commutator(f1, f2)
     for w, c in quotient.reduce_vector(act).items():
         fibre[w] = fibre.get(w, 0) + c

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import mpmath
 from mpmath.libmp import from_man_exp
@@ -78,9 +78,9 @@ class RationalField:
 class Gaussian:
     """real + imag i, imag != 0: a complex numerator off the real line.  A
     real numerator is a plain int, so a real series multiplies on ints.  The
-    two share int's complex protocol: real, imag, conjugate(), + - * with
-    each other, // by a positive int (each part floored) and abs, here the
-    modulus floored."""
+    two share int's complex protocol: real, imag, conjugate(), + - * and ==
+    with each other (a Gaussian equals no int), ** by an int >= 0, // by a
+    positive int (each part floored) and abs, here the modulus floored."""
 
     __slots__ = ("real", "imag")
 
@@ -105,6 +105,17 @@ class Gaussian:
                         self.real * other.imag + self.imag * other.real)
 
     __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, k):
+        return prod([self] * k) if isinstance(k, int) and k >= 0 else NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Gaussian)):
+            return self.real == other.real and self.imag == other.imag
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.real, self.imag))
 
     def __floordiv__(self, d):
         return gaussian(self.real // d, self.imag // d)

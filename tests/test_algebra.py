@@ -25,7 +25,7 @@ from associators.graded import RingMismatch, Series
 from associators.mat2 import Mat2, MatSeries, mat_exp_graded
 from associators.matspec import ThetaMap, ev_at, ev_xy, gamma_matrix_plus, xy_matrices
 from associators.ncseries import NCSeries, lie_element
-from associators.pentagon import P5Quotient, strand_generator
+from associators.pentagon import strand_generator
 from associators.rings import QQ, complex_field
 from associators.words import lie_basis
 from test_graded import COEFFS, TRUNCATIONS, c_series, nc_series
@@ -250,8 +250,7 @@ def matrix_images(rng, n):
 
 
 def strand_images(rng, n):
-    q = P5Quotient(n)
-    return (strand_generator(q, 1, 2), strand_generator(q, 2, 3),
+    return (strand_generator(1, 2), strand_generator(2, 3),
             rational_series(rng, n, (0, 1, 2), (0, 1, 2), 6))
 
 

@@ -20,7 +20,7 @@ from associators.graded import max_coeff
 from associators.mat2 import MatSeries, mat_exp_graded
 from associators.matspec import mat_log_graded
 from associators.ncseries import NCSeries, lie_element
-from associators.rings import QQ, complex_field
+from associators.rings import QQ, Gaussian, complex_field
 
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 UNITS = COEFFS.filter(lambda c: c != 0)
@@ -173,6 +173,48 @@ def test_key_maps_are_the_walk_at_their_images(seed):
     assert subst_swap_ab(g) == g.subst(b, a, p)
     for ij in ((0, 0), (0, 1), (1, 0), (1, 1)):
         assert m.reflect()[ij] == m[ij].subst(-a, -b, -p)
+
+
+# -- the one keyed product loop over the complex ring -------------------------
+
+JOINS = {NCSeries: operator.add, CSeries: lambda m, k: tuple(map(operator.add, m, k))}
+
+
+def complex_series(rng, cls, n, low):
+    """Every key of degree low..n, each coefficient off the real line, over
+    complex_field(40)."""
+    ring = complex_field(40)
+    keys = ([w for d in range(low, n + 1) for w in W.words_of_weight(d)] if cls is NCSeries else
+            [(i, j, d - i - j) for d in range(low, n + 1) for i in range(d + 1) for j in range(d + 1 - i)])
+    return cls(ring, n, {k: ring.mp.mpc(rng.uniform(-2, 2), rng.choice((-1, 1)) * rng.uniform(0.5, 2))
+                         for k in keys})
+
+
+def naive_product(f, g):
+    """The stored numerators and denominator of f g by a double loop over
+    every pair of stored numerators, rounded as the ring rounds."""
+    n, join, out = min(f.truncation, g.truncation), JOINS[type(f)], {}
+    for ka, ca in f.numerators.items():
+        for kb, cb in g.numerators.items():
+            k = join(ka, kb)
+            if f.degree(k) <= n:
+                out[k] = out.get(k, 0) + ca * cb
+    return f.ring.reduce({k: c for k, c in out.items() if c}, f.denominator * g.denominator)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("cls", [NCSeries, CSeries])
+@pytest.mark.parametrize("nf, ng, low", [(4, 5, 0), (5, 3, 1), (0, 0, 0), (3, 3, 2)])
+def test_the_keyed_loop_is_the_double_loop_over_the_complex_ring(cls, nf, ng, low, seed):
+    """NCSeries and CSeries products over complex_field(40) store the
+    numerators of the naive double loop; at truncation 0 only the constant
+    terms meet, and with low = 2 at truncation 3 every pair lies above it."""
+    rng = random.Random(seed)
+    f, g = complex_series(rng, cls, nf, low), complex_series(rng, cls, ng, low)
+    assert all(isinstance(c, Gaussian) for x in (f, g) for c in x.numerators.values())
+    got = f * g
+    assert (got.numerators, got.denominator) == naive_product(f, g)
+    assert got.truncation == min(nf, ng) and bool(got.numerators) == (low < 2)
 
 
 def test_exp_of_a_degree_two_argument():

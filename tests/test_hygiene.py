@@ -142,6 +142,50 @@ def test_the_scan_sees_a_dead_definition():
                                          ("src/m.py", "orphan"), ("src/m.py", "peel")]
 
 
+def dead_attributes(sources):
+    """(path, class, attribute) for each attribute that a method of a
+    package class assigns on its first argument (self) and that no module
+    reads: no attribute load, anywhere, of that name."""
+    assigned, read = set(), set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store))
+        if not path.startswith("src/"):
+            continue
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or not fn.args.args:
+                    continue
+                me = fn.args.args[0].arg
+                for node in ast.walk(fn):
+                    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                        assigned.update((path, cls.name, t.attr) for t in flat(targets)
+                                        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                                        and t.value.id == me)
+    return sorted(a for a in assigned if a[2] not in read)
+
+
+def test_every_attribute_set_on_self_is_read():
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in SCANNED}
+    assert dead_attributes(sources) == []
+
+
+def test_the_scan_sees_an_attribute_nobody_reads():
+    sources = {
+        "src/m.py": "class Error(Exception):\n    def __init__(self, form, mono):\n"
+                    "        self.form = form\n        self.mono: tuple = mono\n\n"
+                    "class Node:\n    def __init__(this, q, combo):\n"
+                    "        this.q, (this.combo, this.seen) = q, (combo, 0)\n"
+                    "    @classmethod\n    def make(cls, x):\n        y = cls()\n        y.kept = x\n"
+                    "        return y\n",
+        "tests/t.py": "def f(node, err):\n    node.q = 1\n    return node.combo, err.mono\n",
+    }
+    assert dead_attributes(sources) == [("src/m.py", "Error", "form"), ("src/m.py", "Node", "q"),
+                                        ("src/m.py", "Node", "seen")]
+
+
 # -- series are values ----------------------------------------------------------
 
 OWNERS = {("graded", "Series", "__init__"), ("graded", "Series", "_stored")}

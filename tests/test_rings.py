@@ -96,6 +96,19 @@ def test_gaussian_integers_share_the_complex_protocol_of_int():
     assert all(type(gaussian(k, 0)) is int for k in (-3, 0, 5))
 
 
+def test_gaussian_integers_are_values():
+    """Equal parts compare equal and hash alike; a Gaussian equals no int,
+    since its imaginary part is nonzero; ** by an int k >= 0 is k products."""
+    g = gaussian(3, -2)
+    assert gaussian(1, 2) == gaussian(1, 2) and gaussian(1, 2) != gaussian(2, 1)
+    assert hash(gaussian(1, 2)) == hash(gaussian(1, 2))
+    assert {gaussian(1, 2): 0} == {gaussian(1, 2): 0}
+    assert not g == 3 and not 3 == g and g != 3
+    assert g ** 5 == g * g * g * g * g
+    assert g ** 1 == g and g ** 0 == 1 and type(g ** 0) is int
+    assert gaussian(1, 1) ** 4 == -4 and type(gaussian(1, 1) ** 4) is int
+
+
 # -- the precision contract of the fixed-point ring ----------------------------
 
 CC40, CC80 = complex_field(40), complex_field(80)
