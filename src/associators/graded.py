@@ -9,12 +9,16 @@ any ring adapter from ``rings.py``, stored as numerators over one
 denominator in the form the ring owns (see Series).  Series are values: no
 operation writes into a stored form.  A subclass names the key of 1 (UNIT)
 and the degree of a key, and hands its coefficient loop to ``product``:
+loop(x) groups a left factor x once and returns into(y, n, out), which sums
+x y into out, so the walk groups each image once, not at every node.
 NCSeries (words, degree len) and CSeries (exponent triples, degree sum)
-``keyed_loop`` with their keys' join; MatSeries (entry and exponent triple,
-degree of the triple; its 1 has two keys) a row contraction, 10-30% faster
-on dense products than a join.  P5Element.action (one letter prepended to
-each child, which the keyed loop would regroup per call) and
-words.commutator (xy and yx from one product per pair) keep their loops.
+use ``keyed_loop`` with their keys' join; MatSeries (entry and exponent
+triple, degree of the triple; its 1 has two keys) a contraction by column
+and degree, 2.5 times as fast on a dense degree-8 product as a join that
+discards unequal inner indices.  P5Element.action (one letter prepended to
+each term; the degree-5 pentagon benchmark ran 1.5-2% slower on the keyed
+loop) and words.commutator (xy and yx from one product per pair) keep
+their loops.
 
 ``substitute`` walks the trie of a series' keys, each peeled into its first
 letter and the rest (a word gives up its first letter, a monomial one factor
@@ -190,10 +194,10 @@ class Series:
     def action(self, m):
         """(x, n, out) -> out += m numerators * x to degree n, for a
         numerator dict x and a dict out: left multiplication by this series
-        over denominator/m, as the walk of ``substitute`` takes it."""
+        over denominator/m, as the walk of ``substitute`` takes it: the
+        product's loop, which groups m numerators once for every node."""
         nums = self.numerators if m == 1 else {k: c * m for k, c in self.numerators.items()}
-        loop = type(self).__mul__.loop
-        return lambda x, n, out: loop(nums, x, n, out)
+        return type(self).__mul__.loop(nums)
 
     def scale(self, c):
         """Multiply by a ring number, an int or a Fraction."""
@@ -206,37 +210,44 @@ class Series:
 
 
 def keyed_loop(degree, join):
-    """loop(x, y, n, out): out[join(ka, kb)] += ca cb, zeros kept, for ka: ca
-    in x and kb: cb in y of degree(ka) + degree(kb) <= n (n may be math.inf);
-    y is grouped by degree, so that no pair above n is visited."""
-    def loop(x, y, n, out):
+    """loop(x) -> into(y, n, out): into adds ca cb to out[join(ka, kb)],
+    zeros kept, for ka: ca in x and kb: cb in y of degree(ka) + degree(kb)
+    <= n (n may be math.inf).  loop groups x's terms by degree once, in
+    increasing degree, so that into reads the groups of each term of y up
+    to the first above its room and visits no pair above n."""
+    def loop(x):
         by_degree = {}
-        for k, c in y.items():
+        for k, c in x.items():
             by_degree.setdefault(degree(k), []).append((k, c))
-        for ka, ca in x.items():
-            room = n - degree(ka)
-            for d, items in by_degree.items():
-                if d > room:
-                    continue
-                for kb, cb in items:
-                    k = join(ka, kb)
-                    v = ca * cb
-                    s = out.get(k)
-                    out[k] = v if s is None else s + v
+        groups = sorted(by_degree.items())
+
+        def into(y, n, out):
+            for kb, cb in y.items():
+                room = n - degree(kb)
+                for d, items in groups:
+                    if d > room:
+                        break
+                    for ka, ca in items:
+                        k = join(ka, kb)
+                        v = ca * cb
+                        s = out.get(k)
+                        out[k] = v if s is None else s + v
+        return into
     return loop
 
 
 def product(loop):
-    """A subclass's __mul__ from its coefficient loop: loop(x, y, n, out)
-    sums the coefficient products of the numerator dicts x and y into out,
-    at each key of degree <= n: ``keyed_loop``, or MatSeries' row
-    contraction (see the module docstring).  __mul__ passes a new dict,
+    """A subclass's __mul__ from its coefficient loop: loop(x) prepares the
+    numerator dict x as a left factor and returns into(y, n, out), which
+    sums the coefficient products of x and the numerator dict y into out,
+    at each key of degree <= n: ``keyed_loop``, or MatSeries' contraction
+    (see the module docstring).  __mul__ passes a new dict,
     drops its zeros and multiplies the denominators; it keeps the loop as
-    __mul__.loop for the walk of ``substitute`` and for p5_bracket, which
-    sum into their own dicts."""
+    __mul__.loop for the walk of ``substitute`` (Series.action) and for
+    p5_bracket, which sum into their own dicts."""
     def __mul__(self, other):
         n, out = self._common(other), {}
-        loop(self.numerators, other.numerators, n, out)
+        loop(self.numerators)(other.numerators, n, out)
         return self._stored(self.ring, n, {k: c for k, c in out.items() if c},
                             self.denominator * other.denominator)
     __mul__.loop = loop

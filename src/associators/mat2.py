@@ -1,11 +1,11 @@
 """2x2 matrices over the (a, b, p) series.  MatSeries holds one as a
 single graded series: what NCSeries.substitute and graded's exp and log act
 on.  Its product is one contraction loop over the stored numerators, which
-sums into the dict it is given (graded.product: a new one per __mul__, a
-node's own in the walk) and reads the right factor by row and degree; its 1
-has two keys, so its inverse is the adjugate over the determinant.  Mat2
-multiplies four CSeries: the matrix of the tests' word-by-word oracle, and
-the mat2 method that perfbench times."""
+groups the left factor by column and degree and sums into the dict it is
+given (graded.product: a new one per __mul__, a node's own in the walk);
+its 1 has two keys, so its inverse is the adjugate over the determinant.
+Mat2 multiplies four CSeries: the matrix of the tests' word-by-word oracle,
+and the mat2 method that perfbench times."""
 
 from __future__ import annotations
 
@@ -87,21 +87,25 @@ class MatSeries(graded.Series):
         return MatSeries.of(c * self[1, 1], c * -self[0, 1], c * -self[1, 0], c * self[0, 0])
 
     @graded.product
-    def __mul__(x, y, n, out):
-        # entry (i, j) of x against entry (j, k) of y, y's terms by row and degree
-        rows = ({}, {})
-        for (j, k, a, b, p), c in y.items():
-            rows[j].setdefault(a + b + p, []).append((k, a, b, p, c))
-        for (i, j, a, b, p), ca in x.items():
-            room = n - a - b - p
-            for db, items in rows[j].items():
-                if db > room:
-                    continue
-                for k, a2, b2, p2, cb in items:
-                    key = (i, k, a + a2, b + b2, p + p2)
-                    v = ca * cb
-                    s = out.get(key)
-                    out[key] = v if s is None else s + v
+    def __mul__(x):
+        # entry (i, j) of x against entry (j, k) of y, x's terms by column and degree
+        cols = ({}, {})
+        for (i, j, a, b, p), c in x.items():
+            cols[j].setdefault(a + b + p, []).append((i, a, b, p, c))
+        cols = [sorted(col.items()) for col in cols]
+
+        def into(y, n, out):
+            for (j, k, a2, b2, p2), cb in y.items():
+                room = n - a2 - b2 - p2
+                for d, items in cols[j]:
+                    if d > room:
+                        break
+                    for i, a, b, p, ca in items:
+                        key = (i, k, a + a2, b + b2, p + p2)
+                        v = ca * cb
+                        s = out.get(key)
+                        out[key] = v if s is None else s + v
+        return into
 
 
 def mat_exp_graded(m: MatSeries) -> MatSeries:

@@ -241,11 +241,12 @@ def pentagon_residual(f, quotient):
 def p5_bracket(x, y, quotient):
     """[(f1, b1), (f2, b2)] = ([f1, f2] + b1.f2 - b2.f1, [b1, b2]), where
     b.f is the word vector b f applied to 1; b1 f2 - b2 f1 is NCSeries'
-    keyed loop (join operator.add) at no truncation."""
+    keyed loop (join operator.add) at no truncation, prepared at b1 and at
+    -b2 and summed into one dict."""
     (f1, b1), (f2, b2) = x, y
     act, times = {}, NCSeries.__mul__.loop
-    times(b1, f2, math.inf, act)
-    times({w: -c for w, c in b2.items()}, f1, math.inf, act)
+    times(b1)(f2, math.inf, act)
+    times({w: -c for w, c in b2.items()})(f1, math.inf, act)
     fibre = W.commutator(f1, f2)
     for w, c in quotient.reduce_vector(act).items():
         fibre[w] = fibre.get(w, 0) + c

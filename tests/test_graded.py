@@ -18,7 +18,7 @@ from associators import words as W
 from associators.cseries import CSeries, subst_swap_ab
 from associators.graded import max_coeff
 from associators.mat2 import MatSeries, mat_exp_graded
-from associators.matspec import mat_log_graded
+from associators.matspec import ev_at, first_row, mat_log_graded, xy_matrices
 from associators.ncseries import NCSeries, lie_element
 from associators.rings import QQ, Gaussian, complex_field
 
@@ -175,46 +175,114 @@ def test_key_maps_are_the_walk_at_their_images(seed):
         assert m.reflect()[ij] == m[ij].subst(-a, -b, -p)
 
 
-# -- the one keyed product loop over the complex ring -------------------------
+# -- the product loops over the complex ring and QQ ----------------------------
 
-JOINS = {NCSeries: operator.add, CSeries: lambda m, k: tuple(map(operator.add, m, k))}
+JOINS = {NCSeries: operator.add, CSeries: lambda m, k: tuple(map(operator.add, m, k)),
+         MatSeries: lambda u, v: (u[0], v[1], u[2] + v[2], u[3] + v[3], u[4] + v[4])
+         if u[1] == v[0] else None}
 
 
-def complex_series(rng, cls, n, low):
-    """Every key of degree low..n, each coefficient off the real line, over
-    complex_field(40)."""
-    ring = complex_field(40)
+def dense_series(rng, cls, n, low, ring=complex_field(40)):
+    """Every key of degree low..n, each coefficient off the real line over
+    the complex ring, a fraction with a denominator over QQ."""
+    monos = [(i, j, d - i - j) for d in range(low, n + 1) for i in range(d + 1) for j in range(d + 1 - i)]
     keys = ([w for d in range(low, n + 1) for w in W.words_of_weight(d)] if cls is NCSeries else
-            [(i, j, d - i - j) for d in range(low, n + 1) for i in range(d + 1) for j in range(d + 1 - i)])
+            monos if cls is CSeries else [(i, j) + m for m in monos for i in (0, 1) for j in (0, 1)])
+    if ring is QQ:
+        return cls(ring, n, {k: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5))) for k in keys})
     return cls(ring, n, {k: ring.mp.mpc(rng.uniform(-2, 2), rng.choice((-1, 1)) * rng.uniform(0.5, 2))
                          for k in keys})
 
 
 def naive_product(f, g):
     """The stored numerators and denominator of f g by a double loop over
-    every pair of stored numerators, rounded as the ring rounds."""
+    every pair of stored numerators that the join combines, reduced as the
+    ring reduces."""
     n, join, out = min(f.truncation, g.truncation), JOINS[type(f)], {}
     for ka, ca in f.numerators.items():
         for kb, cb in g.numerators.items():
             k = join(ka, kb)
-            if f.degree(k) <= n:
+            if k is not None and f.degree(k) <= n:
                 out[k] = out.get(k, 0) + ca * cb
     return f.ring.reduce({k: c for k, c in out.items() if c}, f.denominator * g.denominator)
 
 
+SHAPES = [(4, 5, 0), (5, 3, 1), (0, 0, 0), (3, 3, 2)]
+
+
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("cls", [NCSeries, CSeries])
-@pytest.mark.parametrize("nf, ng, low", [(4, 5, 0), (5, 3, 1), (0, 0, 0), (3, 3, 2)])
+@pytest.mark.parametrize("cls", [NCSeries, CSeries, MatSeries])
+@pytest.mark.parametrize("nf, ng, low", SHAPES)
 def test_the_keyed_loop_is_the_double_loop_over_the_complex_ring(cls, nf, ng, low, seed):
-    """NCSeries and CSeries products over complex_field(40) store the
-    numerators of the naive double loop; at truncation 0 only the constant
-    terms meet, and with low = 2 at truncation 3 every pair lies above it."""
+    """NCSeries, CSeries and MatSeries products over complex_field(40) store
+    the numerators of the naive double loop; at truncation 0 only the
+    constant terms meet, and with low = 2 at truncation 3 every pair lies
+    above it."""
     rng = random.Random(seed)
-    f, g = complex_series(rng, cls, nf, low), complex_series(rng, cls, ng, low)
+    f, g = dense_series(rng, cls, nf, low), dense_series(rng, cls, ng, low)
     assert all(isinstance(c, Gaussian) for x in (f, g) for c in x.numerators.values())
     got = f * g
     assert (got.numerators, got.denominator) == naive_product(f, g)
     assert got.truncation == min(nf, ng) and bool(got.numerators) == (low < 2)
+
+
+@pytest.mark.parametrize("nf, ng, low", SHAPES)
+def test_the_matrix_contraction_is_the_double_loop_over_qq(nf, ng, low):
+    """The MatSeries contraction over QQ: the pairs whose inner indices
+    match, at truncation 0 and with every pair above the truncation too."""
+    rng = random.Random(nf + ng + low)
+    f, g = dense_series(rng, MatSeries, nf, low, QQ), dense_series(rng, MatSeries, ng, low, QQ)
+    assert f.denominator > 1 and g.denominator > 1
+    got = f * g
+    assert (got.numerators, got.denominator) == naive_product(f, g)
+    assert got.truncation == min(nf, ng) and bool(got.numerators) == (low < 2)
+
+
+@pytest.mark.parametrize("ring", [QQ, complex_field(40)], ids=["QQ", "CC40"])
+@pytest.mark.parametrize("cls", [NCSeries, CSeries, MatSeries])
+def test_a_left_factor_is_read_in_increasing_degree(cls, ring):
+    """The left factor stores its keys of highest degree first.  Its loop
+    reads its degree groups in increasing degree up to the first above a
+    right term's room, so a group stored after a higher one still meets
+    the right factor."""
+    rng = random.Random(3)
+    f, g = dense_series(rng, cls, 4, 1, ring), dense_series(rng, cls, 4, 1, ring)
+    f = f._stored(ring, 4, dict(sorted(f.numerators.items(), key=lambda kc: -f.degree(kc[0]))),
+                  f.denominator)
+    assert f.degree(next(iter(f.numerators))) == 4
+    got = f * g
+    assert got.numerators and (got.numerators, got.denominator) == naive_product(f, g)
+
+
+# -- the walk prepares each image once ------------------------------------------
+
+
+def counted_loop(monkeypatch, cls):
+    """The list of the calls of cls's product loop from here on."""
+    calls, loop = [], cls.__mul__.loop
+
+    def counted(*args):
+        calls.append(args)
+        return loop(*args)
+    monkeypatch.setattr(cls.__mul__, "loop", counted)
+    return calls
+
+
+@pytest.mark.parametrize("walk", ["first_row", "ev_at", "exp", "substitute"])
+def test_the_walk_prepares_each_image_once(walk, monkeypatch):
+    """f holds every word of degree <= 4, so its trie has 31 nodes, but the
+    walk calls each image's loop once: the grouping of an image's terms
+    serves every node."""
+    e0, e1 = NCSeries.letter(QQ, 4, 0), NCSeries.letter(QQ, 4, 1)
+    f = (e0 + e1.scale(2)).exp()
+    assert len(f.numerators) == 31
+    m0, m1 = xy_matrices(QQ, 4)
+    expect = {"first_row": lambda: first_row(f, m0, m1), "ev_at": lambda: ev_at(f, m0, m1),
+              "exp": lambda: mat_exp_graded(m0 + m1), "substitute": lambda: f.substitute(e0 * e1, e1 - e0)}
+    want = expect[walk]()
+    calls = counted_loop(monkeypatch, NCSeries if walk == "substitute" else MatSeries)
+    assert expect[walk]() == want
+    assert len(calls) == (1 if walk == "exp" else 2)
 
 
 def test_exp_of_a_degree_two_argument():
